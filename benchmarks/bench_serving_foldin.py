@@ -8,7 +8,28 @@ memoized query (the LRU hit path that dominates under serving traffic),
 and the lifecycle paths -- a touched-component link delta against a
 large extension space (must not scale with the total extension) and a
 full ``promote()`` warm-started refit round trip.
+
+Run as a script it times the transient batch path end to end -- the
+single engine at 10 and 200 queries, and one worker process over the
+process transport called directly -- and optionally merges a
+``{before, after, speedup}`` record against a baseline run::
+
+    PYTHONPATH=src python benchmarks/bench_serving_foldin.py \
+        --json now.json [--baseline before.json]
+
+The script touches only public entry points, so the same file measures
+a parent commit's checkout for the ``before`` column.
 """
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,15 +44,21 @@ from repro.datagen.weather import (
     generate_weather_network,
 )
 from repro.experiments.weather_common import WEATHER_ATTRIBUTES
-from repro.serving import InferenceEngine, ModelArtifact, NewNode, fold_in
+from repro.serving import (
+    InferenceEngine,
+    ModelArtifact,
+    NewNode,
+    ShardedEngine,
+    fold_in,
+)
 from repro.serving.foldin import FrozenModel
 
 BATCH_SIZE = 200
+SMALL_BATCH = 10  # one micro-batched HTTP request's worth
 
 
-@pytest.fixture(scope="module")
-def served_model():
-    """A fitted mid-size weather model frozen for serving."""
+def fit_served_model():
+    """A fitted mid-size weather model (the ROADMAP baseline fit)."""
     generated = generate_weather_network(
         WeatherConfig(
             n_temperature=400,
@@ -44,15 +71,19 @@ def served_model():
     config = GenClusConfig(
         n_clusters=4, outer_iterations=2, seed=0, n_init=2
     )
-    result = GenClus(config).fit(
+    return GenClus(config).fit(
         generated.network, attributes=WEATHER_ATTRIBUTES
     )
-    artifact = ModelArtifact.from_result(result)
-    return FrozenModel.from_artifact(artifact), artifact
 
 
 @pytest.fixture(scope="module")
-def sensor_batch(served_model):
+def served_model():
+    """The fitted mid-size weather model frozen for serving."""
+    artifact = ModelArtifact.from_result(fit_served_model())
+    return FrozenModel.from_artifact(artifact), artifact
+
+
+def sensor_specs():
     """New temperature sensors: kNN-style links plus observations."""
     rng = np.random.default_rng(7)
     batch = []
@@ -72,6 +103,22 @@ def sensor_batch(served_model):
             )
         )
     return batch
+
+
+def as_queries(specs):
+    return [
+        dict(
+            object_type=TEMPERATURE_TYPE,
+            links=spec.links,
+            numeric=spec.numeric,
+        )
+        for spec in specs
+    ]
+
+
+@pytest.fixture(scope="module")
+def sensor_batch(served_model):
+    return sensor_specs()
 
 
 def test_batch_foldin_throughput(benchmark, served_model, sensor_batch):
@@ -137,14 +184,7 @@ def test_score_many_batched_throughput(
     disabled so every round times the full batched fold-in."""
     _, artifact = served_model
     engine = InferenceEngine(artifact, cache_size=0)
-    queries = [
-        dict(
-            object_type=TEMPERATURE_TYPE,
-            links=spec.links,
-            numeric=spec.numeric,
-        )
-        for spec in sensor_batch
-    ]
+    queries = as_queries(sensor_batch)
 
     memberships = benchmark(engine.score_many, queries)
     assert len(memberships) == BATCH_SIZE
@@ -152,6 +192,23 @@ def test_score_many_batched_throughput(
     benchmark.extra_info["batch_size"] = BATCH_SIZE
     benchmark.extra_info["queries_per_sec"] = round(
         BATCH_SIZE / benchmark.stats.stats.mean, 1
+    )
+
+
+def test_score_many_small_batch(benchmark, served_model, sensor_batch):
+    """One HTTP request's worth (10 queries) through ``score_many``:
+    at this size the per-call fixed costs -- compiling the batch,
+    resolving it against the model, assembling the link operator --
+    weigh as much as the fixed point itself."""
+    _, artifact = served_model
+    engine = InferenceEngine(artifact, cache_size=0)
+    queries = as_queries(sensor_batch[:SMALL_BATCH])
+
+    memberships = benchmark(engine.score_many, queries)
+    assert len(memberships) == SMALL_BATCH
+    benchmark.extra_info["batch_size"] = SMALL_BATCH
+    benchmark.extra_info["queries_per_sec"] = round(
+        SMALL_BATCH / benchmark.stats.stats.mean, 1
     )
 
 
@@ -165,14 +222,7 @@ def test_score_many_vs_single_queries(
     the timed region on both sides."""
     _, artifact = served_model
     subset = sensor_batch[:20]
-    queries = [
-        dict(
-            object_type=TEMPERATURE_TYPE,
-            links=spec.links,
-            numeric=spec.numeric,
-        )
-        for spec in subset
-    ]
+    queries = as_queries(subset)
     engine = InferenceEngine(artifact, cache_size=0)
 
     def single_loop():
@@ -282,3 +332,101 @@ def test_batch_foldin_throughput_xxl(
     )
     benchmark.extra_info["batch_size"] = BATCH_SIZE
     benchmark.extra_info["base_nodes"] = model.theta.shape[0]
+
+
+# ----------------------------------------------------------------------
+# standalone harness
+# ----------------------------------------------------------------------
+def _median_ms(call, repeats: int) -> float:
+    call()  # warm-up
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - start)
+    return round(statistics.median(samples) * 1e3, 4)
+
+
+def measure(repeats: int) -> dict:
+    """Median milliseconds per ``score_many`` call (cache disabled, so
+    every call folds every query) on the single engine and on a
+    one-worker process cluster called directly; the answers are
+    checked bit-identical before anything is timed."""
+    result = fit_served_model()
+    queries = as_queries(sensor_specs())
+    single = InferenceEngine.from_result(result, cache_size=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = Path(tmp) / "model"
+        result.save(bundle)
+        process = ShardedEngine.load(
+            bundle, n_shards=1, transport="process", mmap=True,
+            cache_size=0,
+        )
+        try:
+            want = single.score_many(queries)
+            got = process.score_many(queries)
+            if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+                raise SystemExit("process rows differ from the engine")
+            cases = {}
+            for size in (SMALL_BATCH, BATCH_SIZE):
+                batch = queries[:size]
+                rounds = repeats * BATCH_SIZE // size
+                cases[f"single_engine_{size}"] = _median_ms(
+                    lambda: single.score_many(batch), rounds
+                )
+                cases[f"process_direct_{size}"] = _median_ms(
+                    lambda: process.score_many(batch), rounds
+                )
+        finally:
+            process.close()
+    return cases
+
+
+def _commit() -> str:
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            capture_output=True, text=True, check=True,
+            cwd=Path(__file__).resolve().parent,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--json", help="write the record here")
+    parser.add_argument(
+        "--baseline", help="a record from the parent commit to compare"
+    )
+    parser.add_argument("--repeats", type=int, default=40)
+    args = parser.parse_args(argv)
+    record = {
+        "bench": "score_many_transient",
+        "unit": "ms per call (median, cache disabled)",
+        "cpus": os.cpu_count(),
+        "commit": _commit(),
+        "cases": measure(args.repeats),
+    }
+    if args.baseline:
+        before = json.loads(Path(args.baseline).read_text())
+        record = {
+            "bench": record["bench"],
+            "unit": record["unit"],
+            "cpus": record["cpus"],
+            "before": {"commit": before["commit"], **before["cases"]},
+            "after": {"commit": record["commit"], **record["cases"]},
+            "speedup": {
+                case: round(before["cases"][case] / ms, 2)
+                for case, ms in record["cases"].items()
+            },
+        }
+    text = json.dumps(record, indent=2)
+    if args.json:
+        Path(args.json).write_text(text + "\n")
+    print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

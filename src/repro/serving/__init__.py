@@ -3,15 +3,21 @@
 The batch reproduction fits a model and exits; this package turns a fit
 into something that lives through the whole model lifecycle:
 
-* :mod:`repro.serving.artifact` -- versioned single-file persistence of
-  a fitted model (``.npz`` arrays + JSON manifest), with a
-  ``GenClusResult.save()/load()`` façade on the result object itself.
-  Schema v2 embeds the training edges and attribute observations, so a
-  reloaded model is **refit-capable**; v1 bundles still load
-  (serve-only).
+* :mod:`repro.serving.artifact` -- versioned persistence of a fitted
+  model, with a ``GenClusResult.save()/load()`` façade on the result
+  object itself.  ``save()`` writes a schema-v3 **bundle directory**:
+  a JSON manifest (with per-array CRC32 checksums) plus one raw
+  ``.npy`` file per array, so ``load(..., mmap=True)`` serves straight
+  off read-only memory maps and cold start pays only for the pages it
+  touches.  The bundle embeds the training edges and attribute
+  observations, so a reloaded model is **refit-capable**.  Legacy
+  single-file ``.npz`` bundles (schema v1/v2) still load eagerly.
 * :mod:`repro.serving.foldin` -- batch posterior assignment for unseen
   nodes: the paper's EM theta update (Eqs. 10-12) iterated to a fixed
   point with every fitted parameter frozen, vectorized over the batch.
+  Queries travel as a columnar :class:`QueryBatch` (type codes plus
+  link, numeric and text CSRs), compiled once at the edge and folded
+  in through one fused link operator per call.
 * :mod:`repro.serving.engine` -- :class:`InferenceEngine`: drives a
   shared :class:`~repro.core.state.ModelState` through serving --
   incremental deltas (``extend`` / ``add_links``, re-folding only the
@@ -68,9 +74,9 @@ A small CLI ships as ``python -m repro.serving``
 Typical lifecycle::
 
     result = GenClus(config).fit(network, attributes=["title"])
-    result.save("model.npz")                  # schema v2: refit-capable
+    result.save("model")                      # schema-v3 bundle directory
 
-    engine = InferenceEngine.load("model.npz")
+    engine = InferenceEngine.load("model", mmap=True)
     membership = engine.query(
         "paper",
         links=[("written_by", "author-4", 1.0)],
@@ -99,6 +105,8 @@ from repro.serving.foldin import (
     FoldInOutcome,
     FrozenModel,
     NewNode,
+    QueryBatch,
+    compile_queries,
     fold_in,
 )
 from repro.serving.gateway import Gateway, GatewayBusy, GatewayServer, MicroBatcher
@@ -131,6 +139,7 @@ __all__ = [
     "ModelArtifact",
     "NewNode",
     "ProcessTransport",
+    "QueryBatch",
     "RemoteShardError",
     "RetrainDriver",
     "RetrainPolicy",
@@ -143,6 +152,7 @@ __all__ = [
     "ShardedEngine",
     "SupervisionPolicy",
     "TransportError",
+    "compile_queries",
     "fold_in",
     "load_artifact",
     "save_artifact",

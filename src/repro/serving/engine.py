@@ -34,7 +34,6 @@ frozen under serving; only :meth:`promote` re-learns them.
 
 from __future__ import annotations
 
-import re
 import time
 from collections import OrderedDict, deque
 from collections.abc import Iterable, Mapping, Sequence
@@ -56,11 +55,14 @@ from repro.serving.artifact import SCHEMA_VERSION, ModelArtifact
 from repro.serving.foldin import (
     FoldInOutcome,
     NewNode,
+    QueryBatch,
+    bind_batch,
+    compile_queries,
+    compile_query,
+    fold_bound,
     fold_in,
 )
 from repro.serving.telemetry import ServingMetrics, info_sections
-
-_QUERY_ID = "__repro.serving.query__"
 
 
 def select_lru_victims(
@@ -856,44 +858,18 @@ class InferenceEngine:
         Returns the ``(K,)`` posterior membership.  Identical queries
         are answered from the LRU cache until the next delta.
         """
-        try:
-            spec = NewNode(
-                node=_QUERY_ID,
-                object_type=object_type,
-                links=tuple(links),
-                text=dict(text or {}),
-                numeric=dict(numeric or {}),
-            )
-        except ServingError as exc:
-            raise _dequalify(exc) from None
-        key = _canonical_key(spec)
+        return self.query_batch(
+            compile_query(object_type, links, text, numeric)
+        )
+
+    def query_batch(self, batch: QueryBatch) -> np.ndarray:
+        """:meth:`query` for a one-row batch from
+        :func:`~repro.serving.foldin.compile_query` (the cluster
+        router compiles once and hands the batch to the owning shard).
+        """
         self._metrics.queries.inc()
-        self._touch_query_targets(spec)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._metrics.cache_hits.inc()
-            self._cache.move_to_end(key)
-            return cached.copy()
-        self._metrics.cache_misses.inc()
-        try:
-            outcome = fold_in(
-                self._model,
-                [spec],
-                max_iterations=self._max_iterations,
-                tol=self._tol,
-                num_workers=self._num_workers,
-                block_size=self._block_size,
-                obs=self.obs,
-            )
-        except ServingError as exc:
-            raise _dequalify(exc) from None
-        self._metrics.foldin_sweeps.inc(outcome.iterations)
-        membership = outcome.theta[0]
-        if self._cache_size > 0:
-            self._cache[key] = membership.copy()
-            while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return membership.copy()
+        self._touch_query_targets(batch)
+        return self.score_batch(batch)[0]
 
     def assign(
         self,
@@ -930,35 +906,37 @@ class InferenceEngine:
         batching of the same queries, including the per-shard
         scatter-gather of a serving cluster.
 
-        Returns one ``(K,)`` posterior membership per query, in input
-        order.
+        ``queries`` may also be a compiled
+        :class:`~repro.serving.foldin.QueryBatch`.  Returns one ``(K,)``
+        posterior membership per query, in input order.
         """
-        keys: list[tuple] = []
+        batch = (
+            queries
+            if isinstance(queries, QueryBatch)
+            else compile_queries(queries)
+        )
+        self._touch_query_targets(batch)
+        self._metrics.queries.inc(len(batch))
+        with self.obs.span("score_many", queries=len(batch)):
+            return self.score_batch(batch)
 
-        def on_spec(spec: NewNode) -> None:
-            keys.append(_canonical_key(spec))
-            self._touch_query_targets(spec)
+    def score_batch(self, batch: QueryBatch) -> list[np.ndarray]:
+        """Score a compiled batch (the cache + batched fold-in half of
+        :meth:`score_many`; the shard call of the cluster router).
 
-        specs = compile_transient_queries(queries, on_spec)
-        self._metrics.queries.inc(len(specs))
-        with self.obs.span("score_many", queries=len(specs)):
-            return self.score_specs(specs, keys)
-
-    def score_specs(
-        self, specs: Sequence[NewNode], keys: Sequence[tuple]
-    ) -> list[np.ndarray]:
-        """Score pre-compiled transient specs (the cache + batched
-        fold-in half of :meth:`score_many`).
-
-        The cluster router compiles and validates a batch **once** at
-        global scope (so error messages carry the caller's positions)
-        and hands each shard its slice of ready specs and canonical
-        cache keys here, skipping a second validation pass.  ``specs``
-        must come from :func:`compile_transient_queries` (or
-        equivalent) and ``keys`` must align with them.
+        The batch is resolved against the model once
+        (:func:`~repro.serving.foldin.bind_batch`: every check, errors
+        naming the batch's query positions); each row's cache key is
+        the bytes of its sorted bound records; cached rows are answered
+        from the cache and the remaining distinct rows fold in as one
+        batch.
         """
+        if not len(batch):
+            return []
+        bound = bind_batch(self._model, batch)
+        keys = bound.row_keys()
         results: dict[int, np.ndarray] = {}
-        pending: dict[tuple, list[int]] = {}
+        pending: dict[bytes, list[int]] = {}
         for position, key in enumerate(keys):
             cached = self._cache.get(key)
             if cached is not None:
@@ -969,21 +947,17 @@ class InferenceEngine:
                 pending.setdefault(key, []).append(position)
         if pending:
             self._metrics.cache_misses.inc(len(pending))
-            batch = [
-                specs[positions[0]] for positions in pending.values()
-            ]
-            try:
-                outcome = fold_in(
-                    self._model,
-                    batch,
-                    max_iterations=self._max_iterations,
-                    tol=self._tol,
-                    num_workers=self._num_workers,
-                    block_size=self._block_size,
-                    obs=self.obs,
-                )
-            except ServingError as exc:
-                raise _dequalify(exc) from None
+            rows = [positions[0] for positions in pending.values()]
+            outcome = fold_bound(
+                self._model,
+                bound if len(rows) == len(keys) else bound.take(rows),
+                tuple(rows),
+                max_iterations=self._max_iterations,
+                tol=self._tol,
+                num_workers=self._num_workers,
+                block_size=self._block_size,
+                obs=self.obs,
+            )
             self._metrics.foldin_sweeps.inc(outcome.iterations)
             for row, (key, positions) in enumerate(pending.items()):
                 membership = outcome.theta[row]
@@ -994,7 +968,7 @@ class InferenceEngine:
             if self._cache_size > 0:
                 while len(self._cache) > self._cache_size:
                     self._cache.popitem(last=False)
-        return [results[position] for position in range(len(specs))]
+        return [results[position] for position in range(len(keys))]
 
     def assign_many(
         self, queries: Sequence[Mapping[str, Any]]
@@ -1217,7 +1191,7 @@ class InferenceEngine:
     # shard-handle surface (the transport seam)
     #
     # A cluster router never reaches into a shard's state directly --
-    # it speaks the methods below (plus query / score_specs / extend /
+    # it speaks the methods below (plus query_batch / score_batch / extend /
     # add_links / evict_nodes / membership_of / similar_rows_partial /
     # info / metrics_snapshot), which is exactly the surface
     # :mod:`repro.serving.transport` carries over a process boundary.
@@ -1389,14 +1363,10 @@ class InferenceEngine:
             self._clock += 1
             self._last_used[node] = self._clock
 
-    def _touch_query_targets(self, spec: NewNode) -> None:
-        """Refresh the LRU age of extension nodes a query links to."""
-        touched = [
-            target
-            for _, target, _ in spec.links
-            if self._state.is_extension(target)
-        ]
-        if touched:
+    def _touch_query_targets(self, batch: QueryBatch) -> None:
+        """Refresh the LRU age of extension nodes queries link to (one
+        clock tick per query that links to any)."""
+        for _, touched in batch.targets_by_row(self._state.is_extension):
             self._clock += 1
             for target in touched:
                 self._last_used[target] = self._clock
@@ -1414,57 +1384,8 @@ class InferenceEngine:
         self._simtypes.clear()
 
 
-def compile_transient_queries(
-    queries: Sequence[Mapping[str, Any]],
-    on_spec=None,
-) -> list[NewNode]:
-    """Validate a ``score_many`` batch into sentinel-id fold-in specs.
-
-    The argument-checking half of the batch query path, shared by
-    :meth:`InferenceEngine.score_many` and the cluster router (which
-    must validate -- and report positions -- in the same global order
-    before scattering sub-batches to shards).  ``on_spec`` is invoked
-    per compiled spec, in order, *before* later queries validate,
-    mirroring the engine's touch-as-you-validate semantics.
-    """
-    allowed = {"object_type", "links", "text", "numeric"}
-    specs: list[NewNode] = []
-    for position, query in enumerate(queries):
-        if not isinstance(query, Mapping):
-            raise ServingError(
-                f"query #{position}: expected a mapping of query "
-                f"arguments, got {type(query).__name__}"
-            )
-        unknown = set(query) - allowed
-        if unknown:
-            raise ServingError(
-                f"query #{position}: unknown arguments "
-                f"{sorted(map(str, unknown))} (allowed: "
-                f"{sorted(allowed)})"
-            )
-        if "object_type" not in query:
-            raise ServingError(
-                f"query #{position}: object_type is required"
-            )
-        try:
-            spec = NewNode(
-                node=(_QUERY_ID, position),
-                object_type=query["object_type"],
-                links=tuple(query.get("links") or ()),
-                text=dict(query.get("text") or {}),
-                numeric=dict(query.get("numeric") or {}),
-            )
-        except ServingError as exc:
-            raise _dequalify(exc) from None
-        specs.append(spec)
-        if on_spec is not None:
-            on_spec(spec)
-    return specs
-
-
-_BATCH_QUERY_RE = re.compile(
-    r"node \('" + re.escape(_QUERY_ID) + r"', (\d+)\)"
-)
+# the batch compiler under its historical name (benchmark probes time it)
+compile_transient_queries = compile_queries
 
 
 def _resolve_metric(metric: str) -> str:
@@ -1473,37 +1394,3 @@ def _resolve_metric(metric: str) -> str:
         return topk.resolve_metric(metric)
     except ValueError as exc:
         raise ServingError(str(exc)) from None
-
-
-def _dequalify(exc: ServingError) -> ServingError:
-    """Validation errors name the internal query sentinel ids;
-    re-phrase them for users of the transient-query API (both the
-    single-query sentinel and the ``(sentinel, position)`` ids of
-    ``score_many`` batches)."""
-    message = str(exc).replace(f"node {_QUERY_ID!r}", "query")
-    return ServingError(_BATCH_QUERY_RE.sub(r"query #\1", message))
-
-
-def _canonical_key(spec: NewNode) -> tuple:
-    """Order-insensitive hashable form of a transient query."""
-    links = tuple(
-        sorted(
-            spec.links,
-            key=lambda link: (link[0], str(link[1]), link[2]),
-        )
-    )
-    text_items = []
-    for attribute in sorted(spec.text):
-        bag = spec.text[attribute]
-        if isinstance(bag, Mapping):
-            canonical = tuple(
-                sorted((str(t), float(c)) for t, c in bag.items())
-            )
-        else:
-            canonical = tuple(sorted(str(t) for t in bag))
-        text_items.append((attribute, canonical))
-    numeric_items = tuple(
-        (attribute, tuple(sorted(float(v) for v in spec.numeric[attribute])))
-        for attribute in sorted(spec.numeric)
-    )
-    return (spec.object_type, links, tuple(text_items), numeric_items)

@@ -55,7 +55,7 @@ from typing import Any
 from repro.exceptions import ServingError
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import MetricsRegistry, aggregate_snapshots
-from repro.serving.engine import compile_transient_queries
+from repro.serving.foldin import QueryBatch, compile_queries
 from repro.serving.supervision import ShardFailure
 from repro.serving.telemetry import GatewayMetrics
 from repro.serving.transport import decode_node, encode_node
@@ -105,6 +105,9 @@ class MicroBatcher:
     Execution always happens on the gateway's single-thread executor;
     one flush issues at most one ``score_many`` plus one
     ``similar_many`` per distinct ``(k, metric, type)`` group.
+    Score items are ``(request batch, row)`` pairs; a flush hands
+    ``score_many`` their request batches concatenated in admission
+    order.
     """
 
     def __init__(
@@ -248,7 +251,7 @@ class MicroBatcher:
         if scores:
             try:
                 rows = self._engine.score_many(
-                    [item.payload for _, item in scores],
+                    _merge_rows([item.payload for _, item in scores]),
                     partial=True,
                 )
             except Exception as exc:  # noqa: BLE001
@@ -570,22 +573,22 @@ class Gateway:
             raise ServingError(
                 'the /score body must carry {"queries": [...]}'
             )
-        queries = [_decode_query(query, index) for index, query in enumerate(queries)]
+        batch = _compile_wire_queries(queries)
         # validate up front so one malformed request 400s alone
         # instead of poisoning the micro-batch it would share
         # (model-aware when the engine offers it)
         validate = getattr(self._engine, "validate_queries", None)
         if validate is not None:
             await self._loop.run_in_executor(
-                self._executor, validate, queries
+                self._executor, validate, batch
             )
-        else:
-            compile_transient_queries(queries)
         if self._draining:
             return _json_response(
                 503, {"error": "gateway is draining"}
             )
-        futures = self._batcher.admit("score", queries)
+        futures = self._batcher.admit(
+            "score", [(batch, row) for row in range(len(batch))]
+        )
         rows = await asyncio.gather(*futures)
         results: list[Any] = []
         degraded = 0
@@ -600,7 +603,7 @@ class Gateway:
                     }
                 )
             else:
-                results.append([float(value) for value in row])
+                results.append(row.tolist())
         return _json_response(
             200, {"results": results, "degraded": degraded}
         )
@@ -637,33 +640,38 @@ class Gateway:
         return _json_response(200, {"results": results})
 
 
-def _decode_query(query, index: int) -> dict:
-    """JSON has no tuples: re-shape a wire query for the engine API.
+def _compile_wire_queries(queries: list) -> QueryBatch:
+    """Compile a ``/score`` body's queries straight from JSON.
 
-    Link entries arrive as ``[relation, target(, weight)]`` arrays and
-    target ids in the :func:`~repro.serving.transport.encode_node`
-    codec (so tuple-keyed models survive the JSON hop)."""
-    if not isinstance(query, dict):
-        raise ServingError(
-            f"query #{index}: expected a JSON object, got "
-            f"{type(query).__name__}"
-        )
-    links = query.get("links")
-    if links is None:
-        return query
-    if not isinstance(links, list):
-        raise ServingError(
-            f"query #{index}: links must be an array of "
-            f"[relation, target(, weight)] entries"
-        )
-    reshaped = dict(query)
-    reshaped["links"] = [
-        (link[0], decode_node(link[1]), *link[2:])
-        if isinstance(link, list) and len(link) >= 2
-        else tuple(link)
-        for link in links
-    ]
-    return reshaped
+    JSON has no tuples: link entries arrive as ``[relation, target(,
+    weight)]`` arrays with target ids in the
+    :func:`~repro.serving.transport.encode_node` codec (so tuple-keyed
+    models survive the JSON hop); the compiler decodes them in place.
+    """
+    for index, query in enumerate(queries):
+        if not isinstance(query, dict):
+            raise ServingError(
+                f"query #{index}: expected a JSON object, got "
+                f"{type(query).__name__}"
+            )
+        links = query.get("links")
+        if links is not None and not isinstance(links, list):
+            raise ServingError(
+                f"query #{index}: links must be an array of "
+                f"[relation, target(, weight)] entries"
+            )
+    return compile_queries(queries, decode_target=decode_node)
+
+
+def _merge_rows(items: list[tuple[QueryBatch, int]]) -> QueryBatch:
+    """One batch from flushed ``(request batch, row)`` items.  A flush
+    always holds whole requests (admission is all-or-nothing and a
+    flush takes everything pending), so the request batches simply
+    concatenate in admission order."""
+    parts = [batch for batch, row in items if row == 0]
+    if sum(len(batch) for batch in parts) != len(items):
+        raise ServingError("a micro-batch split a request's queries")
+    return QueryBatch.concat(parts)
 
 
 def _parse_json(body: bytes) -> dict:

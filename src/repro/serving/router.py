@@ -61,7 +61,6 @@ real, correctly-numbered error).
 from __future__ import annotations
 
 import time
-import zlib
 from collections.abc import Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -78,15 +77,21 @@ from repro.obs.observability import Observability
 from repro.serving.artifact import ModelArtifact
 from repro.serving.cluster import ShardPlan
 from repro.serving.engine import (
-    _QUERY_ID,
-    _canonical_key,
-    _dequalify,
     _resolve_metric,
-    compile_transient_queries,
     promote_state,
     select_lru_victims,
 )
-from repro.serving.foldin import FoldInOutcome, NewNode
+from repro.serving.foldin import (
+    FoldInOutcome,
+    NewNode,
+    QueryBatch,
+    check_type,
+    compile_queries,
+    compile_query,
+    link_error,
+    model_type_codes,
+    resolve_links,
+)
 from repro.serving.supervision import (
     BREAKER_CLOSED,
     ShardFailure,
@@ -455,24 +460,13 @@ class ShardedEngine:
         frozen base bit-for-bit, so the answer is identical no matter
         where it runs.
         """
-        try:
-            spec = NewNode(
-                node=_QUERY_ID,
-                object_type=object_type,
-                links=tuple(links),
-                text=dict(text or {}),
-                numeric=dict(numeric or {}),
-            )
-        except ServingError as exc:
-            raise _dequalify(exc) from None
-        shard = self._route_spec(spec, _canonical_key(spec))
+        batch = compile_query(object_type, links, text, numeric)
+        shard = int(self._route(batch)[0])
         self._metrics.queries.inc()
-        self._touch_query_targets(spec)
+        self._touch_query_targets(batch)
 
         def attempt() -> np.ndarray:
-            row = self._shards[shard].query(
-                object_type, links=links, text=text, numeric=numeric
-            )
+            row = self._shards[shard].query_batch(batch)
             if self._faults is not None:
                 row = self._faults.traverse(
                     "shard.score", payload=row, shard=shard
@@ -497,19 +491,20 @@ class ShardedEngine:
         )
 
     def validate_queries(
-        self, queries: Sequence[Mapping[str, Any]]
+        self, queries: Sequence[Mapping[str, Any]] | QueryBatch
     ) -> int:
         """Model-aware validation of a ``score_many`` batch -- folding
         nothing in and touching no shard.
 
-        Beyond the shape checks of ``compile_transient_queries`` this
-        verifies each query against the fitted schema: declared object
-        type, declared relation with a learned strength, matching
-        source type, and a link target that is either a fitted node or
-        a registered extension node (fitted targets are also
-        type-checked; an extension target's type was validated when it
-        was extended).  Raises :class:`ServingError` naming the first
-        offending query's position; returns the batch size.
+        Beyond the shape checks of
+        :func:`~repro.serving.foldin.compile_queries` this verifies
+        each query against the fitted schema, row by row: declared
+        object type, declared relation with a learned strength,
+        matching source type, and a link target that is either a
+        fitted node or a registered extension node (fitted targets are
+        also type-checked; an extension target's type was validated
+        when it was extended).  Raises :class:`ServingError` naming the
+        first offending query's position; returns the batch size.
 
         The HTTP gateway runs this per request *before* admission, so
         one caller's malformed query is rejected alone (400) instead
@@ -517,54 +512,43 @@ class ShardedEngine:
         merged ``score_many`` sub-batch would degrade every co-batched
         query routed to the same shard.
         """
-        specs = compile_transient_queries(queries)
+        batch = (
+            queries
+            if isinstance(queries, QueryBatch)
+            else compile_queries(queries)
+        )
         model = self._frozen_base()
-        for position, spec in enumerate(specs):
-            if spec.object_type not in model.object_types:
-                raise ServingError(
-                    f"query #{position} has unknown object type "
-                    f"{spec.object_type!r} (declared: "
-                    f"{list(model.object_types)})"
-                )
-            for relation, target, _ in spec.links:
-                declaration = model.relation_types.get(relation)
-                if declaration is None:
-                    raise ServingError(
-                        f"query #{position}: unknown relation "
-                        f"{relation!r}"
-                    )
-                if relation not in model.relation_names:
-                    raise ServingError(
-                        f"query #{position}: relation {relation!r} "
-                        f"carried no links in the fit, so it has no "
-                        f"learned strength to weight fold-in links "
-                        f"with"
-                    )
-                expected_source, expected_target = declaration
-                if spec.object_type != expected_source:
-                    raise ServingError(
-                        f"query #{position}: relation {relation!r} "
-                        f"expects source type {expected_source!r}, "
-                        f"query has type {spec.object_type!r}"
-                    )
-                if target in model.node_index:
-                    target_type = model.node_types[
-                        model.node_index[target]
-                    ]
-                    if target_type != expected_target:
-                        raise ServingError(
-                            f"query #{position}: relation "
-                            f"{relation!r} expects target type "
-                            f"{expected_target!r}, node {target!r} "
-                            f"has type {target_type!r}"
-                        )
-                elif target not in self._registry:
-                    raise ServingError(
-                        f"query #{position}: link target {target!r} "
-                        f"is neither a fitted node nor a served "
-                        f"extension node"
-                    )
-        return len(specs)
+        registry = self._registry
+        type_codes = model_type_codes(model, batch)
+
+        def extension(target):
+            # an extension target's type was checked when it was extended
+            try:
+                return (-2, -2) if target in registry else None
+            except TypeError:  # unhashable: never a node id
+                return None
+
+        _, columns, valid = resolve_links(
+            model, batch, type_codes, extension
+        )
+        # row by row: a row's object type, then its links in order
+        bad_types = np.flatnonzero(type_codes < 0)
+        bad_links = np.flatnonzero(~valid)
+        if bad_types.size and (
+            not bad_links.size
+            or bad_types[0] <= batch.links.owners()[bad_links[0]]
+        ):
+            check_type(model, batch, type_codes, int(bad_types[0]))
+        if bad_links.size:
+            raise link_error(
+                model,
+                batch,
+                int(bad_links[0]),
+                columns,
+                "query",
+                "a served extension node",
+            )
+        return len(batch)
 
     def _frozen_base(self):
         """The base state's frozen view, built once per promotion."""
@@ -600,55 +584,46 @@ class ShardedEngine:
         healthy shard's rows are returned bit-identical -- a degraded
         batch can be incomplete, but it can never carry wrong numbers.
         """
-        keys: list[tuple] = []
-
-        def on_spec(spec: NewNode) -> None:
-            keys.append(_canonical_key(spec))
-            self._touch_query_targets(spec)
-
-        specs = compile_transient_queries(queries, on_spec)
-        self._metrics.queries.inc(len(specs))
-        if not specs:
+        batch = (
+            queries
+            if isinstance(queries, QueryBatch)
+            else compile_queries(queries)
+        )
+        self._touch_query_targets(batch)
+        self._metrics.queries.inc(len(batch))
+        if not len(batch):
             return []
-        # cluster-wide dedup: the first occurrence of a key is routed,
-        # later duplicates reuse its gathered row.  Shards receive the
-        # already-compiled specs (whose sentinel ids carry the *global*
-        # positions, so shard-side errors name the caller's numbering)
-        # and skip a second validation pass.
-        routed: dict[tuple, int] = {}
-        shard_specs: list[list[NewNode]] = [[] for _ in self._shards]
-        shard_keys: list[list[tuple]] = [[] for _ in self._shards]
-        for spec, key in zip(specs, keys):
-            if key in routed:
-                continue
-            shard = self._route_spec(spec, key)
-            routed[key] = shard
-            shard_specs[shard].append(spec)
-            shard_keys[shard].append(key)
-        active = [
-            shard
+        # shards receive compiled sub-batches whose positions are the
+        # caller's, so shard-side errors name the global numbering;
+        # duplicates route alike and each shard folds them once
+        owners = self._route(batch)
+        rows = {
+            shard: np.flatnonzero(owners == shard)
             for shard in range(self.n_shards)
-            if shard_specs[shard]
-        ]
+        }
+        active = [shard for shard in rows if rows[shard].size]
+        parts = {
+            shard: (
+                batch
+                if rows[shard].size == len(batch)
+                else batch.take(rows[shard])
+            )
+            for shard in active
+        }
         gathered: dict[int, list[np.ndarray]] = {}
         failures: dict[int, ShardFailure] = {}
         width = min(resolve_workers(self._num_workers), len(active))
         batch_start = time.perf_counter()
         with self.obs.span(
             "score_many",
-            queries=len(specs),
-            unique=len(routed),
+            queries=len(batch),
             active_shards=len(active),
         ) as batch_span:
             if width > 1:
                 pool = self._scatter_pool()
                 futures = {
                     shard: pool.submit(
-                        self._score_shard,
-                        shard,
-                        shard_specs[shard],
-                        shard_keys[shard],
-                        batch_span,
+                        self._score_shard, shard, parts[shard], batch_span
                     )
                     for shard in active
                 }
@@ -677,10 +652,7 @@ class ShardedEngine:
                 for shard in active:
                     try:
                         gathered[shard] = self._score_shard(
-                            shard,
-                            shard_specs[shard],
-                            shard_keys[shard],
-                            batch_span,
+                            shard, parts[shard], batch_span
                         )
                     except Exception as exc:
                         if not partial:
@@ -689,33 +661,24 @@ class ShardedEngine:
                             shard=shard, error=str(exc)
                         )
         self._metrics.batches.inc()
-        self._metrics.batch_size.observe(len(specs))
+        self._metrics.batch_size.observe(len(batch))
         self._metrics.batch_seconds.observe(
             time.perf_counter() - batch_start
         )
-        by_key: dict[tuple, np.ndarray] = {}
-        marker_by_key: dict[tuple, ShardFailure] = {}
+        results: list[np.ndarray | ShardFailure] = [None] * len(batch)
         for shard in active:
             if shard in failures:
-                for key in shard_keys[shard]:
-                    marker_by_key[key] = failures[shard]
+                for row in rows[shard].tolist():
+                    results[row] = failures[shard]
                 continue
-            for membership, key in zip(
-                gathered[shard], shard_keys[shard]
+            for row, membership in zip(
+                rows[shard].tolist(), gathered[shard]
             ):
-                by_key[key] = membership
-        if not failures:
-            return [by_key[key].copy() for key in keys]
-        results: list[np.ndarray | ShardFailure] = []
-        degraded = 0
-        for key in keys:
-            row = by_key.get(key)
-            if row is not None:
-                results.append(row.copy())
-            else:
-                results.append(marker_by_key[key])
-                degraded += 1
-        self._metrics.degraded_queries.inc(degraded)
+                results[row] = membership.copy()
+        if failures:
+            self._metrics.degraded_queries.inc(
+                sum(rows[shard].size for shard in failures)
+            )
         return results
 
     def assign_many(
@@ -919,8 +882,7 @@ class ShardedEngine:
     def _score_shard(
         self,
         shard: int,
-        specs: list[NewNode],
-        keys: list[tuple],
+        batch: QueryBatch,
         parent,
     ) -> list[np.ndarray]:
         """One shard's sub-batch, timed and traced.
@@ -941,7 +903,7 @@ class ShardedEngine:
         hist = self._metrics.shard_batch_seconds(shard)
 
         def attempt() -> list[np.ndarray]:
-            rows = self._shards[shard].score_specs(specs, keys)
+            rows = self._shards[shard].score_batch(batch)
             if self._faults is not None:
                 rows = self._faults.traverse(
                     "shard.foldin", payload=rows, shard=shard
@@ -954,7 +916,7 @@ class ShardedEngine:
             with self.obs.span(
                 f"shard[{shard}].foldin",
                 parent=parent,
-                queries=len(specs),
+                queries=len(batch),
             ):
                 if self._supervisor is not None:
                     return self._supervisor.call(
@@ -968,22 +930,32 @@ class ShardedEngine:
             hist.observe(time.perf_counter() - tick)
             inflight.dec()
 
-    def _route_spec(self, spec: NewNode, key: tuple) -> int:
-        owners = {
-            self._registry[target].shard
-            for _, target, _ in spec.links
-            if target in self._registry
-        }
-        if len(owners) > 1:
-            raise ServingError(
-                f"query links to extension nodes owned by shards "
-                f"{sorted(owners)}; linked extensions must be "
-                f"colocated on one shard (extend them through one "
-                f"batch or one anchor)"
-            )
-        if owners:
-            return owners.pop()
-        return _affinity_shard(key, self.n_shards)
+    def _route(self, batch: QueryBatch) -> np.ndarray:
+        """The shard of each row: the owner of the extension nodes it
+        links to, else a deterministic cache-affinity shard (a digest
+        of the row's content, so a repeated query lands on the shard
+        already holding its memoized answer -- any shard would return
+        the identical score)."""
+        owners = np.full(len(batch), -1, dtype=np.int64)
+        registry = self._registry
+        for row, targets in batch.targets_by_row(registry.__contains__):
+            found = {registry[target].shard for target in targets}
+            if len(found) > 1:
+                raise ServingError(
+                    f"query links to extension nodes owned by shards "
+                    f"{sorted(found)}; linked extensions must be "
+                    f"colocated on one shard (extend them through one "
+                    f"batch or one anchor)"
+                )
+            owners[row] = found.pop()
+        free = owners < 0
+        if free.any():
+            if self.n_shards == 1:
+                owners[free] = 0
+            else:
+                digests = np.asarray(batch.affinity(), dtype=np.int64)
+                owners[free] = digests[free] % self.n_shards
+        return owners
 
     # ------------------------------------------------------------------
     # durable deltas
@@ -1462,13 +1434,8 @@ class ShardedEngine:
             self._clock += 1
             self._last_used[node] = self._clock
 
-    def _touch_query_targets(self, spec: NewNode) -> None:
-        touched = [
-            target
-            for _, target, _ in spec.links
-            if target in self._registry
-        ]
-        if touched:
+    def _touch_query_targets(self, batch: QueryBatch) -> None:
+        for _, touched in batch.targets_by_row(self._registry.__contains__):
             self._clock += 1
             for target in touched:
                 self._last_used[target] = self._clock
@@ -1517,18 +1484,6 @@ def _settle_siblings(exc: BaseException, futures, remaining) -> None:
         if hasattr(exc, "add_note"):
             for note in notes:
                 exc.add_note(note)
-
-
-def _affinity_shard(key: tuple, n_shards: int) -> int:
-    """Deterministic cache-affinity routing for base-only queries.
-
-    A stable digest of the canonical query key (``repr`` of nested
-    tuples of scalars -- reproducible across processes, unlike
-    ``hash``) so a repeated query lands on the shard already holding
-    its memoized answer.  Any shard would return the identical score;
-    affinity only buys cache hits.
-    """
-    return zlib.crc32(repr(key).encode("utf-8")) % n_shards
 
 
 def _merge_outcomes(

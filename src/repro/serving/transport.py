@@ -4,7 +4,7 @@
 and rebalance; *where a shard runs* is this module's job.  A transport
 turns ``(base state, shard plan, engine knobs)`` into a tuple of
 **shard handles** -- objects answering the engine's shard surface
-(``query`` / ``score_specs`` / ``extend`` / ``add_links`` /
+(``query_batch`` / ``score_batch`` / ``extend`` / ``add_links`` /
 ``evict_nodes`` / ``membership_of`` / ``similar_rows_partial`` /
 ``served_vector`` / ``suggest_context`` / ``extension_nodes`` /
 ``extension_export`` / ``extension_dependants`` / ``info`` /
@@ -33,12 +33,15 @@ Two backends:
 **The wire format is deliberately not pickle**: a frame is an 8-byte
 big-endian payload length, a 4-byte header length, a JSON header, and
 the raw C-order bytes of any numpy arrays the header declares (dtype +
-shape ride in the header).  JSON round-trips Python floats exactly
-(``repr`` shortest-form), node ids are restricted to JSON scalars
-(tuples are tagged and re-tupled, which carries the router's sentinel
-query ids), and membership rows travel as raw float64 -- so every
-answer is bit-identical to the in-process reference, and a worker
-never executes attacker-controlled bytecode.
+shape ride in the header, checked against an allowlist of the dtypes
+the protocol sends and against the frame's byte count).  Score calls
+carry a compiled :class:`~repro.serving.foldin.QueryBatch` as raw
+array planes plus its five name tables (:func:`encode_batch`), so a
+worker decodes no per-query JSON.  JSON round-trips Python floats
+exactly (``repr`` shortest-form), node ids are restricted to JSON
+scalars (tuples are tagged and re-tupled), and membership rows travel
+as raw float64 -- so every answer is bit-identical to the in-process
+reference, and a worker never executes attacker-controlled bytecode.
 
 Determinism contract: with the same artifact, plan, and block size,
 ``ProcessTransport`` answers are **bit-identical** to
@@ -55,6 +58,7 @@ process-death drills behind the PR 7 supervision machinery.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import socket
@@ -72,8 +76,8 @@ import numpy as np
 
 from repro.exceptions import ServingError
 from repro.serving.cluster import ShardPlan
-from repro.serving.engine import InferenceEngine, _canonical_key
-from repro.serving.foldin import FoldInOutcome, NewNode
+from repro.serving.engine import InferenceEngine
+from repro.serving.foldin import FoldInOutcome, NewNode, QueryBatch, RowGroups
 
 __all__ = [
     "InprocessTransport",
@@ -89,6 +93,9 @@ _HLEN_STRUCT = struct.Struct("!I")
 # one frame carries at most one batch of membership rows; anything
 # beyond this is a protocol bug, not a workload
 _MAX_FRAME = 1 << 31
+# the array dtypes the protocol sends (little-endian on every platform
+# this runs on); a header naming anything else is malformed
+_WIRE_DTYPES = frozenset({"<f8", "<i8", "<i4"})
 
 
 class TransportError(ServingError):
@@ -131,25 +138,60 @@ def encode_frame(
 def decode_payload(
     payload: bytes,
 ) -> tuple[dict[str, Any], list[np.ndarray]]:
-    """Parse one frame payload back into ``(header, arrays)``."""
-    (head_len,) = _HLEN_STRUCT.unpack_from(payload, 0)
-    offset = _HLEN_STRUCT.size
-    header = json.loads(payload[offset : offset + head_len].decode("ascii"))
+    """Parse one frame payload back into ``(header, arrays)``.
+
+    Every malformed payload -- truncated, a bad header, a dtype outside
+    the protocol's allowlist, a shape that is negative or does not
+    match the bytes that follow -- raises :class:`TransportError`.
+    """
+    try:
+        (head_len,) = _HLEN_STRUCT.unpack_from(payload, 0)
+        offset = _HLEN_STRUCT.size
+        header = json.loads(
+            payload[offset : offset + head_len].decode("ascii")
+        )
+        specs = header.pop("arrays", [])
+        shapes = []
+        for spec in specs:
+            if spec["dtype"] not in _WIRE_DTYPES:
+                raise TransportError(
+                    f"array dtype {spec['dtype']!r} is not part of the "
+                    f"protocol"
+                )
+            shape = spec["shape"]
+            if type(shape) is not list or not all(
+                type(n) is int and n >= 0 for n in shape
+            ):
+                raise TransportError(f"bad array shape {shape!r}")
+            shape = tuple(shape)
+            shapes.append((np.dtype(spec["dtype"]), shape))
+    except TransportError:
+        raise
+    except Exception as exc:  # any parse failure is a malformed frame
+        raise TransportError(
+            f"malformed frame header: {type(exc).__name__}: {exc}"
+        ) from None
     offset += head_len
+    if offset > len(payload):
+        raise TransportError("truncated frame header")
+    expected = sum(
+        dtype.itemsize * math.prod(shape) for dtype, shape in shapes
+    )
+    if expected != len(payload) - offset:
+        raise TransportError(
+            f"frame carries {len(payload) - offset} array bytes, its "
+            f"header declares {expected}"
+        )
     arrays: list[np.ndarray] = []
-    for spec in header.pop("arrays", []):
-        dtype = np.dtype(spec["dtype"])
-        shape = tuple(int(n) for n in spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = dtype.itemsize * count
-        chunk = payload[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise TransportError(
-                f"truncated array in frame: wanted {nbytes} bytes, "
-                f"got {len(chunk)}"
-            )
+    for dtype, shape in shapes:
+        nbytes = dtype.itemsize * math.prod(shape)
+        count = math.prod(shape)
         arrays.append(
-            np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+            np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
+            .reshape(shape)
+            .copy()
+            if count
+            else np.empty(shape, dtype=dtype)
         )
         offset += nbytes
     return header, arrays
@@ -169,9 +211,8 @@ def send_message(
         ) from None
 
 
-def recv_message(
-    sock: socket.socket,
-) -> tuple[dict[str, Any], list[np.ndarray]]:
+def recv_payload(sock: socket.socket) -> bytes:
+    """Read one whole frame payload off the socket."""
     length_bytes = _recv_exact(sock, _HEADER_STRUCT.size)
     (payload_len,) = _HEADER_STRUCT.unpack(length_bytes)
     if payload_len > _MAX_FRAME:
@@ -179,7 +220,13 @@ def recv_message(
             f"frame length {payload_len} exceeds the {_MAX_FRAME} "
             f"byte protocol limit"
         )
-    return decode_payload(_recv_exact(sock, payload_len))
+    return _recv_exact(sock, payload_len)
+
+
+def recv_message(
+    sock: socket.socket,
+) -> tuple[dict[str, Any], list[np.ndarray]]:
+    return decode_payload(recv_payload(sock))
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -210,8 +257,7 @@ _SCALARS = (str, int, float, bool, type(None))
 
 def encode_node(node: object) -> object:
     """Node ids on the wire: JSON scalars pass through, tuples are
-    tagged (this carries the ``(_QUERY_ID, position)`` sentinels whose
-    positions shard-side errors must name)."""
+    tagged (so tuple-keyed models survive the hop)."""
     if isinstance(node, bool) or node is None or isinstance(node, (str, float)):
         return node
     if isinstance(node, int):
@@ -226,7 +272,7 @@ def encode_node(node: object) -> object:
 
 
 def decode_node(wire: object) -> object:
-    if isinstance(wire, Mapping) and "__tuple__" in wire:
+    if isinstance(wire, dict) and "__tuple__" in wire:
         return tuple(decode_node(item) for item in wire["__tuple__"])
     return wire
 
@@ -273,6 +319,111 @@ def decode_spec(wire: Mapping[str, Any]) -> NewNode:
             for attribute, values in wire.get("numeric", {}).items()
         },
     )
+
+
+def encode_batch(
+    batch: QueryBatch,
+) -> tuple[dict[str, Any], list[np.ndarray]]:
+    """A transient batch as ``(header fields, array planes)``: the five
+    name tables ride in the JSON header, every column as a raw plane."""
+    meta = {
+        name: list(getattr(batch, name))
+        for name in QueryBatch.TABLES
+    }
+    meta["targets"] = [encode_node(target) for target in batch.targets]
+    meta["single"] = batch.positions is None
+    planes = [batch.type_codes]
+    if batch.positions is not None:
+        planes.append(batch.positions)
+    for groups in (batch.links, batch.numeric, batch.text):
+        planes.append(groups.indptr)
+        planes.extend(groups.columns)
+    return meta, planes
+
+
+def decode_batch(
+    meta: Mapping[str, Any], planes: Sequence[np.ndarray]
+) -> QueryBatch:
+    """Inverse of :func:`encode_batch`.  The row structure, the plane
+    dtypes and every code's range are re-checked (a code outside its
+    name table would silently index another name), so a malformed
+    batch raises :class:`TransportError`."""
+    try:
+        tables = {name: tuple(meta[name]) for name in QueryBatch.TABLES}
+        if not all(type(meta[name]) is list for name in tables):
+            raise TypeError("name tables must be arrays")
+        tables["targets"] = tuple(decode_node(t) for t in meta["targets"])
+        single = meta["single"]
+    except Exception as exc:  # noqa: BLE001 - any gap is malformed
+        raise TransportError(
+            f"malformed query batch header: {type(exc).__name__}: {exc}"
+        ) from None
+    planes = list(planes)
+    if len(planes) != (12 if single else 13):
+        raise TransportError("malformed query batch planes")
+    type_codes = _codes(planes.pop(0), 0, len(tables["types"]))
+    m = type_codes.size
+    positions = None
+    if not single:
+        positions = _codes(planes.pop(0), 0, 1 << 62)
+        if positions.shape != (m,):
+            raise TransportError("malformed query batch planes")
+    attributes = len(tables["attributes"])
+    groups = []
+    for bounds in (
+        ((0, len(tables["relations"])), (0, len(tables["targets"])), None),
+        ((-attributes, attributes), None),
+        ((-attributes, attributes), (-1, len(tables["terms"])), None),
+    ):
+        indptr, columns = planes[0], planes[1 : 1 + len(bounds)]
+        del planes[: 1 + len(bounds)]
+        if (
+            indptr.dtype.kind != "i"
+            or indptr.shape != (m + 1,)
+            or indptr[0] != 0
+            or (np.diff(indptr) < 0).any()
+            or any(c.shape != (indptr[-1],) for c in columns)
+        ):
+            raise TransportError("malformed query batch planes")
+        groups.append(
+            RowGroups(
+                indptr,
+                tuple(
+                    _values(column) if bound is None else _codes(column, *bound)
+                    for column, bound in zip(columns, bounds)
+                ),
+            )
+        )
+    attribute, term, _ = groups[2].columns
+    if not np.array_equal(attribute >= 0, term >= 0):
+        # a term belongs to every text entry but an attribute mention
+        raise TransportError("malformed query batch planes")
+    return QueryBatch(
+        type_codes=type_codes,
+        links=groups[0],
+        numeric=groups[1],
+        text=groups[2],
+        positions=positions,
+        **tables,
+    )
+
+
+def _codes(plane: np.ndarray, low: int, high: int) -> np.ndarray:
+    """``plane`` if it is a 1-D integer plane of codes in [low, high)."""
+    if (
+        plane.ndim != 1
+        or plane.dtype.kind != "i"
+        or plane.size
+        and (int(plane.min()) < low or int(plane.max()) >= high)
+    ):
+        raise TransportError("malformed query batch planes")
+    return plane
+
+
+def _values(plane: np.ndarray) -> np.ndarray:
+    if plane.ndim != 1 or plane.dtype != np.float64:
+        raise TransportError("malformed query batch planes")
+    return plane
 
 
 def encode_link(link: tuple) -> list:
@@ -456,6 +607,11 @@ class ProcessShardHandle:
         if reply.get("error") is not None:
             error = reply["error"]
             message = error.get("message", "remote failure")
+            if error.get("type") == "TransportError":
+                raise TransportError(
+                    f"shard {self.shard} worker rejected the "
+                    f"{op!r} frame: {message}"
+                )
             if error.get("serving"):
                 raise RemoteShardError(message)
             raise RemoteShardError(
@@ -487,38 +643,15 @@ class ProcessShardHandle:
             self._process.wait()
 
     # -- shard surface -------------------------------------------------
-    def query(
-        self,
-        object_type: str,
-        links: Sequence[tuple] = (),
-        text: Mapping[str, Any] | None = None,
-        numeric: Mapping[str, Sequence[float]] | None = None,
-    ) -> np.ndarray:
-        spec = NewNode(
-            node="__wire__",
-            object_type=object_type,
-            links=tuple(links),
-            text=dict(text or {}),
-            numeric=dict(numeric or {}),
-        )
-        wire = encode_spec(spec)
-        del wire["node"]
-        _, arrays = self._call("query", wire)
+    def query_batch(self, batch: QueryBatch) -> np.ndarray:
+        meta, planes = encode_batch(batch)
+        _, arrays = self._call("query", meta, planes)
         return arrays[0]
 
-    def score_specs(
-        self, specs: Sequence[NewNode], keys: Sequence[tuple]
-    ) -> list[np.ndarray]:
-        # keys are recomputed worker-side from the reconstructed specs
-        # (the canonical form is a pure function of the spec, so cache
-        # behaviour matches the in-process engine exactly)
-        header, arrays = self._call(
-            "score_specs",
-            {"specs": [encode_spec(spec) for spec in specs]},
-        )
-        if not specs:
-            return []
-        return [row for row in arrays[0]]
+    def score_batch(self, batch: QueryBatch) -> list[np.ndarray]:
+        meta, planes = encode_batch(batch)
+        _, arrays = self._call("score_batch", meta, planes)
+        return list(arrays[0])
 
     def extend(self, nodes: Sequence[NewNode]) -> FoldInOutcome:
         header, arrays = self._call(

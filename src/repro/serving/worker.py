@@ -15,11 +15,16 @@ transport would -- so every answer is bit-identical by construction.
 After init the worker is a plain dispatch loop: one request frame in,
 one reply frame out, in order (the router's scatter provides
 cross-shard concurrency; a single shard's calls are serialized on
-both sides).  Replies either carry the op's payload or an ``error``
-header re-raised router-side as
-:class:`~repro.serving.transport.RemoteShardError` -- a worker never
-dies on a bad request, only on ``shutdown``, a broken socket (its
-router is gone), or the test-only ``crash`` op (``os._exit``, the
+both sides).  Score calls arrive as compiled query batches in raw
+array planes (:func:`~repro.serving.transport.decode_batch`), so the
+worker parses no per-query JSON and builds no
+:class:`~repro.serving.foldin.NewNode`.  Replies either carry the op's
+payload or an ``error`` header re-raised router-side as
+:class:`~repro.serving.transport.RemoteShardError` (or
+:class:`~repro.serving.transport.TransportError` for a frame the
+worker read but could not parse) -- a worker never dies on a bad
+request or a malformed frame, only on ``shutdown``, a broken socket
+(its router is gone), or the test-only ``crash`` op (``os._exit``, the
 scripted process-death drill).
 
 Hot promote: ``prepare`` loads the *next* bundle and builds the new
@@ -38,15 +43,17 @@ import sys
 import numpy as np
 
 from repro.exceptions import ServingError
-from repro.serving.engine import InferenceEngine, _canonical_key
+from repro.serving.engine import InferenceEngine
 from repro.serving.transport import (
+    decode_batch,
     decode_link,
     decode_node,
+    decode_payload,
     decode_spec,
     encode_node,
     encode_spec,
     plan_from_wire,
-    recv_message,
+    recv_payload,
     send_message,
 )
 
@@ -123,29 +130,10 @@ class _Worker:
 
     # -- scoring -------------------------------------------------------
     def _op_query(self, engine, header, arrays):
-        text = {}
-        for attribute, bag in header.get("text", {}).items():
-            text[attribute] = (
-                dict(bag["counts"]) if "counts" in bag
-                else list(bag["tokens"])
-            )
-        membership = engine.query(
-            header["object_type"],
-            links=tuple(
-                (relation, decode_node(target), weight)
-                for relation, target, weight in header.get("links", ())
-            ),
-            text=text,
-            numeric=header.get("numeric", {}),
-        )
-        return {}, [membership]
+        return {}, [engine.query_batch(decode_batch(header, arrays))]
 
-    def _op_score_specs(self, engine, header, arrays):
-        specs = [decode_spec(wire) for wire in header["specs"]]
-        # the canonical cache key is a pure function of the spec, so
-        # recomputing here reproduces the router's keys exactly
-        keys = [_canonical_key(spec) for spec in specs]
-        rows = engine.score_specs(specs, keys)
+    def _op_score_batch(self, engine, header, arrays):
+        rows = engine.score_batch(decode_batch(header, arrays))
         if not rows:
             return {}, [
                 np.empty((0, engine.n_clusters), dtype=np.float64)
@@ -277,19 +265,25 @@ def serve(connect: str, shard: int) -> int:
     worker = _Worker(shard)
     while True:
         try:
-            header, arrays = recv_message(sock)
+            payload = recv_payload(sock)
         except ServingError:
             # the router is gone; nothing left to serve
             return 0
-        op = header.get("op")
-        if op == "shutdown":
-            return 0
         try:
+            header, arrays = decode_payload(payload)
+            if header.get("op") == "shutdown":
+                return 0
             reply, reply_arrays = worker.dispatch(header, arrays)
             reply["error"] = None
         except ServingError as exc:
             reply, reply_arrays = (
-                {"error": {"message": str(exc), "serving": True}},
+                {
+                    "error": {
+                        "message": str(exc),
+                        "type": type(exc).__name__,
+                        "serving": True,
+                    }
+                },
                 [],
             )
         except Exception as exc:  # noqa: BLE001 - report, don't die

@@ -32,6 +32,7 @@ from repro.serving import (
     ShardedEngine,
     SupervisionPolicy,
 )
+from repro.serving.foldin import compile_queries
 from repro.serving.gateway import (
     GatewayBusy,
     GatewayServer,
@@ -112,17 +113,30 @@ def trigger_counts(registry_snapshot):
 # MicroBatcher unit tests (fake engine, explicit event loop)
 # ----------------------------------------------------------------------
 class FakeEngine:
+    """Records each ``score_many`` batch as its rows' object types."""
+
     def __init__(self):
         self.score_calls = []
         self.similar_calls = []
 
-    def score_many(self, queries, partial=False):
-        self.score_calls.append(list(queries))
-        return [np.array([float(len(queries))]) for _ in queries]
+    def score_many(self, batch, partial=False):
+        self.score_calls.append(
+            [batch.types[code] for code in batch.type_codes.tolist()]
+        )
+        return [np.array([float(len(batch))]) for _ in range(len(batch))]
 
     def similar_many(self, nodes, k, metric, object_type):
         self.similar_calls.append((list(nodes), k, metric, object_type))
         return [[(node, 1.0)] for node in nodes]
+
+
+def score_items(*object_types):
+    """One ``/score`` request's admission items, as the gateway makes
+    them: ``(compiled request batch, row)`` pairs."""
+    batch = compile_queries(
+        [{"object_type": object_type} for object_type in object_types]
+    )
+    return [(batch, row) for row in range(len(batch))]
 
 
 def make_batcher(engine, loop, executor, **kwargs):
@@ -151,7 +165,9 @@ class TestMicroBatcher:
             engine = FakeEngine()
             with ThreadPoolExecutor(max_workers=1) as pool:
                 batcher, registry = make_batcher(engine, loop, pool)
-                futures = batcher.admit("score", ["a", "b", "c"])
+                futures = batcher.admit(
+                    "score", score_items("a", "b", "c")
+                )
                 # size trigger: flushed synchronously on admit, the
                 # window timer cancelled before it could fire
                 assert batcher._timer is None
@@ -170,7 +186,7 @@ class TestMicroBatcher:
             engine = FakeEngine()
             with ThreadPoolExecutor(max_workers=1) as pool:
                 batcher, registry = make_batcher(engine, loop, pool)
-                futures = batcher.admit("score", ["a", "b"])
+                futures = batcher.admit("score", score_items("a", "b"))
                 assert batcher._timer is not None
                 await asyncio.gather(*futures)
                 await batcher.quiesce()
@@ -190,8 +206,9 @@ class TestMicroBatcher:
             engine = FakeEngine()
             with ThreadPoolExecutor(max_workers=1) as pool:
                 batcher, registry = make_batcher(engine, loop, pool)
-                first = batcher.admit("score", ["a", "b"])
-                second = batcher.admit("score", ["c"])  # size trigger
+                first = batcher.admit("score", score_items("a", "b"))
+                # size trigger
+                second = batcher.admit("score", score_items("c"))
                 batcher._flush("time")  # the lost race, forced
                 batcher.flush_now()  # drain on an empty window
                 await asyncio.gather(*first, *second)
@@ -217,9 +234,9 @@ class TestMicroBatcher:
                 batcher, _ = make_batcher(
                     engine, loop, pool, max_queue=2, max_batch=100
                 )
-                batcher.admit("score", ["a"])
+                batcher.admit("score", score_items("a"))
                 with pytest.raises(GatewayBusy, match="full"):
-                    batcher.admit("score", ["b", "c"])
+                    batcher.admit("score", score_items("b", "c"))
                 # all-or-nothing: the rejected request queued nothing
                 assert batcher.load == 1
                 batcher.flush_now()
@@ -236,7 +253,7 @@ class TestMicroBatcher:
                 batcher, _ = make_batcher(
                     engine, loop, pool, max_batch=10
                 )
-                score = batcher.admit("score", ["q1"])
+                score = batcher.admit("score", score_items("q1"))
                 similar = batcher.admit(
                     "similar",
                     [
