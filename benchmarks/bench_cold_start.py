@@ -5,12 +5,13 @@ lazily paged read-only maps, so the number that matters is end-to-end
 *time to first answer* from a cold process -- not load time alone.
 This harness measures exactly that, in a fresh subprocess per sample
 (clean page cache state for the process, and an honest per-run
-``ru_maxrss`` peak), for:
+``ru_maxrss`` peak), for one schema-v3 bundle directory loaded two
+ways:
 
-* **eager v2** -- the legacy compressed ``.npz`` bundle, fully
-  decompressed and checksummed up front (the "before" column);
-* **mmap v3** -- the schema-v3 bundle directory served straight off
-  ``np.load(..., mmap_mode="r")`` maps (the "after" column);
+* **eager v3** -- ``mmap=False``: every array read and checksummed up
+  front (the "before" column);
+* **mmap v3** -- served straight off ``np.load(..., mmap_mode="r")``
+  maps (the "after" column);
 
 each at singleton, 2-shard, and 4-shard cluster shapes (sharding under
 mmap shares the mapped base pages across every shard instead of
@@ -22,12 +23,12 @@ Usage::
         --scale weather_xl --json cold_start.json \
         [--update-trajectory BENCH_serving.json] [--quick] [--xxl]
 
-``--update-trajectory`` merges a ``{before, after, speedup}`` record
-into the named trajectory file (see ``BENCH_serving.json`` at the repo
-root and the ROADMAP "Performance" section).  The eager numbers are a
-faithful "before": the v2 load path is byte-for-byte the pre-v3 code
-path, so measuring it at head reproduces the parent commit's cold
-start on the same machine.
+``--update-trajectory`` merges a ``cold_start`` ``{before, after,
+speedup}`` record into the named trajectory file (see
+``BENCH_serving.json`` at the repo root and the ROADMAP "Performance"
+section).  Older cold-start records in that file were measured
+against a single-file ``.npz`` layout that no longer exists; they are
+left as recorded.
 """
 
 import argparse
@@ -68,8 +69,6 @@ SHARD_COUNTS = (1, 2, 4)
 
 
 def _dir_bytes(path: Path) -> int:
-    if path.is_file():
-        return path.stat().st_size
     return sum(f.stat().st_size for f in path.rglob("*") if f.is_file())
 
 
@@ -174,7 +173,7 @@ def _run_child(path: Path, mmap: bool, shards: int, repeats: int) -> dict:
 
 
 # ----------------------------------------------------------------------
-# parent mode: fit once, save both layouts, sweep the grid
+# parent mode: fit once, save one bundle, sweep the grid
 # ----------------------------------------------------------------------
 def fit_and_save(scale: str, workdir: Path) -> dict:
     from repro.core.config import GenClusConfig
@@ -191,17 +190,11 @@ def fit_and_save(scale: str, workdir: Path) -> dict:
         generated.network, attributes=WEATHER_ATTRIBUTES
     )
     artifact = ModelArtifact.from_result(result)
-    eager_path = workdir / "model_v2.npz"
-    mmap_path = workdir / "model_v3"
-    artifact.save(eager_path, schema_version=2)
-    artifact.save(mmap_path)  # v3 bundle directory
+    path = artifact.save(workdir / "model_v3")
     return {
         "num_nodes": artifact.num_nodes,
-        "paths": {"eager_v2": eager_path, "mmap_v3": mmap_path},
-        "artifact_bytes": {
-            "eager_v2": _dir_bytes(eager_path),
-            "mmap_v3": _dir_bytes(mmap_path),
-        },
+        "path": path,
+        "artifact_bytes": _dir_bytes(path),
     }
 
 
@@ -216,8 +209,8 @@ def run_harness(scale: str, repeats: int) -> dict:
             "artifact_bytes": fitted["artifact_bytes"],
             "variants": {},
         }
-        for variant, mmap in (("eager_v2", False), ("mmap_v3", True)):
-            path = fitted["paths"][variant]
+        for variant, mmap in (("eager_v3", False), ("mmap_v3", True)):
+            path = fitted["path"]
             entry = {}
             for shards in SHARD_COUNTS:
                 print(
@@ -229,28 +222,26 @@ def run_harness(scale: str, repeats: int) -> dict:
             report["variants"][variant] = entry
         report["speedup"] = {
             key: round(
-                report["variants"]["eager_v2"][key]["total_seconds"]
+                report["variants"]["eager_v3"][key]["total_seconds"]
                 / report["variants"]["mmap_v3"][key]["total_seconds"],
                 2,
             )
-            for key in report["variants"]["eager_v2"]
+            for key in report["variants"]["eager_v3"]
         }
         return report
 
 
 def update_trajectory(trajectory_path: Path, report: dict) -> None:
-    """Merge the cold-start {before, after, speedup} record.
-
-    ``before`` is the eager-v2 column: that load path is unchanged
-    from the pre-v3 code, so it stands in for the parent commit."""
+    """Merge the cold-start {before, after, speedup} record: eager
+    against mapped loads of the same bundle."""
     payload = {}
     if trajectory_path.exists():
         payload = json.loads(trajectory_path.read_text())
-    payload["pr8_cold_start"] = {
+    payload["cold_start"] = {
         "scale": report["scale"],
         "num_nodes": report["num_nodes"],
         "artifact_bytes": report["artifact_bytes"],
-        "before": report["variants"]["eager_v2"],
+        "before": report["variants"]["eager_v3"],
         "after": report["variants"]["mmap_v3"],
         "speedup": report["speedup"],
     }

@@ -106,9 +106,7 @@ def persist_and_serve(result: GenClusResult) -> None:
     maps: cold start touches only the pages the first queries read
     (checksums of the mapped arrays verify on first materialization),
     which is how the sharded cluster keeps per-shard hydration
-    zero-copy.  ``result.save(path, schema_version=2)`` still writes
-    the legacy single-file ``.npz`` (``compress=False`` to skip
-    deflate).
+    zero-copy.
     """
     print()
     print("Persist & serve:")

@@ -143,13 +143,11 @@ class GenClusResult:
 
         return ModelState.from_result(self)
 
-    def save(self, path: str | Path, **kwargs) -> Path:
+    def save(self, path: str | Path) -> Path:
         """Persist the fit as a serving artifact bundle.
 
-        By default a schema-v3 **bundle directory** of raw ``.npy``
-        files (memory-mappable; pass ``schema_version=2`` for the
-        legacy single-file ``.npz``, ``compress=False`` to trade its
-        size for speed).  The bundle carries theta, gamma, attribute
+        A schema-v3 **bundle directory** of raw ``.npy`` files
+        (memory-mappable).  The bundle carries theta, gamma, attribute
         parameters, the node id/type map, and the run history --
         everything :class:`~repro.serving.engine.InferenceEngine`
         needs.  When the network still holds its training links and
@@ -162,7 +160,7 @@ class GenClusResult:
         # local import: repro.serving depends on this module
         from repro.serving.artifact import ModelArtifact
 
-        return ModelArtifact.from_result(self).save(path, **kwargs)
+        return ModelArtifact.from_result(self).save(path)
 
     @classmethod
     def load(cls, path: str | Path, **kwargs) -> GenClusResult:

@@ -27,8 +27,9 @@ materialized problem, the serving view's vocabulary index) are cached
 against it and invalidated only when the state actually changed.
 
 A state is either **refit-capable** (its network carries the training
-links and attribute observations -- fresh fits, schema-v2 artifacts) or
-**serve-only** (schema-v1 artifacts: parameters and memberships but no
+links and attribute observations -- fresh fits, artifacts saved with
+their training data) or **serve-only** (artifacts frozen with
+``include_training_data=False``: parameters and memberships but no
 training data); serve-only states answer queries and absorb deltas but
 refuse :meth:`to_problem`.
 """
@@ -214,8 +215,8 @@ class ModelState:
 
         Refit-capable when the result's network still carries its links
         and the fitted attribute tables (always true straight out of
-        ``GenClus.fit``; a result reloaded from a schema-v1 artifact has
-        neither and becomes serve-only).
+        ``GenClus.fit``; a result reloaded from a serve-only artifact
+        has neither and becomes serve-only).
         """
         network = result.network
         attribute_names = tuple(result.attribute_params)
@@ -697,8 +698,8 @@ class ModelState:
         if not self.refit_capable:
             raise StateError(
                 "this state is serve-only (no training links or "
-                "attribute observations -- e.g. loaded from a schema-v1 "
-                "artifact); it can serve queries but not refit"
+                "attribute observations -- e.g. loaded from a "
+                "serve-only artifact); it can serve queries but not refit"
             )
         # the refit warm-starts from theta end to end: a mapped base
         # settles its deferred verification before the solver reads it

@@ -10,8 +10,9 @@ into something that lives through the whole model lifecycle:
   ``.npy`` file per array, so ``load(..., mmap=True)`` serves straight
   off read-only memory maps and cold start pays only for the pages it
   touches.  The bundle embeds the training edges and attribute
-  observations, so a reloaded model is **refit-capable**.  Legacy
-  single-file ``.npz`` bundles (schema v1/v2) still load eagerly.
+  observations, so a reloaded model is **refit-capable**.  ``load()``
+  reads only such bundle directories and rejects any other path with a
+  ``SerializationError`` naming it.
 * :mod:`repro.serving.foldin` -- batch posterior assignment for unseen
   nodes: the paper's EM theta update (Eqs. 10-12) iterated to a fixed
   point with every fitted parameter frozen, vectorized over the batch.

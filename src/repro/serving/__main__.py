@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         "shard-plan",
         help="propose a balanced shard plan for a serving cluster",
     )
-    shard_plan.add_argument("artifact", help="path to the .npz bundle")
+    shard_plan.add_argument("artifact", help="path to the bundle directory")
     shard_plan.add_argument(
         "--shards",
         type=int,
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="score a batch with tracing on and print the span trees",
     )
-    trace.add_argument("artifact", help="path to the .npz bundle")
+    trace.add_argument("artifact", help="path to the bundle directory")
     trace.add_argument(
         "--batch",
         metavar="FILE",
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a scripted kill-and-recover drill against a "
         "supervised cluster",
     )
-    chaos.add_argument("artifact", help="path to the .npz bundle")
+    chaos.add_argument("artifact", help="path to the bundle directory")
     chaos.add_argument(
         "--batch",
         metavar="FILE",
@@ -833,7 +833,7 @@ def _run_score(args: argparse.Namespace) -> int:
 def _run_shard_plan(args: argparse.Namespace) -> int:
     state = ModelArtifact.load(args.artifact).to_state()
     # link views make the per-shard load column possible; serve-only
-    # bundles (schema v1) still get the row/block split
+    # bundles still get the row/block split
     state.hydrate()
     plan = ShardPlan.from_state(state, args.shards, args.block_size)
     summary = plan.describe(state)

@@ -12,17 +12,13 @@ serving layer needs to answer membership queries without refitting:
 * the per-outer-iteration diagnostics history (scalar fields only; the
   variable-length inner-EM objective traces are not persisted).
 
-On disk an artifact is either a legacy **single ``.npz`` bundle**
-(schemas v1/v2: every numeric array under a registry key plus one
-``manifest`` entry carrying a UTF-8 JSON document) or, since **schema
-v3**, a **bundle directory**: one raw ``.npy`` file per array under
-``arrays/`` plus the same JSON manifest as ``manifest.json``.
-``np.load`` never needs ``allow_pickle`` in either layout -- the format
-is plain arrays plus JSON, so loading untrusted artifacts cannot
-execute code.
+On disk an artifact is a schema-v3 **bundle directory**: one raw
+``.npy`` file per array under ``arrays/`` plus a JSON ``manifest.json``
+that names each array's file and records its CRC32.  ``np.load`` never
+needs ``allow_pickle`` -- the format is plain arrays plus JSON, so
+loading untrusted artifacts cannot execute code.
 
-The v3 layout exists for **memory-mapped loading**: raw ``.npy`` files
-open with ``np.load(..., mmap_mode="r")``, so
+Raw ``.npy`` files open with ``np.load(..., mmap_mode="r")``, so
 ``load_artifact(path, mmap=True)`` returns lazily-paged read-only
 views instead of eager copies -- cold start touches only the pages the
 first queries actually read (``O(pages touched)``, not
@@ -33,34 +29,29 @@ lists, the observation tables) carry their manifest CRC32s in an
 :class:`ArtifactIntegrity` guard and are verified on **first
 materialization** (the first private writable copy: theta growth in
 ``extend``, the refit path's hydration) rather than at load; the small
-arrays (gamma, attribute parameters, history) verify eagerly as
-before, and ``mmap=False`` keeps the fully eager verification of
-schemas v1/v2.  Mutating paths never write through the map --
-``np.load``'s ``"r"`` mode hands out genuinely read-only pages, and
-every growth/refit path copies first (copy-on-write by construction).
+arrays (gamma, attribute parameters, history) verify eagerly, and
+``mmap=False`` verifies everything at load.  Mutating paths never
+write through the map -- ``np.load``'s ``"r"`` mode hands out
+genuinely read-only pages, and every growth/refit path copies first
+(copy-on-write by construction).
 
-Versioning: ``SCHEMA_VERSION`` is bumped whenever the layout changes;
-:func:`load_artifact` rejects bundles whose major version it does not
-understand with a :class:`~repro.exceptions.SerializationError` naming
-both versions.  ``save_artifact(..., schema_version=2)`` still writes
-the single-file ``.npz`` layout (``compress=False`` trades size for
-save/load speed), and v1/v2 bundles keep loading eagerly -- ``mmap``
-silently falls back to an eager load there (compressed zip members
-cannot be paged).
-
-**Schema v2** additionally embeds the *training data* -- the link lists
-of every fitted relation and the raw attribute observation tables --
-whenever the saved result still carries them (any fresh fit does).
-That makes a reloaded model **refit-capable**: the network rebuilt by
+The bundle also embeds the *training data* -- the link lists of every
+fitted relation and the raw attribute observation tables -- whenever
+the saved result still carries them (any fresh fit does).  That makes
+a reloaded model **refit-capable**: the network rebuilt by
 :meth:`ModelArtifact.to_result` has its edges and observations back,
 and :meth:`ModelArtifact.to_state` yields a
 :class:`~repro.core.state.ModelState` that can warm-start a full new
 ``GenClus`` fit (the lifecycle loop: fit -> save -> load -> extend ->
-promote).  The bundle grows from ``O(nK)`` to
-``O(nK + |E| + |obs|)``; pass ``schema_version=1`` to
-:func:`save_artifact` for the old serve-only layout.  **Schema v1
-bundles still load** -- they reconstruct a serve-only model (nodes and
-schema, no links), exactly as before.
+promote).  ``ModelArtifact.from_result(result,
+include_training_data=False)`` freezes a **serve-only** model instead
+(nodes and schema, no links).
+
+Versioning: :func:`load_artifact` reads only bundle directories of
+schema :data:`SCHEMA_VERSION` and rejects anything else -- a file, a
+foreign format marker, another version, a manifest without its
+checksums -- with a :class:`~repro.exceptions.SerializationError`
+naming the path.
 """
 
 from __future__ import annotations
@@ -70,7 +61,6 @@ import os
 import shutil
 import threading
 import time
-import zipfile
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -94,7 +84,6 @@ from repro.hin.schema import NetworkSchema
 
 FORMAT = "repro.serving/artifact"
 SCHEMA_VERSION = 3
-SUPPORTED_VERSIONS = (1, 2, 3)
 MANIFEST_NAME = "manifest.json"
 
 _SCALARS = (str, int, float, bool)
@@ -126,7 +115,7 @@ def _deferred_open_names(names) -> set[str]:
 
 
 class _LazyPayload(dict):
-    """Array payload of a mapped v3 bundle.
+    """Array payload of a mapped bundle.
 
     Deferred members (:func:`_deferred_open_names`) open on first
     ``[]`` access instead of at load time; ``in`` reports them as
@@ -294,11 +283,11 @@ class ModelArtifact:
     history:
         The fit's :class:`~repro.core.diagnostics.RunHistory`.
     edges:
-        Schema v2 refit payload: ``{relation: (sources, targets,
-        weights)}`` index arrays of the training links, or ``None``
-        for serve-only artifacts (schema v1 loads).
+        Refit payload: ``{relation: (sources, targets, weights)}``
+        index arrays of the training links, or ``None`` for serve-only
+        artifacts.
     observations:
-        Schema v2 refit payload: per fitted attribute, the raw
+        Refit payload: per fitted attribute, the raw
         observation table in compiled form (text: ``node_indices`` +
         counts CSR pieces; numeric: ``node_indices``/``values``/
         ``owners``), or ``None`` for serve-only artifacts.
@@ -317,17 +306,14 @@ class ModelArtifact:
         Mapping[str, tuple[np.ndarray, np.ndarray, np.ndarray]] | None
     ) = None
     observations: Mapping[str, dict[str, Any]] | None = None
-    source_schema_version: int = SCHEMA_VERSION
-    """Schema version of the bundle this artifact was read from
-    (:data:`SCHEMA_VERSION` for artifacts frozen in memory)."""
     mapped: bool = False
     """Whether the arrays are lazily-paged read-only memory maps
-    (``load_artifact(..., mmap=True)`` on a v3 bundle directory)."""
+    (``load_artifact(..., mmap=True)``)."""
     integrity: ArtifactIntegrity | None = field(
         default=None, repr=False, compare=False
     )
     """Lazy checksum guard for mapped bundles (``None`` for eager
-    loads, unchecksummed bundles, and in-memory artifacts)."""
+    loads, ``verify_checksums=False``, and in-memory artifacts)."""
 
     # ------------------------------------------------------------------
     @property
@@ -337,7 +323,7 @@ class ModelArtifact:
     @property
     def refit_capable(self) -> bool:
         """Whether the artifact embeds the training data needed to
-        warm-start a full refit (schema v2 with payload)."""
+        warm-start a full refit."""
         return self.edges is not None and self.observations is not None
 
     @property
@@ -359,9 +345,9 @@ class ModelArtifact:
 
         When ``include_training_data`` is true (the default) and the
         result's network still carries its links and the fitted
-        attribute tables, they are embedded as the schema-v2 refit
-        payload.  Results reloaded from serve-only (v1) bundles lack
-        that data and freeze serve-only again.
+        attribute tables, they are embedded as the refit payload;
+        otherwise the artifact is serve-only.  Results reloaded from
+        serve-only bundles lack that data and freeze serve-only again.
         """
         network = result.network
         for node in network.node_ids:
@@ -435,8 +421,7 @@ class ModelArtifact:
         Refit-capable artifacts reconstruct the **full** training
         network -- nodes, links, and attribute tables -- so the result
         can seed a new :class:`~repro.core.state.ModelState`; serve-only
-        (v1) artifacts reconstruct nodes and schema without links, as
-        before.
+        artifacts reconstruct nodes and schema without links.
         """
         # rebuilding a result materializes every array; settle any
         # deferred checksums first (mapped bundles)
@@ -452,8 +437,8 @@ class ModelArtifact:
         )
 
     def to_state(self):
-        """Rebuild lifecycle state: refit-capable for schema-v2 bundles
-        with embedded training data, serve-only otherwise (v1).
+        """Rebuild lifecycle state: refit-capable when the artifact
+        embeds its training data, serve-only otherwise.
 
         The training payload is decoded **lazily**: serving starts on
         the ``O(nK)`` arrays alone, and the per-edge/per-observation
@@ -585,27 +570,10 @@ class ModelArtifact:
             network.add_attribute(attribute)
 
     # ------------------------------------------------------------------
-    def save(
-        self,
-        path: str | Path,
-        schema_version: int = SCHEMA_VERSION,
-        compress: bool = True,
-    ) -> Path:
-        """Write the artifact bundle; returns path.
-
-        Schema v3 (the default) writes a **bundle directory** of raw
-        ``.npy`` files ready for memory-mapped loading; pass
-        ``schema_version=2`` (or 1) for the legacy single-file
-        ``.npz``, where ``compress=False`` trades bundle size for
-        save/load speed.
-
-        Crash-safe: both layouts are written to a same-directory temp
-        target and swapped into place with ``os.replace``, so a crash
-        mid-save can never leave a truncated bundle at ``path``.
-        """
-        return save_artifact(
-            self, path, schema_version=schema_version, compress=compress
-        )
+    def save(self, path: str | Path) -> Path:
+        """Write the artifact as a bundle directory at ``path``;
+        returns ``path`` (see :func:`save_artifact`)."""
+        return save_artifact(self, path)
 
     @classmethod
     def load(
@@ -625,7 +593,7 @@ class ModelArtifact:
             else "serve-only"
         )
         lines = [
-            f"GenClus artifact (schema v{self.source_schema_version}): "
+            f"GenClus artifact (schema v{SCHEMA_VERSION}): "
             f"{self.num_nodes} nodes, K={self.n_clusters}, {capability}",
             "object types: " + ", ".join(self.object_types),
             "link-type strengths:",
@@ -649,29 +617,23 @@ class ModelArtifact:
 # ----------------------------------------------------------------------
 # on-disk format
 # ----------------------------------------------------------------------
-def save_artifact(
-    artifact: ModelArtifact,
-    path: str | Path,
-    schema_version: int = SCHEMA_VERSION,
-    compress: bool = True,
-) -> Path:
-    """Serialize the artifact bundle.
+def save_artifact(artifact: ModelArtifact, path: str | Path) -> Path:
+    """Serialize the artifact as a bundle directory at ``path``.
 
-    Schema v3 (the default) writes a **bundle directory**: one raw
-    ``.npy`` file per array under ``arrays/`` plus the JSON manifest
-    as ``manifest.json`` -- the layout :func:`load_artifact` can
-    memory-map.  Schemas 1/2 write the legacy single-file ``.npz``
-    (``compress`` selects ``np.savez_compressed`` vs ``np.savez``);
-    ``schema_version=1`` additionally drops the training-data payload
-    for interoperability with the oldest readers.  The manifest's
-    ``save_stats`` entry records the round trip: array bytes written,
-    wall seconds, and whether compression was applied.
+    One raw ``.npy`` file per array under ``arrays/`` plus the JSON
+    manifest as ``manifest.json`` -- the layout :func:`load_artifact`
+    can memory-map.  The manifest records each array's CRC32 and a
+    ``save_stats`` entry (array bytes written, wall seconds).
+
+    Crash-safe: array files are named by index, not by array key --
+    keys like ``attr/my text/beta`` carry separators and arbitrary
+    characters, so the manifest's ``array_files`` mapping is the only
+    source of truth for which file holds which array.  The manifest is
+    written **last** (a bundle without it is detectably torn), and the
+    whole directory is assembled under a same-directory temp name and
+    swapped into place, so a crash mid-save leaves the old bundle (or
+    nothing) at ``path``, never a partial one.
     """
-    if schema_version not in SUPPORTED_VERSIONS:
-        raise SerializationError(
-            f"cannot write schema version {schema_version!r} "
-            f"(supported: {SUPPORTED_VERSIONS})"
-        )
     path = Path(path)
     started = time.perf_counter()
     # re-saving a mapped artifact reads every array end to end anyway:
@@ -726,10 +688,7 @@ def save_artifact(
         dtype=np.float64,
     ).reshape(len(records), 7)
 
-    embed_payload = (
-        schema_version >= 2 and artifact.refit_capable
-    )
-    if embed_payload:
+    if artifact.refit_capable:
         for name, (sources, targets, weights) in artifact.edges.items():
             arrays[f"edges/{name}/sources"] = np.asarray(
                 sources, dtype=np.int64
@@ -748,14 +707,12 @@ def save_artifact(
             for key in keys:
                 arrays[f"obs/{name}/{key}"] = np.asarray(payload[key])
 
-    # v3 keeps the node table out of the JSON manifest: at ~100k nodes
+    # the node table stays out of the JSON manifest: at ~100k nodes
     # a [{"id": ..., "type": ...}] list dominates the manifest parse on
     # every cold start, while two flat arrays (unicode ids + type codes
     # into a small table) decode in microseconds.  Non-string ids (JSON
     # scalars are allowed) fall back to the manifest list.
-    node_columns = schema_version >= 3 and all(
-        isinstance(node, str) for node in artifact.node_ids
-    )
+    node_columns = all(isinstance(node, str) for node in artifact.node_ids)
     if node_columns:
         type_table = sorted(set(artifact.node_types))
         code_of = {name: code for code, name in enumerate(type_table)}
@@ -767,7 +724,7 @@ def save_artifact(
 
     manifest = {
         "format": FORMAT,
-        "schema_version": schema_version,
+        "schema_version": SCHEMA_VERSION,
         "n_clusters": artifact.n_clusters,
         "relation_names": list(artifact.relation_names),
         "relation_types": {
@@ -778,7 +735,7 @@ def save_artifact(
         "attributes": attributes,
         "arrays": sorted(arrays),
         # per-array CRC32s over the raw buffer bytes; verified by
-        # load_artifact (the manifest entry cannot checksum itself)
+        # load_artifact (the manifest cannot checksum itself)
         "checksums": {
             name: zlib.crc32(np.ascontiguousarray(value).tobytes())
             for name, value in arrays.items()
@@ -791,55 +748,7 @@ def save_artifact(
             {"id": node, "type": typ}
             for node, typ in zip(artifact.node_ids, artifact.node_types)
         ]
-    if schema_version >= 2:
-        manifest["refit_capable"] = embed_payload
-    array_bytes = int(
-        sum(value.nbytes for value in arrays.values())
-    )
-    if schema_version >= 3:
-        return _save_v3(path, manifest, arrays, array_bytes, started)
-
-    manifest["save_stats"] = {
-        "array_bytes": array_bytes,
-        "seconds": round(time.perf_counter() - started, 6),
-        "compressed": bool(compress),
-    }
-    arrays["manifest"] = np.frombuffer(
-        json.dumps(manifest).encode("utf-8"), dtype=np.uint8
-    )
-    # crash-safe write: same-directory temp file, then an atomic
-    # rename -- a crash mid-save leaves the old bundle (or nothing)
-    # at the target path, never a torn one
-    scratch = path.with_name(path.name + ".tmp")
-    writer = np.savez_compressed if compress else np.savez
-    try:
-        with scratch.open("wb") as handle:
-            writer(handle, **arrays)
-        _replace_bundle(scratch, path)
-    except BaseException:
-        scratch.unlink(missing_ok=True)
-        raise
-    return path
-
-
-def _save_v3(
-    path: Path,
-    manifest: dict[str, Any],
-    arrays: dict[str, np.ndarray],
-    array_bytes: int,
-    started: float,
-) -> Path:
-    """Write the v3 bundle directory: ``arrays/NNNN.npy`` + manifest.
-
-    Array files are named by index, not by array key -- keys like
-    ``attr/my text/beta`` carry separators and arbitrary characters,
-    so the manifest's ``array_files`` mapping is the only source of
-    truth for which file holds which array.  The manifest is written
-    **last** (a bundle without it is detectably torn), and the whole
-    directory is assembled under a same-directory temp name and
-    swapped into place, so a crash mid-save leaves the old bundle (or
-    nothing) at ``path``, never a partial one.
-    """
+    manifest["refit_capable"] = artifact.refit_capable
     array_files = {
         name: f"arrays/{index:04d}.npy"
         for index, name in enumerate(sorted(arrays))
@@ -850,18 +759,19 @@ def _save_v3(
         shutil.rmtree(scratch)
     try:
         # no parents=True: a missing target directory is the caller's
-        # error, exactly as the npz writer treats it
+        # error
         scratch.mkdir()
         (scratch / "arrays").mkdir()
         for name, relpath in array_files.items():
             np.save(scratch / relpath, arrays[name], allow_pickle=False)
         manifest["save_stats"] = {
-            "array_bytes": array_bytes,
+            "array_bytes": int(
+                sum(value.nbytes for value in arrays.values())
+            ),
             "seconds": round(time.perf_counter() - started, 6),
             "compressed": False,
         }
-        manifest_path = scratch / MANIFEST_NAME
-        manifest_path.write_text(
+        (scratch / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=2), encoding="utf-8"
         )
         _replace_bundle(scratch, path)
@@ -872,15 +782,15 @@ def _save_v3(
 
 
 def _replace_bundle(scratch: Path, path: Path) -> None:
-    """Swap ``scratch`` into place at ``path``, whatever either is.
+    """Swap the ``scratch`` directory into place at ``path``.
 
-    ``os.replace`` cannot rename over a non-empty directory (and a
-    directory cannot replace a file), so an existing bundle is first
-    renamed aside to ``<name>.old`` and removed only after the swap
-    succeeds; on failure it is restored.
+    ``os.replace`` cannot rename a directory over a non-empty directory
+    or a file, so whatever is at ``path`` is first renamed aside to
+    ``<name>.old`` and removed only after the swap succeeds; on failure
+    it is restored.
     """
     backup: Path | None = None
-    if path.exists() and (path.is_dir() or scratch.is_dir()):
+    if path.exists():
         backup = path.with_name(path.name + ".old")
         if backup.is_dir():
             shutil.rmtree(backup)
@@ -906,101 +816,41 @@ def load_artifact(
     mmap: bool = False,
     faults=None,
 ) -> ModelArtifact:
-    """Deserialize an artifact bundle, checking format and version.
+    """Deserialize an artifact bundle directory, checking its format,
+    version and integrity.
 
-    ``mmap=True`` on a schema-v3 bundle directory opens every array
-    with ``np.load(..., mmap_mode="r")``: the returned artifact holds
-    lazily-paged read-only views, cold start touches only the pages
-    the first queries read, and the big arrays' checksums are deferred
-    to an :class:`ArtifactIntegrity` guard verified on first
-    materialization.  On v1/v2 ``.npz`` bundles ``mmap`` silently
-    falls back to the eager load (compressed zip members cannot be
-    paged).
+    ``mmap=True`` opens every array with ``np.load(..., mmap_mode="r")``:
+    the returned artifact holds lazily-paged read-only views, cold
+    start touches only the pages the first queries read, and the big
+    arrays' checksums are deferred to an :class:`ArtifactIntegrity`
+    guard verified on first materialization.
 
-    Integrity: each array decodes individually, so a truncated or
-    corrupt bundle fails with a
+    Array files are resolved strictly through the manifest's
+    ``array_files`` mapping, and every resolved path must stay inside
+    the bundle directory -- a tampered manifest cannot read files
+    elsewhere on disk.  Each array decodes individually, so a
+    truncated or corrupt bundle fails with a
     :class:`~repro.exceptions.SerializationError` naming the path and
-    the failing array (never a raw ``zipfile``/``numpy`` traceback);
-    with ``verify_checksums`` (the default) every array is then
-    verified against the per-array CRC32s the manifest records --
-    catching even single-bit corruption that still decodes (deferred
-    for the mapped big arrays as above).  Bundles written before
-    checksums existed load unverified.  ``faults`` optionally
+    the failing array (never a raw ``numpy`` traceback); with
+    ``verify_checksums`` (the default) every array is then verified
+    against the per-array CRC32s the manifest records -- catching even
+    single-bit corruption that still decodes (deferred for the mapped
+    big arrays, :func:`_lazy_array_names`).  ``faults`` optionally
     traverses the ``artifact.load`` site.
     """
     path = Path(path)
     injector = resolve_faults(faults)
     if injector is not None:
         injector.traverse("artifact.load", path=str(path))
-    if path.is_dir():
-        return _load_v3(path, verify_checksums, mmap)
-    try:
-        bundle = np.load(path, allow_pickle=False)
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+    if not path.is_dir():
         raise SerializationError(
-            f"{path} is not a readable artifact bundle: {exc}"
-        ) from exc
-    payload: dict[str, np.ndarray] = {}
-    current: str | None = None
-    try:
-        with bundle:
-            for current in bundle.files:
-                payload[current] = bundle[current]
-    except (
-        OSError,
-        EOFError,
-        ValueError,
-        zlib.error,
-        zipfile.BadZipFile,
-    ) as exc:
-        if current is None:  # pragma: no cover - defensive
-            raise SerializationError(
-                f"{path} is not a readable artifact bundle: {exc}"
-            ) from exc
-        raise SerializationError(
-            f"{path} is corrupt: array {current!r} failed to decode "
-            f"({exc})"
-        ) from exc
-    if "manifest" not in payload:
-        raise SerializationError(
-            f"{path} has no manifest entry; not a serving artifact"
+            f"{path} is not an artifact bundle: expected a schema "
+            f"v{SCHEMA_VERSION} bundle directory"
         )
     try:
-        manifest = json.loads(bytes(payload["manifest"]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(
-            f"{path} carries a malformed manifest: {exc}"
-        ) from exc
-    _check_manifest(path, manifest)
-    try:
-        artifact = _decode(manifest, payload)
-    except (KeyError, TypeError, IndexError) as exc:
-        raise SerializationError(
-            f"malformed artifact payload in {path}: {exc}"
-        ) from exc
-    if verify_checksums:
-        _verify_checksums(path, manifest, payload)
-    return artifact
-
-
-def _load_v3(
-    path: Path, verify_checksums: bool, mmap: bool
-) -> ModelArtifact:
-    """Read a schema-v3 bundle directory (``manifest.json`` +
-    ``arrays/*.npy``), optionally memory-mapped.
-
-    Array files are resolved strictly through the manifest's
-    ``array_files`` mapping, and every resolved path must stay inside
-    the bundle directory -- a tampered manifest cannot read files
-    elsewhere on disk.  Under ``mmap=True`` the small arrays verify
-    their checksums eagerly as usual while the big ones
-    (:func:`_lazy_array_names`) are handed to an
-    :class:`ArtifactIntegrity` guard for first-materialization
-    verification.
-    """
-    manifest_path = path / MANIFEST_NAME
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(
+            (path / MANIFEST_NAME).read_text(encoding="utf-8")
+        )
     except OSError as exc:
         raise SerializationError(
             f"{path} has no readable {MANIFEST_NAME}; "
@@ -1011,12 +861,7 @@ def _load_v3(
             f"{path} carries a malformed manifest: {exc}"
         ) from exc
     _check_manifest(path, manifest)
-    array_files = manifest.get("array_files")
-    if not isinstance(array_files, dict):
-        raise SerializationError(
-            f"{path} manifest declares no array_files mapping; "
-            f"the bundle directory is malformed"
-        )
+    array_files = manifest["array_files"]
     names = manifest.get("arrays", ())
     defer = _deferred_open_names(names) if mmap else set()
     payload: dict[str, np.ndarray] = (
@@ -1040,8 +885,8 @@ def _load_v3(
         ) from exc
     integrity: ArtifactIntegrity | None = None
     if verify_checksums:
-        _verify_checksums(path, manifest, payload, skip=lazy)
-        checksums = manifest.get("checksums") or {}
+        checksums = manifest["checksums"]
+        _verify_checksums(path, checksums, payload, skip=lazy)
         deferred = {name for name in lazy if name in checksums}
         if deferred:
             integrity = ArtifactIntegrity(
@@ -1087,24 +932,31 @@ def _open_member(
 
 
 def _check_manifest(path: Path, manifest: dict[str, Any]) -> None:
-    """Reject wrong-format and unsupported-version manifests."""
+    """Reject wrong-format, unsupported-version and malformed
+    manifests."""
     if manifest.get("format") != FORMAT:
         raise SerializationError(
-            f"unsupported format marker {manifest.get('format')!r}; "
-            f"expected {FORMAT!r}"
+            f"{path}: unsupported format marker "
+            f"{manifest.get('format')!r}; expected {FORMAT!r}"
         )
     version = manifest.get("schema_version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != SCHEMA_VERSION:
         raise SerializationError(
-            f"artifact schema version {version!r} is not supported by "
-            f"this library (supported: {SUPPORTED_VERSIONS}); "
+            f"{path}: artifact schema version {version!r} is not "
+            f"supported by this library (supported: {SCHEMA_VERSION}); "
             f"re-export the model or upgrade the library"
         )
+    for key in ("array_files", "checksums"):
+        if not isinstance(manifest.get(key), dict):
+            raise SerializationError(
+                f"{path} manifest declares no {key} mapping; the "
+                f"bundle directory is malformed"
+            )
 
 
 def _verify_checksums(
     path: Path,
-    manifest: dict[str, Any],
+    recorded: dict[str, int],
     payload: dict[str, np.ndarray],
     skip: set[str] = frozenset(),
 ) -> None:
@@ -1112,14 +964,10 @@ def _verify_checksums(
 
     Structural validation (:func:`_decode`) has already passed, so a
     mismatch here means value corruption that still decodes -- flipped
-    bits, a swapped array, tampering.  Bundles without a ``checksums``
-    manifest key (written before checksums existed) pass unverified.
-    ``skip`` holds the lazily-verified arrays of a mapped load (they
-    belong to an :class:`ArtifactIntegrity` guard instead).
+    bits, a swapped array, tampering.  ``skip`` holds the
+    lazily-verified arrays of a mapped load (they belong to an
+    :class:`ArtifactIntegrity` guard instead).
     """
-    recorded = manifest.get("checksums")
-    if not recorded:
-        return
     for name, expected in recorded.items():
         if name in skip:
             continue
@@ -1161,7 +1009,7 @@ def _decode(
         node_ids = tuple(entry["id"] for entry in nodes)
         node_types = tuple(entry["type"] for entry in nodes)
     else:
-        # v3 node columns: unicode id array + type codes into the
+        # node columns: unicode id array + type codes into the
         # manifest's small type table
         type_table = manifest["node_type_table"]
         node_ids = tuple(np.asarray(payload["nodes/ids"]).tolist())
@@ -1306,7 +1154,6 @@ def _decode(
         history=history,
         edges=edges,
         observations=observations,
-        source_schema_version=int(manifest["schema_version"]),
     )
 
 

@@ -140,8 +140,8 @@ def promote_state(
     if not state.refit_capable:
         raise ServingError(
             "cannot promote: the served model is serve-only (no "
-            "embedded training data; re-export it as a schema-v2 "
-            "artifact from the original fit)"
+            "embedded training data; re-export it from the original "
+            "fit with include_training_data=True)"
         )
     if config is None:
         config = GenClusConfig(
@@ -221,9 +221,10 @@ class InferenceEngine:
     Parameters
     ----------
     artifact:
-        The fitted model to serve.  Schema-v2 artifacts (and any
-        in-memory fit) are refit-capable: :meth:`promote` works.
-        Schema-v1 artifacts serve and absorb deltas but cannot refit.
+        The fitted model to serve.  Artifacts that embed their
+        training data (and any in-memory fit) are refit-capable:
+        :meth:`promote` works.  Serve-only artifacts serve and absorb
+        deltas but cannot refit.
     cache_size:
         Maximum memoized transient queries (0 disables the cache).
     max_iterations, tol:
@@ -356,10 +357,10 @@ class InferenceEngine:
     ) -> InferenceEngine:
         """Build an engine straight from an artifact bundle on disk.
 
-        ``mmap=True`` (schema-v3 bundle directories) serves straight
-        off lazily-paged read-only maps: cold start touches only the
-        pages the first queries read instead of copying the whole
-        model up front.  See :func:`repro.serving.artifact.load_artifact`.
+        ``mmap=True`` serves straight off lazily-paged read-only maps:
+        cold start touches only the pages the first queries read
+        instead of copying the whole model up front.  See
+        :func:`repro.serving.artifact.load_artifact`.
         """
         return cls(ModelArtifact.load(path, mmap=mmap), **kwargs)
 
@@ -519,15 +520,8 @@ class InferenceEngine:
         same ``telemetry_version``.
         """
         state = self._state
-        # after a promote the served base is an in-memory fit (current
-        # schema); otherwise report the loaded bundle's actual version
-        schema_version = (
-            self._artifact.source_schema_version
-            if self._artifact is not None
-            else SCHEMA_VERSION
-        )
         memory: dict[str, Any] = {
-            "schema_version": schema_version,
+            "schema_version": SCHEMA_VERSION,
             "artifact_mapped": bool(
                 self._artifact is not None and self._artifact.mapped
             ),
@@ -550,7 +544,7 @@ class InferenceEngine:
         sections = info_sections(self.metrics_snapshot())
         sections["similarity"]["version"] = state.version
         return {
-            "schema_version": schema_version,
+            "schema_version": SCHEMA_VERSION,
             "memory": memory,
             "refit_capable": state.refit_capable,
             "n_clusters": self.n_clusters,
@@ -800,7 +794,7 @@ class InferenceEngine:
         Raises
         ------
         ServingError
-            If the served model is not refit-capable (schema-v1
+            If the served model is not refit-capable (a serve-only
             artifact: no training links/observations), the config
             disagrees on ``K``, or the refit candidate fails
             validation (non-finite parameters, regressed ``g1``).  On

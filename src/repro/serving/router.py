@@ -316,10 +316,10 @@ class ShardedEngine:
     ) -> "ShardedEngine":
         """Shard a saved artifact bundle straight from disk.
 
-        ``mmap=True`` (schema-v3 bundle directories) maps the frozen
-        base once and shares the read-only pages across every shard:
-        per-shard cold start and ``heal()`` rebuilds touch only the
-        pages their queries read instead of copying the model.
+        ``mmap=True`` maps the frozen base once and shares the
+        read-only pages across every shard: per-shard cold start and
+        ``heal()`` rebuilds touch only the pages their queries read
+        instead of copying the model.
 
         ``transport="process"`` builds a
         :class:`~repro.serving.transport.ProcessTransport` over the

@@ -3,12 +3,9 @@
 :class:`~repro.serving.router.ShardedEngine` owns routing, ownership,
 and rebalance; *where a shard runs* is this module's job.  A transport
 turns ``(base state, shard plan, engine knobs)`` into a tuple of
-**shard handles** -- objects answering the engine's shard surface
-(``query_batch`` / ``score_batch`` / ``extend`` / ``add_links`` /
-``evict_nodes`` / ``membership_of`` / ``similar_rows_partial`` /
-``served_vector`` / ``suggest_context`` / ``extension_nodes`` /
-``extension_export`` / ``extension_dependants`` / ``info`` /
-``metrics_snapshot``) -- and knows how to rebuild one handle (a broken
+**shard handles** -- objects answering the engine's shard surface,
+the :class:`~repro.serving.engine.InferenceEngine` methods named in
+:data:`SHARD_OPS` -- and knows how to rebuild one handle (a broken
 shard) or replace them all (a promote).
 
 Two backends:
@@ -22,7 +19,10 @@ Two backends:
   schema-v3 artifact bundle on disk (``mmap=True`` shares the frozen
   base read-only through the page cache -- the PR 8 zero-copy path,
   now across *processes*), and a length-prefixed, pickle-free message
-  protocol over a localhost socket carries every shard call.  A
+  protocol over a localhost socket carries every shard call: the op
+  is the method name, and its :data:`SHARD_OPS` entry holds the codecs
+  of its arguments and reply, from which both the client stubs of
+  :class:`ProcessShardHandle` and the worker's dispatch are built.  A
   promote writes the refit result as a fresh bundle and hot-swaps it
   under the live workers in two phases (``prepare`` builds the new
   engine while the old one keeps answering, ``commit`` is an atomic
@@ -39,9 +39,10 @@ carry a compiled :class:`~repro.serving.foldin.QueryBatch` as raw
 array planes plus its five name tables (:func:`encode_batch`), so a
 worker decodes no per-query JSON.  JSON round-trips Python floats
 exactly (``repr`` shortest-form), node ids are restricted to JSON
-scalars (tuples are tagged and re-tupled), and membership rows travel
-as raw float64 -- so every answer is bit-identical to the in-process
-reference, and a worker never executes attacker-controlled bytecode.
+scalars and integers (tuples are tagged and re-tupled), and membership
+rows travel as raw float64 -- so every answer is bit-identical to the
+in-process reference, and a worker never executes attacker-controlled
+bytecode.
 
 Determinism contract: with the same artifact, plan, and block size,
 ``ProcessTransport`` answers are **bit-identical** to
@@ -57,8 +58,10 @@ process-death drills behind the PR 7 supervision machinery.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import numbers
 import os
 import shutil
 import socket
@@ -68,9 +71,10 @@ import sys
 import tempfile
 import threading
 import time
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -80,6 +84,7 @@ from repro.serving.engine import InferenceEngine
 from repro.serving.foldin import FoldInOutcome, NewNode, QueryBatch, RowGroups
 
 __all__ = [
+    "SHARD_OPS",
     "InprocessTransport",
     "ProcessShardHandle",
     "ProcessTransport",
@@ -252,16 +257,14 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 # ----------------------------------------------------------------------
 # value codecs (JSON-safe, float-exact, pickle-free)
 # ----------------------------------------------------------------------
-_SCALARS = (str, int, float, bool, type(None))
-
-
 def encode_node(node: object) -> object:
-    """Node ids on the wire: JSON scalars pass through, tuples are
+    """Node ids on the wire: JSON scalars pass through, any other
+    integer (numpy's included) travels as ``int``, and tuples are
     tagged (so tuple-keyed models survive the hop)."""
     if isinstance(node, bool) or node is None or isinstance(node, (str, float)):
         return node
-    if isinstance(node, int):
-        return node
+    if isinstance(node, numbers.Integral):
+        return int(node)
     if isinstance(node, tuple):
         return {"__tuple__": [encode_node(item) for item in node]}
     raise TransportError(
@@ -444,42 +447,217 @@ def decode_link(wire: Sequence) -> tuple:
     return (decode_node(wire[0]), wire[1], decode_node(wire[2]))
 
 
+# ----------------------------------------------------------------------
+# the shard surface, declared once
+# ----------------------------------------------------------------------
+class Codec(NamedTuple):
+    """One value's wire form: ``encode(value, arrays)`` returns its
+    JSON part and appends any raw arrays to the frame's ``arrays`` (the
+    JSON refers to them by position); ``decode(wire, arrays)`` inverts
+    it."""
+
+    encode: Callable[[Any, list[np.ndarray]], Any]
+    decode: Callable[[Any, Sequence[np.ndarray]], Any]
+
+
+class ShardOp(NamedTuple):
+    """An :class:`InferenceEngine` method over the wire: the codec of
+    its arguments (a namespace of its parameters) and of its reply."""
+
+    args: Codec
+    reply: Codec
+
+
+def _plain(
+    encode: Callable[[Any], Any], decode: Callable[[Any], Any] | None = None
+) -> Codec:
+    """A value carried in the JSON header alone (``decode`` defaults
+    to ``encode``)."""
+    decode = decode or encode
+    return Codec(
+        lambda value, arrays: encode(value),
+        lambda wire, arrays: decode(wire),
+    )
+
+
+def _append(value: np.ndarray, arrays: list[np.ndarray]) -> int:
+    arrays.append(value)
+    return len(arrays) - 1
+
+
+def _array_at(wire: object, arrays: Sequence[np.ndarray]) -> np.ndarray:
+    if type(wire) is not int or not 0 <= wire < len(arrays):
+        raise TransportError(f"frame has no array #{wire!r}")
+    return arrays[wire]
+
+
+def _matrix(value: object, arrays: list[np.ndarray]) -> int:
+    if not isinstance(value, np.ndarray) or value.ndim != 2:
+        raise TransportError(
+            "the process transport scatters similarity queries as "
+            "an (m, K) vector matrix (the router's form)"
+        )
+    return _append(
+        np.ascontiguousarray(value, dtype=np.float64), arrays
+    )
+
+
+def _rows(value: Sequence[np.ndarray], arrays: list[np.ndarray]) -> int:
+    # one (m, K) plane; an empty list needs no K
+    stacked = np.stack(value) if len(value) else np.empty((0, 0))
+    return _append(stacked, arrays)
+
+
+def _batch(value: QueryBatch, arrays: list[np.ndarray]) -> dict[str, Any]:
+    meta, planes = encode_batch(value)
+    meta["planes"] = [len(arrays), len(arrays) + len(planes)]
+    arrays.extend(planes)
+    return meta
+
+
+def _unbatch(
+    wire: Mapping[str, Any], arrays: Sequence[np.ndarray]
+) -> QueryBatch:
+    first, stop = wire["planes"]
+    return decode_batch(wire, arrays[first:stop])
+
+
+def _optional(codec: Codec) -> Codec:
+    return Codec(
+        lambda value, arrays: (
+            None if value is None else codec.encode(value, arrays)
+        ),
+        lambda wire, arrays: (
+            None if wire is None else codec.decode(wire, arrays)
+        ),
+    )
+
+
+def _many(item: Codec, container: Callable) -> Codec:
+    """A homogeneous collection, rebuilt as ``container``."""
+    return Codec(
+        lambda value, arrays: [
+            item.encode(entry, arrays) for entry in value
+        ],
+        lambda wire, arrays: container(
+            item.decode(entry, arrays) for entry in wire
+        ),
+    )
+
+
+def _tuple(*items: Codec) -> Codec:
+    """A fixed-arity tuple of differently-coded fields."""
+    return Codec(
+        lambda value, arrays: [
+            codec.encode(entry, arrays)
+            for codec, entry in zip(items, value, strict=True)
+        ],
+        lambda wire, arrays: tuple(
+            codec.decode(entry, arrays)
+            for codec, entry in zip(items, wire, strict=True)
+        ),
+    )
+
+
+def _record(cls: Callable, **fields: Codec) -> Codec:
+    """An object's named attributes as a JSON object, rebuilt as
+    ``cls(**fields)``."""
+    return Codec(
+        lambda value, arrays: {
+            name: codec.encode(getattr(value, name), arrays)
+            for name, codec in fields.items()
+        },
+        lambda wire, arrays: cls(
+            **{
+                name: codec.decode(wire[name], arrays)
+                for name, codec in fields.items()
+            }
+        ),
+    )
+
+
+def _args(**parameters: Codec) -> Codec:
+    return _record(SimpleNamespace, **parameters)
+
+
+_JSON = _plain(lambda value: value)
+_INT = _plain(int)
+_NODE = _plain(encode_node, decode_node)
+_SPEC = _plain(encode_spec, decode_spec)
+_LINK = _plain(encode_link, decode_link)
+_ARRAY = Codec(_append, _array_at)
+_ROWS = Codec(_rows, lambda wire, arrays: list(_array_at(wire, arrays)))
+_BATCH = _args(batch=Codec(_batch, _unbatch))
+_OUTCOME = _record(
+    FoldInOutcome,
+    nodes=_many(_NODE, tuple),
+    theta=_ARRAY,
+    iterations=_INT,
+    converged=_plain(bool),
+    oov_terms=_INT,
+)
+_BOUNDS = _many(_tuple(_INT, _INT), tuple)
+_PLAN = _record(
+    ShardPlan,
+    n_shards=_INT,
+    num_rows=_INT,
+    block_rows=_INT,
+    block_bounds=_BOUNDS,
+    row_bounds=_BOUNDS,
+)
+
+
 def plan_to_wire(plan: ShardPlan) -> dict[str, Any]:
-    return {
-        "n_shards": plan.n_shards,
-        "num_rows": plan.num_rows,
-        "block_rows": plan.block_rows,
-        "block_bounds": [list(pair) for pair in plan.block_bounds],
-        "row_bounds": [list(pair) for pair in plan.row_bounds],
-    }
+    return _PLAN.encode(plan, [])
 
 
 def plan_from_wire(wire: Mapping[str, Any]) -> ShardPlan:
-    return ShardPlan(
-        n_shards=int(wire["n_shards"]),
-        num_rows=int(wire["num_rows"]),
-        block_rows=int(wire["block_rows"]),
-        block_bounds=tuple(
-            (int(first), int(stop))
-            for first, stop in wire["block_bounds"]
-        ),
-        row_bounds=tuple(
-            (int(start), int(stop))
-            for start, stop in wire["row_bounds"]
-        ),
-    )
+    return _PLAN.decode(wire, ())
 
 
-def outcome_from_wire(
-    header: Mapping[str, Any], theta: np.ndarray
-) -> FoldInOutcome:
-    return FoldInOutcome(
-        nodes=tuple(decode_node(node) for node in header["nodes"]),
-        theta=theta,
-        iterations=int(header["iterations"]),
-        converged=bool(header["converged"]),
-        oov_terms=int(header["oov_terms"]),
-    )
+SHARD_OPS: dict[str, ShardOp] = {
+    "query_batch": ShardOp(_BATCH, _ARRAY),
+    "score_batch": ShardOp(_BATCH, _ROWS),
+    "extend": ShardOp(_args(nodes=_many(_SPEC, list)), _OUTCOME),
+    "add_links": ShardOp(_args(links=_many(_LINK, list)), _OUTCOME),
+    "evict_nodes": ShardOp(
+        _args(nodes=_many(_NODE, list)), _many(_NODE, tuple)
+    ),
+    "membership_of": ShardOp(_args(node=_NODE), _ARRAY),
+    "similar_rows_partial": ShardOp(
+        _args(
+            queries=Codec(_matrix, _array_at),
+            k=_INT,
+            metric=_JSON,
+            candidate_types=_optional(_many(_JSON, list)),
+            exclude_nodes=_optional(
+                _many(_optional(_many(_NODE, set)), list)
+            ),
+            base_range=_optional(_tuple(_INT, _INT)),
+        ),
+        _many(_tuple(_ARRAY, _ARRAY), list),
+    ),
+    "served_vector": ShardOp(_args(node=_NODE), _tuple(_ARRAY, _JSON)),
+    "suggest_context": ShardOp(
+        _args(node=_NODE, relation=_JSON),
+        _tuple(_ARRAY, _JSON, _optional(_many(_NODE, frozenset))),
+    ),
+    "extension_nodes": ShardOp(_args(), _many(_NODE, tuple)),
+    "extension_export": ShardOp(
+        _args(),
+        _tuple(_many(_NODE, tuple), _many(_SPEC, tuple), _ARRAY),
+    ),
+    "extension_dependants": ShardOp(
+        _args(node=_NODE), _many(_NODE, frozenset)
+    ),
+    "info": ShardOp(_args(), _JSON),
+    "metrics_snapshot": ShardOp(_args(), _JSON),
+}
+"""The shard surface: every :class:`InferenceEngine` method a router
+calls on a shard, by name, with the codecs that carry its arguments to
+a worker and its reply back.  :class:`ProcessShardHandle`'s methods and
+the worker's dispatch are both generated from this table, and the op
+name on the wire is the method name."""
 
 
 # ----------------------------------------------------------------------
@@ -549,7 +727,10 @@ class InprocessTransport:
 class ProcessShardHandle:
     """One worker process's client half: the shard surface over RPC.
 
-    Calls are serialized per handle (one socket, one lock) -- the
+    One method per :data:`SHARD_OPS` entry, each with the signature of
+    the :class:`InferenceEngine` method it names, is generated below
+    the class; only the lifecycle calls are written out here.  Calls
+    are serialized per handle (one socket, one lock) -- the
     router's scatter already gives cross-shard concurrency, and a
     worker executes requests in arrival order anyway.  Every call
     traverses the ``worker.call`` fault site first, so chaos plans can
@@ -642,130 +823,6 @@ class ProcessShardHandle:
             self._process.kill()
             self._process.wait()
 
-    # -- shard surface -------------------------------------------------
-    def query_batch(self, batch: QueryBatch) -> np.ndarray:
-        meta, planes = encode_batch(batch)
-        _, arrays = self._call("query", meta, planes)
-        return arrays[0]
-
-    def score_batch(self, batch: QueryBatch) -> list[np.ndarray]:
-        meta, planes = encode_batch(batch)
-        _, arrays = self._call("score_batch", meta, planes)
-        return list(arrays[0])
-
-    def extend(self, nodes: Sequence[NewNode]) -> FoldInOutcome:
-        header, arrays = self._call(
-            "extend",
-            {"specs": [encode_spec(spec) for spec in nodes]},
-        )
-        return outcome_from_wire(header, arrays[0])
-
-    def add_links(self, links: Iterable[tuple]) -> FoldInOutcome:
-        header, arrays = self._call(
-            "add_links",
-            {"links": [encode_link(link) for link in links]},
-        )
-        return outcome_from_wire(header, arrays[0])
-
-    def evict_nodes(
-        self, nodes: Iterable[object]
-    ) -> tuple[object, ...]:
-        header, _ = self._call(
-            "evict_nodes",
-            {"nodes": [encode_node(node) for node in nodes]},
-        )
-        return tuple(decode_node(node) for node in header["evicted"])
-
-    def membership_of(self, node: object) -> np.ndarray:
-        _, arrays = self._call(
-            "membership_of", {"node": encode_node(node)}
-        )
-        return arrays[0]
-
-    def similar_rows_partial(
-        self,
-        queries: np.ndarray,
-        k: int,
-        metric: str,
-        candidate_types: Sequence[str | None] | None = None,
-        exclude_nodes: Sequence[Iterable[object] | None] | None = None,
-        base_range: tuple[int, int] | None = None,
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        if not isinstance(queries, np.ndarray) or queries.ndim != 2:
-            raise TransportError(
-                "the process transport scatters similarity queries as "
-                "an (m, K) vector matrix (the router's form)"
-            )
-        meta: dict[str, Any] = {"k": int(k), "metric": metric}
-        if candidate_types is not None:
-            meta["candidate_types"] = list(candidate_types)
-        if exclude_nodes is not None:
-            meta["exclude_nodes"] = [
-                None
-                if excluded is None
-                else [encode_node(node) for node in excluded]
-                for excluded in exclude_nodes
-            ]
-        if base_range is not None:
-            meta["base_range"] = [int(base_range[0]), int(base_range[1])]
-        _, arrays = self._call(
-            "similar_rows_partial",
-            meta,
-            [np.ascontiguousarray(queries, dtype=np.float64)],
-        )
-        return [
-            (arrays[2 * position], arrays[2 * position + 1])
-            for position in range(len(arrays) // 2)
-        ]
-
-    def served_vector(self, node: object) -> tuple[np.ndarray, str]:
-        header, arrays = self._call(
-            "served_vector", {"node": encode_node(node)}
-        )
-        return arrays[0], header["node_type"]
-
-    def suggest_context(
-        self, node: object, relation: str
-    ) -> tuple[np.ndarray, str, frozenset | None]:
-        header, arrays = self._call(
-            "suggest_context",
-            {"node": encode_node(node), "relation": relation},
-        )
-        linked = header["linked"]
-        if linked is not None:
-            linked = frozenset(
-                decode_node(target) for target in linked
-            )
-        return arrays[0], header["target_type"], linked
-
-    def extension_nodes(self) -> tuple[object, ...]:
-        header, _ = self._call("extension_nodes")
-        return tuple(decode_node(node) for node in header["nodes"])
-
-    def extension_export(
-        self,
-    ) -> tuple[tuple[object, ...], tuple[NewNode, ...], np.ndarray]:
-        header, arrays = self._call("extension_export")
-        nodes = tuple(decode_node(node) for node in header["nodes"])
-        specs = tuple(decode_spec(spec) for spec in header["specs"])
-        return nodes, specs, arrays[0]
-
-    def extension_dependants(self, node: object) -> frozenset:
-        header, _ = self._call(
-            "extension_dependants", {"node": encode_node(node)}
-        )
-        return frozenset(
-            decode_node(source) for source in header["dependants"]
-        )
-
-    def info(self) -> dict[str, Any]:
-        header, _ = self._call("info")
-        return header["info"]
-
-    def metrics_snapshot(self) -> dict[str, Any]:
-        header, _ = self._call("metrics_snapshot")
-        return header["snapshot"]
-
     # -- lifecycle RPCs the transport itself drives --------------------
     def prepare(
         self,
@@ -790,6 +847,32 @@ class ProcessShardHandle:
     def ping(self) -> dict[str, Any]:
         header, _ = self._call("ping")
         return header
+
+
+def _rpc_method(name: str, op: ShardOp) -> Callable:
+    """The client stub of ``InferenceEngine.<name>``: same signature,
+    arguments encoded by ``op.args``, reply decoded by ``op.reply``."""
+    signature = inspect.signature(getattr(InferenceEngine, name))
+
+    def method(self: ProcessShardHandle, *args: Any, **kwargs: Any) -> Any:
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        del bound.arguments["self"]
+        arrays: list[np.ndarray] = []
+        wire = op.args.encode(SimpleNamespace(**bound.arguments), arrays)
+        reply, reply_arrays = self._call(name, {"args": wire}, arrays)
+        return op.reply.decode(reply["value"], reply_arrays)
+
+    method.__name__ = name
+    method.__qualname__ = f"ProcessShardHandle.{name}"
+    method.__signature__ = signature
+    method.__doc__ = f"RPC twin of :meth:`InferenceEngine.{name}`."
+    return method
+
+
+for _name, _op in SHARD_OPS.items():
+    setattr(ProcessShardHandle, _name, _rpc_method(_name, _op))
+del _name, _op
 
 
 class ProcessTransport:

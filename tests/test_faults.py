@@ -10,6 +10,7 @@ answers bit-identically to before the attempt.
 """
 
 import json
+import shutil
 import threading
 import zlib
 
@@ -71,11 +72,8 @@ def forum_result():
 
 @pytest.fixture(scope="module")
 def artifact_path(forum_result, tmp_path_factory):
-    # the integrity tests below rewrite npz internals, so pin the
-    # legacy single-file layout (the v3 directory layout has its own
-    # coverage in test_serving_artifact.py)
-    path = tmp_path_factory.mktemp("faults") / "forum.npz"
-    forum_result.save(path, schema_version=2)
+    path = tmp_path_factory.mktemp("faults") / "forum.bundle"
+    forum_result.save(path)
     return path
 
 
@@ -687,22 +685,28 @@ class TestDriverRetry:
 # artifact integrity
 # ----------------------------------------------------------------------
 class TestArtifactIntegrity:
+    @staticmethod
+    def copy_bundle(artifact_path, target):
+        shutil.copytree(artifact_path, target)
+        manifest = json.loads((target / "manifest.json").read_text())
+        return manifest, target / manifest["array_files"]["theta"]
+
     def test_manifest_records_checksums(self, artifact_path):
-        bundle = np.load(artifact_path, allow_pickle=False)
-        manifest = json.loads(bytes(bundle["manifest"]).decode())
+        manifest = json.loads((artifact_path / "manifest.json").read_text())
         checksums = manifest["checksums"]
         assert "theta" in checksums
-        theta = np.ascontiguousarray(bundle["theta"])
+        theta = np.ascontiguousarray(
+            np.load(artifact_path / manifest["array_files"]["theta"])
+        )
         assert checksums["theta"] == zlib.crc32(theta.tobytes())
         assert "manifest" not in checksums
 
     def test_checksum_catches_tampered_array(
         self, artifact_path, tmp_path
     ):
-        tampered = tmp_path / "tampered.npz"
-        bundle = dict(np.load(artifact_path, allow_pickle=False))
-        bundle["theta"] = bundle["theta"] + 1.0
-        np.savez_compressed(tampered, **bundle)
+        tampered = tmp_path / "tampered"
+        _, theta = self.copy_bundle(artifact_path, tampered)
+        np.save(theta, np.load(theta) + 1.0)
         with pytest.raises(
             SerializationError, match="checksum mismatch.*'theta'"
         ):
@@ -713,54 +717,43 @@ class TestArtifactIntegrity:
     def test_flipped_byte_names_the_failing_array(
         self, artifact_path, tmp_path
     ):
-        import struct
-        import zipfile
-
-        corrupt = tmp_path / "corrupt.npz"
-        raw = bytearray(artifact_path.read_bytes())
-        # flip a byte squarely inside theta's compressed data -- an
-        # arbitrary offset can land in ignored zip header padding
-        with zipfile.ZipFile(artifact_path) as bundle:
-            info = bundle.getinfo("theta.npy")
-        fnlen, extralen = struct.unpack(
-            "<HH", raw[info.header_offset + 26 : info.header_offset + 30]
-        )
-        data_start = info.header_offset + 30 + fnlen + extralen
-        raw[data_start + info.compress_size // 2] ^= 0xFF
-        corrupt.write_bytes(bytes(raw))
+        corrupt = tmp_path / "corrupt"
+        _, theta = self.copy_bundle(artifact_path, corrupt)
+        raw = bytearray(theta.read_bytes())
+        # the last byte lies inside theta's data, past the npy header
+        raw[-1] ^= 0xFF
+        theta.write_bytes(bytes(raw))
         with pytest.raises(SerializationError) as excinfo:
             load_artifact(corrupt)
         message = str(excinfo.value)
         assert str(corrupt) in message
-        assert "corrupt" in message or "checksum" in message
+        assert "checksum" in message and "'theta'" in message
 
-    def test_pre_checksum_bundles_still_load(
+    def test_manifest_without_checksums_is_malformed(
         self, artifact_path, tmp_path
     ):
-        legacy = tmp_path / "legacy.npz"
-        bundle = dict(np.load(artifact_path, allow_pickle=False))
-        manifest = json.loads(bytes(bundle["manifest"]).decode())
+        unchecked = tmp_path / "unchecked"
+        manifest, _ = self.copy_bundle(artifact_path, unchecked)
         del manifest["checksums"]
-        bundle["manifest"] = np.frombuffer(
-            json.dumps(manifest).encode(), dtype=np.uint8
-        )
-        np.savez_compressed(legacy, **bundle)
-        load_artifact(legacy)  # no checksums: nothing to verify
+        (unchecked / "manifest.json").write_text(json.dumps(manifest))
+        for verify in (True, False):
+            with pytest.raises(SerializationError, match="checksums"):
+                load_artifact(unchecked, verify_checksums=verify)
 
     def test_save_is_crash_safe(self, forum_result, tmp_path):
-        path = tmp_path / "model.npz"
+        path = tmp_path / "model.bundle"
         forum_result.save(path)
-        assert list(tmp_path.glob("*.tmp")) == []
-        # overwrite goes through the same temp-file + rename dance
+        assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
+        # overwrite goes through the same temp-dir + rename dance
         forum_result.save(path)
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
         load_artifact(path)
 
     def test_failed_save_leaves_no_scratch(self, forum_result, tmp_path):
-        target = tmp_path / "missing-dir" / "model.npz"
+        target = tmp_path / "missing-dir" / "model.bundle"
         with pytest.raises(Exception):
             forum_result.save(target)
-        assert list(tmp_path.glob("**/*.tmp")) == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_artifact_load_fault_site(self, artifact_path):
         injector = resolve_faults(FaultPlan().fail("artifact.load"))

@@ -274,8 +274,10 @@ class TestBackCompat:
     def test_v1_artifact_loads_and_serves(
         self, forum_result, tmp_path
     ):
-        artifact = ModelArtifact.from_result(forum_result)
-        path = artifact.save(tmp_path / "v1.npz", schema_version=1)
+        artifact = ModelArtifact.from_result(
+            forum_result, include_training_data=False
+        )
+        path = artifact.save(tmp_path / "serve-only")
         engine = InferenceEngine.load(path)
         assert not engine.refit_capable
         # queries and durable deltas still work
@@ -290,8 +292,10 @@ class TestBackCompat:
         assert engine.has_node("late")
 
     def test_v1_artifact_cannot_promote(self, forum_result, tmp_path):
-        artifact = ModelArtifact.from_result(forum_result)
-        path = artifact.save(tmp_path / "v1.npz", schema_version=1)
+        artifact = ModelArtifact.from_result(
+            forum_result, include_training_data=False
+        )
+        path = artifact.save(tmp_path / "serve-only")
         engine = InferenceEngine.load(path)
         engine.extend(
             [NewNode("late", "user",
@@ -380,8 +384,10 @@ class TestModelState:
     def test_serve_only_state_refuses_materialization(
         self, forum_result, tmp_path
     ):
-        artifact = ModelArtifact.from_result(forum_result)
-        path = artifact.save(tmp_path / "v1.npz", schema_version=1)
+        artifact = ModelArtifact.from_result(
+            forum_result, include_training_data=False
+        )
+        path = artifact.save(tmp_path / "serve-only")
         state = load_artifact(path).to_state()
         with pytest.raises(StateError, match="serve-only"):
             state.to_problem()
@@ -482,17 +488,11 @@ class TestEngineTelemetry:
     def test_info_reports_source_schema_version(
         self, forum_result, forum_artifact_path, tmp_path
     ):
-        v1_path = ModelArtifact.from_result(forum_result).save(
-            tmp_path / "v1.npz", schema_version=1
-        )
+        serve_only = ModelArtifact.from_result(
+            forum_result, include_training_data=False
+        ).save(tmp_path / "serve-only")
         assert (
-            InferenceEngine.load(v1_path).info()["schema_version"] == 1
-        )
-        v2_path = ModelArtifact.from_result(forum_result).save(
-            tmp_path / "v2.npz", schema_version=2
-        )
-        assert (
-            InferenceEngine.load(v2_path).info()["schema_version"] == 2
+            InferenceEngine.load(serve_only).info()["schema_version"] == 3
         )
         assert (
             InferenceEngine.load(forum_artifact_path).info()[

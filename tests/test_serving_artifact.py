@@ -140,10 +140,13 @@ class TestArtifactRoundtrip:
             assert restored.bag_of(node) == source.bag_of(node)
 
     def test_v1_bundle_loads_serve_only(self, forum_result, tmp_path):
-        """Legacy schema-v1 bundles still load: same parameters, but a
-        node-only network (no links, no observations)."""
-        artifact = ModelArtifact.from_result(forum_result)
-        path = artifact.save(tmp_path / "model-v1.npz", schema_version=1)
+        """A serve-only bundle (frozen without its training data)
+        loads with the same parameters, but a node-only network (no
+        links, no observations)."""
+        artifact = ModelArtifact.from_result(
+            forum_result, include_training_data=False
+        )
+        path = artifact.save(tmp_path / "serve-only")
         loaded = load_artifact(path)
         assert not loaded.refit_capable
         result = loaded.to_result()
@@ -171,59 +174,69 @@ class TestArtifactRoundtrip:
         assert f"schema v{SCHEMA_VERSION}" in text
 
 
+def rewrite_manifest(path, **changes):
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(changes)
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def array_file(path, name):
+    manifest = json.loads((path / "manifest.json").read_text())
+    return path / manifest["array_files"][name]
+
+
 class TestArtifactValidation:
     def test_rejects_unknown_schema_version(self, forum_result, tmp_path):
-        path = forum_result.save(tmp_path / "model.npz", schema_version=2)
-        bundle = dict(np.load(path, allow_pickle=False))
-        manifest = json.loads(bytes(bundle["manifest"]).decode())
-        manifest["schema_version"] = SCHEMA_VERSION + 1
-        bundle["manifest"] = np.frombuffer(
-            json.dumps(manifest).encode(), dtype=np.uint8
-        )
-        np.savez(tmp_path / "future.npz", **bundle)
+        path = forum_result.save(tmp_path / "future")
+        rewrite_manifest(path, schema_version=SCHEMA_VERSION + 1)
         with pytest.raises(SerializationError, match="schema version"):
-            load_artifact(tmp_path / "future.npz")
-
-    def test_rejects_foreign_format(self, forum_result, tmp_path):
-        path = forum_result.save(tmp_path / "model.npz", schema_version=2)
-        bundle = dict(np.load(path, allow_pickle=False))
-        manifest = json.loads(bytes(bundle["manifest"]).decode())
-        manifest["format"] = "something/else"
-        bundle["manifest"] = np.frombuffer(
-            json.dumps(manifest).encode(), dtype=np.uint8
-        )
-        np.savez(tmp_path / "foreign.npz", **bundle)
-        with pytest.raises(SerializationError, match="format marker"):
-            load_artifact(tmp_path / "foreign.npz")
-
-    def test_rejects_npz_without_manifest(self, tmp_path):
-        np.savez(tmp_path / "plain.npz", theta=np.ones((2, 2)))
-        with pytest.raises(SerializationError, match="manifest"):
-            load_artifact(tmp_path / "plain.npz")
-
-    def test_rejects_non_npz_file(self, tmp_path):
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"definitely not a zip archive")
-        with pytest.raises(SerializationError, match="not a readable"):
             load_artifact(path)
 
+    def test_rejects_foreign_format(self, forum_result, tmp_path):
+        path = forum_result.save(tmp_path / "foreign")
+        rewrite_manifest(path, format="something/else")
+        with pytest.raises(SerializationError, match="format marker"):
+            load_artifact(path)
+
+    def test_rejects_npz_without_manifest(self, tmp_path):
+        """A directory of arrays without a manifest is not a bundle."""
+        path = tmp_path / "plain"
+        path.mkdir()
+        np.save(path / "theta.npy", np.ones((2, 2)))
+        with pytest.raises(SerializationError, match="manifest"):
+            load_artifact(path)
+
+    def test_rejects_non_npz_file(self, tmp_path):
+        """Any file -- garbage or a single-file ``.npz`` -- is rejected
+        with an error naming it."""
+        garbage = tmp_path / "garbage"
+        garbage.write_bytes(b"definitely not a bundle")
+        legacy = tmp_path / "legacy.npz"
+        np.savez(legacy, theta=np.ones((2, 2)))
+        for path in (garbage, legacy, tmp_path / "missing"):
+            with pytest.raises(
+                SerializationError, match="not an artifact bundle"
+            ) as excinfo:
+                load_artifact(path)
+            assert str(path) in str(excinfo.value)
+
     def test_rejects_truncated_bundle(self, forum_result, tmp_path):
-        """A corrupt file that still starts with zip magic raises the
-        documented SerializationError, not a bare BadZipFile."""
-        path = forum_result.save(tmp_path / "model.npz", schema_version=2)
-        data = path.read_bytes()
-        truncated = tmp_path / "truncated-zip.npz"
-        truncated.write_bytes(data[: len(data) // 2])
-        with pytest.raises(SerializationError, match="not a readable"):
-            load_artifact(truncated)
+        """A truncated array file raises the documented
+        SerializationError naming the array, not a numpy error."""
+        path = forum_result.save(tmp_path / "model")
+        theta = array_file(path, "theta")
+        data = theta.read_bytes()
+        theta.write_bytes(data[: len(data) // 2])
+        with pytest.raises(SerializationError, match="corrupt.*'theta'"):
+            load_artifact(path)
 
     def test_rejects_shape_mismatch(self, forum_result, tmp_path):
-        path = forum_result.save(tmp_path / "model.npz", schema_version=2)
-        bundle = dict(np.load(path, allow_pickle=False))
-        bundle["theta"] = bundle["theta"][:-1]
-        np.savez(tmp_path / "truncated.npz", **bundle)
+        path = forum_result.save(tmp_path / "model")
+        theta = array_file(path, "theta")
+        np.save(theta, np.load(theta)[:-1])
         with pytest.raises(SerializationError, match="rows"):
-            load_artifact(tmp_path / "truncated.npz")
+            load_artifact(path)
 
     def test_rejects_non_scalar_node_ids(self):
         from repro.core.diagnostics import RunHistory
@@ -374,24 +387,6 @@ class TestMmapServing:
         with pytest.raises(SerializationError, match="theta"):
             engine.extend(self._batch("other-T"))
 
-    def test_legacy_npz_mmap_falls_back_to_eager(
-        self, weather_result, tmp_path
-    ):
-        from repro.serving import InferenceEngine
-
-        path = weather_result.save(
-            tmp_path / "model_v2.npz", schema_version=2
-        )
-        eager = InferenceEngine.load(path, cache_size=0)
-        fallback = InferenceEngine.load(path, mmap=True, cache_size=0)
-        assert not fallback.artifact.mapped
-        memory = fallback.info()["memory"]
-        assert memory["schema_version"] == 2
-        assert not memory["theta_mapped"]
-        np.testing.assert_array_equal(
-            self._query(fallback), self._query(eager)
-        )
-
     def test_mutation_never_writes_through_the_map(self, weather_bundle):
         from repro.serving import InferenceEngine
 
@@ -461,24 +456,3 @@ class TestMmapServing:
         assert stats["array_bytes"] > 0
         assert stats["compressed"] is False
         assert set(manifest["array_files"]) == set(manifest["arrays"])
-
-    def test_v2_compress_knob_roundtrip(self, weather_result, tmp_path):
-        compact = weather_result.save(
-            tmp_path / "small.npz", schema_version=2
-        )
-        plain = weather_result.save(
-            tmp_path / "plain.npz", schema_version=2, compress=False
-        )
-        assert (
-            plain.stat().st_size > compact.stat().st_size
-        )  # stored > deflated
-        for path in (compact, plain):
-            loaded = load_artifact(path)
-            np.testing.assert_array_equal(
-                loaded.theta, weather_result.theta
-            )
-        with np.load(plain, allow_pickle=False) as bundle:
-            manifest = json.loads(
-                bytes(bundle["manifest"]).decode("utf-8")
-            )
-        assert manifest["save_stats"]["compressed"] is False

@@ -11,13 +11,19 @@ SIGKILL'd worker degrades (typed markers in partial mode), and after
 deltas, recovery is bit-identical too.
 """
 
+import dataclasses
+import inspect
 import socket
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from repro import GenClus, GenClusConfig
+from repro import GenClus, GenClusConfig, NetworkBuilder, TextAttribute
 from repro.datagen.toy import political_forum_network
 from repro.exceptions import ServingError
 from repro.serving import (
@@ -26,12 +32,17 @@ from repro.serving import (
     ShardedEngine,
     SupervisionPolicy,
 )
+from repro.serving.foldin import FoldInOutcome, compile_queries, compile_query
 from repro.serving.supervision import ShardFailure
 from repro.serving.transport import (
+    SHARD_OPS,
+    ProcessShardHandle,
     ProcessTransport,
     decode_link,
     decode_node,
+    decode_payload,
     decode_spec,
+    encode_frame,
     encode_link,
     encode_node,
     encode_spec,
@@ -98,6 +109,8 @@ class TestCodecs:
             None,
             ("__sentinel__", 4),
             ("outer", ("inner", 2), "tail"),
+            np.int64(5),
+            ("row", np.uint32(7)),
         ],
     )
     def test_node_roundtrip(self, node):
@@ -166,6 +179,235 @@ class TestCodecs:
 
 
 # ----------------------------------------------------------------------
+# the SHARD_OPS codecs, property-tested through real frames
+# ----------------------------------------------------------------------
+NAMES = st.sampled_from(["user", "blog", "likes", "x y", "é", ""])
+NUMPY_INTS = st.builds(
+    lambda kind, value: kind(value),
+    st.sampled_from([np.int8, np.int32, np.int64, np.uint16, np.uint64]),
+    st.integers(0, 100),
+)
+NODES = st.recursive(
+    st.one_of(
+        st.text(max_size=6),
+        st.integers(-(2**63), 2**63),
+        NUMPY_INTS,
+        st.floats(allow_nan=False),
+        st.booleans(),
+        st.none(),
+    ),
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=6,
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+WEIGHTS = st.floats(0.0, 1e12, allow_nan=False)
+BAGS = st.one_of(
+    st.lists(st.text(max_size=4), max_size=4),
+    st.dictionaries(st.text(max_size=4), WEIGHTS, max_size=4),
+)
+TEXT = st.dictionaries(NAMES, BAGS, max_size=2)
+NUMERIC = st.dictionaries(NAMES, st.lists(FINITE, max_size=3), max_size=2)
+SPECS = st.builds(
+    NewNode,
+    node=NODES,
+    object_type=NAMES,
+    links=st.lists(st.tuples(NAMES, NODES, WEIGHTS), max_size=3),
+    text=TEXT,
+    numeric=NUMERIC,
+)
+LINKS = st.one_of(
+    st.tuples(NODES, NAMES, NODES),
+    st.tuples(NODES, NAMES, NODES, WEIGHTS),
+)
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), FINITE, st.text()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+    ),
+    max_leaves=8,
+)
+QUERY = st.fixed_dictionaries(
+    {"object_type": NAMES},
+    optional={
+        "links": st.lists(
+            st.one_of(
+                st.tuples(NAMES, NODES), st.tuples(NAMES, NODES, WEIGHTS)
+            ),
+            max_size=4,
+        ),
+        "text": TEXT,
+        "numeric": NUMERIC,
+    },
+)
+BATCHES = st.one_of(
+    st.lists(QUERY, max_size=5).map(compile_queries),
+    QUERY.map(
+        lambda query: compile_query(
+            query["object_type"],
+            query.get("links", ()),
+            query.get("text"),
+            query.get("numeric"),
+        )
+    ),
+)
+
+
+def floats_array(shape):
+    return arrays(np.float64, shape, elements=st.floats(width=64))
+
+
+VECTOR = st.integers(0, 4).flatmap(floats_array)
+MATRIX = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    floats_array
+)
+OUTCOMES = st.integers(0, 4).flatmap(
+    lambda m: st.builds(
+        FoldInOutcome,
+        nodes=st.lists(NODES, min_size=m, max_size=m).map(tuple),
+        theta=floats_array((m, 3)),
+        iterations=st.integers(0, 500),
+        converged=st.booleans(),
+        oov_terms=st.integers(0, 10**6),
+    )
+)
+PARTIALS = st.lists(
+    st.integers(0, 4).flatmap(
+        lambda k: st.tuples(
+            floats_array(k), arrays(np.int64, k)
+        )
+    ),
+    max_size=3,
+)
+NODE_TUPLES = st.lists(NODES, max_size=4).map(tuple)
+NODE_SETS = st.sets(NODES, max_size=4)
+
+
+def call(**parameters):
+    return st.fixed_dictionaries(parameters).map(
+        lambda values: SimpleNamespace(**values)
+    )
+
+
+# (arguments, reply) strategies for every op of the shard surface
+OP_VALUES = {
+    "query_batch": (call(batch=BATCHES), MATRIX),
+    "score_batch": (
+        call(batch=BATCHES),
+        st.integers(0, 4).flatmap(
+            lambda k: st.lists(floats_array(k), max_size=4)
+        ),
+    ),
+    "extend": (call(nodes=st.lists(SPECS, max_size=3)), OUTCOMES),
+    "add_links": (call(links=st.lists(LINKS, max_size=4)), OUTCOMES),
+    "evict_nodes": (call(nodes=st.lists(NODES, max_size=4)), NODE_TUPLES),
+    "membership_of": (call(node=NODES), VECTOR),
+    "similar_rows_partial": (
+        call(
+            queries=MATRIX,
+            k=st.integers(1, 50),
+            metric=st.sampled_from(["cosine", "dot", "euclidean"]),
+            candidate_types=st.none()
+            | st.lists(st.none() | NAMES, max_size=3),
+            exclude_nodes=st.none()
+            | st.lists(st.none() | NODE_SETS, max_size=3),
+            base_range=st.none()
+            | st.tuples(st.integers(0, 99), st.integers(0, 99)),
+        ),
+        PARTIALS,
+    ),
+    "served_vector": (call(node=NODES), st.tuples(VECTOR, NAMES)),
+    "suggest_context": (
+        call(node=NODES, relation=NAMES),
+        st.tuples(VECTOR, NAMES, st.none() | NODE_SETS.map(frozenset)),
+    ),
+    "extension_nodes": (call(), NODE_TUPLES),
+    "extension_export": (
+        call(),
+        st.tuples(
+            NODE_TUPLES, st.lists(SPECS, max_size=2).map(tuple), MATRIX
+        ),
+    ),
+    "extension_dependants": (call(node=NODES), NODE_SETS.map(frozenset)),
+    "info": (call(), st.dictionaries(st.text(max_size=6), JSON)),
+    "metrics_snapshot": (call(), st.dictionaries(st.text(max_size=6), JSON)),
+}
+
+
+def through_wire(codec, value):
+    """Encode ``value`` into a real frame, parse it, decode it."""
+    frame_arrays = []
+    wire = codec.encode(value, frame_arrays)
+    header, got_arrays = decode_payload(
+        encode_frame({"value": wire}, frame_arrays)[8:]
+    )
+    return codec.decode(header["value"], got_arrays)
+
+
+def assert_same(got, want):
+    """Deep equality; arrays bit for bit, numpy integers as ``int``."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    elif dataclasses.is_dataclass(want) or isinstance(want, SimpleNamespace):
+        assert type(got) is type(want)
+        names = (
+            [field.name for field in dataclasses.fields(want)]
+            if dataclasses.is_dataclass(want)
+            else sorted(vars(want))
+        )
+        if isinstance(want, SimpleNamespace):
+            assert sorted(vars(got)) == names
+        for name in names:
+            assert_same(getattr(got, name), getattr(want, name))
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for got_item, want_item in zip(got, want):
+            assert_same(got_item, want_item)
+    elif isinstance(want, dict):
+        assert type(got) is dict and list(got) == list(want)
+        for key in want:
+            assert_same(got[key], want[key])
+    elif isinstance(want, (set, frozenset)):
+        assert type(got) is type(want) and got == want
+    else:
+        assert type(got) in (str, int, float, bool, type(None))
+        assert got == want
+
+
+class TestShardOpCodecs:
+    def test_every_op_is_covered(self):
+        assert set(OP_VALUES) == set(SHARD_OPS)
+
+    @pytest.mark.parametrize("name", sorted(SHARD_OPS))
+    def test_handle_method_matches_engine(self, name):
+        want = inspect.signature(getattr(InferenceEngine, name))
+        got = inspect.signature(getattr(ProcessShardHandle, name))
+        assert list(got.parameters.values()) == list(
+            want.parameters.values()
+        )
+
+    @pytest.mark.parametrize("name", sorted(SHARD_OPS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_arguments_round_trip(self, name, data):
+        arguments = data.draw(OP_VALUES[name][0])
+        parameters = inspect.signature(
+            getattr(InferenceEngine, name)
+        ).parameters
+        assert sorted(vars(arguments)) == sorted(set(parameters) - {"self"})
+        assert_same(through_wire(SHARD_OPS[name].args, arguments), arguments)
+
+    @pytest.mark.parametrize("name", sorted(SHARD_OPS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_reply_round_trips(self, name, data):
+        reply = data.draw(OP_VALUES[name][1])
+        assert_same(through_wire(SHARD_OPS[name].reply, reply), reply)
+
+
+# ----------------------------------------------------------------------
 # process-backed cluster == in-process cluster == singleton
 # ----------------------------------------------------------------------
 class TestProcessEquivalence:
@@ -211,6 +453,51 @@ class TestProcessEquivalence:
                 "user0_0", "writes", k=3
             ) == reference.suggest_links("user0_0", "writes", k=3)
         inproc.close()
+
+    def test_numpy_int_ids_bit_identical(self, tmp_path):
+        """numpy integer ids are node ids like any int: the process
+        transport answers what the in-process router answers."""
+        source = political_forum_network()
+        renumber = {node: i for i, node in enumerate(source.node_ids)}
+        builder = NetworkBuilder()
+        for object_type in source.schema.object_types:
+            builder.object_type(object_type.name)
+        for relation in source.schema.relations:
+            builder.relation(relation.name, relation.source, relation.target)
+        for node in source.node_ids:
+            builder.node(renumber[node], source.type_of(node))
+        for edge in source.edges():
+            builder.link(
+                renumber[edge.source],
+                renumber[edge.target],
+                edge.relation,
+                edge.weight,
+            )
+        text, old_text = TextAttribute("text"), source.attribute("text")
+        for node in old_text.nodes_with_observations():
+            text.add_counts(renumber[node], old_text.bag_of(node))
+        builder.attribute(text)
+        result = GenClus(
+            GenClusConfig(n_clusters=2, outer_iterations=3, seed=0, n_init=2)
+        ).fit(builder.build(), attributes=["text"])
+        path = result.save(tmp_path / "int-ids")
+
+        ids = np.arange(40)
+        blog, book = ids[renumber["blog0_1"]], ids[renumber["book1_2"]]
+        batch = [
+            dict(object_type="user", links=[("writes", blog, 1.0)]),
+            dict(object_type="user", links=[("likes", book, 2.0)]),
+        ]
+        with ShardedEngine.from_result(
+            result, n_shards=2, block_size=BLOCK
+        ) as inproc, process_cluster(path, 2) as engine:
+            np.testing.assert_array_equal(
+                engine.membership_of(ids[5]), inproc.membership_of(ids[5])
+            )
+            for got, want in zip(
+                engine.score_many(batch), inproc.score_many(batch)
+            ):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n_shards", WORKER_COUNTS)
     def test_durable_deltas_bit_identical(
@@ -365,7 +652,7 @@ class TestWorkerDeath:
         from repro.faults import FaultPlan
 
         plan = FaultPlan().fail(
-            "worker.call", op="query", message="drill"
+            "worker.call", op="query_batch", message="drill"
         )
         with process_cluster(
             artifact_path, 2, supervision=FAST_FAIL, faults=plan
