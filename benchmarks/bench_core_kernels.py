@@ -97,9 +97,7 @@ def build_problem(scale: str):
     return problem, theta, gamma
 
 
-def make_em_call(
-    problem, theta, gamma, workers=1, block_size=None, obs=None
-):
+def make_em_call(problem, theta, gamma, block_size=None, obs=None):
     """The EM kernel exactly as ``run_em`` drives it.
 
     The operator/workspace/blocked-execution fast paths are optional
@@ -116,11 +114,11 @@ def make_em_call(
         workspace = EMWorkspace(problem.num_nodes, problem.n_clusters)
         out = np.empty_like(theta)
         kwargs = {}
-        try:  # blocked multi-core path (this PR); absent on parents
+        try:  # blocked path; absent on pre-blocked checkouts
             plan = operator.block_plan(problem.n_clusters, block_size)
             for model in problem.attribute_models:
                 model.set_block_rows(block_size)
-            kwargs = dict(num_workers=workers, plan=plan)
+            kwargs = dict(plan=plan)
         except (AttributeError, TypeError):
             pass
         if obs is not None:
@@ -137,8 +135,6 @@ def make_em_call(
                 **kwargs,
             )
 
-        call.blocked = "plan" in kwargs
-
     except ImportError:
 
         def call():
@@ -146,19 +142,17 @@ def make_em_call(
                 theta, gamma, problem.matrices, problem.attribute_models
             )
 
-        call.blocked = False
-
     return call
 
 
-def make_strength_call(problem, theta, gamma, workers=1, block_size=None):
+def make_strength_call(problem, theta, gamma, block_size=None):
     kwargs = {}
-    try:  # blocked multi-core path (this PR); absent on parents
+    try:  # blocked path; absent on pre-blocked checkouts
         from repro.core.kernels import PropagationOperator
 
         operator = PropagationOperator.wrap(problem.matrices)
         plan = operator.block_plan(problem.n_clusters, block_size)
-        kwargs = dict(num_workers=workers, plan=plan)
+        kwargs = dict(plan=plan)
     except (ImportError, AttributeError, TypeError):
         pass
 
@@ -167,7 +161,6 @@ def make_strength_call(problem, theta, gamma, workers=1, block_size=None):
             theta, problem.matrices, gamma, 0.1, 30, **kwargs
         )
 
-    call.blocked = bool(kwargs)
     return call
 
 
@@ -186,17 +179,12 @@ def _time_best(fn, repeats: int, warmup: int = 2) -> float:
 def run_harness(
     repeats_em: int = 30,
     repeats_strength: int = 10,
-    workers: int = 1,
     block_size: int | None = None,
-    worker_sweep: tuple[int, ...] = (),
     include_xxl: bool = False,
 ) -> dict:
     """Time both kernels at every scale; returns the report dict.
 
-    ``workers``/``block_size`` set the blocked-execution shape of the
-    headline numbers; ``worker_sweep`` additionally times ``em_update``
-    and ``learn_strengths`` at each listed worker count (same problem,
-    same plan) and attaches the results under ``"workers"``.
+    ``block_size`` overrides the cache-sized execution blocks;
     ``include_xxl`` adds the opt-in ~100k-node ``weather_xxl`` scale.
     """
     report: dict = {}
@@ -205,9 +193,9 @@ def run_harness(
         scales.update(XXL_SCALES)
     for scale in scales:
         problem, theta, gamma = build_problem(scale)
-        em_call = make_em_call(problem, theta, gamma, workers, block_size)
+        em_call = make_em_call(problem, theta, gamma, block_size)
         strength_call = make_strength_call(
-            problem, theta, gamma, workers, block_size
+            problem, theta, gamma, block_size
         )
         entry = {
             "num_nodes": problem.num_nodes,
@@ -215,10 +203,6 @@ def run_harness(
             "nnz_links": int(
                 sum(m.nnz for m in problem.matrices.matrices)
             ),
-            # record the EFFECTIVE width: on checkouts without the
-            # blocked API the calls fall back to serial, and the report
-            # must say so rather than claim multi-worker timings
-            "workers": workers if em_call.blocked else 1,
             "em_update_seconds": _time_best(em_call, repeats_em),
             "learn_strengths_seconds": _time_best(
                 strength_call, repeats_strength
@@ -226,24 +210,6 @@ def run_harness(
         }
         if block_size is not None:
             entry["block_size"] = block_size
-        if worker_sweep:
-            sweep: dict = {}
-            for count in worker_sweep:
-                sweep[str(count)] = {
-                    "em_update_seconds": _time_best(
-                        make_em_call(
-                            problem, theta, gamma, count, block_size
-                        ),
-                        repeats_em,
-                    ),
-                    "learn_strengths_seconds": _time_best(
-                        make_strength_call(
-                            problem, theta, gamma, count, block_size
-                        ),
-                        repeats_strength,
-                    ),
-                }
-            entry["worker_sweep"] = sweep
         report[scale] = entry
     return report
 
@@ -251,9 +217,7 @@ def run_harness(
 def merge_with_baseline(baseline: dict, current: dict) -> dict:
     """``{before, after, speedup}`` report from two harness runs.
 
-    Speedups compare the headline (``workers``-wide) numbers; when both
-    runs carry a ``worker_sweep``, per-worker-count speedups ride along
-    so serial and multi-worker columns can be read off one report.
+    Speedups compare the per-kernel headline numbers of each scale.
     """
     speedups: dict = {}
     for scale, after in current.items():
@@ -267,20 +231,6 @@ def merge_with_baseline(baseline: dict, current: dict) -> dict:
             )
             for kernel in ("em_update", "learn_strengths")
         }
-        before_sweep = before.get("worker_sweep") or {}
-        after_sweep = after.get("worker_sweep") or {}
-        for count, timings in after_sweep.items():
-            # baselines without a sweep (pre-blocked parents) compare
-            # against their serial headline numbers
-            reference = before_sweep.get(count, before)
-            speedups[scale][f"workers_{count}"] = {
-                kernel: round(
-                    reference[f"{kernel}_seconds"]
-                    / timings[f"{kernel}_seconds"],
-                    2,
-                )
-                for kernel in ("em_update", "learn_strengths")
-            }
     return {"before": baseline, "after": current, "speedup": speedups}
 
 
@@ -315,61 +265,6 @@ def measure_obs_overhead(
             100.0 * (observed_seconds / null_seconds - 1.0), 2
         ),
     }
-
-
-def verify_parallel_fit(workers: tuple[int, ...] = (1, 4)) -> bool:
-    """Full-fit determinism gate: hard assignments (and theta/gamma)
-    must be **identical** across worker counts.
-
-    Runs a small weather fit at each worker count and compares the
-    results exactly.  Returns True when every run agrees; used by CI's
-    parallel-smoke job to fail loudly on serial/parallel divergence.
-    """
-    from repro.core.config import GenClusConfig
-    from repro.core.genclus import GenClus
-    from repro.datagen.weather import (
-        WeatherConfig,
-        generate_weather_network,
-    )
-
-    generated = generate_weather_network(
-        WeatherConfig(**SCALES["weather_mid"])
-    )
-    results = []
-    for count in workers:
-        config = GenClusConfig(
-            n_clusters=4,
-            outer_iterations=2,
-            seed=0,
-            n_init=2,
-            num_workers=count,
-        )
-        results.append(
-            GenClus(config).fit(
-                generated.network, attributes=WEATHER_ATTRIBUTES
-            )
-        )
-    head = results[0]
-    agree = True
-    for count, result in zip(workers[1:], results[1:]):
-        if not (
-            np.array_equal(head.theta, result.theta)
-            and np.array_equal(head.gamma, result.gamma)
-            and np.array_equal(
-                head.hard_labels(), result.hard_labels()
-            )
-        ):
-            print(
-                f"PARALLEL DIVERGENCE: workers={count} disagrees "
-                f"with workers={workers[0]}"
-            )
-            agree = False
-    if agree:
-        print(
-            f"parallel fit check OK: workers {list(workers)} "
-            f"bit-identical ({head.theta.shape[0]} nodes)"
-        )
-    return agree
 
 
 # ----------------------------------------------------------------------
@@ -436,23 +331,6 @@ if pytest is not None:
         snapshot = obs.metrics.snapshot()
         assert series_value(snapshot, "repro_em_sweep_seconds") > 0
 
-    def test_em_update_kernel_parallel(benchmark, compiled_problem):
-        """The 4-worker blocked path: must match serial bit-for-bit.
-
-        ``em_update`` refreshes attribute parameters in place, so the
-        parameters are restored between the serial reference call and
-        the parallel one (and before the timed reps).
-        """
-        problem, theta, gamma = compiled_problem
-        saved = _snapshot_params(problem)
-        serial = make_em_call(problem, theta, gamma, workers=1)().copy()
-        _restore_params(problem, saved)
-        parallel = make_em_call(problem, theta, gamma, workers=4)()
-        np.testing.assert_array_equal(parallel, serial)
-        _restore_params(problem, saved)
-        result = benchmark(make_em_call(problem, theta, gamma, workers=4))
-        assert result.shape == theta.shape
-
     @pytest.mark.skipif(
         "not __import__('os').environ.get('REPRO_BENCH_XXL')",
         reason="opt-in ~100k-node scale: set REPRO_BENCH_XXL=1",
@@ -487,29 +365,10 @@ def main(argv=None) -> int:
         help="fewer repeats (CI smoke mode)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="blocked-kernel pool width for the headline numbers "
-        "(1 = inline serial reference, 0 = auto)",
-    )
-    parser.add_argument(
         "--block-size",
         type=int,
         default=None,
         help="rows per execution block (default: cache-sized auto)",
-    )
-    parser.add_argument(
-        "--sweep-workers",
-        default="",
-        help="comma-separated worker counts to time additionally per "
-        "scale (e.g. '1,4'); attached as worker_sweep",
-    )
-    parser.add_argument(
-        "--verify-parallel",
-        action="store_true",
-        help="run a small fit at 1 and 4 workers and exit non-zero "
-        "if the results (theta/gamma/assignments) diverge",
     )
     parser.add_argument(
         "--xxl",
@@ -525,8 +384,6 @@ def main(argv=None) -> int:
         "full harness",
     )
     args = parser.parse_args(argv)
-    if args.verify_parallel and not verify_parallel_fit():
-        return 1
     if args.obs_overhead:
         repeats = 10 if args.quick else 30
         overhead = measure_obs_overhead(args.obs_overhead, repeats)
@@ -535,16 +392,11 @@ def main(argv=None) -> int:
             handle.write("\n")
         print(json.dumps(overhead, indent=2))
         return 0
-    sweep = tuple(
-        int(part) for part in args.sweep_workers.split(",") if part
-    )
     repeats_em, repeats_strength = (10, 3) if args.quick else (30, 10)
     current = run_harness(
         repeats_em,
         repeats_strength,
-        workers=args.workers,
         block_size=args.block_size,
-        worker_sweep=sweep,
         include_xxl=args.xxl or _xxl_opted_in(),
     )
     if args.baseline:

@@ -105,7 +105,7 @@ def run_harness(worker_counts, batch_size, clients, repeats):
 
     # the no-HTTP baseline: the same traffic, straight into the router
     router = ShardedEngine.from_result(
-        result, n_shards=2, cache_size=0, num_workers=0
+        result, n_shards=2, cache_size=0
     )
     best = float("inf")
     for _ in range(repeats):

@@ -117,7 +117,7 @@ def test_router_score_many(benchmark, served, n_shards):
     """Scatter-gather through the router at 1 / 2 / 4 shards."""
     result, queries, reference = served
     engine = ShardedEngine.from_result(
-        result, n_shards=n_shards, cache_size=0, num_workers=0
+        result, n_shards=n_shards, cache_size=0
     )
     memberships = benchmark(engine.score_many, queries)
     # correctness first: the gathered batch is bit-identical to the
@@ -197,7 +197,7 @@ def run_harness(shards, batch_size, repeats):
     }
     for n_shards in shards:
         engine = ShardedEngine.from_result(
-            result, n_shards=n_shards, cache_size=0, num_workers=0
+            result, n_shards=n_shards, cache_size=0
         )
         gathered = engine.score_many(queries)
         for a, b in zip(gathered, reference):

@@ -153,7 +153,7 @@ def test_router_similar_many(benchmark, served, n_shards):
     """The scatter-gathered cluster ranking at small scale."""
     result, nodes, engine = served
     cluster = ShardedEngine.from_result(
-        result, n_shards=n_shards, cache_size=0, num_workers=0
+        result, n_shards=n_shards, cache_size=0
     )
     assert cluster.similar_many(nodes, k=10) == engine.similar_many(
         nodes, k=10
@@ -217,7 +217,7 @@ def run_harness(shards, n_queries, repeats, xl=True):
     reference = engine.similar_many(nodes, k=10)
     for n_shards in shards:
         cluster = ShardedEngine.from_result(
-            result, n_shards=n_shards, cache_size=0, num_workers=0
+            result, n_shards=n_shards, cache_size=0
         )
         if cluster.similar_many(nodes, k=10) != reference:
             raise AssertionError(

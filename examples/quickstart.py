@@ -329,7 +329,7 @@ def similarity_and_suggestions(result: GenClusResult) -> None:
     ordered cross-block merge -- never a full sort, never a dense
     query-by-corpus matrix), with per-metric precomputes cached
     against the state version.  Ties break by (score desc, node index
-    asc), so a ranking is bit-identical at every worker count and
+    asc), so a ranking is bit-identical at every block size and
     every shard count, and equals the offline
     :func:`repro.eval.reference_ranking` protocol.  The CLI twins are
     ``python -m repro.serving similar MODEL --node ID -k 10`` and
@@ -615,21 +615,21 @@ def http_serving(result: GenClusResult) -> None:
 # serving fold-in sweep) the per-relation link matrices collapse into
 # one cached combined CSR (``PropagationOperator``), and the EM /
 # Newton loops write into preallocated workspaces instead of allocating
-# per iteration.  The kernels execute in contiguous row **blocks**
-# (``BlockPlan``) and can fan the blocks out across cores:
-#
-#     GenClusConfig(n_clusters=4, num_workers=4)      # training
-#     InferenceEngine.load(path, num_workers=4)       # serving
-#
-# ``num_workers=0`` auto-sizes to the machine, and results are
-# bit-identical at every worker count (the block decomposition depends
-# only on the problem shape; reductions accumulate in block order).
+# per iteration.  The kernels execute in contiguous, cache-sized row
+# **blocks** (``BlockPlan``), inline and in block order; the block
+# decomposition depends only on the problem shape and reductions
+# accumulate in block order, so a fit or a score is a pure function of
+# its inputs and ``block_size``.  There is no in-process thread knob:
+# on a 2-CPU host a thread fan-out of the blocks measured slower than
+# the inline sweep for fits, kernels and serving alike.  To use more
+# cores for serving, shard the model across worker processes
+# (``ShardedEngine.load(path, n_shards=2, transport="process")`` or
+# ``python -m repro.serving serve --shards 2``).
 # The kernel wall-times are tracked in ``BENCH_core.json`` at the repo
 # root; refresh or compare them with
 #
 #     PYTHONPATH=src python benchmarks/bench_core_kernels.py \
-#         --json /tmp/now.json --baseline BENCH_core.json \
-#         --workers 1 --sweep-workers 1,4
+#         --json /tmp/now.json --baseline BENCH_core.json
 #
 # (see the ROADMAP "Performance" section for how to read the report).
 

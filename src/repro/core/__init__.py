@@ -15,8 +15,8 @@ and the iterative algorithm of Section 4:
 * :mod:`repro.core.genclus` -- Algorithm 1, alternating the two steps.
 * :mod:`repro.core.kernels` -- the fused/allocation-free numeric core
   shared by training and serving (propagation operator, workspaces,
-  and the :class:`~repro.core.kernels.BlockPlan` blocked multi-core
-  execution layer).
+  and the :class:`~repro.core.kernels.BlockPlan` blocked execution
+  layer).
 * :mod:`repro.core.state` -- :class:`~repro.core.state.ModelState`, the
   mutable, versioned model container shared by training, serving, and
   refit (warm starts, extension space, patched link views).

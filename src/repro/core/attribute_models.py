@@ -343,9 +343,7 @@ class CategoricalModel:
             self._plan = plan
         return plan
 
-    def accumulate_em_step(
-        self, theta: np.ndarray, out: np.ndarray, num_workers: int = 1
-    ) -> None:
+    def accumulate_em_step(self, theta: np.ndarray, out: np.ndarray) -> None:
         """One EM pass (Eq. 10), adding the theta contribution to ``out``.
 
         ``out[v] += sum_l c_{v,l} * p(z_{v,l} = k | Theta, beta)`` for
@@ -355,8 +353,7 @@ class CategoricalModel:
 
         The E pass runs over contiguous observed-node blocks (each
         block owns its nnz range of the canonical counts pattern and
-        writes disjoint rows of ``out``), so results are bit-identical
-        at any ``num_workers``; the ``beta`` M-step is a serial
+        writes disjoint rows of ``out``); the ``beta`` M-step is an
         epilogue over the blockwise-filled ratio matrix.
         """
         beta = self._require_params()
@@ -393,7 +390,7 @@ class CategoricalModel:
             term_slice *= rows_slice
             out[indices[v0:v1]] += term_slice
 
-        run_blocks(self._get_plan(), block, num_workers)
+        run_blocks(self._get_plan(), block)
         # beta M-step: beta_kl propto sum_v c_vl p(z=k) = beta_kl * [theta^T (C/d)]_kl
         beta_new = beta * (theta_obs.T @ self._ratio)
         beta_new += self.smoothing
@@ -593,9 +590,7 @@ class GaussianModel:
             )
         return plan
 
-    def accumulate_em_step(
-        self, theta: np.ndarray, out: np.ndarray, num_workers: int = 1
-    ) -> None:
+    def accumulate_em_step(self, theta: np.ndarray, out: np.ndarray) -> None:
         """One EM pass (Eq. 11), adding the theta contribution to ``out``.
 
         ``out[v] += sum_{x in v[X]} p(z_{v,x} = k)`` for observed
@@ -608,8 +603,7 @@ class GaussianModel:
         ufuncs, SIMD-friendly), a block's fields stay cache-resident
         across the density / gather / normalize / scatter / moment
         passes, and the M-step reduces per-block moment partials in
-        block order, so results are bit-identical at any
-        ``num_workers``.  The second moment is taken around the
+        block order.  The second moment is taken around the
         incoming means -- exactly the ``(x - mu_k)^2`` field the
         density already computed, removed as a shift afterwards --
         which folds the variance pass into the same block sweep
@@ -688,7 +682,7 @@ class GaussianModel:
                 m2_p[index, k] = np.dot(r[k], dev[k])
             out[indices[v0:v1]] += per_node[v0:v1]
 
-        run_blocks(plan, block, num_workers)
+        run_blocks(plan, block)
         num_blocks = plan.num_blocks
         totals = ordered_block_sum(
             totals_p[:num_blocks], np.empty(self.n_clusters)

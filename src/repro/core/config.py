@@ -61,19 +61,15 @@ class GenClusConfig:
         -- monotonicity diagnostics without editing source.  Off by
         default: each evaluation costs an extra pass over links and
         observations.
-    num_workers:
-        Width of the blocked-kernel thread pool driving inner EM, the
-        attribute models' E+M passes, and strength learning.  ``1``
-        (the default) runs the blocks inline; ``0`` auto-sizes to the
-        machine.  Results are **bit-identical at every worker count**:
-        the block decomposition depends only on the problem shape, and
-        all cross-block reductions accumulate in block order.
     block_size:
         Override for the number of index rows per execution block
-        (``None`` = cache-sized automatically).  Changing it changes
-        reduction grouping, so fits with different ``block_size`` agree
-        only to floating-point roundoff; fits with different
-        ``num_workers`` at the same ``block_size`` agree exactly.
+        (``None`` = cache-sized automatically).  Inner EM, the
+        attribute models' E+M passes and strength learning run block
+        by block, in block order, and every cross-block reduction
+        accumulates in that order, so a fit is a pure function of the
+        data, the seed and the block size.  Changing ``block_size``
+        changes reduction grouping, so fits with different sizes agree
+        only to floating-point roundoff.
     """
 
     n_clusters: int
@@ -90,7 +86,6 @@ class GenClusConfig:
     seed: int | None = None
     gamma_tol: float = 1e-5
     track_em_objective: bool = False
-    num_workers: int = 1
     block_size: int | None = None
 
     def __post_init__(self) -> None:
@@ -130,11 +125,6 @@ class GenClusConfig:
             )
         if self.em_tol < 0 or self.newton_tol < 0 or self.gamma_tol < 0:
             raise ConfigError("tolerances must be non-negative")
-        if self.num_workers < 0:
-            raise ConfigError(
-                f"num_workers must be >= 0 (0 = auto), "
-                f"got {self.num_workers}"
-            )
         if self.block_size is not None and self.block_size < 1:
             raise ConfigError(
                 f"block_size must be >= 1 when set, got {self.block_size}"

@@ -100,7 +100,6 @@ def em_update(
     floor: float = 1e-12,
     out: np.ndarray | None = None,
     workspace: EMWorkspace | None = None,
-    num_workers: int = 1,
     plan: BlockPlan | None = None,
     obs=None,
 ) -> np.ndarray:
@@ -121,13 +120,12 @@ def em_update(
     workspace:
         Optional scratch reused across iterations; allocated on the fly
         when omitted (single-call convenience path).
-    num_workers, plan:
-        Blocked-execution controls.  The update always runs block-by-
-        block over the operator's cached :class:`BlockPlan` (``plan``
-        overrides it); ``num_workers > 1`` fans the blocks out on the
-        shared kernel pool.  Every per-row stage writes disjoint row
-        slices and every cross-block reduction is block-ordered, so
-        the result is bit-identical at any worker count.
+    plan:
+        The update always runs block-by-block over the operator's
+        cached :class:`BlockPlan` (``plan`` overrides it).  Every
+        per-row stage writes disjoint row slices and every cross-block
+        reduction is block-ordered, so the result depends only on the
+        plan.
     obs:
         Optional :class:`~repro.obs.Observability`.  When recording,
         the sweep's wall-clock lands in the
@@ -146,11 +144,9 @@ def em_update(
     if plan is None:
         plan = operator.block_plan(k)
     update = workspace.update
-    operator.propagate(
-        theta, gamma, out=update, num_workers=num_workers, plan=plan
-    )
+    operator.propagate(theta, gamma, out=update, plan=plan)
     for model in models:
-        model.accumulate_em_step(theta, update, num_workers=num_workers)
+        model.accumulate_em_step(theta, update)
     if out is None:
         out = np.empty_like(update)
     row_sums = workspace.row_sums
@@ -160,7 +156,7 @@ def em_update(
             update, theta, out, row_sums, floor, start, stop
         )
 
-    run_blocks(plan, normalize_block, num_workers)
+    run_blocks(plan, normalize_block)
     if recording:
         obs.metrics.histogram(
             "repro_em_sweep_seconds",
@@ -178,7 +174,6 @@ def run_em(
     tol: float = 1e-4,
     floor: float = 1e-12,
     track_objective: bool = True,
-    num_workers: int = 1,
     plan: BlockPlan | None = None,
     obs=None,
 ) -> EMOutcome:
@@ -198,10 +193,8 @@ def run_em(
     track_objective:
         When false, ``g1`` is only computed once at the end (saves time
         in benchmarks).
-    num_workers, plan:
-        Blocked-execution controls threaded through every
-        :func:`em_update`; results are bit-identical at any worker
-        count (see :func:`em_update`).
+    plan:
+        The block plan threaded through every :func:`em_update`.
     obs:
         Optional :class:`~repro.obs.Observability` threaded into every
         sweep (per-sweep latency histogram) plus a
@@ -221,26 +214,18 @@ def run_em(
     for iterations in range(1, max_iterations + 1):
         theta_next = em_update(
             theta, gamma, operator, models, floor,
-            out=spare, workspace=workspace,
-            num_workers=num_workers, plan=plan, obs=obs,
+            out=spare, workspace=workspace, plan=plan, obs=obs,
         )
         np.subtract(theta_next, theta, out=workspace.update)
         delta = float(np.max(np.abs(workspace.update)))
         theta, spare = theta_next, theta
         if track_objective:
-            trace.append(
-                g1(
-                    theta, gamma, operator, models, floor,
-                    num_workers=num_workers,
-                )
-            )
+            trace.append(g1(theta, gamma, operator, models, floor))
         if delta < tol:
             converged = True
             break
     objective = (
-        trace[-1]
-        if trace
-        else g1(theta, gamma, operator, models, floor, num_workers=num_workers)
+        trace[-1] if trace else g1(theta, gamma, operator, models, floor)
     )
     if obs is not None and obs.recording:
         obs.metrics.counter(

@@ -112,17 +112,13 @@ def structural_consistency(
     gamma: np.ndarray,
     matrices: RelationMatrices | PropagationOperator,
     floor: float = 1e-12,
-    num_workers: int = 1,
 ) -> float:
     """The exponent of Eq. (7): ``sum_e f(theta_i, theta_j, e, gamma)``.
 
     Evaluated through the fused propagation operator: with gamma fixed
     inside the sum, ``sum_r gamma_r sum((W_r Theta) * log Theta)``
     equals ``sum(((sum_r gamma_r W_r) Theta) * log Theta)`` -- one
-    sparse matmul instead of one per relation.  ``num_workers > 1``
-    evaluates the propagation row blocks on the shared kernel pool;
-    the final sum is taken serially over the full field, so the value
-    is bit-identical at any worker count.
+    sparse matmul instead of one per relation.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     if gamma.shape != (matrices.num_relations,):
@@ -132,5 +128,5 @@ def structural_consistency(
         )
     operator = PropagationOperator.wrap(matrices)
     theta = floor_distribution(theta, floor)
-    propagated = operator.propagate(theta, gamma, num_workers=num_workers)
+    propagated = operator.propagate(theta, gamma)
     return float(np.sum(propagated * np.log(theta)))

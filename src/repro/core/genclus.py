@@ -24,7 +24,7 @@ from repro.core.config import GenClusConfig
 from repro.core.diagnostics import IterationRecord, RunHistory
 from repro.core.em import run_em
 from repro.core.initialization import select_initial_theta
-from repro.core.kernels import PropagationOperator, resolve_workers
+from repro.core.kernels import PropagationOperator
 from repro.core.objective import g1
 from repro.core.problem import ClusteringProblem, compile_problem
 from repro.core.result import GenClusResult
@@ -147,12 +147,9 @@ class GenClus:
         # per-outer-iteration gamma change rewrites its combined data
         operator = PropagationOperator.wrap(matrices)
         num_relations = matrices.num_relations
-        # blocked multi-core execution: one node-space plan (cached on
-        # the operator) drives inner EM and strength learning; the
-        # attribute models block their own observation spaces.  The
-        # plan never depends on num_workers, so fits are bit-identical
-        # at every worker count.
-        num_workers = resolve_workers(config.num_workers)
+        # blocked execution: one node-space plan (cached on the
+        # operator) drives inner EM and strength learning; the
+        # attribute models block their own observation spaces
         plan = operator.block_plan(config.n_clusters, config.block_size)
         for model in problem.attribute_models:
             model.set_block_rows(config.block_size)
@@ -171,7 +168,6 @@ class GenClus:
             "fit",
             n_clusters=config.n_clusters,
             num_nodes=problem.num_nodes,
-            num_workers=num_workers,
             warm_start=warm_start is not None,
         ) as fit_span:
             with tracer.span("init"):
@@ -238,7 +234,6 @@ class GenClus:
                             tol=config.em_tol,
                             floor=config.theta_floor,
                             track_objective=config.track_em_objective,
-                            num_workers=num_workers,
                             plan=plan,
                             obs=obs,
                         )
@@ -264,7 +259,6 @@ class GenClus:
                                 max_iterations=config.newton_iterations,
                                 tol=config.newton_tol,
                                 floor=config.theta_floor,
-                                num_workers=num_workers,
                                 plan=plan,
                                 obs=obs,
                             )

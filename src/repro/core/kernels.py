@@ -31,25 +31,23 @@ per-relation implementations is asserted to ``rtol=1e-10`` in
    row space into contiguous, cache-sized blocks.  Every hot loop
    (fused propagation, the EM theta update, the attribute models' E+M
    passes, the Eq. 15 gradient/Hessian statistics, serving fold-in
-   sweeps) executes block-by-block: per-row work writes disjoint row
-   slices, and cross-block reductions accumulate **in block order**.
-   Because the plan depends only on the problem shape -- never on the
-   worker count -- running the blocks on a thread pool
-   (:func:`run_blocks`; numpy/scipy kernels release the GIL) produces
-   results bit-identical to the inline ``num_workers=1`` sweep.  Even
-   on one core the blocking pays: a block's buffers stay resident in
+   sweeps) executes block-by-block, inline and in block order
+   (:func:`run_blocks`): per-row work writes disjoint row slices, and
+   cross-block reductions accumulate **in block order**
+   (:func:`ordered_block_sum`).  Determinism therefore rests on one
+   fact: the plan is a pure function of the problem shape, so the same
+   shapes always produce the same blocks and the same reduction order.
+   The blocking pays on one core: a block's buffers stay resident in
    L2 across the many elementwise passes of the Gaussian E-step, where
    the unblocked sweep streamed multi-megabyte arrays from RAM once
-   per pass.  A ``BlockPlan`` is also the unit of future engine
-   sharding: a shard is a pinned subset of blocks.
+   per pass.  A ``BlockPlan`` is also the unit of engine sharding: a
+   shard is a pinned subset of blocks, and shard worker processes are
+   the multi-core path.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from threading import Lock
 
 import numpy as np
 from scipy import sparse
@@ -155,10 +153,9 @@ _MIN_BLOCK_ROWS = 1024
 class BlockPlan:
     """Contiguous row blocks over an index space.
 
-    The plan is a pure function of ``(num_rows, block_rows)`` -- it
-    never looks at the worker count -- so the block decomposition, and
-    with it every block-ordered reduction, is identical whether the
-    blocks run inline or on a pool.  ``block_rows`` defaults to a
+    The plan is a pure function of ``(num_rows, block_rows)``, so the
+    block decomposition, and with it every block-ordered reduction, is
+    fixed by the shapes alone.  ``block_rows`` defaults to a
     cache-sized row count derived from the row width (see
     :meth:`for_shape`).
 
@@ -314,99 +311,34 @@ def plan_for_observations(
     return BlockPlan(num_rows, block_rows)
 
 
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-_POOL_LOCK = Lock()
-
-
-def resolve_workers(num_workers: int | None) -> int:
-    """Clamp a worker request to a sane positive count.
-
-    ``None`` and 0 mean "use the machine": ``os.cpu_count()`` capped at
-    8 (beyond that the memory bus, not the cores, is the limit for
-    these kernels).  Negative counts are rejected.
-    """
-    if num_workers is None or num_workers == 0:
-        return max(1, min(os.cpu_count() or 1, 8))
-    if num_workers < 0:
-        raise ValueError(
-            f"num_workers must be >= 0 (0 = auto), got {num_workers}"
-        )
-    return int(num_workers)
-
-
-def shared_pool(num_workers: int) -> ThreadPoolExecutor:
-    """The process-wide kernel pool of exactly this width.
-
-    Pools are kept per width (a handful at most -- widths are small
-    machine-sized integers), never shut down while live, and shared by
-    every blocked kernel (training, objectives, serving); numpy/scipy
-    inner loops release the GIL, so the threads genuinely overlap on
-    multi-core hosts.  Submitting to a width-exact pool is also what
-    makes ``num_workers`` a real concurrency cap: a 2-worker fit runs
-    2-wide even if an 8-worker engine lives in the same process.
-    """
-    with _POOL_LOCK:
-        pool = _POOLS.get(num_workers)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=num_workers,
-                thread_name_prefix=f"repro-kernel-{num_workers}",
-            )
-            _POOLS[num_workers] = pool
-        return pool
-
-
-def run_bounds(
-    bounds: Sequence[tuple[int, int]],
-    fn,
-    num_workers: int = 1,
-) -> list:
-    """Run ``fn(index, start, stop)`` for every half-open range.
+def run_bounds(bounds: Sequence[tuple[int, int]], fn) -> list:
+    """Run ``fn(index, start, stop)`` for every half-open range, in order.
 
     The range-sequence twin of :func:`run_blocks` for callers whose
     scan is a *clipped* view of a plan (a shard's owned rows, an
     engine's extension tail) rather than the plan itself.  Results come
-    back **in bounds order** regardless of completion order; with
-    ``num_workers <= 1`` (or a single range) everything runs inline.
-    Either way each range executes the same arithmetic on the same row
-    slice, so the outputs are bit-identical.
+    back in bounds order.
     """
-    if num_workers <= 1 or len(bounds) <= 1:
-        return [
-            fn(index, start, stop)
-            for index, (start, stop) in enumerate(bounds)
-        ]
-    pool = shared_pool(min(num_workers, len(bounds)))
-    futures = [
-        pool.submit(fn, index, start, stop)
-        for index, (start, stop) in enumerate(bounds)
+    return [
+        fn(index, start, stop) for index, (start, stop) in enumerate(bounds)
     ]
-    return [future.result() for future in futures]
 
 
-def run_blocks(
-    plan: BlockPlan,
-    fn,
-    num_workers: int = 1,
-) -> list:
+def run_blocks(plan: BlockPlan, fn) -> list:
     """Run ``fn(block_index, start, stop)`` for every block of ``plan``.
 
-    Returns the per-block results **in block order** regardless of
-    completion order -- callers reduce over that list to get
-    deterministic, worker-count-independent sums.  With
-    ``num_workers <= 1`` (or a single block) the blocks run inline;
-    otherwise they are submitted to the shared pool.  Either way each
-    block executes the same arithmetic on the same row slice, so the
-    outputs are bit-identical.
+    Blocks run inline in block order and the per-block results come
+    back in that order; callers reduce over the list with
+    :func:`ordered_block_sum` to get plan-determined sums.
     """
-    return run_bounds(plan.bounds, fn, num_workers)
+    return run_bounds(plan.bounds, fn)
 
 
 def ordered_block_sum(partials: Sequence, out: np.ndarray) -> np.ndarray:
     """Accumulate per-block reduction partials in block order.
 
     The fixed left-to-right order is the determinism contract: the sum
-    depends only on the plan, never on which worker finished first.
+    depends only on the plan, which depends only on the shapes.
     """
     out[...] = 0.0
     for partial in partials:
@@ -698,33 +630,29 @@ class PropagationOperator:
         theta: np.ndarray,
         gamma: np.ndarray,
         out: np.ndarray | None = None,
-        num_workers: int = 1,
         plan: BlockPlan | None = None,
     ) -> np.ndarray:
         """``sum_r gamma_r (W_r @ theta)`` as one fused matmul.
 
         With ``out`` given, the product is written into it (no
         allocation); otherwise a fresh array is returned.  With a
-        ``plan`` (or ``num_workers > 1``), the rows are evaluated in
-        blocks -- each block is an independent row range of the same
-        CSR matvec, so the result is bit-identical to the unblocked
-        product at any worker count.  The gamma rewrite of the shared
-        data buffer happens once, before any block runs.
+        ``plan``, the rows are evaluated in blocks -- each block is an
+        independent row range of the same CSR matvec, so the result is
+        bit-identical to the unblocked product.  The gamma rewrite of
+        the shared data buffer happens once, before any block runs.
         """
         combined = self.combined(gamma)
-        if plan is None and num_workers <= 1:
+        if plan is None:
             if out is None:
                 return combined @ theta
             return csr_matmul(combined, theta, out)
-        if plan is None:
-            plan = self.block_plan(theta.shape[1])
         if out is None:
             out = np.empty((self.shape[0], theta.shape[1]))
 
         def block(_index: int, start: int, stop: int) -> None:
             csr_matmul_rows(combined, theta, out, start, stop)
 
-        run_blocks(plan, block, num_workers)
+        run_blocks(plan, block)
         return out
 
 
@@ -870,9 +798,8 @@ def normalize_update_block(
     ``out[start:stop]`` receives the row-normalized, floored update;
     rows whose update summed to zero (no out-links, no observations)
     keep their previous ``theta`` row.  Dead-row detection is per-row,
-    so blocks are independent: results are bit-identical at any worker
-    count, and training and serving cannot drift apart on these
-    semantics.
+    so blocks are independent of each other, and training and serving
+    cannot drift apart on these semantics.
     """
     update_slice = update[start:stop]
     sums = row_sums[start:stop]

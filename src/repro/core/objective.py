@@ -40,16 +40,10 @@ def g1(
     matrices: RelationMatrices | PropagationOperator,
     models: tuple[AttributeModel, ...] | list[AttributeModel],
     floor: float = 1e-12,
-    num_workers: int = 1,
 ) -> float:
-    """Eq. (9): link consistency at fixed gamma + attribute likelihood.
-
-    ``num_workers`` drives the blocked propagation of the consistency
-    term (see :func:`~repro.core.feature.structural_consistency`); the
-    value is bit-identical at any worker count.
-    """
+    """Eq. (9): link consistency at fixed gamma + attribute likelihood."""
     return structural_consistency(
-        theta, gamma, matrices, floor, num_workers=num_workers
+        theta, gamma, matrices, floor
     ) + attribute_log_likelihood(theta, models)
 
 
@@ -57,18 +51,16 @@ def dirichlet_alphas(
     theta: np.ndarray,
     gamma: np.ndarray,
     matrices: RelationMatrices | PropagationOperator,
-    num_workers: int = 1,
 ) -> np.ndarray:
     """Eq. (15) parameters: ``alpha_ik = sum_e gamma w theta_jk + 1``.
 
     Returns the ``(n, K)`` array of Dirichlet parameters of each object's
     conditional distribution given its out-neighbours, evaluated as one
-    fused combined-matrix product (row-blocked across the kernel pool
-    when ``num_workers > 1``; bit-identical either way).
+    fused combined-matrix product.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     operator = PropagationOperator.wrap(matrices)
-    alphas = operator.propagate(theta, gamma, num_workers=num_workers)
+    alphas = operator.propagate(theta, gamma)
     alphas += 1.0
     return alphas
 

@@ -115,15 +115,13 @@ def compute_statistics(
     theta: np.ndarray,
     matrices: RelationMatrices | PropagationOperator,
     floor: float = 1e-12,
-    num_workers: int = 1,
     plan: BlockPlan | None = None,
 ) -> StrengthStatistics:
     """Precompute S, rowsums and cross-entropy totals for g2'.
 
     Runs block-by-block over the node rows: each block fills its slice
     of every relation's ``S[r]`` / row sums and contributes a
-    cross-entropy partial, reduced in block order -- bit-identical at
-    any ``num_workers``.
+    cross-entropy partial, reduced in block order.
     """
     theta = floor_distribution(theta, floor)
     log_theta = np.empty_like(theta)
@@ -146,7 +144,7 @@ def compute_statistics(
                 "nk,nk->", s[v0:v1], log_theta[v0:v1]
             )
 
-    run_blocks(plan, block, num_workers)
+    run_blocks(plan, block)
     ce_totals = ordered_block_sum(
         ce_partials, np.empty(num_relations)
     )
@@ -214,14 +212,12 @@ def _alphas_into(
     alphas: np.ndarray,
     alpha_sums: np.ndarray,
     ws: "_NewtonWorkspace | None" = None,
-    num_workers: int = 1,
 ) -> None:
     """Eq. 15 field and its row sums, written into caller buffers.
 
     The row sums use ``sum_k alpha_ik = K + rowsums_i . gamma`` instead
     of summing the ``(n, K)`` field -- one ``(n, R)`` matvec.  With a
-    workspace the rows are filled block-by-block (disjoint slices, so
-    worker count cannot change the result).
+    workspace the rows are filled block-by-block (disjoint slices).
     """
     k = alphas.shape[1]
     if ws is None:
@@ -244,7 +240,7 @@ def _alphas_into(
         np.matmul(rowsums[v0:v1], gamma, out=alpha_sums[v0:v1])
         alpha_sums[v0:v1] += float(k)
 
-    run_blocks(ws.plan, block, num_workers)
+    run_blocks(ws.plan, block)
 
 
 def _gradient_into(
@@ -252,7 +248,6 @@ def _gradient_into(
     gamma: np.ndarray,
     sigma: float,
     ws: _NewtonWorkspace,
-    num_workers: int = 1,
 ) -> np.ndarray:
     """Eq. 16 from the current-gamma alpha field in ``ws`` (allocates
     only the ``(R,)`` result; per-block partials reduce in block
@@ -275,7 +270,7 @@ def _gradient_into(
             ws.row[v0:v1], rowsums[v0:v1], out=ws.partial_vec2[index]
         )
 
-    run_blocks(ws.plan, block, num_workers)
+    run_blocks(ws.plan, block)
     num_relations = stats.num_relations
     term1 = ordered_block_sum(ws.partial_vec, np.empty(num_relations))
     term2 = ordered_block_sum(ws.partial_vec2, np.empty(num_relations))
@@ -287,7 +282,6 @@ def _hessian_into(
     gamma: np.ndarray,
     sigma: float,
     ws: _NewtonWorkspace,
-    num_workers: int = 1,
 ) -> np.ndarray:
     """Eq. 17 from the current-gamma alpha field in ``ws`` (allocates
     only the ``(R, R)`` result; per-block partials reduce in block
@@ -320,7 +314,7 @@ def _hessian_into(
             rowsums[v0:v1].T, wrs, out=ws.partial_mat2[index]
         )
 
-    run_blocks(ws.plan, block, num_workers)
+    run_blocks(ws.plan, block)
     shape = (num_relations, num_relations)
     term1 = ordered_block_sum(ws.partial_mat, np.empty(shape))
     term2 = ordered_block_sum(ws.partial_mat2, np.empty(shape))
@@ -334,7 +328,6 @@ def _objective_from_alphas(
     alphas: np.ndarray,
     alpha_sums: np.ndarray,
     ws: _NewtonWorkspace,
-    num_workers: int = 1,
 ) -> float:
     """g2'(gamma) given an already-evaluated Eq. 15 field."""
     field = ws.field
@@ -347,7 +340,7 @@ def _objective_from_alphas(
             field[v0:v1].sum() - row[v0:v1].sum()
         )
 
-    run_blocks(ws.plan, block, num_workers)
+    run_blocks(ws.plan, block)
     log_partition = 0.0
     for partial in ws.partial_scalar:
         log_partition += float(partial)
@@ -405,7 +398,6 @@ def learn_strengths(
     max_iterations: int = 50,
     tol: float = 1e-6,
     floor: float = 1e-12,
-    num_workers: int = 1,
     plan: BlockPlan | None = None,
     obs=None,
 ) -> StrengthOutcome:
@@ -423,12 +415,11 @@ def learn_strengths(
         Prior scale of Eq. 8.
     max_iterations, tol:
         Stop when ``max |gamma_t - gamma_{t-1}| < tol`` or at the cap.
-    num_workers, plan:
-        Blocked-execution controls.  The statistics pass and every
-        Newton kernel (Eq. 15 field, Eq. 16/17 sums, the line-search
-        objective) run over the same node-space :class:`BlockPlan`
-        with block-ordered reductions -- results are bit-identical at
-        any worker count.
+    plan:
+        The node-space :class:`BlockPlan`.  The statistics pass and
+        every Newton kernel (Eq. 15 field, Eq. 16/17 sums, the
+        line-search objective) run over it with block-ordered
+        reductions.
     obs:
         Optional :class:`~repro.obs.Observability`; when recording,
         the call contributes ``repro_newton_iterations_total`` and
@@ -438,9 +429,7 @@ def learn_strengths(
     n, k = theta.shape
     if plan is None:
         plan = _plan_for(matrices, n, k)
-    stats = compute_statistics(
-        theta, matrices, floor, num_workers=num_workers, plan=plan
-    )
+    stats = compute_statistics(theta, matrices, floor, plan=plan)
     gamma = np.clip(np.asarray(gamma0, dtype=np.float64).copy(), 0.0, None)
     if gamma.shape != (matrices.num_relations,):
         raise ValueError(
@@ -448,11 +437,9 @@ def learn_strengths(
             f"got {gamma.shape}"
         )
     ws = _NewtonWorkspace(n, k, stats.num_relations, plan)
-    _alphas_into(
-        stats, gamma, ws.alphas, ws.alpha_sums, ws, num_workers
-    )
+    _alphas_into(stats, gamma, ws.alphas, ws.alpha_sums, ws)
     value = _objective_from_alphas(
-        stats, gamma, sigma, ws.alphas, ws.alpha_sums, ws, num_workers
+        stats, gamma, sigma, ws.alphas, ws.alpha_sums, ws
     )
     converged = False
     used_fallback = False
@@ -461,14 +448,14 @@ def learn_strengths(
         # ws.alphas already holds the Eq. 15 field of the current gamma
         # (from initialization or the accepted line-search candidate);
         # gradient and Hessian share that single evaluation
-        grad = _gradient_into(stats, gamma, sigma, ws, num_workers)
-        hess = _hessian_into(stats, gamma, sigma, ws, num_workers)
+        grad = _gradient_into(stats, gamma, sigma, ws)
+        hess = _hessian_into(stats, gamma, sigma, ws)
         step = _newton_direction(hess, grad)
         if step is None:
             used_fallback = True
             step = grad * (sigma**2)  # scaled gradient ascent direction
         candidate, cand_value, fell_back, improved = _line_search(
-            stats, gamma, step, value, sigma, ws, num_workers
+            stats, gamma, step, value, sigma, ws
         )
         if improved:
             # the candidate buffers hold the accepted gamma's field
@@ -523,7 +510,6 @@ def _line_search(
     current_value: float,
     sigma: float,
     ws: _NewtonWorkspace,
-    num_workers: int = 1,
     max_halvings: int = 30,
 ) -> tuple[np.ndarray, float, bool, bool]:
     """Projected backtracking: halve the step until g2' improves.
@@ -539,13 +525,9 @@ def _line_search(
     scale = 1.0
     for attempt in range(max_halvings):
         candidate = np.clip(gamma + scale * step, 0.0, None)
-        _alphas_into(
-            stats, candidate, ws.cand_alphas, ws.cand_sums,
-            ws, num_workers,
-        )
+        _alphas_into(stats, candidate, ws.cand_alphas, ws.cand_sums, ws)
         value = _objective_from_alphas(
-            stats, candidate, sigma,
-            ws.cand_alphas, ws.cand_sums, ws, num_workers,
+            stats, candidate, sigma, ws.cand_alphas, ws.cand_sums, ws
         )
         if np.isfinite(value) and value >= current_value - 1e-12:
             return candidate, value, attempt > 0, True

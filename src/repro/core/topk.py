@@ -16,13 +16,13 @@ implementation behind both halves of that protocol:
   ``np.argpartition`` (``O(rows)``, not ``O(rows log rows)``), and the
   per-block shortlists merge under a total order.
 
-**Determinism contract** (extends the PR-4 worker contract and the
-PR-5 shard contract): ranking order is ``(score desc, row index
-asc)`` everywhere.  The block decomposition is a pure function of the
+**Determinism contract** (extends the block-plan and shard
+contracts): ranking order is ``(score desc, row index asc)``
+everywhere.  The block decomposition is a pure function of the
 problem shape, per-block selection breaks score ties by ascending row
 index, and every cross-block (and cross-shard) merge re-sorts by the
-same total order -- so top-k lists are bit-identical at every worker
-count and every shard count, and equal to the offline reference
+same total order -- so top-k lists are bit-identical at every block
+size and every shard count, and equal to the offline reference
 ranking ``np.argsort(-scores, kind="stable")``.
 
 Three metrics, named as in the paper's tables (``cosine`` /
@@ -252,7 +252,6 @@ def topk_bounds(
     k: int,
     bounds: Sequence[tuple[int, int]],
     pre: dict[str, np.ndarray],
-    num_workers: int = 1,
     masks: Sequence[np.ndarray | None] | None = None,
     exclude: Sequence[np.ndarray | None] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -260,7 +259,7 @@ def topk_bounds(
 
     ``bounds`` is the ascending list of half-open row ranges to scan
     (a :class:`~repro.core.kernels.BlockPlan`'s blocks, clipped to the
-    rows a caller owns); blocks run on the shared kernel pool via
+    rows a caller owns); blocks run in order via
     :func:`~repro.core.kernels.run_bounds` and reduce in bounds order.
     ``masks`` holds one optional boolean candidate mask per query over
     the *full* row space (share one array across queries of the same
@@ -298,7 +297,7 @@ def topk_bounds(
                     scores[position, rows[lo:hi] - start] = -np.inf
         return block_topk(scores, k, start=start)
 
-    per_block = run_bounds(bounds, scan, num_workers)
+    per_block = run_bounds(bounds, scan)
     merged = []
     for position in range(_num_queries(prepared)):
         parts = [block[position] for block in per_block]

@@ -34,6 +34,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.state import ModelState
 
 
+def check_block_size(block_size: int | None) -> None:
+    """Reject a row-block override below one row.
+
+    The one check behind every serving entry point that takes a
+    ``block_size`` (both engines and the ``shard-plan`` CLI), so a bad
+    value surfaces as a :class:`~repro.exceptions.ServingError`
+    instead of a raw ``ValueError`` from :class:`BlockPlan`.
+    """
+    if block_size is not None and block_size < 1:
+        raise ServingError(
+            f"block_size must be >= 1 when set, got {block_size}"
+        )
+
+
 @dataclass(frozen=True)
 class ShardPlan:
     """Contiguous block ranges assigning a row space to shards.
@@ -83,7 +97,7 @@ class ShardPlan:
             raise ServingError(
                 f"n_shards must be >= 1, got {n_shards}"
             )
-
+        check_block_size(block_size)
         plan = state.block_plan(block_size)
         if block_size is None and plan.num_blocks < n_shards:
             refined = max(1, state.num_nodes // (4 * n_shards))

@@ -29,8 +29,8 @@ The driver talks to any engine exposing ``info()`` and ``promote()``
 :class:`~repro.serving.router.ShardedEngine` (whose promote refits the
 whole cluster and rebalances the shard plan).  ``tick()`` runs the
 check-and-maybe-retrain step; with ``background=True`` the refit runs
-on the shared PR-4 kernel pool (width 1: refits serialize) and
-``join()`` collects it.  Background mode assumes the caller pauses
+on a driver-owned thread (refits serialize) and ``join()`` collects
+it and stops the thread.  Background mode assumes the caller pauses
 writes while a refit is in flight -- engines are not internally
 locked; the driver refuses to start a second refit before the first
 is joined.
@@ -38,11 +38,11 @@ is joined.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core.config import GenClusConfig
-from repro.core.kernels import shared_pool
 from repro.exceptions import ServingError
 from repro.obs.observability import Observability
 from repro.serving.telemetry import ServingMetrics
@@ -166,7 +166,7 @@ class RetrainDriver:
         Optional refit :class:`~repro.core.config.GenClusConfig`
         passed through to ``promote()``.
     background:
-        Run refits on the shared kernel pool instead of inline;
+        Run refits on a driver-owned thread instead of inline;
         ``tick()`` then returns a future and :meth:`join` collects the
         finished :class:`RetrainRound`.
     """
@@ -193,6 +193,7 @@ class RetrainDriver:
         self._metrics = ServingMetrics(obs.metrics)
         self._queries_at_promote = self._queries_served(engine.info())
         self._pending = None
+        self._executor: ThreadPoolExecutor | None = None
         self._consecutive_failures = 0
         self.rounds: list[RetrainRound] = []
 
@@ -244,7 +245,7 @@ class RetrainDriver:
 
         Inline mode returns the finished :class:`RetrainRound` (or
         ``None`` when nothing tripped).  Background mode submits the
-        refit to the shared kernel pool and returns its future;
+        refit to the driver's own thread and returns its future;
         further ticks are no-ops until :meth:`join`.
         """
         if self._pending is not None:
@@ -253,20 +254,24 @@ class RetrainDriver:
         if trigger is None:
             return None
         if self._background:
-            self._pending = shared_pool(1).submit(
-                self._retrain, trigger
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-retrain"
             )
+            self._pending = self._executor.submit(self._retrain, trigger)
             return self._pending
         return self._retrain(trigger)
 
     def join(self) -> RetrainRound | None:
-        """Wait for a background refit and return its round."""
+        """Wait for a background refit, stop its thread, and return
+        its round."""
         if self._pending is None:
             return None
         try:
             return self._pending.result()
         finally:
             self._pending = None
+            self._executor.shutdown(wait=True)
+            self._executor = None
 
     # ------------------------------------------------------------------
     def _retrain(self, trigger: tuple[str, int | None]) -> RetrainRound:

@@ -45,13 +45,13 @@ import numpy as np
 from repro.core import topk
 from repro.core.config import GenClusConfig
 from repro.core.genclus import GenClus
-from repro.core.kernels import resolve_workers
 from repro.core.result import GenClusResult
 from repro.core.state import ModelState
 from repro.exceptions import ServingError
 from repro.faults import resolve_faults
 from repro.obs.observability import Observability
 from repro.serving.artifact import SCHEMA_VERSION, ModelArtifact
+from repro.serving.cluster import check_block_size
 from repro.serving.foldin import (
     FoldInOutcome,
     NewNode,
@@ -106,7 +106,6 @@ def select_lru_victims(
 def promote_state(
     state: ModelState,
     config: GenClusConfig | None = None,
-    num_workers: int = 1,
     block_size: int | None = None,
     obs=None,
     faults=None,
@@ -145,9 +144,7 @@ def promote_state(
         )
     if config is None:
         config = GenClusConfig(
-            n_clusters=state.n_clusters,
-            num_workers=num_workers,
-            block_size=block_size,
+            n_clusters=state.n_clusters, block_size=block_size
         )
     elif config.n_clusters != state.n_clusters:
         raise ServingError(
@@ -229,13 +226,11 @@ class InferenceEngine:
         Maximum memoized transient queries (0 disables the cache).
     max_iterations, tol:
         Fold-in fixed-point controls, applied to every scoring path.
-    num_workers:
-        Width of the blocked-kernel pool used by every fold-in sweep
-        and (by default) by :meth:`promote` refits.  ``1`` = inline,
-        ``0`` = auto-size to the machine.  Scores are bit-identical at
-        any width.
     block_size:
-        Row-block override for the blocked sweeps (``None`` = auto).
+        Row-block override for the blocked sweeps of every fold-in
+        and (by default) of :meth:`promote` refits (``None`` = auto).
+        Blocks run inline in block order; transient scores do not
+        depend on the block size.
     shard_id, shard_count:
         The engine's position in a serving cluster (reported through
         :meth:`info`; a standalone engine is shard ``0`` of ``1``).
@@ -260,7 +255,6 @@ class InferenceEngine:
         cache_size: int = 1024,
         max_iterations: int = 100,
         tol: float = 1e-6,
-        num_workers: int = 1,
         block_size: int | None = None,
         shard_id: int = 0,
         shard_count: int = 1,
@@ -273,7 +267,6 @@ class InferenceEngine:
             cache_size=cache_size,
             max_iterations=max_iterations,
             tol=tol,
-            num_workers=num_workers,
             block_size=block_size,
             shard_id=shard_id,
             shard_count=shard_count,
@@ -288,7 +281,6 @@ class InferenceEngine:
         cache_size: int,
         max_iterations: int,
         tol: float,
-        num_workers: int,
         block_size: int | None,
         shard_id: int,
         shard_count: int,
@@ -303,14 +295,7 @@ class InferenceEngine:
             raise ServingError(
                 f"max_iterations must be >= 1, got {max_iterations}"
             )
-        if num_workers < 0:
-            raise ServingError(
-                f"num_workers must be >= 0 (0 = auto), got {num_workers}"
-            )
-        if block_size is not None and block_size < 1:
-            raise ServingError(
-                f"block_size must be >= 1 when set, got {block_size}"
-            )
+        check_block_size(block_size)
         if shard_count < 1:
             raise ServingError(
                 f"shard_count must be >= 1, got {shard_count}"
@@ -320,7 +305,6 @@ class InferenceEngine:
                 f"shard_id must lie in 0..{shard_count - 1}, "
                 f"got {shard_id}"
             )
-        self._num_workers = num_workers
         self._block_size = block_size
         self._shard_id = shard_id
         self._shard_count = shard_count
@@ -376,7 +360,6 @@ class InferenceEngine:
         cache_size: int = 1024,
         max_iterations: int = 100,
         tol: float = 1e-6,
-        num_workers: int = 1,
         block_size: int | None = None,
         shard_id: int = 0,
         shard_count: int = 1,
@@ -399,7 +382,6 @@ class InferenceEngine:
             cache_size=cache_size,
             max_iterations=max_iterations,
             tol=tol,
-            num_workers=num_workers,
             block_size=block_size,
             shard_id=shard_id,
             shard_count=shard_count,
@@ -557,14 +539,12 @@ class InferenceEngine:
                 for name, params in self._model.attribute_params.items()
             },
             "execution": {
-                # the blocked-kernel shape scores run with: pool width
-                # (after auto-resolution), the block-size override, and
-                # the served index space's block decomposition -- plus
-                # the engine's position in a serving cluster (a
-                # standalone engine is shard 0 of 1), so cluster and
-                # singleton telemetry share one schema
-                "num_workers": self._num_workers,
-                "pool_width": resolve_workers(self._num_workers),
+                # the blocked-kernel shape scores run with: the
+                # block-size override and the served index space's
+                # block decomposition -- plus the engine's position in
+                # a serving cluster (a standalone engine is shard 0 of
+                # 1), so cluster and singleton telemetry share one
+                # schema
                 "block_size": self._block_size,
                 "shard_id": self._shard_id,
                 "shard_count": self._shard_count,
@@ -589,7 +569,6 @@ class InferenceEngine:
             nodes,
             max_iterations=self._max_iterations,
             tol=self._tol,
-            num_workers=self._num_workers,
             block_size=self._block_size,
             obs=self.obs,
         )
@@ -671,7 +650,6 @@ class InferenceEngine:
             specs,
             max_iterations=self._max_iterations,
             tol=self._tol,
-            num_workers=self._num_workers,
             block_size=self._block_size,
             obs=self.obs,
         )
@@ -815,8 +793,7 @@ class InferenceEngine:
                 result, promoted = promote_state(
                     self._state,
                     config,
-                    num_workers=self._num_workers,
-                    block_size=self._block_size,
+                            block_size=self._block_size,
                     obs=self.obs,
                     faults=self._faults,
                 )
@@ -948,8 +925,7 @@ class InferenceEngine:
                 tuple(rows),
                 max_iterations=self._max_iterations,
                 tol=self._tol,
-                num_workers=self._num_workers,
-                block_size=self._block_size,
+                    block_size=self._block_size,
                 obs=self.obs,
             )
             self._metrics.foldin_sweeps.inc(outcome.iterations)
@@ -989,7 +965,7 @@ class InferenceEngine:
         ``object_type`` when given), excluding the query itself.
         Returns ``[(node_id, score), ...]`` in ranking order under the
         deterministic total order (score desc, then global node index
-        asc) -- bit-identical at every worker and shard count, and
+        asc) -- bit-identical at every block size and shard count, and
         equal to the offline :func:`repro.eval.linkpred.reference_ranking`.
         """
         return self.similar_many(
@@ -1100,8 +1076,7 @@ class InferenceEngine:
         vector; both prepartions are bit-identical).  Scan blocks come
         from the state's canonical
         :meth:`~repro.core.state.ModelState.block_plan` clipped to the
-        owned ranges and run on the shared kernel pool; results are
-        bit-identical at every worker count.
+        owned ranges and run in block order.
         """
         if k < 1:
             raise ServingError(f"k must be >= 1, got {k}")
@@ -1168,7 +1143,6 @@ class InferenceEngine:
             k,
             bounds,
             pre,
-            num_workers=self._num_workers,
             masks=masks,
             exclude=exclude,
         )

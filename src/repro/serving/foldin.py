@@ -68,7 +68,6 @@ from repro.core.kernels import (
     EMWorkspace,
     csr_matmul_rows,
     normalize_update_block,
-    resolve_workers,
     row_max,
     run_blocks,
 )
@@ -1285,7 +1284,6 @@ def fold_in(
     max_iterations: int = 100,
     tol: float = 1e-6,
     floor: float = 1e-12,
-    num_workers: int = 1,
     block_size: int | None = None,
     obs=None,
 ) -> FoldInOutcome:
@@ -1305,11 +1303,11 @@ def fold_in(
     double-counts.  Timing reads clocks only -- memberships are
     bit-identical with or without it.
 
-    The fixed-point sweeps run block-by-block over the batch rows
-    (``block_size`` rows per block, cache-sized by default): the
-    propagation and normalization stages write disjoint row slices, so
-    results are bit-identical at any ``num_workers``.  Small batches
-    fit one block and behave exactly like the serial sweep.
+    The fixed-point sweeps run block-by-block, in block order, over the
+    batch rows (``block_size`` rows per block, cache-sized by default):
+    the propagation and normalization stages write disjoint row slices,
+    so the memberships do not depend on ``block_size``.  Small batches
+    fit one block.
 
     **Convergence is per row.**  After each sweep the rows that moved
     at least ``tol`` are the *moving* set; every row that can reach a
@@ -1362,7 +1360,6 @@ def fold_in(
         max_iterations=max_iterations,
         tol=tol,
         floor=floor,
-        num_workers=num_workers,
         block_size=block_size,
         obs=obs,
         call_start=call_start,
@@ -1376,7 +1373,6 @@ def fold_bound(
     max_iterations: int = 100,
     tol: float = 1e-6,
     floor: float = 1e-12,
-    num_workers: int = 1,
     block_size: int | None = None,
     obs=None,
     call_start: float | None = None,
@@ -1437,7 +1433,6 @@ def fold_bound(
             sources, relation, column, weight, model.gamma, (m, n)
         )
         combined = None
-    num_workers = resolve_workers(num_workers)
     plan = (
         BlockPlan(m, block_size)
         if block_size is not None
@@ -1448,7 +1443,7 @@ def fold_bound(
     def base_block(_index: int, start: int, stop: int) -> None:
         csr_matmul_rows(base, model.theta, constant, start, stop)
 
-    run_blocks(plan, base_block, num_workers)
+    run_blocks(plan, base_block)
 
     text_obs, oov_terms = _group_text(model, bound)
     numeric_obs = _group_numeric(model, bound)
@@ -1497,7 +1492,7 @@ def fold_bound(
             csr_matmul_rows(combined, theta, update, start, stop)
             update[start:stop] += constant[start:stop]
 
-        run_blocks(plan, propagate_block, num_workers)
+        run_blocks(plan, propagate_block)
         for rows, pattern, beta in text_obs:
             if block_live is None or active[rows].any():
                 update[rows] += categorical_theta_term(
@@ -1520,7 +1515,7 @@ def fold_bound(
                 update, theta, spare, row_sums, floor, start, stop
             )
 
-        run_blocks(plan, normalize_block, num_workers)
+        run_blocks(plan, normalize_block)
         theta_next = spare
         if not active.all():
             # frozen rows keep their converged value verbatim: the

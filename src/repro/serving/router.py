@@ -13,8 +13,8 @@ per shard); and the router fans the engine API out:
   cache-affinity shard -- and ``score_many`` / ``assign_many``
   scatter-gather: the batch is deduplicated cluster-wide, split into
   per-shard blocked fold-in sub-batches (run concurrently on the
-  router's scatter pool when it has width), and gathered back in
-  input order.
+  router's scatter pool when more than one shard is active), and
+  gathered back in input order.
 * ``extend`` routes a whole batch to one owning shard (linked
   extensions must colocate -- a shard re-folds its own component
   without reading its peers); ``add_links`` splits a delta by each
@@ -26,7 +26,7 @@ per shard); and the router fans the engine API out:
   the base, refit warm-started exactly as a single engine would, and
   the promoted model is re-partitioned under a **rebalanced** plan.
 
-**The determinism contract mirrors PR 4's worker-count contract**:
+**The determinism contract extends the block-plan contract**:
 because fold-in converges per row (rows freeze with their component;
 see :func:`~repro.serving.foldin.fold_in`), every shard shares the
 frozen base bit-for-bit, and a cluster promote replays the exact
@@ -69,13 +69,12 @@ from typing import Any
 import numpy as np
 
 from repro.core.config import GenClusConfig
-from repro.core.kernels import resolve_workers
 from repro.core.state import ModelState
 from repro.exceptions import ServingError
 from repro.faults import resolve_faults
 from repro.obs.observability import Observability
 from repro.serving.artifact import ModelArtifact
-from repro.serving.cluster import ShardPlan
+from repro.serving.cluster import ShardPlan, check_block_size
 from repro.serving.engine import (
     _resolve_metric,
     promote_state,
@@ -133,17 +132,6 @@ class ShardedEngine:
         ``shard-plan`` CLI and reviewed by an operator).
     cache_size, max_iterations, tol:
         Per-shard engine controls, as on :class:`InferenceEngine`.
-    num_workers:
-        Width of the cross-shard scatter for ``score_many`` (``0`` =
-        auto-size to the machine): per-shard sub-batches run
-        concurrently on the router's dedicated scatter pool (disjoint
-        from the width-keyed kernel pools the shards' own blocked
-        sweeps use), since the fold-in kernels release the GIL.
-        Routing and results are identical at any width.
-    shard_workers:
-        Blocked-kernel pool width *inside* each shard engine (default
-        1: cluster parallelism comes from the scatter, not from
-        nesting pools).
     block_size:
         Row-block override shared by the shard plan, every shard's
         fold-in sweeps, and cluster promotes.  Use the same value on a
@@ -181,6 +169,12 @@ class ShardedEngine:
         (one worker process per shard; :meth:`load` builds one from
         ``transport="process"``).  Answers are bit-identical across
         backends.
+
+    Scatter calls (``score_many``, the similarity scans) reach their
+    shards concurrently on one router-owned thread pool sized to the
+    shard count, so process shards overlap their RPCs; each shard runs
+    its own blocked kernels inline.  Results are gathered in shard
+    order, so routing and answers do not depend on completion order.
     """
 
     def __init__(
@@ -191,8 +185,6 @@ class ShardedEngine:
         cache_size: int = 1024,
         max_iterations: int = 100,
         tol: float = 1e-6,
-        num_workers: int = 0,
-        shard_workers: int = 1,
         block_size: int | None = None,
         obs: Observability | None = None,
         supervision: SupervisionPolicy | None = None,
@@ -203,10 +195,7 @@ class ShardedEngine:
             raise ServingError(
                 "pass exactly one of n_shards or plan"
             )
-        if num_workers < 0:
-            raise ServingError(
-                f"num_workers must be >= 0 (0 = auto), got {num_workers}"
-            )
+        check_block_size(block_size)
         if plan is None:
             plan = ShardPlan.from_state(state, n_shards, block_size)
         elif plan.num_rows != state.num_nodes:
@@ -220,8 +209,6 @@ class ShardedEngine:
         self._cache_size = cache_size
         self._max_iterations = max_iterations
         self._tol = tol
-        self._num_workers = num_workers
-        self._shard_workers = shard_workers
         self._block_size = block_size
         # faults and the transport must exist before the first
         # _build_shards: process-backed handles traverse the injector's
@@ -254,17 +241,10 @@ class ShardedEngine:
             )
 
     def _scatter_pool(self) -> ThreadPoolExecutor:
-        """The router's own scatter pool, **distinct** from the
-        width-keyed kernel pools: a shard sub-batch running on
-        ``shared_pool(w)`` whose nested blocked fold-in also submits to
-        ``shared_pool(w)`` would wait on workers it is itself
-        occupying -- a permanent deadlock whenever ``shard_workers``
-        resolves to the scatter width.  A dedicated pool keeps the two
-        nesting levels on disjoint worker sets at any configuration.
-        """
+        """The router's scatter pool, one thread per shard."""
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
-                max_workers=resolve_workers(self._num_workers),
+                max_workers=self.n_shards,
                 thread_name_prefix="repro-router-scatter",
             )
         return self._pool
@@ -276,7 +256,6 @@ class ShardedEngine:
             "cache_size": self._cache_size,
             "max_iterations": self._max_iterations,
             "tol": self._tol,
-            "num_workers": self._shard_workers,
             "block_size": self._block_size,
         }
 
@@ -568,7 +547,7 @@ class ShardedEngine:
         (duplicates fold once, on one shard), routed -- owner shard
         for extension-linked queries, cache-affinity shard otherwise
         -- and the per-shard sub-batches run as blocked fold-in
-        batches, concurrently when the router has pool width.  Per-row
+        batches, concurrently when several shards are active.  Per-row
         convergence makes the gathered scores bit-identical to the
         single-engine batch (and to one-at-a-time queries).
 
@@ -612,14 +591,13 @@ class ShardedEngine:
         }
         gathered: dict[int, list[np.ndarray]] = {}
         failures: dict[int, ShardFailure] = {}
-        width = min(resolve_workers(self._num_workers), len(active))
         batch_start = time.perf_counter()
         with self.obs.span(
             "score_many",
             queries=len(batch),
             active_shards=len(active),
         ) as batch_span:
-            if width > 1:
+            if len(active) > 1:
                 pool = self._scatter_pool()
                 futures = {
                     shard: pool.submit(
@@ -821,10 +799,7 @@ class ShardedEngine:
                     base_range=self._plan.rows_of(shard),
                 )
 
-            width = min(
-                resolve_workers(self._num_workers), self.n_shards
-            )
-            if width > 1:
+            if self.n_shards > 1:
                 pool = self._scatter_pool()
                 futures = [
                     pool.submit(scan, shard)
@@ -887,7 +862,7 @@ class ShardedEngine:
     ) -> list[np.ndarray]:
         """One shard's sub-batch, timed and traced.
 
-        Runs on a scatter-pool thread when the router has width, so
+        Runs on a scatter-pool thread when several shards are active, so
         the ``shard[i].foldin`` span must name its ``parent``
         explicitly -- the batch span lives on the caller's thread-local
         stack, not this one's.
@@ -1206,7 +1181,6 @@ class ShardedEngine:
                 result, promoted = promote_state(
                     reference,
                     config,
-                    num_workers=self._shard_workers,
                     block_size=self._block_size,
                     obs=self.obs,
                     faults=self._faults,
@@ -1385,8 +1359,6 @@ class ShardedEngine:
             "relations": self.strengths(),
             "attributes": first["attributes"],
             "execution": {
-                "num_workers": self._num_workers,
-                "pool_width": resolve_workers(self._num_workers),
                 "block_size": self._block_size,
                 # the router is the whole cluster, not one shard
                 "shard_id": None,

@@ -34,7 +34,7 @@ class TestGenClusConfig:
             {"n_clusters": 4, "em_tol": -1.0},
             {"n_clusters": 4, "newton_tol": -1.0},
             {"n_clusters": 4, "gamma_tol": -1.0},
-            {"n_clusters": 4, "num_workers": -1},
+            {"n_clusters": 4, "variance_floor": -1.0},
             {"n_clusters": 4, "block_size": 0},
             {"n_clusters": 4, "block_size": -5},
         ],
@@ -49,8 +49,9 @@ class TestGenClusConfig:
 
     def test_blocked_execution_knobs(self):
         config = GenClusConfig(n_clusters=4)
-        assert config.num_workers == 1  # serial reference by default
-        assert config.block_size is None
-        auto = GenClusConfig(n_clusters=4, num_workers=0, block_size=4096)
-        assert auto.num_workers == 0  # 0 = auto-size to the machine
-        assert auto.block_size == 4096
+        assert config.block_size is None  # cache-sized by default
+        sized = GenClusConfig(n_clusters=4, block_size=4096)
+        assert sized.block_size == 4096
+        # the block size is the only execution knob
+        with pytest.raises(TypeError):
+            GenClusConfig(n_clusters=4, num_workers=2)

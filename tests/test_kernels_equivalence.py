@@ -688,9 +688,6 @@ class TestStrengthEquivalence:
         assert outcome.objective == pytest.approx(value, rel=1e-10)
 
 
-WORKER_COUNTS = (1, 2, 7)
-
-
 class TestBlockPlan:
     def test_blocks_cover_rows_exactly(self):
         plan = BlockPlan(100, 32)
@@ -711,7 +708,7 @@ class TestBlockPlan:
     def test_zero_rows(self):
         plan = BlockPlan(0, 16)
         assert plan.num_blocks == 0
-        assert run_blocks(plan, lambda i, a, b: 1, num_workers=3) == []
+        assert run_blocks(plan, lambda i, a, b: 1) == []
 
     def test_grown_preserves_existing_bounds(self):
         plan = BlockPlan(70, 32)  # blocks 0-32, 32-64, 64-70
@@ -728,14 +725,18 @@ class TestBlockPlan:
         assert dense.block_rows < sparse_plan.block_rows
 
     def test_run_blocks_order_and_pool(self):
+        # blocks run inline, in block order, and report in that order
         plan = BlockPlan(10, 3)
-        for workers in (1, 4):
-            results = run_blocks(
-                plan, lambda i, a, b: (i, a, b), num_workers=workers
-            )
-            assert results == [
-                (0, 0, 3), (1, 3, 6), (2, 6, 9), (3, 9, 10)
-            ]
+        seen = []
+
+        def block(i, a, b):
+            seen.append(i)
+            return (i, a, b)
+
+        assert run_blocks(plan, block) == [
+            (0, 0, 3), (1, 3, 6), (2, 6, 9), (3, 9, 10)
+        ]
+        assert seen == [0, 1, 2, 3]
 
     def test_ordered_block_sum(self):
         parts = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
@@ -770,38 +771,32 @@ def _fresh_problem(seed, block_rows=None, **kwargs):
 
 
 class TestBlockedParallelEquivalence:
-    """The determinism contract: the blocked kernels must be
-    **bit-identical** across worker counts {1, 2, 7} -- same plan, same
-    block-ordered reductions, only the scheduling differs."""
+    """The determinism contract: blocked kernels depend only on the
+    plan, and the node-space plan never changes a result -- per-row
+    stages write disjoint row slices, and block-ordered reductions
+    are grouped by the attribute models' own plans."""
 
     BLOCK = 7  # tiny forced block size: ~6 blocks on a 40-node net
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_propagate_bit_identical_across_workers(self, seed):
+    def test_blocked_propagate_equals_unblocked(self, seed):
         rng = np.random.default_rng(seed)
         n, k = 60, 4
         mats = random_matrices(rng, n, 3)
         theta = rng.dirichlet(np.ones(k), size=n)
         gamma = rng.random(3) * 2
         operator = PropagationOperator(mats)
-        plan = BlockPlan(n, self.BLOCK)
-        outputs = []
-        for workers in WORKER_COUNTS:
-            out = np.empty((n, k))
-            operator.propagate(
-                theta, gamma, out=out, num_workers=workers, plan=plan
-            )
-            outputs.append(out)
-        for other in outputs[1:]:
-            np.testing.assert_array_equal(outputs[0], other)
-        # and the blocked path equals the unblocked serial matmul
+        out = np.empty((n, k))
+        operator.propagate(
+            theta, gamma, out=out, plan=BlockPlan(n, self.BLOCK)
+        )
         np.testing.assert_array_equal(
-            outputs[0], operator.combined(gamma) @ theta
+            out, operator.combined(gamma) @ theta
         )
 
     def test_grown_operator_blocked_propagate(self):
         """The patched operator's grown plan + blocked propagate must
-        equal a fresh rebuild at every worker count."""
+        equal a fresh rebuild."""
         from repro.hin.views import (
             RelationMatrices,
             append_relation_rows,
@@ -837,17 +832,9 @@ class TestBlockedParallelEquivalence:
         theta = rng.dirichlet(np.ones(k), size=n + m)
         gamma = rng.random(2) * 2
         reference = rebuilt.operator.combined(gamma) @ theta
-        outputs = []
-        for workers in WORKER_COUNTS:
-            out = np.empty((n + m, k))
-            patched.operator.propagate(
-                theta, gamma, out=out,
-                num_workers=workers, plan=grown_plan,
-            )
-            outputs.append(out)
-        for other in outputs[1:]:
-            np.testing.assert_array_equal(outputs[0], other)
-        np.testing.assert_array_equal(outputs[0], reference)
+        out = np.empty((n + m, k))
+        patched.operator.propagate(theta, gamma, out=out, plan=grown_plan)
+        np.testing.assert_array_equal(out, reference)
 
     @pytest.mark.parametrize(
         "seed,kwargs",
@@ -858,9 +845,9 @@ class TestBlockedParallelEquivalence:
             (3, dict(links=False)),
         ],
     )
-    def test_em_update_bit_identical_across_workers(self, seed, kwargs):
+    def test_em_update_identical_with_and_without_plan(self, seed, kwargs):
         results = []
-        for workers in WORKER_COUNTS:
+        for forced in (True, False):
             problem = _fresh_problem(
                 40 + seed, block_rows=self.BLOCK, **kwargs
             )
@@ -870,8 +857,10 @@ class TestBlockedParallelEquivalence:
             )
             gamma = rng.random(problem.num_relations) * 2
             operator = PropagationOperator.wrap(problem.matrices)
-            plan = operator.block_plan(
-                problem.n_clusters, self.BLOCK
+            plan = (
+                BlockPlan(problem.num_nodes, self.BLOCK)
+                if forced
+                else None
             )
             workspace = EMWorkspace(
                 problem.num_nodes, problem.n_clusters
@@ -881,8 +870,7 @@ class TestBlockedParallelEquivalence:
                 out = em_update(
                     theta, gamma, operator,
                     problem.attribute_models,
-                    out=out, workspace=workspace,
-                    num_workers=workers, plan=plan,
+                    out=out, workspace=workspace, plan=plan,
                 )
                 theta, out = out.copy(), out
             params = []
@@ -893,145 +881,37 @@ class TestBlockedParallelEquivalence:
                     params.append(model.means.copy())
                     params.append(model.variances.copy())
             results.append((theta, params))
-        for theta_other, params_other in results[1:]:
-            np.testing.assert_array_equal(results[0][0], theta_other)
-            for a, b in zip(results[0][1], params_other):
-                np.testing.assert_array_equal(a, b)
-
-    def test_learn_strengths_bit_identical_across_workers(self):
-        outcomes = []
-        for workers in WORKER_COUNTS:
-            problem = _fresh_problem(60, block_rows=self.BLOCK)
-            rng = np.random.default_rng(5)
-            theta = random_theta(
-                rng, problem.num_nodes, problem.n_clusters
-            )
-            plan = BlockPlan(problem.num_nodes, self.BLOCK)
-            outcomes.append(
-                learn_strengths(
-                    theta,
-                    problem.matrices,
-                    np.ones(problem.num_relations),
-                    sigma=0.5,
-                    max_iterations=25,
-                    num_workers=workers,
-                    plan=plan,
-                )
-            )
-        for other in outcomes[1:]:
-            np.testing.assert_array_equal(
-                outcomes[0].gamma, other.gamma
-            )
-            assert outcomes[0].objective == other.objective
-            assert outcomes[0].iterations == other.iterations
-
-    def test_foldin_sweep_bit_identical_across_workers(self):
-        """A serving fold-in sweep (links + attributes) at worker
-        counts {1, 2, 7} with a forced multi-block batch."""
-        from repro.datagen.toy import political_forum_network
-        from repro.serving import ModelArtifact, NewNode, fold_in
-        from repro.serving.foldin import FrozenModel
-
-        net = political_forum_network()
-        result = GenClus(
-            GenClusConfig(
-                n_clusters=2, outer_iterations=2, seed=1, n_init=2
-            )
-        ).fit(net, attributes=["text"])
-        model = FrozenModel.from_artifact(
-            ModelArtifact.from_result(result)
-        )
-        rng = np.random.default_rng(0)
-        users = [
-            node for node in net.node_ids
-            if net.type_of(node) == "user"
-        ]
-        vocabulary = model.attribute_params["text"]["vocabulary"]
-        batch = []
-        for i in range(12):
-            targets = rng.choice(len(users), size=2, replace=False)
-            batch.append(
-                NewNode(
-                    f"q{i}",
-                    "user",
-                    links=tuple(
-                        ("friend", users[int(t)], 1.0)
-                        for t in targets
-                    ),
-                    text={"text": list(vocabulary[:2])},
-                )
-            )
-        outcomes = [
-            fold_in(
-                model, batch, num_workers=workers, block_size=5
-            )
-            for workers in WORKER_COUNTS
-        ]
-        for other in outcomes[1:]:
-            np.testing.assert_array_equal(
-                outcomes[0].theta, other.theta
-            )
-            assert outcomes[0].iterations == other.iterations
-
-    def test_full_fit_parallel_matches_serial(self):
-        """Algorithm 1 end to end at num_workers=4: theta, gamma, and
-        hard assignments must equal the serial fit exactly."""
-        net = political_forum_network()
-        serial = GenClus(
-            GenClusConfig(
-                n_clusters=2, outer_iterations=5, seed=1, n_init=3,
-                num_workers=1, block_size=9,
-            )
-        ).fit(net, attributes=["text"])
-        parallel = GenClus(
-            GenClusConfig(
-                n_clusters=2, outer_iterations=5, seed=1, n_init=3,
-                num_workers=4, block_size=9,
-            )
-        ).fit(net, attributes=["text"])
-        np.testing.assert_array_equal(serial.theta, parallel.theta)
-        np.testing.assert_array_equal(serial.gamma, parallel.gamma)
-        np.testing.assert_array_equal(
-            serial.hard_labels(), parallel.hard_labels()
-        )
-        # and the parallel fit still recovers the reference camps
-        truth = political_forum_truth(net)
-        truth_array = np.array(
-            [truth[node] for node in net.node_ids]
-        )
-        labels = parallel.hard_labels()
-        agreement = max(
-            float(np.mean(labels == truth_array)),
-            float(np.mean(labels == 1 - truth_array)),
-        )
-        assert agreement == 1.0
+        (theta_forced, params_forced), (theta_auto, params_auto) = results
+        np.testing.assert_array_equal(theta_forced, theta_auto)
+        for a, b in zip(params_forced, params_auto):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestObservabilityBitIdentity:
     """The repro.obs determinism contract: observability reads clocks
     and never influences execution, so a fit with tracing fully on is
-    **bit-identical** to the uninstrumented fit at every worker
-    count."""
+    **bit-identical** to the uninstrumented fit at every block
+    size."""
 
     @staticmethod
-    def _fit(workers, obs=None):
+    def _fit(block_size, obs=None):
         from repro.obs import Observability  # noqa: F401 (doc link)
 
         net = political_forum_network()
         config = GenClusConfig(
             n_clusters=2, outer_iterations=4, seed=1, n_init=2,
-            num_workers=workers, block_size=9,
+            block_size=block_size,
         )
         return GenClus(config).fit(net, attributes=["text"], obs=obs)
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_fit_bit_identical_tracing_on_off(self, workers):
+    @pytest.mark.parametrize("block_size", [1, 4])
+    def test_fit_bit_identical_tracing_on_off(self, block_size):
         from repro.obs import Observability
 
-        plain = self._fit(workers)
+        plain = self._fit(block_size)
         traced_obs = Observability(trace=True)
-        traced = self._fit(workers, obs=traced_obs)
-        metrics_only = self._fit(workers, obs=Observability())
+        traced = self._fit(block_size, obs=traced_obs)
+        metrics_only = self._fit(block_size, obs=Observability())
         for other in (traced, metrics_only):
             np.testing.assert_array_equal(plain.theta, other.theta)
             np.testing.assert_array_equal(plain.gamma, other.gamma)
@@ -1044,7 +924,7 @@ class TestObservabilityBitIdentity:
         from repro.obs import Observability, series_value
 
         obs = Observability(trace=True)
-        result = self._fit(1, obs=obs)
+        result = self._fit(9, obs=obs)
         (root,) = obs.tracer.traces()
         assert root.name == "fit"
         outer_spans = root.children[1:]
@@ -1071,7 +951,7 @@ class TestObservabilityBitIdentity:
         from repro.obs import Observability
 
         obs = Observability(trace=True)
-        traced = self._fit(1, obs=obs)
+        traced = self._fit(9, obs=obs)
         (root,) = obs.tracer.traces()
         for record, outer_span in zip(
             traced.history.records[1:], root.children[1:]
@@ -1080,7 +960,7 @@ class TestObservabilityBitIdentity:
             assert record.em_seconds == em_span.duration
             assert record.newton_seconds == newton_span.duration
         # the untraced fit still fills the timing fields
-        plain = self._fit(1)
+        plain = self._fit(9)
         assert all(
             record.em_seconds > 0.0
             for record in plain.history.records[1:]

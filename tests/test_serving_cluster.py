@@ -11,6 +11,7 @@ batches, eviction verdicts, and the ``g1`` / theta / gamma of a
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -348,12 +349,10 @@ class TestClusterEquivalence:
             np.testing.assert_array_equal(expected, rows[node])
 
     def test_scatter_with_equal_nested_pool_widths(self, forum_result):
-        """Regression: the scatter must run on the router's own pool.
-        When shard_workers equals the scatter width and a sub-batch
-        spans several fold-in blocks, scattering on the width-keyed
-        *kernel* pool would have the shard tasks occupy every worker
-        of the very pool their nested run_blocks submits to -- a
-        permanent deadlock."""
+        """A concurrent scatter whose shard sub-batches each span
+        several fold-in blocks answers exactly like the singleton at
+        the same block size (and block size never changes transient
+        scores)."""
         queries = [
             dict(object_type="user", links=[("writes", f"blog{i % 2}_{i % 4}", 1.0)])
             for i in range(16)
@@ -365,8 +364,6 @@ class TestClusterEquivalence:
             forum_result,
             2,
             cache_size=0,
-            num_workers=2,
-            shard_workers=2,
             block_size=2,  # 8-query sub-batches span 4 fold-in blocks
         )
         single_block = singleton(
@@ -379,23 +376,6 @@ class TestClusterEquivalence:
         # and block size never changes transient scores anyway
         for a, b in zip(single_block, reference):
             np.testing.assert_array_equal(a, b)
-
-    def test_scatter_identical_at_any_router_width(self, forum_result):
-        queries = [
-            dict(object_type="user", **GREEN_QUERY),
-            dict(object_type="user", **PURPLE_QUERY),
-            dict(object_type="user", links=[("friend", "user0_0", 1.0)]),
-            dict(object_type="user", links=[("writes", "blog1_2", 1.0)]),
-        ]
-        outputs = []
-        for workers in (1, 2, 7):
-            engine = cluster(
-                forum_result, 3, num_workers=workers, cache_size=0
-            )
-            outputs.append(engine.score_many(queries))
-        for other in outputs[1:]:
-            for a, b in zip(outputs[0], other):
-                np.testing.assert_array_equal(a, b)
 
     def test_loading_artifact_matches_in_memory(
         self, forum_result, artifact_path
@@ -580,11 +560,22 @@ class TestRouting:
         plan = ShardPlan.from_state(state, 2, BLOCK)
         with pytest.raises(ServingError, match="exactly one"):
             ShardedEngine(state, n_shards=2, plan=plan)
-        with pytest.raises(ServingError, match="num_workers"):
-            ShardedEngine(state, n_shards=2, num_workers=-1)
         # an explicit (reviewed) plan is accepted as-is
         engine = ShardedEngine(state, plan=plan, block_size=BLOCK)
         assert engine.n_shards == 2
+
+    def test_rejects_zero_block_size(self, forum_result):
+        # the same ServingError the singleton engine raises, not a raw
+        # ValueError from the block plan
+        for kwargs in (dict(n_shards=2), dict(n_shards=1)):
+            with pytest.raises(ServingError, match="block_size must be"):
+                ShardedEngine.from_result(
+                    forum_result, block_size=0, **kwargs
+                )
+        state = ModelState.from_result(forum_result)
+        plan = ShardPlan.from_state(state, 2, BLOCK)
+        with pytest.raises(ServingError, match="block_size must be"):
+            ShardedEngine(state, plan=plan, block_size=0)
 
 
 # ----------------------------------------------------------------------
@@ -874,6 +865,12 @@ class TestRetrainDriver:
         assert engine.num_extension_nodes == 0
         assert len(driver.rounds) == 1
         assert driver.join() is None
+        # join() stops the driver's own refit thread
+        assert not [
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith("repro-retrain")
+        ]
 
     def test_background_failure_is_recorded_and_surfaced(
         self, forum_result, monkeypatch
@@ -1073,6 +1070,21 @@ class TestCli:
             ]
         ) == 1
         assert "smaller block size" in capsys.readouterr().err
+
+    def test_shard_plan_rejects_zero_block_size(self, artifact_path, capsys):
+        assert main(
+            [
+                "shard-plan",
+                str(artifact_path),
+                "--shards",
+                "2",
+                "--block-size",
+                "0",
+            ]
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: block_size must be >= 1")
 
     def metrics_batch(self, tmp_path):
         queries = [

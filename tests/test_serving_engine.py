@@ -349,22 +349,6 @@ class TestScoreMany:
         with pytest.raises(ServingError, match="unknown arguments"):
             engine.score_many([dict(object_type="user", nope=1)])
 
-    def test_batch_identical_across_worker_counts(self, artifact_path):
-        queries = [
-            dict(object_type="user", **GREEN_QUERY),
-            dict(object_type="user", **PURPLE_QUERY),
-        ]
-        outputs = []
-        for workers in (1, 2, 7):
-            engine = InferenceEngine.load(
-                artifact_path, cache_size=0, num_workers=workers,
-                block_size=1,
-            )
-            outputs.append(engine.score_many(queries))
-        for other in outputs[1:]:
-            for a, b in zip(outputs[0], other):
-                np.testing.assert_array_equal(a, b)
-
 
 class TestInfo:
     def test_info_shape(self, engine):
@@ -386,18 +370,14 @@ class TestInfo:
             InferenceEngine.load(artifact_path, cache_size=-1)
         with pytest.raises(ServingError, match="max_iterations"):
             InferenceEngine.load(artifact_path, max_iterations=0)
-        with pytest.raises(ServingError, match="num_workers"):
-            InferenceEngine.load(artifact_path, num_workers=-1)
         with pytest.raises(ServingError, match="block_size"):
             InferenceEngine.load(artifact_path, block_size=0)
 
     def test_execution_telemetry(self, artifact_path):
-        engine = InferenceEngine.load(
-            artifact_path, num_workers=3, block_size=10
-        )
+        engine = InferenceEngine.load(artifact_path, block_size=10)
         execution = engine.info()["execution"]
-        assert execution["num_workers"] == 3
-        assert execution["pool_width"] == 3
+        assert "num_workers" not in execution
+        assert "pool_width" not in execution
         assert execution["block_size"] == 10
         assert execution["block_rows"] == 10
         assert execution["num_rows"] == 32
@@ -406,10 +386,10 @@ class TestInfo:
         # cluster router's per-shard engines report)
         assert execution["shard_id"] == 0
         assert execution["shard_count"] == 1
-        # auto width resolves to >= 1 and blocks cover the index space
-        auto = InferenceEngine.load(artifact_path, num_workers=0)
+        # the automatic block size still covers the index space
+        auto = InferenceEngine.load(artifact_path)
         execution = auto.info()["execution"]
-        assert execution["pool_width"] >= 1
+        assert execution["block_size"] is None
         assert execution["block_count"] >= 1
 
 

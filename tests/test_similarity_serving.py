@@ -42,7 +42,6 @@ from repro.serving.__main__ import main
 
 BLOCK = 4
 METRICS = ("cosine", "euclidean", "cross_entropy")
-WORKER_COUNTS = (1, 2, 7)
 SHARD_COUNTS = (1, 2, 3)
 
 
@@ -218,21 +217,6 @@ class TestEngineSimilarity:
         assert [node for node, _ in got] == [
             network.node_at(index) for index in want
         ]
-
-    @pytest.mark.parametrize("metric", METRICS)
-    def test_worker_count_identity(self, forum_result, metric):
-        reference = None
-        for workers in WORKER_COUNTS:
-            engine = InferenceEngine.from_result(
-                forum_result, block_size=BLOCK, num_workers=workers
-            )
-            got = engine.similar_many(
-                ["user0_0", "blog1_1", "book0_2"], k=7, metric=metric
-            )
-            if reference is None:
-                reference = got
-            else:
-                assert got == reference, workers
 
     def test_k_larger_than_candidates(self, forum_engine):
         got = forum_engine.similar(
