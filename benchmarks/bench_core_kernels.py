@@ -2,8 +2,10 @@
 
 Unlike the whole-experiment benches, these time the hot loops properly
 (multiple rounds): one EM update (the Fig. 11 bottleneck) and one full
-strength-learning call, on the same problem shapes at two network
-scales.  Two entry points share the measurement code:
+strength-learning call, on the same problem shapes at several network
+scales: Gaussian weather networks, and the DBLP four-area ACP network
+whose titles make the categorical model the larger part of every EM
+update.  Two entry points share the measurement code:
 
 * **pytest-benchmark tests** (``pytest benchmarks/bench_core_kernels.py``)
   -- the per-PR regression smoke run; CI executes these in quick mode
@@ -18,6 +20,7 @@ scales.  Two entry points share the measurement code:
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,6 +37,12 @@ from repro.core.em import em_update
 from repro.core.initialization import random_theta
 from repro.core.problem import compile_problem
 from repro.core.strength import learn_strengths
+from repro.datagen.dblp import (
+    TITLE_ATTR,
+    FourAreaConfig,
+    build_acp_network,
+    generate_corpus,
+)
 from repro.datagen.weather import WeatherConfig, generate_weather_network
 from repro.experiments.weather_common import WEATHER_ATTRIBUTES
 
@@ -61,6 +70,13 @@ SCALES = {
     ),
 }
 
+# DBLP four-area ACP at the perfbench corpus size: 4000 authors and the
+# first 4000 of 6000 generated papers (8,020 nodes, titles on papers
+# only, 23,040 title-count nonzeros); a text-only problem
+TEXT_SCALES = {
+    "dblp_acp": dict(n_authors=4000, n_papers=6000, train_papers=4000, seed=0),
+}
+
 # opt-in ~100k-node scale (the KD-tree datagen path): generation alone
 # takes tens of seconds, so it joins the harness only with ``--xxl``
 # (standalone) or ``REPRO_BENCH_XXL=1`` (pytest entry points)
@@ -80,10 +96,19 @@ def _xxl_opted_in() -> bool:
 
 
 def build_problem(scale: str):
-    """Compile the weather problem at a named scale, theta settled a bit."""
-    params = {**SCALES, **XXL_SCALES}[scale]
-    generated = generate_weather_network(WeatherConfig(**params))
-    problem = compile_problem(generated.network, WEATHER_ATTRIBUTES, 4)
+    """Compile the problem at a named scale, theta settled a bit."""
+    if scale in TEXT_SCALES:
+        params = dict(TEXT_SCALES[scale])
+        train_papers = params.pop("train_papers")
+        corpus = generate_corpus(FourAreaConfig(**params))
+        corpus = dataclasses.replace(
+            corpus, papers=corpus.papers[:train_papers]
+        )
+        problem = compile_problem(build_acp_network(corpus), [TITLE_ATTR], 4)
+    else:
+        params = {**SCALES, **XXL_SCALES}[scale]
+        generated = generate_weather_network(WeatherConfig(**params))
+        problem = compile_problem(generated.network, WEATHER_ATTRIBUTES, 4)
     rng = np.random.default_rng(0)
     for model in problem.attribute_models:
         model.init_params(rng)
@@ -188,7 +213,7 @@ def run_harness(
     ``include_xxl`` adds the opt-in ~100k-node ``weather_xxl`` scale.
     """
     report: dict = {}
-    scales = dict(SCALES)
+    scales = {**SCALES, **TEXT_SCALES}
     if include_xxl:
         scales.update(XXL_SCALES)
     for scale in scales:
@@ -280,6 +305,13 @@ if pytest is not None:
         problem, theta, gamma = compiled_problem
         call = make_em_call(problem, theta, gamma)
         result = benchmark(call)
+        assert result.shape == theta.shape
+        np.testing.assert_allclose(result.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_em_update_kernel_text(benchmark):
+        """One EM sweep on the text-only DBLP ACP problem."""
+        problem, theta, gamma = build_problem("dblp_acp")
+        result = benchmark(make_em_call(problem, theta, gamma))
         assert result.shape == theta.shape
         np.testing.assert_allclose(result.sum(axis=1), 1.0, atol=1e-9)
 

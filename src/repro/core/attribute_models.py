@@ -21,9 +21,9 @@ Both expose the same interface:
     ``out``, and updates the component parameters in place.  This is the
     solver's hot path: the observation pattern (CSR structure /
     owner-scatter matrix) is frozen at construction, and every
-    per-observation array is a buffer preallocated once, so repeated
-    calls allocate nothing proportional to ``n`` or the observation
-    count.
+    per-observation array is a buffer preallocated once: a categorical
+    pass allocates only its ``(K, vocab)`` parameters, a Gaussian one at
+    most a block's owner sums.
 ``em_step(theta)``
     Allocating convenience wrapper: same pass, but the responsibility
     sums are returned scattered into a fresh dense ``(n, K)`` array.
@@ -54,9 +54,9 @@ from scipy import sparse
 
 from repro.core.kernels import (
     csr_matmul_rows,
+    csr_rmatmul_rows,
     ordered_block_sum,
     plan_for_observations,
-    row_sum,
     run_blocks,
 )
 from repro.exceptions import ConfigError
@@ -116,33 +116,16 @@ class CountsPattern:
 
 
 def _categorical_denominators(
-    theta_rows: np.ndarray,
-    pattern: CountsPattern,
-    beta: np.ndarray,
-    out: np.ndarray | None = None,
+    theta_rows: np.ndarray, pattern: CountsPattern, beta: np.ndarray
 ) -> np.ndarray:
-    """``d_{v,l} = sum_k theta_vk beta_kl`` at each nonzero count."""
-    # einsum over the nonzero pattern only: O(nnz * K)
+    """``d_{v,l} = sum_k theta_vk beta_kl`` at each nonzero count, as a
+    contiguous einsum over row-wise gathers (bit-identical to the
+    strided ``"nk,kn->n"`` over fancy-indexed copies, and faster)."""
     return np.einsum(
-        "nk,kn->n",
-        theta_rows[pattern.rows],
-        beta[:, pattern.cols],
-        out=out,
+        "nk,nk->n",
+        np.take(theta_rows, pattern.rows, axis=0),
+        np.take(beta.T, pattern.cols, axis=0),
     )
-
-
-def _categorical_pieces(
-    theta_rows: np.ndarray,
-    pattern: CountsPattern,
-    beta: np.ndarray,
-) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """Theta term plus the ``c_vl / d_vl`` ratio matrix (for the M-step)."""
-    denom = _categorical_denominators(theta_rows, pattern, beta)
-    # guard: denom is 0 only if theta_v and beta share no support
-    denom = np.maximum(denom, 1e-300)
-    ratio = pattern.ratio_matrix(pattern.vals / denom)
-    # theta part: theta_vk * sum_l (c_vl / d_vl) beta_kl
-    return theta_rows * (ratio @ beta.T), ratio
 
 
 def categorical_theta_term(
@@ -181,8 +164,12 @@ def categorical_theta_term(
         pattern = CountsPattern.from_counts(counts)
     if pattern.nnz == 0:
         return np.zeros((pattern.shape[0], beta.shape[0]))
-    term, _ = _categorical_pieces(theta_rows, pattern, beta)
-    return term
+    denom = _categorical_denominators(theta_rows, pattern, beta)
+    # guard: denom is 0 only if theta_v and beta share no support
+    np.maximum(denom, 1e-300, out=denom)
+    ratio = pattern.ratio_matrix(pattern.vals / denom)
+    # theta part: theta_vk * sum_l (c_vl / d_vl) beta_kl
+    return theta_rows * (ratio @ beta.T)
 
 
 def gaussian_log_pdf(
@@ -275,19 +262,28 @@ class CategoricalModel:
         self.smoothing = smoothing
         self.beta: np.ndarray | None = None
         # frozen sparse structure + per-call buffers, allocated once
-        self._pattern = CountsPattern.from_counts(compiled.counts)
-        nnz = self._pattern.nnz
-        n_obs_nodes = compiled.counts.shape[0]
-        self._denom = np.empty(nnz)
-        self._ratio_data = np.empty(nnz)
-        self._ratio = self._pattern.ratio_matrix(self._ratio_data)
+        self._pattern = pattern = CountsPattern.from_counts(compiled.counts)
+        n_obs_nodes, vocab = pattern.shape
+        indices = np.asarray(compiled.node_indices, dtype=np.int64)
+        # the hot-path gathers skip numpy's per-call bounds check
+        # (mode="clip"): check the frozen indices once, here
+        for index, bound in ((indices, num_nodes), (pattern.cols, vocab)):
+            if index.size and not 0 <= index.min() <= index.max() < bound:
+                raise ConfigError("text attribute ids out of range")
+        self._indices = indices
+        # flat (node, component) slots of out, for a one-call scatter
+        self._out_slots = (
+            indices[:, None] * n_clusters + np.arange(n_clusters)
+        ).ravel()
+        self._ratio_data = np.empty(pattern.nnz)
+        self._ratio = pattern.ratio_matrix(self._ratio_data)
         self._theta_obs = np.empty((n_obs_nodes, n_clusters))
         self._term = np.empty((n_obs_nodes, n_clusters))
-        self._beta_t = np.empty((compiled.counts.shape[1], n_clusters))
+        self._beta_t = np.empty((vocab, n_clusters))
         # blocked execution over observed-node rows: each block owns a
         # contiguous nnz range of the canonical counts pattern
         self._block_rows: int | None = None
-        self._plan = None
+        self._plan, self._gathers = None, ()
 
     # ------------------------------------------------------------------
     def init_params(
@@ -340,6 +336,16 @@ class CategoricalModel:
                 self._pattern.nnz,
                 self._block_rows,
             )
+            # one scratch set serves every block, so it stays in cache
+            indptr = self._pattern.indptr
+            widest = max(
+                (int(indptr[b] - indptr[a]) for a, b in plan), default=0
+            )
+            self._gathers = (
+                np.empty((widest, self.n_clusters)),
+                np.empty((widest, self.n_clusters)),
+                np.empty(widest),
+            )
             self._plan = plan
         return plan
 
@@ -351,48 +357,53 @@ class CategoricalModel:
         exactly as Eq. 10 prescribes; ``beta`` is then updated in place
         from the same responsibilities.
 
-        The E pass runs over contiguous observed-node blocks (each
-        block owns its nnz range of the canonical counts pattern and
-        writes disjoint rows of ``out``); the ``beta`` M-step is an
-        epilogue over the blockwise-filled ratio matrix.
+        The pass runs over contiguous observed-node blocks: each block
+        gathers its nnz range of the canonical counts pattern into
+        scratch with ``np.take`` (clip mode: the indices were checked at
+        construction), writes disjoint rows of ``out`` through one flat
+        add, and adds its rows' share of the ``beta`` M-step statistic
+        in row order.
         """
         beta = self._require_params()
         if self._pattern.nnz == 0:
             return
-        indices = self.compiled.node_indices
-        theta_obs = self._theta_obs
-        pattern = self._pattern
-        self._beta_t[...] = beta.T
-        denom = self._denom
-        ratio_data = self._ratio_data
+        shape = (self.num_nodes, self.n_clusters)
+        if not (theta.shape == out.shape == shape and out.flags.c_contiguous):
+            raise ValueError(f"theta and out must be C-contiguous {shape}")
+        plan = self._get_plan()
+        pattern, k, theta_obs = self._pattern, self.n_clusters, self._theta_obs
+        theta_buf, beta_buf, denom = self._gathers
+        np.copyto(self._beta_t, beta.T)
+        m_step = np.zeros_like(self._beta_t)
+        flat_out = out.reshape(-1)
 
         def block(_index: int, v0: int, v1: int) -> None:
-            p0 = int(pattern.indptr[v0])
-            p1 = int(pattern.indptr[v1])
-            rows_slice = theta_obs[v0:v1]
-            np.take(theta, indices[v0:v1], axis=0, out=rows_slice)
+            p0, p1 = int(pattern.indptr[v0]), int(pattern.indptr[v1])
+            rows = theta_obs[v0:v1]
+            indices = self._indices[v0:v1]
+            np.take(theta, indices, axis=0, out=rows, mode="clip")
             if p1 > p0:
-                np.einsum(
-                    "nk,kn->n",
-                    theta_obs[pattern.rows[p0:p1]],
-                    beta[:, pattern.cols[p0:p1]],
-                    out=denom[p0:p1],
-                )
-                np.maximum(denom[p0:p1], 1e-300, out=denom[p0:p1])
-                np.divide(
-                    pattern.vals[p0:p1],
-                    denom[p0:p1],
-                    out=ratio_data[p0:p1],
-                )
+                n = p1 - p0
+                np.take(theta_obs, pattern.rows[p0:p1], axis=0,
+                        out=theta_buf[:n], mode="clip")
+                np.take(self._beta_t, pattern.cols[p0:p1], axis=0,
+                        out=beta_buf[:n], mode="clip")
+                d = np.einsum("nk,nk->n", theta_buf[:n], beta_buf[:n],
+                              out=denom[:n])
+                np.maximum(d, 1e-300, out=d)
+                np.divide(pattern.vals[p0:p1], d, out=self._ratio_data[p0:p1])
             # self._ratio shares ratio_data: its rows v0:v1 now hold C/d
             csr_matmul_rows(self._ratio, self._beta_t, self._term, v0, v1)
-            term_slice = self._term[v0:v1]
-            term_slice *= rows_slice
-            out[indices[v0:v1]] += term_slice
+            block_term = self._term[v0:v1]
+            block_term *= rows
+            np.add.at(flat_out, self._out_slots[v0 * k : v1 * k],
+                      block_term.reshape(-1))
+            # the M-step statistic [(C/d)^T theta]_lk, in row order
+            csr_rmatmul_rows(self._ratio, theta_obs, m_step, v0, v1)
 
-        run_blocks(self._get_plan(), block)
+        run_blocks(plan, block)
         # beta M-step: beta_kl propto sum_v c_vl p(z=k) = beta_kl * [theta^T (C/d)]_kl
-        beta_new = beta * (theta_obs.T @ self._ratio)
+        beta_new = beta * m_step.T
         beta_new += self.smoothing
         self.beta = beta_new / beta_new.sum(axis=1, keepdims=True)
 
@@ -412,12 +423,11 @@ class CategoricalModel:
         """``sum_v sum_l c_vl log(sum_k theta_vk beta_kl)`` (log of Eq. 3)."""
         if self._pattern.nnz == 0:
             return 0.0
-        theta_obs = theta[self.compiled.node_indices]
         denom = _categorical_denominators(
-            theta_obs, self._pattern, self._require_params()
+            theta[self._indices], self._pattern, self._require_params()
         )
-        denom = np.maximum(denom, 1e-300)
-        return float(np.dot(self._pattern.vals, np.log(denom)))
+        np.maximum(denom, 1e-300, out=denom)
+        return float(np.dot(self._pattern.vals, np.log(denom, out=denom)))
 
 
 class GaussianModel:

@@ -8,6 +8,7 @@ multi-seed tentative-run initialization for Theta (Section 4.3, option 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigError
@@ -89,6 +90,11 @@ class GenClusConfig:
     block_size: int | None = None
 
     def __post_init__(self) -> None:
+        # NaN passes every ordered check below (nan < 0 is false)
+        for name in ("em_tol", "newton_tol", "sigma", "theta_floor",
+                     "variance_floor", "gamma_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.n_clusters < 1:
             raise ConfigError(
                 f"n_clusters must be >= 1, got {self.n_clusters}"

@@ -216,8 +216,8 @@ def run_em(
             theta, gamma, operator, models, floor,
             out=spare, workspace=workspace, plan=plan, obs=obs,
         )
-        np.subtract(theta_next, theta, out=workspace.update)
-        delta = float(np.max(np.abs(workspace.update)))
+        change = np.subtract(theta_next, theta, out=workspace.update)
+        delta = float(np.max(np.abs(change, out=change)))
         theta, spare = theta_next, theta
         if track_objective:
             trace.append(g1(theta, gamma, operator, models, floor))

@@ -19,13 +19,15 @@ number of links" claim):
    carries the caller-owned ``(n, K)`` scratch that ``em_update`` and
    the attribute models write responsibility sums into, and
    :func:`csr_matmul` accumulates sparse-dense products directly into a
-   preallocated output via scipy's C kernel, so a 50-iteration inner EM
-   performs no per-iteration array allocation beyond tiny ``(K,)`` and
-   ``(R,)`` temporaries.
+   preallocated output via scipy's C kernel.  After a warm-up, one
+   text-only ``em_update`` allocates less than a single ``(n, K)``
+   field (a test pins this at DBLP size); what remains is ``(K, vocab)``
+   parameters, a block's Gaussian owner sums, the indices of all-zero
+   rows, and numpy's fixed-size buffer for the broadcast row divide.
 
 Both pieces are exact algebraic rewrites: equivalence to the reference
-per-relation implementations is asserted to ``rtol=1e-10`` in
-``tests/test_kernels_equivalence.py``.
+per-relation implementations is asserted to ``rtol=1e-10`` (the
+categorical E+M pass: bit for bit) in ``tests/test_kernels_equivalence.py``.
 
 3. **The index space is blockable.**  :class:`BlockPlan` partitions a
    row space into contiguous, cache-sized blocks.  Every hot loop
@@ -57,8 +59,15 @@ try:  # scipy's C kernel for Y += A @ X (stable private API; guarded)
     from scipy.sparse import _sparsetools as _st
 
     _CSR_MATVECS = getattr(_st, "csr_matvecs", None)
+    _CSC_MATVECS = getattr(_st, "csc_matvecs", None)
 except ImportError:  # pragma: no cover - scipy always ships it today
-    _CSR_MATVECS = None
+    _CSR_MATVECS = _CSC_MATVECS = None
+
+
+def _c_kernel_fits(matrix, dense: np.ndarray, out: np.ndarray) -> bool:
+    """Whether scipy's C kernels can run on these operands in place."""
+    arrays = (matrix.data, dense, out)
+    return all(a.dtype == np.float64 and a.flags.c_contiguous for a in arrays)
 
 
 def csr_matmul(
@@ -67,35 +76,10 @@ def csr_matmul(
     out: np.ndarray,
     accumulate: bool = False,
 ) -> np.ndarray:
-    """``out (+)= matrix @ dense`` without allocating the product.
-
-    Falls back to an allocating matmul when the C kernel is unavailable
-    or the operands are not contiguous float64 (the result is identical
-    either way).
-    """
-    if not accumulate:
-        out[...] = 0.0
-    if (
-        _CSR_MATVECS is not None
-        and dense.dtype == np.float64
-        and out.dtype == np.float64
-        and dense.flags.c_contiguous
-        and out.flags.c_contiguous
-        and matrix.data.dtype == np.float64
-    ):
-        _CSR_MATVECS(
-            matrix.shape[0],
-            matrix.shape[1],
-            dense.shape[1],
-            matrix.indptr,
-            matrix.indices,
-            matrix.data,
-            dense.ravel(),
-            out.ravel(),
-        )
-    else:  # pragma: no cover - exercised only on exotic scipy builds
-        out += matrix @ dense
-    return out
+    """``out (+)= matrix @ dense`` without allocating the product."""
+    return csr_matmul_rows(
+        matrix, dense, out, 0, matrix.shape[0], accumulate=accumulate
+    )
 
 
 def csr_matmul_rows(
@@ -113,19 +97,15 @@ def csr_matmul_rows(
     *absolute* offsets into the shared ``indices``/``data`` arrays, so
     passing a **view** of ``indptr`` selects a row range for free --
     this is what makes blocked execution allocation-free: every block
-    multiplies its rows of the one canonical CSR in place.
+    multiplies its rows of the one canonical CSR in place.  Falls back
+    to an allocating matmul when the C kernel is unavailable or the
+    operands are not contiguous float64 (the result is identical
+    either way).
     """
     sub_out = out[start:stop]
     if not accumulate:
         sub_out[...] = 0.0
-    if (
-        _CSR_MATVECS is not None
-        and dense.dtype == np.float64
-        and out.dtype == np.float64
-        and dense.flags.c_contiguous
-        and out.flags.c_contiguous
-        and matrix.data.dtype == np.float64
-    ):
+    if _CSR_MATVECS is not None and _c_kernel_fits(matrix, dense, out):
         _CSR_MATVECS(
             stop - start,
             matrix.shape[1],
@@ -138,6 +118,26 @@ def csr_matmul_rows(
         )
     else:  # pragma: no cover - exercised only on exotic scipy builds
         sub_out += matrix[start:stop] @ dense
+    return out
+
+
+def csr_rmatmul_rows(
+    matrix: sparse.csr_matrix, dense: np.ndarray, out: np.ndarray,
+    start: int, stop: int,
+) -> np.ndarray:
+    """``out += matrix[start:stop].T @ dense[start:stop]`` with no
+    transpose: a CSR read as CSC is its transpose.  Each ``out`` row sums
+    in matrix-row order (across calls too, when ranges come in order),
+    the order of scipy's own ``dense.T @ matrix``."""
+    dense = dense[start:stop]
+    if _CSC_MATVECS is None or not _c_kernel_fits(matrix, dense, out):
+        out += (dense.T @ matrix[start:stop]).T  # pragma: no cover
+        return out
+    _CSC_MATVECS(
+        matrix.shape[1], stop - start, dense.shape[1],
+        matrix.indptr[start : stop + 1], matrix.indices, matrix.data,
+        dense.ravel(), out.ravel(),
+    )
     return out
 
 
@@ -805,9 +805,10 @@ def normalize_update_block(
     sums = row_sums[start:stop]
     row_sum(update_slice, sums)
     if update_slice.shape[0] and float(np.min(sums)) <= 0.0:
-        dead = sums <= 0.0
+        # re-sum only the replaced rows (the same per-row arithmetic)
+        dead = np.flatnonzero(sums <= 0.0)
         update_slice[dead] = theta[start:stop][dead]
-        row_sum(update_slice, sums)
+        sums[dead] = row_sum(update_slice[dead], np.empty(dead.size))
     out_slice = out[start:stop]
     np.divide(update_slice, sums[:, None], out=out_slice)
     floor_normalize_inplace(out_slice, floor, sums)

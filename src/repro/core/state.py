@@ -48,7 +48,7 @@ from repro.core.attribute_models import (
 )
 from repro.core.problem import ClusteringProblem
 from repro.exceptions import StateError
-from repro.hin.attributes import NumericAttribute, TextAttribute
+from repro.hin.attributes import TextAttribute
 from repro.hin.network import HeterogeneousNetwork
 from repro.hin.views import (
     RelationMatrices,
@@ -830,35 +830,24 @@ class ModelState:
         return network
 
     def _copy_attribute(self, name: str):
-        source = self.network.attribute(name)
-        fitted = name in self.attribute_names
-        if isinstance(source, TextAttribute):
-            copy = TextAttribute(
-                name, frozen_vocabulary=source.vocabulary
-            )
-            for node in source.nodes_with_observations():
-                copy.add_counts(node, source.bag_of(node))
-            if fitted:
-                vocabulary = set(source.vocabulary)
-                for spec in self._extensions.values():
-                    bag = _spec_bag(spec, name)
-                    in_vocab = {
-                        term: count
-                        for term, count in bag.items()
-                        if term in vocabulary and count > 0
-                    }
-                    if in_vocab:
-                        copy.add_counts(spec.node, in_vocab)
+        copy = self.network.attribute(name).copy()
+        text = isinstance(copy, TextAttribute)
+        if text:  # materialized tables keep the training vocabulary
+            copy.freeze()
+        if name not in self.attribute_names:
             return copy
-        assert isinstance(source, NumericAttribute)
-        copy = NumericAttribute(name)
-        for node in source.nodes_with_observations():
-            copy.add_values(node, source.values_of(node))
-        if fitted:
-            for spec in self._extensions.values():
-                values = spec.numeric.get(name)
-                if values:
-                    copy.add_values(spec.node, values)
+        vocabulary = set(copy.vocabulary) if text else ()
+        for spec in self._extensions.values():
+            if text:
+                in_vocab = {
+                    term: count
+                    for term, count in _spec_bag(spec, name).items()
+                    if term in vocabulary and count > 0
+                }
+                if in_vocab:
+                    copy.add_counts(spec.node, in_vocab)
+            elif spec.numeric.get(name):
+                copy.add_values(spec.node, spec.numeric[name])
         return copy
 
     def _grow_matrices(self) -> RelationMatrices:

@@ -18,7 +18,6 @@ aligned with a node-index mapping so the solvers can run vectorized.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -139,7 +138,8 @@ class TextAttribute:
                         f"duplicate term {term!r} in frozen vocabulary"
                     )
                 self._term_index[term] = len(self._term_index)
-        self._bags: dict[object, Counter] = {}
+        # node -> {term id: count}, terms in first-seen order
+        self._bags: dict[object, dict[int, float]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -171,19 +171,53 @@ class TextAttribute:
     # ------------------------------------------------------------------
     def add_tokens(self, node: object, tokens: Iterable[str]) -> None:
         """Append a token sequence to the node's bag (counts accumulate)."""
-        bag = self._bags.setdefault(node, Counter())
+        bag = self._bags.setdefault(node, {})
         for token in tokens:
-            bag[self._intern(token)] += 1
+            index = self._intern(token)
+            bag[index] = bag.get(index, 0) + 1
 
     def add_counts(self, node: object, counts: Mapping[str, float]) -> None:
         """Merge explicit ``term -> count`` observations for a node."""
-        bag = self._bags.setdefault(node, Counter())
+        bag = self._bags.setdefault(node, {})
         for term, count in counts.items():
             if count < 0:
                 raise AttributeSpecError(
                     f"negative count for term {term!r} on node {node!r}"
                 )
-            bag[self._intern(term)] += count
+            index = self._intern(term)
+            bag[index] = bag.get(index, 0) + count
+
+    def add_count_rows(self, nodes: Sequence, counts) -> None:
+        """Merge row ``i`` of the sparse ``counts`` (columns are this
+        table's term ids) into ``nodes[i]``'s bag as :meth:`add_counts`
+        would; a rejected batch merges nothing."""
+        counts = sparse.csr_matrix(counts, dtype=np.float64)
+        if counts.shape != (len(nodes), self.vocab_size) or np.any(
+            counts.data < 0
+        ):
+            raise AttributeSpecError(
+                f"attribute {self.name!r}: counts must be a non-negative "
+                f"({len(nodes)}, {self.vocab_size}) matrix"
+            )
+        ptr, cols, vals = (
+            a.tolist() for a in (counts.indptr, counts.indices, counts.data)
+        )
+        for node, start, stop in zip(nodes, ptr, ptr[1:]):
+            bag = self._bags.setdefault(node, {})
+            for index, count in zip(cols[start:stop], vals[start:stop]):
+                bag[index] = bag.get(index, 0) + count
+
+    def freeze(self) -> None:
+        """Fix the vocabulary: an unknown term is rejected from now on."""
+        self._frozen = True
+
+    def copy(self) -> "TextAttribute":
+        """An independent copy: vocabulary, freezing and every bag."""
+        clone = TextAttribute(self.name)
+        clone._term_index = dict(self._term_index)
+        clone._frozen = self._frozen
+        clone._bags = {node: dict(bag) for node, bag in self._bags.items()}
+        return clone
 
     # ------------------------------------------------------------------
     # queries
@@ -208,7 +242,7 @@ class TextAttribute:
 
     def bag_of(self, node: object) -> dict[str, float]:
         """Return the node's bag as a ``term -> count`` dict (a copy)."""
-        bag = self._bags.get(node, Counter())
+        bag = self._bags.get(node, {})
         terms = self.vocabulary
         return {terms[idx]: float(cnt) for idx, cnt in bag.items() if cnt > 0}
 
@@ -229,11 +263,10 @@ class TextAttribute:
             :class:`AttributeSpecError` (they indicate a network/attribute
             mismatch).
         """
-        rows: list[int] = []
+        lengths: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
         indices: list[int] = []
-        row = 0
         for node, bag in self._bags.items():
             total = sum(bag.values())
             if total <= 0:
@@ -244,15 +277,18 @@ class TextAttribute:
                     f"{node!r} which is not in the network"
                 )
             indices.append(node_index[node])
-            for term_idx, count in bag.items():
-                if count > 0:
-                    rows.append(row)
-                    cols.append(term_idx)
-                    vals.append(float(count))
-            row += 1
+            lengths.append(len(bag))
+            cols.extend(bag)
+            vals.extend(bag.values())
+        rows = np.repeat(np.arange(len(lengths)), lengths)
+        counts = np.asarray(vals, dtype=np.float64)
+        positive = counts > 0
         counts = sparse.csr_matrix(
-            (vals, (rows, cols)),
-            shape=(row, self.vocab_size),
+            (
+                counts[positive],
+                (rows[positive], np.asarray(cols, dtype=np.int64)[positive]),
+            ),
+            shape=(len(lengths), self.vocab_size),
             dtype=np.float64,
         )
         return CompiledTextAttribute(
@@ -300,6 +336,29 @@ class NumericAttribute:
         """Append several observations for a node."""
         for value in values:
             self.add_value(node, value)
+
+    def add_value_rows(self, nodes: Sequence, values, owners) -> None:
+        """Append ``values[i]`` to ``nodes[owners[i]]``, in order, checked
+        as :meth:`add_value` would; a rejected batch appends nothing."""
+        values = np.asarray(values, dtype=np.float64)
+        owners = np.asarray(owners, dtype=np.int64)
+        if not (
+            values.shape == owners.shape == (values.size,)
+            and np.isfinite(values).all()
+            and np.all((owners >= 0) & (owners < len(nodes)))
+        ):
+            raise AttributeSpecError(
+                f"attribute {self.name!r}: values must be finite, each "
+                f"owned by one of the {len(nodes)} nodes"
+            )
+        for owner, value in zip(owners.tolist(), values.tolist()):
+            self._values.setdefault(nodes[owner], []).append(value)
+
+    def copy(self) -> "NumericAttribute":
+        """An independent copy of every node's observation list."""
+        clone = NumericAttribute(self.name)
+        clone._values = {node: list(v) for node, v in self._values.items()}
+        return clone
 
     # ------------------------------------------------------------------
     def has_observations(self, node: object) -> bool:

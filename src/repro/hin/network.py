@@ -14,6 +14,8 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
+import numpy as np
+
 from repro.exceptions import AttributeSpecError, NetworkError
 from repro.hin.attributes import Attribute, NumericAttribute, TextAttribute
 from repro.hin.schema import NetworkSchema, RelationType
@@ -284,6 +286,44 @@ class HeterogeneousNetwork:
         bucket = self._edges[relation]
         key = (src_idx, dst_idx)
         bucket[key] = bucket.get(key, 0.0) + float(weight)
+
+    def add_edge_arrays(
+        self, relation: str, sources, targets, weights
+    ) -> None:
+        """Bulk :meth:`add_edge` from node-index columns, the inverse of
+        :meth:`edge_arrays`: the same type and weight checks, zero
+        weights skipped, repeated links summed in row order.  The checks
+        are vectorized and run first: a rejected batch inserts nothing.
+        """
+        rel = self.schema.relation(relation)
+        src = np.asarray(sources, dtype=np.int64)
+        dst = np.asarray(targets, dtype=np.int64)
+        weight = np.asarray(weights, dtype=np.float64)
+        if src.ndim != 1 or not src.shape == dst.shape == weight.shape or (
+            np.any(weight < 0)
+        ):
+            raise NetworkError(
+                f"relation {relation!r}: edge columns must be 1-d, equally "
+                f"long, with non-negative weights"
+            )
+        types = np.array(self._node_types, dtype=object)
+        for role, index, expected in (
+            ("source", src, rel.source), ("target", dst, rel.target)
+        ):
+            if index.size and not (
+                0 <= index.min() and index.max() < len(types)
+                and np.all(types[index] == expected)
+            ):
+                raise NetworkError(
+                    f"relation {relation!r} needs {role} nodes of type "
+                    f"{expected!r}"
+                )
+        keep = weight != 0
+        bucket = self._edges[relation]
+        for key, value in zip(
+            zip(src[keep].tolist(), dst[keep].tolist()), weight[keep].tolist()
+        ):
+            bucket[key] = bucket.get(key, 0.0) + value
 
     def num_edges(self, relation: str | None = None) -> int:
         """Number of distinct links, overall or within one relation."""

@@ -379,8 +379,8 @@ class ModelArtifact:
             observations = {}
             for name in result.attribute_params:
                 attribute = network.attribute(name)
+                compiled = attribute.compile(node_index)
                 if isinstance(attribute, TextAttribute):
-                    compiled = attribute.compile(node_index)
                     counts = compiled.counts.tocsr()
                     observations[name] = {
                         "kind": "categorical",
@@ -390,7 +390,6 @@ class ModelArtifact:
                         "indptr": counts.indptr.copy(),
                     }
                 else:
-                    compiled = attribute.compile(node_index)
                     observations[name] = {
                         "kind": "gaussian",
                         "node_indices": compiled.node_indices.copy(),
@@ -403,9 +402,7 @@ class ModelArtifact:
             relation_names=tuple(result.relation_names),
             relation_types=relation_types,
             node_ids=tuple(network.node_ids),
-            node_types=tuple(
-                network.type_at(i) for i in range(network.num_nodes)
-            ),
+            node_types=tuple(network.node_types_view),
             object_types=tuple(
                 t.name for t in network.schema.object_types
             ),
@@ -522,51 +519,25 @@ class ModelArtifact:
         self, network: HeterogeneousNetwork
     ) -> None:
         """Re-add embedded edges and observation tables to a rebuilt
-        node-only network (ids resolved through ``node_ids`` order)."""
-        ids = self.node_ids
+        node-only network (indices are positions in ``node_ids``, which
+        is the rebuilt network's own index order)."""
         for name, (sources, targets, weights) in self.edges.items():
-            for src, dst, weight in zip(sources, targets, weights):
-                network.add_edge(
-                    ids[int(src)], ids[int(dst)], name, float(weight)
-                )
+            network.add_edge_arrays(name, sources, targets, weights)
+        ids = self.node_ids
         for name, payload in self.observations.items():
+            nodes = [ids[i] for i in payload["node_indices"].tolist()]
             if payload["kind"] == "categorical":
                 vocabulary = self.attribute_params[name]["vocabulary"]
-                attribute = TextAttribute(
-                    name, frozen_vocabulary=vocabulary
-                )
-                counts = sparse.csr_matrix(
-                    (
-                        payload["data"],
-                        payload["indices"],
-                        payload["indptr"],
-                    ),
-                    shape=(
-                        payload["node_indices"].shape[0],
-                        len(vocabulary),
-                    ),
-                )
-                for row, node_idx in enumerate(payload["node_indices"]):
-                    start, stop = counts.indptr[row], counts.indptr[row + 1]
-                    attribute.add_counts(
-                        ids[int(node_idx)],
-                        {
-                            vocabulary[int(col)]: float(val)
-                            for col, val in zip(
-                                counts.indices[start:stop],
-                                counts.data[start:stop],
-                            )
-                        },
-                    )
+                attribute = TextAttribute(name, frozen_vocabulary=vocabulary)
+                attribute.add_count_rows(nodes, sparse.csr_matrix(
+                    (payload["data"], payload["indices"], payload["indptr"]),
+                    shape=(len(nodes), len(vocabulary)),
+                ))
             else:
                 attribute = NumericAttribute(name)
-                node_indices = payload["node_indices"]
-                values = payload["values"]
-                owners = payload["owners"]
-                for value, owner in zip(values, owners):
-                    attribute.add_value(
-                        ids[int(node_indices[int(owner)])], float(value)
-                    )
+                attribute.add_value_rows(
+                    nodes, payload["values"], payload["owners"]
+                )
             network.add_attribute(attribute)
 
     # ------------------------------------------------------------------

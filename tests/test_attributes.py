@@ -111,6 +111,41 @@ class TestTextAttribute:
         assert compiled.node_indices.shape == (0,)
         assert compiled.counts.shape == (0, 0)
 
+    def test_compile_matches_per_entry_loop(self):
+        """The column-wise compile builds the same CSR as appending one
+        (row, term, count) triplet per positive count, bag by bag."""
+        from scipy import sparse
+
+        rng = np.random.default_rng(3)
+        terms = [f"t{i}" for i in range(9)]
+        attr = TextAttribute("title")
+        for i in range(40):
+            counts = {
+                terms[j]: float(rng.integers(0, 3))
+                for j in rng.choice(9, size=int(rng.integers(0, 5)))
+            }
+            attr.add_counts(f"n{i}", counts)  # zero counts, empty bags
+        node_index = {f"n{i}": 39 - i for i in range(40)}
+        rows, cols, vals, indices = [], [], [], []
+        for node, bag in attr._bags.items():
+            if sum(bag.values()) <= 0:
+                continue
+            indices.append(node_index[node])
+            for term, count in bag.items():
+                if count > 0:
+                    rows.append(len(indices) - 1)
+                    cols.append(term)
+                    vals.append(float(count))
+        expected = sparse.csr_matrix(
+            (vals, (rows, cols)), shape=(len(indices), attr.vocab_size)
+        )
+        compiled = attr.compile(node_index)
+        assert compiled.node_indices.tolist() == indices
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(
+                getattr(compiled.counts, field), getattr(expected, field)
+            )
+
 
 class TestNumericAttribute:
     def test_values_accumulate(self):

@@ -43,6 +43,15 @@ class TestGenClusConfig:
         with pytest.raises(ConfigError):
             GenClusConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["sigma", "variance_floor", "theta_floor", "em_tol", "newton_tol", "gamma_tol"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_reals_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            GenClusConfig(n_clusters=4, **{field: value})
+
     def test_newton_can_be_disabled(self):
         config = GenClusConfig(n_clusters=4, newton_iterations=0)
         assert config.newton_iterations == 0

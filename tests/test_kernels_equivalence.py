@@ -13,10 +13,13 @@ reference cluster assignments.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.special import polygamma, zeta
 
 from repro.core.attribute_models import (
+    CategoricalModel,
     CountsPattern,
     categorical_theta_term,
     gaussian_responsibilities,
@@ -33,6 +36,7 @@ from repro.core.kernels import (
     csr_matmul,
     csr_matmul_rows,
     floor_normalize_inplace,
+    normalize_update_block,
     ordered_block_sum,
     plan_for_observations,
     row_max,
@@ -53,8 +57,13 @@ from repro.datagen.toy import (
     political_forum_network,
     political_forum_truth,
 )
-from repro.hin.attributes import NumericAttribute, TextAttribute
+from repro.hin.attributes import (
+    CompiledTextAttribute,
+    NumericAttribute,
+    TextAttribute,
+)
 from repro.hin.builder import NetworkBuilder
+from repro.exceptions import ConfigError
 
 RTOL = 1e-10
 
@@ -371,6 +380,28 @@ class TestSmallHelpers:
         floor_normalize_inplace(buf, 1e-9, np.empty(20))
         np.testing.assert_allclose(buf, expected, rtol=RTOL)
 
+    @pytest.mark.parametrize("k", [1, 4, 12])
+    def test_normalize_update_block_matches_masked_broadcast(self, k):
+        """Dead rows re-summed alone and column-wise divides give the
+        bits of the masked full re-sum and broadcast divides."""
+        rng = np.random.default_rng(k)
+        update = rng.random((50, k))
+        update[rng.random(50) < 0.3] = 0.0  # dead rows
+        theta = rng.dirichlet(np.ones(k), size=50)
+        expected = update.copy()
+        sums = row_sum(expected, np.empty(50))
+        dead = sums <= 0.0
+        expected[dead] = theta[dead]
+        sums = row_sum(expected, np.empty(50))
+        expected = expected / sums[:, None]
+        np.clip(expected, 1e-12, None, out=expected)
+        expected /= row_sum(expected, np.empty(50))[:, None]
+        out = np.empty_like(theta)
+        normalize_update_block(
+            update.copy(), theta, out, np.empty(50), 1e-12, 0, 50
+        )
+        assert np.array_equal(out, expected)
+
     def test_csr_matmul_accumulate(self):
         rng = np.random.default_rng(1)
         m = sparse.random(9, 6, density=0.4, format="csr", random_state=0)
@@ -505,6 +536,238 @@ class TestAttributeTermEquivalence:
             np.testing.assert_allclose(
                 out, expected, rtol=RTOL, atol=1e-12
             )
+
+
+def fancy_gather_categorical_step(model, theta, out, block_rows=None):
+    """The fancy-gather categorical E+M pass, kept as the exact oracle.
+
+    Per block: ``theta_obs[rows]`` and ``beta[:, cols]`` fancy-index
+    gathers reduced by a strided ``einsum("nk,kn->n")``, a row-indexed
+    ``out[indices] += term`` scatter; then scipy's ``theta_obs.T @
+    ratio`` for the beta M-step.  Returns the updated beta (``None``
+    when the table holds no counts, as the model then keeps beta).
+    """
+    beta = model.beta
+    compiled = model.compiled
+    pattern = CountsPattern.from_counts(compiled.counts)
+    if pattern.nnz == 0:
+        return None
+    indices = compiled.node_indices
+    n_obs, k = compiled.counts.shape[0], beta.shape[0]
+    theta_obs = np.empty((n_obs, k))
+    term = np.empty((n_obs, k))
+    denom = np.empty(pattern.nnz)
+    ratio_data = np.empty(pattern.nnz)
+    ratio = pattern.ratio_matrix(ratio_data)
+    beta_t = np.ascontiguousarray(beta.T)
+    plan = plan_for_observations(n_obs, k, pattern.nnz, block_rows)
+    for v0, v1 in plan:
+        p0, p1 = int(pattern.indptr[v0]), int(pattern.indptr[v1])
+        theta_obs[v0:v1] = theta[indices[v0:v1]]
+        if p1 > p0:
+            np.einsum(
+                "nk,kn->n",
+                theta_obs[pattern.rows[p0:p1]],
+                beta[:, pattern.cols[p0:p1]],
+                out=denom[p0:p1],
+            )
+            np.maximum(denom[p0:p1], 1e-300, out=denom[p0:p1])
+            np.divide(
+                pattern.vals[p0:p1], denom[p0:p1], out=ratio_data[p0:p1]
+            )
+        csr_matmul_rows(ratio, beta_t, term, v0, v1)
+        term[v0:v1] *= theta_obs[v0:v1]
+        out[indices[v0:v1]] += term[v0:v1]
+    beta_new = beta * (theta_obs.T @ ratio)
+    beta_new += model.smoothing
+    return beta_new / beta_new.sum(axis=1, keepdims=True)
+
+
+def categorical_case(rng, num_nodes, n_obs, vocab, k, density):
+    """A text table over ``n_obs`` observed nodes scattered (unsorted,
+    with gaps) across ``num_nodes``; some rows hold no counts."""
+    counts = sparse.random(
+        n_obs, vocab, density=density, format="csr",
+        random_state=int(rng.integers(0, 2**31)),
+    )
+    counts.data = np.ceil(counts.data * 5)
+    # row 0 and about a fifth of the rest hold no counts
+    keep = rng.random(n_obs) >= 0.2
+    keep[0] = False
+    counts = sparse.csr_matrix(sparse.diags(keep.astype(float)) @ counts)
+    counts.eliminate_zeros()
+    compiled = CompiledTextAttribute(
+        node_indices=rng.permutation(num_nodes)[:n_obs].astype(np.int64),
+        counts=counts,
+        vocabulary=tuple(f"t{i}" for i in range(vocab)),
+    )
+    theta = random_theta(rng, num_nodes, k)
+    beta = rng.dirichlet(np.ones(vocab), size=k)
+    return compiled, theta, beta
+
+
+def assert_categorical_matches_oracle(
+    compiled, theta, beta, block_rows, steps=3
+):
+    num_nodes, k = theta.shape
+    model = CategoricalModel(compiled, k, num_nodes)
+    model.set_block_rows(block_rows)
+    model.beta = beta.copy()
+    oracle = CategoricalModel(compiled, k, num_nodes)
+    oracle.beta = beta.copy()
+    for _ in range(steps):
+        expected = np.zeros((num_nodes, k))
+        expected_beta = fancy_gather_categorical_step(
+            oracle, theta, expected, block_rows
+        )
+        if expected_beta is not None:
+            oracle.beta = expected_beta
+        out = np.zeros((num_nodes, k))
+        model.accumulate_em_step(theta, out)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(model.beta, oracle.beta)
+
+
+class TestGatherFreeCategoricalKernel:
+    """The gathered E+M pass against the fancy-gather oracle, bit for bit."""
+
+    @pytest.mark.parametrize("block_rows", [None, 1, 3])
+    def test_matches_fancy_gather_oracle(self, block_rows):
+        rng = np.random.default_rng(11)
+        compiled, theta, beta = categorical_case(rng, 60, 17, 13, 4, 0.3)
+        model = CategoricalModel(compiled, 4, 60)
+        model.set_block_rows(block_rows)
+        if block_rows is not None:
+            assert model._get_plan().num_blocks >= 3
+        assert np.diff(compiled.counts.indptr).min() == 0  # empty rows
+        assert_categorical_matches_oracle(compiled, theta, beta, block_rows)
+
+    def test_empty_table(self):
+        rng = np.random.default_rng(12)
+        for n_obs in (0, 5):
+            compiled = CompiledTextAttribute(
+                node_indices=np.arange(n_obs, dtype=np.int64),
+                counts=sparse.csr_matrix((n_obs, 4)),
+                vocabulary=("a", "b", "c", "d"),
+            )
+            theta = random_theta(rng, 8, 3)
+            beta = rng.dirichlet(np.ones(4), size=3)
+            assert_categorical_matches_oracle(compiled, theta, beta, None)
+            model = CategoricalModel(compiled, 3, 8)
+            model.beta = beta
+            assert model.log_likelihood(theta) == 0.0
+
+    def test_log_likelihood_matches_fancy_gathers(self):
+        rng = np.random.default_rng(13)
+        compiled, theta, beta = categorical_case(rng, 40, 25, 9, 3, 0.4)
+        model = CategoricalModel(compiled, 3, 40)
+        model.beta = beta
+        pattern = CountsPattern.from_counts(compiled.counts)
+        denom = np.einsum(
+            "nk,kn->n",
+            theta[compiled.node_indices][pattern.rows],
+            beta[:, pattern.cols],
+        )
+        expected = float(
+            np.dot(pattern.vals, np.log(np.maximum(denom, 1e-300)))
+        )
+        assert model.log_likelihood(theta) == expected
+
+    def test_frozen_term_matches_fancy_gathers(self):
+        rng = np.random.default_rng(14)
+        compiled, theta, beta = categorical_case(rng, 30, 30, 11, 5, 0.3)
+        theta_rows = theta[:30]
+        pattern = CountsPattern.from_counts(compiled.counts)
+        denom = np.einsum(
+            "nk,kn->n", theta_rows[pattern.rows], beta[:, pattern.cols]
+        )
+        ratio = pattern.ratio_matrix(
+            pattern.vals / np.maximum(denom, 1e-300)
+        )
+        expected = theta_rows * (ratio @ beta.T)
+        got = categorical_theta_term(theta_rows, None, beta, pattern=pattern)
+        assert np.array_equal(got, expected)
+
+    def test_rejects_misfit_fields(self):
+        rng = np.random.default_rng(15)
+        compiled, theta, beta = categorical_case(rng, 20, 8, 6, 3, 0.5)
+        model = CategoricalModel(compiled, 3, 20)
+        model.beta = beta
+        with pytest.raises(ValueError):
+            model.accumulate_em_step(theta[:10], np.zeros((20, 3)))
+        with pytest.raises(ValueError):
+            model.accumulate_em_step(theta, np.zeros((3, 20)).T)
+        with pytest.raises(ConfigError):
+            CategoricalModel(compiled, 3, int(compiled.node_indices.max()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        k=st.integers(1, 8),
+        n_obs=st.integers(1, 40),
+        vocab=st.integers(1, 30),
+        density=st.floats(0.0, 1.0),
+        block_rows=st.one_of(st.none(), st.integers(1, 16)),
+    )
+    def test_property_matches_oracle(
+        self, seed, k, n_obs, vocab, density, block_rows
+    ):
+        rng = np.random.default_rng(seed)
+        compiled, theta, beta = categorical_case(
+            rng, n_obs + int(rng.integers(0, 20)), n_obs, vocab, k, density
+        )
+        assert_categorical_matches_oracle(
+            compiled, theta, beta, block_rows, steps=2
+        )
+
+
+def text_only_problem(n_authors):
+    """DBLP four-area ACP at a given size: titles are the only attribute."""
+    from repro.datagen.dblp import (
+        TITLE_ATTR,
+        FourAreaConfig,
+        build_acp_network,
+        generate_corpus,
+    )
+
+    corpus = generate_corpus(
+        FourAreaConfig(n_authors=n_authors, n_papers=n_authors, seed=0)
+    )
+    return compile_problem(build_acp_network(corpus), [TITLE_ATTR], 4)
+
+
+def test_em_update_allocates_less_than_one_field():
+    """After a warm-up sweep, one text-only em_update on DBLP at the
+    benchmark's size (8,020 nodes) allocates less than a single (n, K)
+    float64 field: every gather and scatter runs in buffers sized at
+    construction."""
+    import tracemalloc
+
+    problem = text_only_problem(4000)
+    rng = np.random.default_rng(0)
+    for model in problem.attribute_models:
+        model.init_params(rng)
+    theta = random_theta(rng, problem.num_nodes, problem.n_clusters)
+    gamma = np.ones(problem.num_relations)
+    operator = PropagationOperator.wrap(problem.matrices)
+    workspace = EMWorkspace(problem.num_nodes, problem.n_clusters)
+    out = np.empty_like(theta)
+    plan = operator.block_plan(problem.n_clusters)
+
+    def sweep():
+        em_update(
+            theta, gamma, operator, problem.attribute_models,
+            out=out, workspace=workspace, plan=plan,
+        )
+
+    sweep()
+    tracemalloc.start()
+    try:
+        sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < theta.nbytes, (peak, theta.nbytes)
 
 
 def reference_em_update(theta, gamma, matrices, models, floor=1e-12):

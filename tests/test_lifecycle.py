@@ -23,6 +23,7 @@ from repro.datagen.weather import (
     generate_weather_network,
 )
 from repro.experiments.weather_common import WEATHER_ATTRIBUTES
+from repro.exceptions import AttributeSpecError
 from repro.serving.artifact import ModelArtifact, load_artifact
 
 FORUM_CONFIG = GenClusConfig(
@@ -438,6 +439,23 @@ class TestModelState:
             "climate": 1.0,
             "green": 1.0,
         }
+
+    def test_materialized_text_keeps_training_vocabulary(
+        self, forum_result
+    ):
+        """An in-memory engine's fit network has an open vocabulary; the
+        materialized table is frozen to the training terms all the same."""
+        engine = InferenceEngine.from_state(forum_result.to_state())
+        engine.extend(FORUM_EXTENSION)
+        text = engine.state.materialize_network().attribute("text")
+        assert text.vocabulary == forum_result.network.attribute(
+            "text"
+        ).vocabulary
+        with pytest.raises(AttributeSpecError):
+            text.add_tokens("user-new-0", ["zzz-neologism"])
+        with pytest.raises(AttributeSpecError):
+            text.add_counts("user-new-0", {"zzz-neologism": 1.0})
+        assert "zzz-neologism" not in text.vocabulary
 
     def test_oov_extension_terms_dropped_at_materialization(
         self, forum_artifact_path
