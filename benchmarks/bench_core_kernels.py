@@ -5,7 +5,11 @@ Unlike the whole-experiment benches, these time the hot loops properly
 strength-learning call, on the same problem shapes at several network
 scales: Gaussian weather networks, and the DBLP four-area ACP network
 whose titles make the categorical model the larger part of every EM
-update.  Two entry points share the measurement code:
+update.  ``dblp_acp_bound`` is the DBLP problem at a point where the
+strength solve stalls on the non-negativity bound: theta and gamma of a
+two-outer-iteration fit, whose last strength is 0 and whose Newton step
+pushes it negative, so every line search there backtracks to nothing.
+Two entry points share the measurement code:
 
 * **pytest-benchmark tests** (``pytest benchmarks/bench_core_kernels.py``)
   -- the per-PR regression smoke run; CI executes these in quick mode
@@ -33,7 +37,9 @@ try:
 except ImportError:  # standalone harness mode does not need pytest
     pytest = None
 
+from repro.core.config import GenClusConfig
 from repro.core.em import em_update
+from repro.core.genclus import GenClus
 from repro.core.initialization import random_theta
 from repro.core.problem import compile_problem
 from repro.core.strength import learn_strengths
@@ -77,6 +83,11 @@ TEXT_SCALES = {
     "dblp_acp": dict(n_authors=4000, n_papers=6000, train_papers=4000, seed=0),
 }
 
+# the DBLP problem where strength learning sits on the bound (see the
+# module docstring): theta and gamma of a fit this many outer iterations
+# long
+BOUND_SCALES = {"dblp_acp_bound": dict(base="dblp_acp", outer_iterations=2)}
+
 # opt-in ~100k-node scale (the KD-tree datagen path): generation alone
 # takes tens of seconds, so it joins the harness only with ``--xxl``
 # (standalone) or ``REPRO_BENCH_XXL=1`` (pytest entry points)
@@ -97,6 +108,8 @@ def _xxl_opted_in() -> bool:
 
 def build_problem(scale: str):
     """Compile the problem at a named scale, theta settled a bit."""
+    if scale in BOUND_SCALES:
+        return build_bound_problem(scale)
     if scale in TEXT_SCALES:
         params = dict(TEXT_SCALES[scale])
         train_papers = params.pop("train_papers")
@@ -120,6 +133,22 @@ def build_problem(scale: str):
             theta, gamma, problem.matrices, problem.attribute_models
         )
     return problem, theta, gamma
+
+
+def build_bound_problem(scale: str):
+    """A problem with theta and gamma from a short fit, gamma's last
+    component on the bound (asserted: the case is only worth timing
+    there)."""
+    params = BOUND_SCALES[scale]
+    problem, _, _ = build_problem(params["base"])
+    config = GenClusConfig(
+        n_clusters=problem.n_clusters,
+        outer_iterations=params["outer_iterations"],
+        seed=0,
+    )
+    result = GenClus(config).fit_problem(problem)
+    assert result.gamma[-1] == 0.0, result.gamma
+    return problem, result.theta, result.gamma
 
 
 def make_em_call(problem, theta, gamma, block_size=None, obs=None):
@@ -213,7 +242,7 @@ def run_harness(
     ``include_xxl`` adds the opt-in ~100k-node ``weather_xxl`` scale.
     """
     report: dict = {}
-    scales = {**SCALES, **TEXT_SCALES}
+    scales = {**SCALES, **TEXT_SCALES, **BOUND_SCALES}
     if include_xxl:
         scales.update(XXL_SCALES)
     for scale in scales:
@@ -222,6 +251,8 @@ def run_harness(
         strength_call = make_strength_call(
             problem, theta, gamma, block_size
         )
+        # g2' evaluations per solve, where the outcome reports them
+        evaluations = getattr(strength_call(), "evaluations", None)
         entry = {
             "num_nodes": problem.num_nodes,
             "num_relations": problem.num_relations,
@@ -233,6 +264,8 @@ def run_harness(
                 strength_call, repeats_strength
             ),
         }
+        if evaluations is not None:
+            entry["learn_strengths_evaluations"] = evaluations
         if block_size is not None:
             entry["block_size"] = block_size
         report[scale] = entry
@@ -319,6 +352,13 @@ if pytest is not None:
         problem, theta, gamma = compiled_problem
         outcome = benchmark(make_strength_call(problem, theta, gamma))
         assert np.all(outcome.gamma >= 0.0)
+
+    def test_strength_learning_kernel_bound(benchmark):
+        """One strength solve on DBLP where it stalls on the bound."""
+        problem, theta, gamma = build_problem("dblp_acp_bound")
+        outcome = benchmark(make_strength_call(problem, theta, gamma))
+        assert outcome.gamma[-1] == 0.0
+        assert outcome.stalled
 
     def _snapshot_params(problem):
         params = []

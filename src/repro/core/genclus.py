@@ -265,6 +265,10 @@ class GenClus:
                             gamma_next = strength_outcome.gamma
                             newton_iterations = strength_outcome.iterations
                             g2_value = strength_outcome.objective
+                            newton_span.annotate(
+                                evaluations=strength_outcome.evaluations,
+                                stalled=strength_outcome.stalled,
+                            )
                         else:
                             gamma_next = gamma.copy()
                             newton_iterations = 0

@@ -54,6 +54,8 @@ from repro.core.kernels import (
 )
 from repro.hin.views import RelationMatrices
 
+_UNIT = np.finfo(np.float64).eps / 2  # unit roundoff of float64
+
 
 @dataclass(frozen=True)
 class StrengthStatistics:
@@ -84,6 +86,8 @@ class StrengthOutcome:
     converged: bool
     used_fallback: bool
     """True when any iteration fell back to gradient ascent."""
+    evaluations: int  # g2' evaluations, the initial one included
+    stalled: bool  # the last line search found no ascent and kept gamma
 
 
 def _plan_for(
@@ -183,7 +187,9 @@ class _NewtonWorkspace:
         "partial_vec2",
         "partial_mat",
         "partial_mat2",
-        "partial_scalar",
+        "partial_sums",
+        "magnitude",
+        "evaluations",
     )
 
     def __init__(
@@ -203,7 +209,9 @@ class _NewtonWorkspace:
         self.partial_vec2 = np.empty((num_blocks, r))
         self.partial_mat = np.empty((num_blocks, r, r))
         self.partial_mat2 = np.empty((num_blocks, r, r))
-        self.partial_scalar = np.empty(num_blocks)
+        self.partial_sums = np.empty((num_blocks, 2))
+        self.magnitude = np.inf  # of the last g2' evaluation
+        self.evaluations = 0
 
 
 def _alphas_into(
@@ -329,23 +337,27 @@ def _objective_from_alphas(
     alpha_sums: np.ndarray,
     ws: _NewtonWorkspace,
 ) -> float:
-    """g2'(gamma) given an already-evaluated Eq. 15 field."""
+    """g2'(gamma) given an already-evaluated Eq. 15 field; counts the
+    evaluation and sets ``ws.magnitude``, its terms' summed size plus 1
+    per gammaln term (gammaln >= -0.1215 on ``[1, inf)``; ce <= 0)."""
     field = ws.field
     row = ws.row
 
     def block(index: int, v0: int, v1: int) -> None:
         gammaln(alphas[v0:v1], out=field[v0:v1])
         gammaln(alpha_sums[v0:v1], out=row[v0:v1])
-        ws.partial_scalar[index] = (
-            field[v0:v1].sum() - row[v0:v1].sum()
-        )
+        ws.partial_sums[index] = field[v0:v1].sum(), row[v0:v1].sum()
 
     run_blocks(ws.plan, block)
-    log_partition = 0.0
-    for partial in ws.partial_scalar:
-        log_partition += float(partial)
+    log_partition = magnitude = 0.0
+    for terms, totals in ws.partial_sums.tolist():
+        log_partition += terms - totals
+        magnitude += terms + totals
     feature_total = float(np.dot(gamma, stats.ce_totals))
     prior = float(np.dot(gamma, gamma)) / (2.0 * sigma**2)
+    ws.evaluations += 1
+    count = alphas.size + alpha_sums.size
+    ws.magnitude = magnitude + 1.243 * count + prior - feature_total
     return feature_total - log_partition - prior
 
 
@@ -410,7 +422,7 @@ def learn_strengths(
     matrices:
         Per-relation link matrices (or a wrapping operator).
     gamma0:
-        Starting strengths (the previous outer iteration's value).
+        Finite starting strengths (the previous outer iteration's value).
     sigma:
         Prior scale of Eq. 8.
     max_iterations, tol:
@@ -422,26 +434,32 @@ def learn_strengths(
         reductions.
     obs:
         Optional :class:`~repro.obs.Observability`; when recording,
-        the call contributes ``repro_newton_iterations_total`` and
+        the call contributes ``repro_newton_iterations_total``,
+        ``repro_newton_objective_evaluations_total`` and
         ``repro_newton_fallbacks_total`` counters (once per call --
         nothing inside the Newton loop is instrumented).
     """
     n, k = theta.shape
-    if plan is None:
-        plan = _plan_for(matrices, n, k)
-    stats = compute_statistics(theta, matrices, floor, plan=plan)
-    gamma = np.clip(np.asarray(gamma0, dtype=np.float64).copy(), 0.0, None)
+    gamma = np.asarray(gamma0, dtype=np.float64)
     if gamma.shape != (matrices.num_relations,):
         raise ValueError(
             f"gamma0 must have shape ({matrices.num_relations},), "
             f"got {gamma.shape}"
         )
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError(f"gamma0 must be finite, got {gamma}")
+    gamma = np.clip(gamma, 0.0, None)
+    if plan is None:
+        plan = _plan_for(matrices, n, k)
+    stats = compute_statistics(theta, matrices, floor, plan=plan)
     ws = _NewtonWorkspace(n, k, stats.num_relations, plan)
     _alphas_into(stats, gamma, ws.alphas, ws.alpha_sums, ws)
     value = _objective_from_alphas(
         stats, gamma, sigma, ws.alphas, ws.alpha_sums, ws
     )
+    magnitude = ws.magnitude
     converged = False
+    improved = True
     used_fallback = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
@@ -455,12 +473,13 @@ def learn_strengths(
             used_fallback = True
             step = grad * (sigma**2)  # scaled gradient ascent direction
         candidate, cand_value, fell_back, improved = _line_search(
-            stats, gamma, step, value, sigma, ws
+            stats, gamma, step, value, sigma, ws, grad, magnitude
         )
         if improved:
             # the candidate buffers hold the accepted gamma's field
             ws.alphas, ws.cand_alphas = ws.cand_alphas, ws.alphas
             ws.alpha_sums, ws.cand_sums = ws.cand_sums, ws.alpha_sums
+            magnitude = ws.magnitude
         used_fallback = used_fallback or fell_back
         delta = float(np.max(np.abs(candidate - gamma)))
         gamma, value = candidate, cand_value
@@ -471,6 +490,10 @@ def learn_strengths(
         obs.metrics.counter(
             "repro_newton_iterations_total", "Newton iterations run"
         ).inc(iterations)
+        obs.metrics.counter(
+            "repro_newton_objective_evaluations_total",
+            "g2' evaluations by the strength solver",
+        ).inc(ws.evaluations)
         if used_fallback:
             obs.metrics.counter(
                 "repro_newton_fallbacks_total",
@@ -483,6 +506,8 @@ def learn_strengths(
         objective=value,
         converged=converged,
         used_fallback=used_fallback,
+        evaluations=ws.evaluations,
+        stalled=not improved,
     )
 
 
@@ -510,6 +535,8 @@ def _line_search(
     current_value: float,
     sigma: float,
     ws: _NewtonWorkspace,
+    grad: np.ndarray,
+    magnitude: float,
     max_halvings: int = 30,
 ) -> tuple[np.ndarray, float, bool, bool]:
     """Projected backtracking: halve the step until g2' improves.
@@ -518,13 +545,42 @@ def _line_search(
     ``used_fallback`` records whether any halving was needed and
     ``improved`` whether a step was accepted (so ``ws.cand_*`` hold the
     returned gamma's alpha field).  If no step length improves the
-    objective, gamma is kept (a stationary boundary point).  Every
-    halving reuses the workspace's candidate alpha buffers -- no
-    per-attempt ``(n, K)`` allocation.
+    objective, gamma is kept, though it need not be a maximum: the
+    projected Newton step can leave the feasible set where the gradient
+    within it is nonzero.  Halvings reuse the candidate alpha buffers.
+
+    A candidate ``x`` that provably fails is skipped unevaluated.  g2'
+    is concave (Appendix B), so ``g2'(x) <= g2'(gamma) + grad . d`` for
+    ``d = x - gamma`` and the exact gradient.  ``slack`` bounds, twice
+    over, the rounding of both computed values and of ``grad . d``:
+    ``eps`` (argument, special-function and pairwise-summation rounding
+    per term) times ``magnitude`` (``ws.magnitude`` at gamma), plus
+    ``eps_grad`` (naive summation) times ``|d| . rates``, the terms'
+    growth at ``x`` and the gradient's error (``|psi| <= ln(max alpha)
+    + 0.5773`` on the segment).  If ``grad . d + slack < -1e-12`` the
+    accept test cannot pass: the result equals evaluating them all.
     """
+    n, k = ws.alphas.shape
+    weights = None
     scale = 1.0
     for attempt in range(max_halvings):
         candidate = np.clip(gamma + scale * step, 0.0, None)
+        d = candidate - gamma
+        if grad @ d < -1e-12:  # else no slack can rule the candidate out
+            if weights is None:  # total and peak out-weight per relation
+                columns = stats.rowsums.T.copy()  # fast axis reductions
+                weights, peaks = columns.sum(1), columns.max(1, initial=0)
+            eps = _UNIT * (2 * (k + len(gamma)) + np.log2(n * k + 1) + 32)
+            eps += _UNIT * len(ws.plan)
+            eps_grad = eps + _UNIT * n * k
+            top = np.maximum(candidate, gamma)
+            rates = np.log(k + peaks @ top) + 0.5773
+            rates = 2 * rates * weights + np.abs(stats.ce_totals)
+            rates += top / sigma**2 + np.abs(grad)
+            slack = 4 * (eps * magnitude + eps_grad * (np.abs(d) @ rates))
+            if -np.inf < grad @ d + slack < -1e-12:
+                scale *= 0.5
+                continue
         _alphas_into(stats, candidate, ws.cand_alphas, ws.cand_sums, ws)
         value = _objective_from_alphas(
             stats, candidate, sigma, ws.cand_alphas, ws.cand_sums, ws

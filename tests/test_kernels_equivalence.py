@@ -46,7 +46,13 @@ from repro.core.kernels import (
 )
 from repro.core.objective import dirichlet_alphas, g1
 from repro.core.problem import compile_problem
+from repro.core import strength
 from repro.core.strength import (
+    _alphas_into,
+    _gradient_into,
+    _line_search,
+    _NewtonWorkspace,
+    _objective_from_alphas,
     compute_statistics,
     gradient,
     hessian,
@@ -63,6 +69,7 @@ from repro.hin.attributes import (
     TextAttribute,
 )
 from repro.hin.builder import NetworkBuilder
+from repro.hin.views import RelationMatrices
 from repro.exceptions import ConfigError
 
 RTOL = 1e-10
@@ -951,6 +958,188 @@ class TestStrengthEquivalence:
         assert outcome.objective == pytest.approx(value, rel=1e-10)
 
 
+def reference_line_search(
+    stats, gamma, step, current_value, sigma, ws, max_halvings=30
+):
+    """The evaluate-every-candidate backtracking loop the certified
+    line search replaced, kept verbatim as its oracle."""
+    scale = 1.0
+    for attempt in range(max_halvings):
+        candidate = np.clip(gamma + scale * step, 0.0, None)
+        _alphas_into(stats, candidate, ws.cand_alphas, ws.cand_sums, ws)
+        value = _objective_from_alphas(
+            stats, candidate, sigma, ws.cand_alphas, ws.cand_sums, ws
+        )
+        if np.isfinite(value) and value >= current_value - 1e-12:
+            return candidate, value, attempt > 0, True
+        scale *= 0.5
+    return gamma.copy(), current_value, True, False
+
+
+def strength_case(rng, n, num_relations, k, density):
+    """Random relation matrices and memberships for g2'."""
+    matrices = RelationMatrices(
+        tuple(f"r{r}" for r in range(num_relations)),
+        tuple(random_matrices(rng, n, num_relations, density)),
+        n,
+    )
+    return matrices, random_theta(rng, n, k)
+
+
+def line_search_start(stats, gamma, sigma, plan):
+    """A workspace holding gamma's field, as ``learn_strengths`` keeps
+    it between iterations, plus gamma's value and gradient."""
+    _, n, k = stats.propagated.shape
+    ws = _NewtonWorkspace(n, k, stats.num_relations, plan)
+    _alphas_into(stats, gamma, ws.alphas, ws.alpha_sums, ws)
+    value = _objective_from_alphas(
+        stats, gamma, sigma, ws.alphas, ws.alpha_sums, ws
+    )
+    return ws, value, _gradient_into(stats, gamma, sigma, ws)
+
+
+def oracle_learn_strengths(*args, **kwargs):
+    """``learn_strengths`` driven by the evaluate-every-candidate loop."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            strength,
+            "_line_search",
+            lambda stats, gamma, step, value, sigma, ws, grad, magnitude: (
+                reference_line_search(stats, gamma, step, value, sigma, ws)
+            ),
+        )
+        return learn_strengths(*args, **kwargs)
+
+
+class TestCertifiedLineSearch:
+    """The line search skips only candidates concavity proves fail, so
+    every search and every solve equals the evaluate-everything loop
+    bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(2, 150),
+        num_relations=st.integers(1, 4),
+        k=st.integers(1, 5),
+        density=st.floats(0.02, 0.5),
+        block_rows=st.one_of(st.none(), st.integers(1, 16)),
+        log_sigma=st.floats(-1.5, 1.0),
+        log_gamma=st.floats(-1.0, 1.5),
+        mode=st.sampled_from(["newton", "random", "descent"]),
+        log_size=st.floats(-13.0, 2.0),
+    )
+    def test_property_matches_oracle(
+        self, seed, n, num_relations, k, density, block_rows,
+        log_sigma, log_gamma, mode, log_size,
+    ):
+        rng = np.random.default_rng(seed)
+        matrices, theta = strength_case(rng, n, num_relations, k, density)
+        plan = BlockPlan.for_shape(n, k, block_rows)
+        stats = compute_statistics(theta, matrices, plan=plan)
+        sigma = 10.0**log_sigma
+        gamma = rng.random(num_relations) * 10.0**log_gamma
+        gamma[rng.random(num_relations) < 0.5] = 0.0
+        ws, value, grad = line_search_start(stats, gamma, sigma, plan)
+        if mode == "newton":  # the solver's own direction
+            step = -np.linalg.solve(
+                hessian(stats, gamma, sigma), gradient(stats, gamma, sigma)
+            )
+        elif mode == "random":
+            step = rng.normal(size=num_relations) * 10.0**log_size
+        else:
+            # a first-order loss of 10**log_size, at most 1e-8: small
+            # enough that the values' rounding decides acceptance, the
+            # case the slack must cover
+            scale = 10.0 ** min(log_size, -8.0)
+            step = -grad * scale / max(float(grad @ grad), 1e-300)
+        # the zero components' steps push into the bound
+        step[gamma == 0.0] = -np.abs(step[gamma == 0.0])
+        oracle_ws, oracle_value, _ = line_search_start(
+            stats, gamma, sigma, plan
+        )
+        assert value == oracle_value
+        got = _line_search(
+            stats, gamma, step, value, sigma, ws, grad, ws.magnitude
+        )
+        want = reference_line_search(
+            stats, gamma, step, value, sigma, oracle_ws
+        )
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        if got[3]:  # the accepted candidate's field, as the solver uses it
+            assert np.array_equal(ws.cand_alphas, oracle_ws.cand_alphas)
+            assert np.array_equal(ws.cand_sums, oracle_ws.cand_sums)
+        assert ws.evaluations <= oracle_ws.evaluations
+
+    def test_descent_direction_skips_every_candidate(self):
+        """Against the gradient no halving can ascend: the bound proves
+        it for each candidate, so none is evaluated."""
+        rng = np.random.default_rng(7)
+        matrices, theta = strength_case(rng, 30, 3, 3, 0.2)
+        plan = BlockPlan.for_shape(30, 3)
+        stats = compute_statistics(theta, matrices, plan=plan)
+        gamma = np.array([1.5, 0.0, 0.7])
+        ws, value, grad = line_search_start(stats, gamma, 0.5, plan)
+        assert np.max(np.abs(grad)) > 1e-3
+        evaluations = ws.evaluations
+        got = _line_search(
+            stats, gamma, -grad, value, 0.5, ws, grad, ws.magnitude
+        )
+        oracle_ws, _, _ = line_search_start(stats, gamma, 0.5, plan)
+        want = reference_line_search(
+            stats, gamma, -grad, value, 0.5, oracle_ws
+        )
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:] == (value, True, False)
+        assert ws.evaluations == evaluations
+        assert oracle_ws.evaluations == evaluations + 30
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(5, 50),
+        num_relations=st.integers(1, 4),
+        k=st.integers(2, 5),
+        log_sigma=st.floats(-1.0, 1.0),
+    )
+    def test_learn_strengths_matches_oracle_run(
+        self, seed, n, num_relations, k, log_sigma
+    ):
+        rng = np.random.default_rng(seed)
+        matrices, theta = strength_case(rng, n, num_relations, k, 0.2)
+        gamma0 = rng.random(num_relations) * 3.0
+        gamma0[rng.random(num_relations) < 0.5] = 0.0
+        kwargs = dict(sigma=10.0**log_sigma)
+        got = learn_strengths(theta, matrices, gamma0, **kwargs)
+        want = oracle_learn_strengths(theta, matrices, gamma0, **kwargs)
+        assert np.array_equal(got.gamma, want.gamma)
+        assert (
+            got.iterations, got.objective, got.converged,
+            got.used_fallback, got.stalled,
+        ) == (
+            want.iterations, want.objective, want.converged,
+            want.used_fallback, want.stalled,
+        )
+        assert got.evaluations <= want.evaluations
+
+    def test_stalled_solve_is_flagged_and_cheaper(self):
+        """A solve whose last search finds no ascent at the bound: the
+        outcome says ``stalled`` (``converged`` alone reads as success),
+        and the certified search skips most of that search."""
+        rng = np.random.default_rng(0)
+        matrices, theta = strength_case(rng, 30, 3, 3, 0.2)
+        gamma0 = np.ones(3)
+        got = learn_strengths(theta, matrices, gamma0, sigma=1.0)
+        want = oracle_learn_strengths(theta, matrices, gamma0, sigma=1.0)
+        assert got.stalled and got.converged and want.stalled
+        assert got.gamma[0] == 0.0  # stopped on the bound
+        assert np.array_equal(got.gamma, want.gamma)
+        assert got.objective == want.objective
+        # the failed search alone costs the oracle 30 evaluations
+        assert got.evaluations + 25 <= want.evaluations
+
+
 class TestBlockPlan:
     def test_blocks_cover_rows_exactly(self):
         plan = BlockPlan(100, 32)
@@ -1207,6 +1396,24 @@ class TestObservabilityBitIdentity:
         assert series_value(
             snapshot, "repro_em_sweeps_total"
         ) == sum(r.em_iterations for r in result.history.records)
+
+    def test_newton_spans_report_evaluations_and_stalls(self):
+        """Each ``newton`` span carries its solve's g2' evaluation count
+        and stall flag; the counter sums the evaluations once per call."""
+        from repro.obs import Observability, series_value
+
+        obs = Observability(trace=True)
+        self._fit(9, obs=obs)
+        (root,) = obs.tracer.traces()
+        newton_spans = [span.children[1] for span in root.children[1:]]
+        assert newton_spans
+        for span in newton_spans:
+            assert span.attributes["evaluations"] >= 1
+            assert isinstance(span.attributes["stalled"], bool)
+        assert series_value(
+            obs.metrics.snapshot(),
+            "repro_newton_objective_evaluations_total",
+        ) == sum(span.attributes["evaluations"] for span in newton_spans)
 
     def test_history_timings_come_from_spans(self):
         """RunHistory em/newton seconds == the spans' durations (same

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import strength
 from repro.core.strength import (
     compute_statistics,
     gradient,
@@ -43,6 +46,20 @@ def make_two_relation_network(n_per_cluster=8, seed=0):
         theta[i, cluster[i]] = 0.9
         theta[i, 1 - cluster[i]] = 0.1
     return network, theta
+
+
+@pytest.fixture
+def objective_calls(monkeypatch):
+    """Records every g2' evaluation of the Newton workspace path."""
+    calls = []
+    original = strength._objective_from_alphas
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(strength, "_objective_from_alphas", counting)
+    return calls
 
 
 @pytest.fixture
@@ -115,6 +132,37 @@ class TestDerivatives:
                 + objective_value(stats, b, 0.5)
             )
             assert lhs >= rhs - 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_per_cluster=st.integers(4, 10),
+        log_sigma=st.floats(-1.5, 1.0),
+        zeros=st.integers(0, 3),
+    )
+    def test_first_order_upper_bound(
+        self, seed, n_per_cluster, log_sigma, zeros
+    ):
+        """The premise of the certified line search: concave g2' lies
+        below its tangent plane, g2'(x) <= g2'(gamma) + grad . (x - gamma),
+        for any gamma, x >= 0 -- including points on the bound."""
+        network, _ = make_two_relation_network(n_per_cluster, seed % 1000)
+        matrices = build_relation_matrices(network)
+        rng = np.random.default_rng(seed)
+        theta = rng.dirichlet(np.ones(2), size=network.num_nodes)
+        stats = compute_statistics(theta, matrices)
+        sigma = 10.0**log_sigma
+        gamma, x = rng.random(2) * 5, rng.random(2) * 5
+        if zeros & 1:
+            gamma[0] = 0.0
+        if zeros & 2:
+            x[1] = 0.0
+        here = objective_value(stats, gamma, sigma)
+        there = objective_value(stats, x, sigma)
+        tangent = float(gradient(stats, gamma, sigma) @ (x - gamma))
+        assert there <= here + tangent + 1e-9 * (
+            1.0 + abs(here) + abs(tangent)
+        )
 
 
 class TestStatistics:
@@ -195,3 +243,30 @@ class TestLearnStrengths:
         out1 = learn_strengths(theta, matrices, np.ones(2), sigma=0.5)
         out2 = learn_strengths(theta, matrices, np.ones(2), sigma=0.5)
         np.testing.assert_array_equal(out1.gamma, out2.gamma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gamma0_raises_before_any_evaluation(
+        self, stats_and_matrices, objective_calls, bad
+    ):
+        _, matrices, theta = stats_and_matrices
+        with pytest.raises(ValueError, match="gamma0 must be finite"):
+            learn_strengths(theta, matrices, np.array([1.0, bad]))
+        assert objective_calls == []
+
+    def test_evaluations_count_every_objective_evaluation(
+        self, stats_and_matrices, objective_calls
+    ):
+        _, matrices, theta = stats_and_matrices
+        outcome = learn_strengths(theta, matrices, np.ones(2), sigma=0.5)
+        # the initial evaluation plus at least one per accepted step
+        assert outcome.evaluations == len(objective_calls) >= 2
+        assert outcome.converged
+
+    def test_no_iterations_no_stall(self, stats_and_matrices):
+        _, matrices, theta = stats_and_matrices
+        outcome = learn_strengths(
+            theta, matrices, np.ones(2), max_iterations=0
+        )
+        assert outcome.evaluations == 1
+        assert not outcome.stalled
+        assert not outcome.converged
