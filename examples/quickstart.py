@@ -242,9 +242,9 @@ def sharded_serving(result: GenClusResult) -> None:
 
     When one engine saturates, :class:`ShardedEngine` splits the served
     index space across a cluster of shard engines under a
-    :class:`~repro.serving.cluster.ShardPlan` (a shard is a pinned
-    contiguous range of the kernel row blocks; inspect a proposed plan
-    with ``python -m repro.serving shard-plan MODEL --shards N``).
+    :class:`~repro.serving.cluster.ShardPlan` (a shard owns a balanced
+    contiguous range of rows; print the split with
+    ``python -m repro.serving shard-plan MODEL --shards N``).
     Queries route to owning shards, ``score_many`` scatter-gathers
     per-shard fold-in batches, and every answer is **bit-identical** to
     a single engine serving the same traffic -- sharding is a
@@ -258,7 +258,7 @@ def sharded_serving(result: GenClusResult) -> None:
     """
     print()
     print("Sharded serving & retrain policy:")
-    engine = ShardedEngine.from_result(result, n_shards=2, block_size=2)
+    engine = ShardedEngine.from_result(result, n_shards=2)
     print(
         "  plan:",
         ", ".join(
@@ -282,9 +282,7 @@ def sharded_serving(result: GenClusResult) -> None:
     driver = RetrainDriver(
         engine,
         RetrainPolicy(max_extension_nodes=2),
-        config=GenClusConfig(
-            n_clusters=3, outer_iterations=3, seed=0, block_size=2
-        ),
+        config=GenClusConfig(n_clusters=3, outer_iterations=3, seed=0),
     )
     engine.extend(
         [NewNode("paper-8", "paper",
@@ -329,15 +327,15 @@ def similarity_and_suggestions(result: GenClusResult) -> None:
     ordered cross-block merge -- never a full sort, never a dense
     query-by-corpus matrix), with per-metric precomputes cached
     against the state version.  Ties break by (score desc, node index
-    asc), so a ranking is bit-identical at every block size and
-    every shard count, and equals the offline
+    asc), so a ranking is bit-identical at every shard count, and
+    equals the offline
     :func:`repro.eval.reference_ranking` protocol.  The CLI twins are
     ``python -m repro.serving similar MODEL --node ID -k 10`` and
     ``... suggest-links MODEL --node ID --relation REL``.
     """
     print()
     print("Similarity & link suggestion:")
-    engine = InferenceEngine.from_result(result, block_size=2)
+    engine = InferenceEngine.from_result(result)
     for node, score in engine.similar("paper-1", k=3):
         print(f"  similar to paper-1: {node}  ({score:.4f})")
     for node, score in engine.suggest_links("author-3", "write", k=3):
@@ -345,9 +343,7 @@ def similarity_and_suggestions(result: GenClusResult) -> None:
     # a node already linked to every candidate has nothing left to be
     # suggested -- exclusion is the point
     assert engine.suggest_links("paper-1", "written_by", k=3) == []
-    cluster = ShardedEngine.from_result(
-        result, n_shards=2, block_size=2
-    )
+    cluster = ShardedEngine.from_result(result, n_shards=2)
     identical = cluster.similar("paper-1", k=3) == engine.similar(
         "paper-1", k=3
     )
@@ -384,9 +380,7 @@ def observability(result: GenClusResult) -> None:
     print()
     print("Observability (spans + metrics + Prometheus export):")
     obs = Observability(trace=True)
-    engine = ShardedEngine.from_result(
-        result, n_shards=2, block_size=2, obs=obs
-    )
+    engine = ShardedEngine.from_result(result, n_shards=2, obs=obs)
     engine.score_many(
         [
             {"object_type": "paper",
@@ -454,7 +448,7 @@ def fault_tolerance(result: GenClusResult) -> None:
          "links": [("written_by", "author-5", 1.0)]},
     ]
     reference = ShardedEngine.from_result(
-        result, n_shards=2, block_size=2
+        result, n_shards=2
     ).score_many([dict(q) for q in queries])
 
     # kill shard 0 (the one owning the routed rows here) at the fold-in
@@ -464,7 +458,6 @@ def fault_tolerance(result: GenClusResult) -> None:
     engine = ShardedEngine.from_result(
         result,
         n_shards=2,
-        block_size=2,
         supervision=SupervisionPolicy(
             max_retries=1, backoff_base=0.0, breaker_threshold=2
         ),
@@ -539,7 +532,7 @@ def http_serving(result: GenClusResult) -> None:
          "links": [["written_by", "author-4", 1.0]]},
     ]
     reference = ShardedEngine.from_result(
-        result, n_shards=2, block_size=2
+        result, n_shards=2
     ).score_many(
         [
             {**q, "links": [tuple(l) for l in q.get("links", [])]}
@@ -549,9 +542,7 @@ def http_serving(result: GenClusResult) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fig4_model"
         result.save(path)
-        engine = ShardedEngine.load(
-            path, n_shards=2, block_size=2, transport="process"
-        )
+        engine = ShardedEngine.load(path, n_shards=2, transport="process")
         try:
             with GatewayServer.launch(
                 engine, batch_window=0.005, max_batch=32
@@ -619,9 +610,12 @@ def http_serving(result: GenClusResult) -> None:
 # **blocks** (``BlockPlan``), inline and in block order; the block
 # decomposition depends only on the problem shape and reductions
 # accumulate in block order, so a fit or a score is a pure function of
-# its inputs and ``block_size``.  There is no in-process thread knob:
-# on a 2-CPU host a thread fan-out of the blocks measured slower than
-# the inline sweep for fits, kernels and serving alike.  To use more
+# its inputs.  Nothing configures the execution shape: there is no
+# block-size or thread knob.  Blocking keeps each block's working set
+# in cache, which pays at scale (``learn_strengths`` on a 98k-node
+# weather network: 376 ms blocked vs 497 ms as one block, 2-CPU host),
+# and a thread fan-out of the blocks measured slower than the inline
+# sweep on the same host for fits, kernels and serving alike.  To use more
 # cores for serving, shard the model across worker processes
 # (``ShardedEngine.load(path, n_shards=2, transport="process")`` or
 # ``python -m repro.serving serve --shards 2``).

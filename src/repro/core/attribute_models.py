@@ -53,6 +53,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.kernels import (
+    BlockPlan,
     csr_matmul_rows,
     csr_rmatmul_rows,
     ordered_block_sum,
@@ -322,7 +323,8 @@ class CategoricalModel:
 
     # ------------------------------------------------------------------
     def set_block_rows(self, block_rows: int | None) -> None:
-        """Override the blocked-execution row count (``None`` = auto)."""
+        """Force the blocked-execution row count (``None`` = the
+        shape-derived plan); a test seam, fits never call it."""
         if block_rows != self._block_rows:
             self._block_rows = block_rows
             self._plan = None
@@ -330,11 +332,11 @@ class CategoricalModel:
     def _get_plan(self):
         plan = self._plan
         if plan is None:
-            plan = plan_for_observations(
-                self.compiled.counts.shape[0],
-                self.n_clusters,
-                self._pattern.nnz,
-                self._block_rows,
+            rows = self.compiled.counts.shape[0]
+            plan = (
+                plan_for_observations(rows, self.n_clusters, self._pattern.nnz)
+                if self._block_rows is None
+                else BlockPlan(rows, self._block_rows)
             )
             # one scratch set serves every block, so it stays in cache
             indptr = self._pattern.indptr
@@ -579,7 +581,8 @@ class GaussianModel:
         return gaussian_log_pdf(self._values, means, variances)
 
     def set_block_rows(self, block_rows: int | None) -> None:
-        """Override the blocked-execution row count (``None`` = auto)."""
+        """Force the blocked-execution row count (``None`` = the
+        shape-derived plan); a test seam, fits never call it."""
         if block_rows != self._block_rows:
             self._block_rows = block_rows
             self._plan = None
@@ -588,11 +591,11 @@ class GaussianModel:
     def _get_plan(self):
         plan = self._plan
         if plan is None:
-            plan = plan_for_observations(
-                self.compiled.node_indices.shape[0],
-                self.n_clusters,
-                self._values.size,
-                self._block_rows,
+            rows = self.compiled.node_indices.shape[0]
+            plan = (
+                plan_for_observations(rows, self.n_clusters, self._values.size)
+                if self._block_rows is None
+                else BlockPlan(rows, self._block_rows)
             )
             self._plan = plan
             self._partials = np.empty(

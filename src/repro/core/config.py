@@ -62,15 +62,6 @@ class GenClusConfig:
         -- monotonicity diagnostics without editing source.  Off by
         default: each evaluation costs an extra pass over links and
         observations.
-    block_size:
-        Override for the number of index rows per execution block
-        (``None`` = cache-sized automatically).  Inner EM, the
-        attribute models' E+M passes and strength learning run block
-        by block, in block order, and every cross-block reduction
-        accumulates in that order, so a fit is a pure function of the
-        data, the seed and the block size.  Changing ``block_size``
-        changes reduction grouping, so fits with different sizes agree
-        only to floating-point roundoff.
     """
 
     n_clusters: int
@@ -87,7 +78,6 @@ class GenClusConfig:
     seed: int | None = None
     gamma_tol: float = 1e-5
     track_em_objective: bool = False
-    block_size: int | None = None
 
     def __post_init__(self) -> None:
         # NaN passes every ordered check below (nan < 0 is false)
@@ -131,7 +121,3 @@ class GenClusConfig:
             )
         if self.em_tol < 0 or self.newton_tol < 0 or self.gamma_tol < 0:
             raise ConfigError("tolerances must be non-negative")
-        if self.block_size is not None and self.block_size < 1:
-            raise ConfigError(
-                f"block_size must be >= 1 when set, got {self.block_size}"
-            )

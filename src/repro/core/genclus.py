@@ -147,12 +147,10 @@ class GenClus:
         # per-outer-iteration gamma change rewrites its combined data
         operator = PropagationOperator.wrap(matrices)
         num_relations = matrices.num_relations
-        # blocked execution: one node-space plan (cached on the
-        # operator) drives inner EM and strength learning; the
+        # blocked execution: one shape-derived node-space plan (cached
+        # on the operator) drives inner EM and strength learning; the
         # attribute models block their own observation spaces
-        plan = operator.block_plan(config.n_clusters, config.block_size)
-        for model in problem.attribute_models:
-            model.set_block_rows(config.block_size)
+        plan = operator.block_plan(config.n_clusters)
 
         # phase timing always runs through spans (a throwaway tracer
         # when the caller is not tracing); span durations feed the

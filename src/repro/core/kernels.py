@@ -42,9 +42,8 @@ categorical E+M pass: bit for bit) in ``tests/test_kernels_equivalence.py``.
    The blocking pays on one core: a block's buffers stay resident in
    L2 across the many elementwise passes of the Gaussian E-step, where
    the unblocked sweep streamed multi-megabyte arrays from RAM once
-   per pass.  A ``BlockPlan`` is also the unit of engine sharding: a
-   shard is a pinned subset of blocks, and shard worker processes are
-   the multi-core path.
+   per pass.  Nothing configures the plan: a fit, score or objective is
+   a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -150,14 +149,21 @@ _BLOCK_TARGET_BYTES = 256 * 1024
 _MIN_BLOCK_ROWS = 1024
 
 
+def _cache_rows(row_width: int) -> int:
+    """Rows per block keeping one block's float64 ``(rows, row_width)``
+    field around :data:`_BLOCK_TARGET_BYTES`."""
+    width = max(int(row_width), 1)
+    return max(_MIN_BLOCK_ROWS, _BLOCK_TARGET_BYTES // (width * 8))
+
+
 class BlockPlan:
     """Contiguous row blocks over an index space.
 
     The plan is a pure function of ``(num_rows, block_rows)``, so the
     block decomposition, and with it every block-ordered reduction, is
-    fixed by the shapes alone.  ``block_rows`` defaults to a
-    cache-sized row count derived from the row width (see
-    :meth:`for_shape`).
+    fixed by the shapes alone.  Kernels get their plan from
+    :meth:`for_shape`, which derives a cache-sized ``block_rows`` from
+    the row width; an explicit plan is a test seam.
 
     A plan is immutable; :meth:`grown` returns a patched plan for an
     appended index space (the existing block boundaries are preserved
@@ -189,24 +195,9 @@ class BlockPlan:
         self._bounds = _bounds
 
     @classmethod
-    def for_shape(
-        cls,
-        num_rows: int,
-        row_width: int,
-        block_rows: int | None = None,
-    ) -> "BlockPlan":
-        """A cache-sized plan for an ``(num_rows, row_width)`` field.
-
-        ``block_rows`` overrides the automatic size (the benchmark
-        harness and config expose it); the default keeps one block's
-        float64 field around :data:`_BLOCK_TARGET_BYTES`.
-        """
-        if block_rows is None:
-            width = max(int(row_width), 1)
-            block_rows = max(
-                _MIN_BLOCK_ROWS, _BLOCK_TARGET_BYTES // (width * 8)
-            )
-        return cls(num_rows, block_rows)
+    def for_shape(cls, num_rows: int, row_width: int) -> "BlockPlan":
+        """A cache-sized plan for an ``(num_rows, row_width)`` field."""
+        return cls(num_rows, _cache_rows(row_width))
 
     @property
     def num_blocks(self) -> int:
@@ -246,54 +237,9 @@ class BlockPlan:
             total, self.block_rows, _bounds=self._bounds + extra
         )
 
-    def partition(self, n_shards: int) -> tuple[tuple[int, int], ...]:
-        """Assign this plan's blocks to ``n_shards`` contiguous shards.
-
-        Returns ``((first_block, stop_block), ...)`` per shard --
-        half-open block ranges in block order, balanced to within one
-        block (shard ``i`` gets blocks ``i*B//S .. (i+1)*B//S``).  Like
-        the plan itself the split is a pure function of the shape, so a
-        shard is a *pinned* subset of blocks: re-deriving the partition
-        from the same plan always yields the same ranges, which is what
-        lets a serving cluster treat "shard" as a stable unit of
-        ownership over the row space.
-
-        Every shard must own at least one block; asking for more shards
-        than blocks is an error (pick a smaller ``block_rows`` to split
-        a small index space finer).
-        """
-        if n_shards < 1:
-            raise ValueError(
-                f"n_shards must be >= 1, got {n_shards}"
-            )
-        blocks = self.num_blocks
-        if n_shards > blocks:
-            raise ValueError(
-                f"cannot split {blocks} row block(s) across "
-                f"{n_shards} shards; use a smaller block size to "
-                f"decompose {self.num_rows} rows finer"
-            )
-        return tuple(
-            (shard * blocks // n_shards, (shard + 1) * blocks // n_shards)
-            for shard in range(n_shards)
-        )
-
-    def block_rows_of(self, first_block: int, stop_block: int) -> tuple[int, int]:
-        """The half-open row range ``[start, stop)`` covered by a
-        contiguous block range of this plan."""
-        if not 0 <= first_block < stop_block <= self.num_blocks:
-            raise ValueError(
-                f"block range [{first_block}, {stop_block}) is not a "
-                f"non-empty sub-range of {self.num_blocks} blocks"
-            )
-        return self._bounds[first_block][0], self._bounds[stop_block - 1][1]
-
 
 def plan_for_observations(
-    num_rows: int,
-    row_width: int,
-    num_items: int,
-    block_rows: int | None = None,
+    num_rows: int, row_width: int, num_items: int
 ) -> BlockPlan:
     """A plan over owner rows sized by their *item* working set.
 
@@ -303,12 +249,9 @@ def plan_for_observations(
     keep one block's field cache-resident.  Like every plan, the result
     depends only on the shapes.
     """
-    if block_rows is None:
-        width = max(int(row_width), 1)
-        target_items = max(1024, _BLOCK_TARGET_BYTES // (width * 8))
-        multiplicity = max(1.0, num_items / max(num_rows, 1))
-        block_rows = max(256, int(target_items / multiplicity))
-    return BlockPlan(num_rows, block_rows)
+    multiplicity = max(1.0, num_items / max(num_rows, 1))
+    block_rows = int(_cache_rows(row_width) / multiplicity)
+    return BlockPlan(num_rows, max(_MIN_BLOCK_ROWS // 4, block_rows, 1))
 
 
 def run_bounds(bounds: Sequence[tuple[int, int]], fn) -> list:
@@ -434,7 +377,7 @@ class PropagationOperator:
         self.matrices: tuple[sparse.csr_matrix, ...] = tuple(canonical)
         self.shape: tuple[int, int] = (int(shape[0]), int(shape[1]))
         self._gamma_key: bytes | None = None
-        self._plans: dict[tuple[int, int | None], BlockPlan] = {}
+        self._plans: dict[int, BlockPlan] = {}
         self._build_union()
 
     # ------------------------------------------------------------------
@@ -470,22 +413,17 @@ class PropagationOperator:
         """Size of the union pattern (combined matrix nonzeros)."""
         return int(self._combined.nnz)
 
-    def block_plan(
-        self, row_width: int, block_rows: int | None = None
-    ) -> BlockPlan:
+    def block_plan(self, row_width: int) -> BlockPlan:
         """The cached row-block plan for this operator's index space.
 
-        Cached per requested ``block_rows`` (``None`` = the cache-sized
-        default for ``row_width``) alongside the union pattern, so
+        Cached per ``row_width`` alongside the union pattern, so
         trainer, objectives, and serving share one decomposition --
         and :meth:`grown` patches it instead of recomputing.
         """
-        key = (int(row_width), block_rows)
+        key = int(row_width)
         plan = self._plans.get(key)
         if plan is None or plan.num_rows != self.shape[0]:
-            plan = BlockPlan.for_shape(
-                self.shape[0], row_width, block_rows
-            )
+            plan = BlockPlan.for_shape(self.shape[0], key)
             self._plans[key] = plan
         return plan
 

@@ -415,31 +415,29 @@ class ModelState:
         whose re-folds would need its membership row)."""
         return frozenset(self._ext_rev.get(node, ()))
 
-    def block_plan(self, block_size: int | None = None) -> "BlockPlan":
+    def block_plan(self) -> "BlockPlan":
         """The canonical block decomposition of the served row space.
 
         One derivation shared by every consumer of the blocked shape
-        (``execution_shape`` telemetry, ``ShardPlan.from_state``, the
-        similarity top-k scan): the plan cached on the base link views'
-        operator when one exists (the plan every training-side kernel
-        shares), grown to cover live extensions, else a fresh
-        shape-only plan.  Pure function of the current shapes.
+        (``execution_shape`` telemetry, the similarity top-k scan): the
+        plan cached on the base link views' operator when one exists
+        (the plan every training-side kernel shares), grown to cover
+        live extensions, else a fresh shape-only plan.  Pure function
+        of the current shapes.
         """
         # local import: repro.core.kernels does not import state
         from repro.core.kernels import BlockPlan
 
         k = self.n_clusters
         if self.matrices is not None:
-            plan = self.matrices.block_plan(k, block_size)
+            plan = self.matrices.block_plan(k)
             if plan.num_rows != self.num_nodes:
                 plan = plan.grown(self.num_nodes - plan.num_rows)
         else:
-            plan = BlockPlan.for_shape(self.num_nodes, k, block_size)
+            plan = BlockPlan.for_shape(self.num_nodes, k)
         return plan
 
-    def execution_shape(
-        self, block_size: int | None = None
-    ) -> dict[str, int]:
+    def execution_shape(self) -> dict[str, int]:
         """The blocked-execution decomposition of the served index space.
 
         Telemetry for serving operators (surfaced through
@@ -447,7 +445,7 @@ class ModelState:
         base + extension space splits into and how many rows each block
         carries.
         """
-        plan = self.block_plan(block_size)
+        plan = self.block_plan()
         return {
             "block_rows": plan.block_rows,
             "block_count": plan.num_blocks,

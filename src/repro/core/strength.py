@@ -94,7 +94,6 @@ def _plan_for(
     matrices: RelationMatrices | PropagationOperator,
     num_rows: int,
     row_width: int,
-    block_rows: int | None = None,
 ) -> BlockPlan:
     """The shared row-block plan for a problem's node space.
 
@@ -111,8 +110,8 @@ def _plan_for(
         if isinstance(cached, PropagationOperator):
             operator = cached
     if operator is not None:
-        return operator.block_plan(row_width, block_rows)
-    return BlockPlan.for_shape(num_rows, row_width, block_rows)
+        return operator.block_plan(row_width)
+    return BlockPlan.for_shape(num_rows, row_width)
 
 
 def compute_statistics(

@@ -75,7 +75,7 @@ class RelationMatrices:
             self.matrices, shape=(self.num_nodes, self.num_nodes)
         )
 
-    def block_plan(self, row_width: int, block_rows: int | None = None):
+    def block_plan(self, row_width: int):
         """The node-space :class:`~repro.core.kernels.BlockPlan` shared
         by every blocked kernel over these views.
 
@@ -85,7 +85,7 @@ class RelationMatrices:
         :func:`append_relation_rows` (the grown operator carries the
         grown plans).
         """
-        return self.operator.block_plan(row_width, block_rows)
+        return self.operator.block_plan(row_width)
 
     def row_slice(
         self, start: int, stop: int

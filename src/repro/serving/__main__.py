@@ -23,12 +23,12 @@ Subcommands against a saved model artifact:
   [--metric M] [--shards N]`` -- rank link candidates for one node:
   top-k nodes of the relation's target type, with the node itself and
   its already-linked targets excluded.
-* ``shard-plan ARTIFACT --shards N [--block-size B]`` -- print the
+* ``shard-plan ARTIFACT --shards N`` -- print the
   :class:`~repro.serving.cluster.ShardPlan` a cluster of ``N`` engines
-  would pin this artifact's index space with (rows and blocks per
-  shard, plus per-shard link load when the artifact embeds training
-  edges) -- review it, then hand it to
-  :class:`~repro.serving.router.ShardedEngine`.
+  would pin this artifact's index space with (the balanced row range
+  per shard, plus per-shard link load when the artifact embeds
+  training edges) -- the split
+  :class:`~repro.serving.router.ShardedEngine` uses at that width.
 * ``metrics ARTIFACT [--shards N] [--batch FILE]`` -- export the
   engine's metrics registry in Prometheus text format (``--json`` for
   the stable JSON snapshot).  With ``--batch`` the queries are scored
@@ -40,10 +40,9 @@ Subcommands against a saved model artifact:
   (``score_many > shard[i].foldin`` under a cluster); ``--jsonl``
   additionally exports the traces as JSON lines.
 * ``serve ARTIFACT --shards N --port P [--mmap] [--batch-window MS]
-  [--max-batch Q] [--max-queue Q] [--workers-inproc]`` -- serve the
-  model over HTTP: a sharded cluster (shard workers in separate
-  processes by default; ``--workers-inproc`` keeps them as threads in
-  this process) behind the micro-batching asyncio gateway.  Prints
+  [--max-batch Q] [--max-queue Q]`` -- serve the model over HTTP: a
+  sharded cluster (one shard worker process per shard) behind the
+  micro-batching asyncio gateway.  Prints
   ``READY http://HOST:PORT`` once the listener is bound; SIGTERM or
   SIGINT triggers a graceful drain (in-flight batches complete, new
   work gets 503) before exit.  Endpoints: ``POST /score``,
@@ -276,12 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of shard engines in the cluster",
     )
     shard_plan.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        help="rows per block (default: the cache-sized kernel block)",
-    )
-    shard_plan.add_argument(
         "--json",
         action="store_true",
         help="emit the plan as JSON",
@@ -392,12 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1024,
         help="admission bound on items pending + in flight; overflow "
         "is rejected with 429 (default: 1024)",
-    )
-    serve.add_argument(
-        "--workers-inproc",
-        action="store_true",
-        help="run shard workers as threads in this process instead "
-        "of separate worker processes",
     )
 
     chaos = commands.add_parser(
@@ -640,7 +627,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         args.artifact,
         n_shards=args.shards,
         mmap=args.mmap,
-        transport=None if args.workers_inproc else "process",
+        transport="process",
     )
     stop = threading.Event()
     try:
@@ -657,11 +644,10 @@ def _run_serve(args: argparse.Namespace) -> int:
                 signal.signal(
                     signum, lambda *_: (stop.set(), server.request_stop())
                 )
-            backend = "inproc" if args.workers_inproc else "process"
             print(f"READY {server.url}", flush=True)
             print(
                 f"serving {args.artifact} with {args.shards} "
-                f"{backend} shard worker(s); SIGTERM drains",
+                "shard worker process(es); SIGTERM drains",
                 file=sys.stderr,
             )
             stop.wait()
@@ -730,21 +716,20 @@ def _run_info(args: argparse.Namespace) -> int:
 
 def _load_batch(path: str) -> list[dict]:
     """Parse a batch file: a JSON array, or one JSON object per line."""
-    raw = Path(path).read_text(encoding="utf-8").strip()
-    if not raw:
-        return []
-    if raw.startswith("["):
-        queries = json.loads(raw)
-        if not isinstance(queries, list):  # pragma: no cover - guard
-            raise ServingError(
-                f"batch file {path!r} must hold a JSON array"
-            )
-    else:
-        queries = [
-            json.loads(line)
-            for line in raw.splitlines()
-            if line.strip()
-        ]
+    try:
+        raw = Path(path).read_text(encoding="utf-8").strip()
+        if raw.startswith("["):
+            queries = json.loads(raw)
+        else:
+            queries = [
+                json.loads(line)
+                for line in raw.splitlines()
+                if line.strip()
+            ]
+    except (OSError, ValueError) as exc:  # JSON and UTF-8 errors too
+        raise ServingError(
+            f"cannot read batch file {path!r}: {exc}"
+        ) from None
     # JSON has no tuples: re-shape link entries for the query API
     for position, query in enumerate(queries):
         if not isinstance(query, dict):
@@ -833,25 +818,22 @@ def _run_score(args: argparse.Namespace) -> int:
 def _run_shard_plan(args: argparse.Namespace) -> int:
     state = ModelArtifact.load(args.artifact).to_state()
     # link views make the per-shard load column possible; serve-only
-    # bundles still get the row/block split
+    # bundles still get the row split
     state.hydrate()
-    plan = ShardPlan.from_state(state, args.shards, args.block_size)
+    plan = ShardPlan.from_state(state, args.shards)
     summary = plan.describe(state)
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
     print(
         f"shard plan: {summary['n_shards']} shard(s) over "
-        f"{summary['num_rows']} rows "
-        f"({summary['num_blocks']} blocks x {summary['block_rows']} "
-        f"rows)"
+        f"{summary['num_rows']} rows"
     )
     for entry in summary["shards"]:
         start, stop = entry["rows"]
-        first, last = entry["blocks"]
         line = (
             f"  shard {entry['shard']}: rows [{start}, {stop})  "
-            f"blocks [{first}, {last})  {entry['num_rows']} rows"
+            f"{entry['num_rows']} rows"
         )
         if "total_links" in entry:
             line += f"  {entry['total_links']} out-links"

@@ -51,7 +51,6 @@ from repro.exceptions import ServingError
 from repro.faults import resolve_faults
 from repro.obs.observability import Observability
 from repro.serving.artifact import SCHEMA_VERSION, ModelArtifact
-from repro.serving.cluster import check_block_size
 from repro.serving.foldin import (
     FoldInOutcome,
     NewNode,
@@ -106,7 +105,6 @@ def select_lru_victims(
 def promote_state(
     state: ModelState,
     config: GenClusConfig | None = None,
-    block_size: int | None = None,
     obs=None,
     faults=None,
 ):
@@ -143,9 +141,7 @@ def promote_state(
             "fit with include_training_data=True)"
         )
     if config is None:
-        config = GenClusConfig(
-            n_clusters=state.n_clusters, block_size=block_size
-        )
+        config = GenClusConfig(n_clusters=state.n_clusters)
     elif config.n_clusters != state.n_clusters:
         raise ServingError(
             f"promote config has n_clusters={config.n_clusters}, "
@@ -226,11 +222,6 @@ class InferenceEngine:
         Maximum memoized transient queries (0 disables the cache).
     max_iterations, tol:
         Fold-in fixed-point controls, applied to every scoring path.
-    block_size:
-        Row-block override for the blocked sweeps of every fold-in
-        and (by default) of :meth:`promote` refits (``None`` = auto).
-        Blocks run inline in block order; transient scores do not
-        depend on the block size.
     shard_id, shard_count:
         The engine's position in a serving cluster (reported through
         :meth:`info`; a standalone engine is shard ``0`` of ``1``).
@@ -255,7 +246,6 @@ class InferenceEngine:
         cache_size: int = 1024,
         max_iterations: int = 100,
         tol: float = 1e-6,
-        block_size: int | None = None,
         shard_id: int = 0,
         shard_count: int = 1,
         obs: Observability | None = None,
@@ -267,7 +257,6 @@ class InferenceEngine:
             cache_size=cache_size,
             max_iterations=max_iterations,
             tol=tol,
-            block_size=block_size,
             shard_id=shard_id,
             shard_count=shard_count,
             obs=obs,
@@ -281,7 +270,6 @@ class InferenceEngine:
         cache_size: int,
         max_iterations: int,
         tol: float,
-        block_size: int | None,
         shard_id: int,
         shard_count: int,
         obs: Observability | None = None,
@@ -295,7 +283,6 @@ class InferenceEngine:
             raise ServingError(
                 f"max_iterations must be >= 1, got {max_iterations}"
             )
-        check_block_size(block_size)
         if shard_count < 1:
             raise ServingError(
                 f"shard_count must be >= 1, got {shard_count}"
@@ -305,7 +292,6 @@ class InferenceEngine:
                 f"shard_id must lie in 0..{shard_count - 1}, "
                 f"got {shard_id}"
             )
-        self._block_size = block_size
         self._shard_id = shard_id
         self._shard_count = shard_count
         self._artifact: ModelArtifact | None = artifact
@@ -360,7 +346,6 @@ class InferenceEngine:
         cache_size: int = 1024,
         max_iterations: int = 100,
         tol: float = 1e-6,
-        block_size: int | None = None,
         shard_id: int = 0,
         shard_count: int = 1,
         obs: Observability | None = None,
@@ -382,7 +367,6 @@ class InferenceEngine:
             cache_size=cache_size,
             max_iterations=max_iterations,
             tol=tol,
-            block_size=block_size,
             shard_id=shard_id,
             shard_count=shard_count,
             obs=obs,
@@ -539,16 +523,14 @@ class InferenceEngine:
                 for name, params in self._model.attribute_params.items()
             },
             "execution": {
-                # the blocked-kernel shape scores run with: the
-                # block-size override and the served index space's
-                # block decomposition -- plus the engine's position in
-                # a serving cluster (a standalone engine is shard 0 of
+                # the served index space's shape-derived block
+                # decomposition, plus the engine's position in a
+                # serving cluster (a standalone engine is shard 0 of
                 # 1), so cluster and singleton telemetry share one
                 # schema
-                "block_size": self._block_size,
                 "shard_id": self._shard_id,
                 "shard_count": self._shard_count,
-                **state.execution_shape(self._block_size),
+                **state.execution_shape(),
             },
             **sections,
         }
@@ -569,7 +551,6 @@ class InferenceEngine:
             nodes,
             max_iterations=self._max_iterations,
             tol=self._tol,
-            block_size=self._block_size,
             obs=self.obs,
         )
         self._metrics.foldin_sweeps.inc(outcome.iterations)
@@ -650,7 +631,6 @@ class InferenceEngine:
             specs,
             max_iterations=self._max_iterations,
             tol=self._tol,
-            block_size=self._block_size,
             obs=self.obs,
         )
         self._metrics.foldin_sweeps.inc(outcome.iterations)
@@ -793,7 +773,6 @@ class InferenceEngine:
                 result, promoted = promote_state(
                     self._state,
                     config,
-                            block_size=self._block_size,
                     obs=self.obs,
                     faults=self._faults,
                 )
@@ -925,7 +904,6 @@ class InferenceEngine:
                 tuple(rows),
                 max_iterations=self._max_iterations,
                 tol=self._tol,
-                    block_size=self._block_size,
                 obs=self.obs,
             )
             self._metrics.foldin_sweeps.inc(outcome.iterations)
@@ -965,7 +943,7 @@ class InferenceEngine:
         ``object_type`` when given), excluding the query itself.
         Returns ``[(node_id, score), ...]`` in ranking order under the
         deterministic total order (score desc, then global node index
-        asc) -- bit-identical at every block size and shard count, and
+        asc) -- bit-identical at every shard count, and
         equal to the offline :func:`repro.eval.linkpred.reference_ranking`.
         """
         return self.similar_many(
@@ -1112,7 +1090,7 @@ class InferenceEngine:
         ranges = [(max(start, 0), min(stop, num_base))]
         if num_nodes > num_base:
             ranges.append((num_base, num_nodes))
-        plan = state.block_plan(self._block_size)
+        plan = state.block_plan()
         bounds = []
         for range_start, range_stop in ranges:
             for block_start, block_stop in plan.bounds:

@@ -1284,7 +1284,6 @@ def fold_in(
     max_iterations: int = 100,
     tol: float = 1e-6,
     floor: float = 1e-12,
-    block_size: int | None = None,
     obs=None,
 ) -> FoldInOutcome:
     """Assign posterior memberships to a batch of unseen nodes.
@@ -1303,11 +1302,10 @@ def fold_in(
     double-counts.  Timing reads clocks only -- memberships are
     bit-identical with or without it.
 
-    The fixed-point sweeps run block-by-block, in block order, over the
-    batch rows (``block_size`` rows per block, cache-sized by default):
-    the propagation and normalization stages write disjoint row slices,
-    so the memberships do not depend on ``block_size``.  Small batches
-    fit one block.
+    The fixed-point sweeps run block-by-block, in block order, over
+    cache-sized blocks of batch rows: the propagation and normalization
+    stages write disjoint row slices, so the memberships do not depend
+    on the blocking.  Small batches fit one block.
 
     **Convergence is per row.**  After each sweep the rows that moved
     at least ``tol`` are the *moving* set; every row that can reach a
@@ -1360,7 +1358,6 @@ def fold_in(
         max_iterations=max_iterations,
         tol=tol,
         floor=floor,
-        block_size=block_size,
         obs=obs,
         call_start=call_start,
     )
@@ -1373,7 +1370,6 @@ def fold_bound(
     max_iterations: int = 100,
     tol: float = 1e-6,
     floor: float = 1e-12,
-    block_size: int | None = None,
     obs=None,
     call_start: float | None = None,
 ) -> FoldInOutcome:
@@ -1433,11 +1429,7 @@ def fold_bound(
             sources, relation, column, weight, model.gamma, (m, n)
         )
         combined = None
-    plan = (
-        BlockPlan(m, block_size)
-        if block_size is not None
-        else BlockPlan.for_shape(m, k)
-    )
+    plan = BlockPlan.for_shape(m, k)
     constant = np.empty((m, k))
 
     def base_block(_index: int, start: int, stop: int) -> None:

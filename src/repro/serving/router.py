@@ -2,8 +2,8 @@
 
 :class:`ShardedEngine` turns one :class:`~repro.serving.engine.InferenceEngine`
 into many without changing a single answer.  A
-:class:`~repro.serving.cluster.ShardPlan` pins contiguous block ranges
-of the served index space onto shards;
+:class:`~repro.serving.cluster.ShardPlan` pins balanced contiguous row
+ranges of the served index space onto shards;
 :meth:`~repro.core.state.ModelState.partition` materializes one serving
 state per shard (frozen base shared read-only, extension space owned
 per shard); and the router fans the engine API out:
@@ -26,17 +26,14 @@ per shard); and the router fans the engine API out:
   the base, refit warm-started exactly as a single engine would, and
   the promoted model is re-partitioned under a **rebalanced** plan.
 
-**The determinism contract extends the block-plan contract**:
-because fold-in converges per row (rows freeze with their component;
-see :func:`~repro.serving.foldin.fold_in`), every shard shares the
-frozen base bit-for-bit, and a cluster promote replays the exact
-single-engine state, sharded memberships, hard labels, and
-post-promote ``g1`` are **bit-identical to the single-engine
-reference at every shard count** (pinned at {1, 2, 3} in
-``tests/test_serving_cluster.py``) -- provided the same ``block_size``
-is used on both sides (block grouping changes reduction order in
-refits, exactly as documented on
-:class:`~repro.core.config.GenClusConfig`).
+**The determinism contract**: because fold-in converges per row (rows
+freeze with their component; see :func:`~repro.serving.foldin.fold_in`),
+every shard shares the frozen base bit-for-bit, and a cluster promote
+replays the exact single-engine state, sharded memberships, hard
+labels, and post-promote ``g1`` are **bit-identical to the
+single-engine reference at every shard count** (pinned at {1, 2, 3} in
+``tests/test_serving_cluster.py``).  Every kernel derives its block
+plan from the problem shape alone, so both sides run the same blocks.
 
 Scope: the router is transport-agnostic.  It never reaches into a
 shard's state -- every router -> shard interaction goes through the
@@ -74,7 +71,7 @@ from repro.exceptions import ServingError
 from repro.faults import resolve_faults
 from repro.obs.observability import Observability
 from repro.serving.artifact import ModelArtifact
-from repro.serving.cluster import ShardPlan, check_block_size
+from repro.serving.cluster import ShardPlan
 from repro.serving.engine import (
     _resolve_metric,
     promote_state,
@@ -126,16 +123,11 @@ class ShardedEngine:
         artifact's ``to_state()``; the :meth:`load` / :meth:`from_result`
         classmethods wrap this).  Must carry no extensions yet.
     n_shards:
-        Cluster width; mutually exclusive with ``plan``.
-    plan:
-        An explicit :class:`ShardPlan` (e.g. one printed by the
-        ``shard-plan`` CLI and reviewed by an operator).
+        Cluster width: shard ``i`` owns the balanced row range
+        :meth:`ShardPlan.rows_of` gives it (``shard-plan`` prints the
+        split).
     cache_size, max_iterations, tol:
         Per-shard engine controls, as on :class:`InferenceEngine`.
-    block_size:
-        Row-block override shared by the shard plan, every shard's
-        fold-in sweeps, and cluster promotes.  Use the same value on a
-        singleton engine to compare answers bit-for-bit.
     obs:
         Optional :class:`~repro.obs.Observability` for the **router's**
         registry and tracer (cluster-scope counters, scatter-gather
@@ -180,36 +172,21 @@ class ShardedEngine:
     def __init__(
         self,
         state: ModelState,
-        n_shards: int | None = None,
-        plan: ShardPlan | None = None,
+        n_shards: int,
         cache_size: int = 1024,
         max_iterations: int = 100,
         tol: float = 1e-6,
-        block_size: int | None = None,
         obs: Observability | None = None,
         supervision: SupervisionPolicy | None = None,
         faults=None,
         transport=None,
     ) -> None:
-        if (plan is None) == (n_shards is None):
-            raise ServingError(
-                "pass exactly one of n_shards or plan"
-            )
-        check_block_size(block_size)
-        if plan is None:
-            plan = ShardPlan.from_state(state, n_shards, block_size)
-        elif plan.num_rows != state.num_nodes:
-            raise ServingError(
-                f"shard plan covers {plan.num_rows} rows but the "
-                f"state has {state.num_nodes}"
-            )
-        self._plan = plan
+        self._plan = ShardPlan.from_state(state, n_shards)
         self._base_state = state
         self._frozen_view = None  # lazy; invalidated on promote
         self._cache_size = cache_size
         self._max_iterations = max_iterations
         self._tol = tol
-        self._block_size = block_size
         # faults and the transport must exist before the first
         # _build_shards: process-backed handles traverse the injector's
         # worker.call site on every RPC
@@ -256,7 +233,6 @@ class ShardedEngine:
             "cache_size": self._cache_size,
             "max_iterations": self._max_iterations,
             "tol": self._tol,
-            "block_size": self._block_size,
         }
 
     def _build_shards(self) -> None:
@@ -1181,7 +1157,6 @@ class ShardedEngine:
                 result, promoted = promote_state(
                     reference,
                     config,
-                    block_size=self._block_size,
                     obs=self.obs,
                     faults=self._faults,
                 )
@@ -1193,9 +1168,7 @@ class ShardedEngine:
             )
         self._base_state = promoted
         self._frozen_view = None
-        self._plan = ShardPlan.from_state(
-            promoted, self.n_shards, self._block_size
-        )
+        self._plan = ShardPlan.from_state(promoted, self.n_shards)
         # hot replacement is the transport's job: in-process it is a
         # plain re-partition; the process transport freezes the refit
         # into a fresh bundle and two-phase swaps it under the live
@@ -1359,11 +1332,10 @@ class ShardedEngine:
             "relations": self.strengths(),
             "attributes": first["attributes"],
             "execution": {
-                "block_size": self._block_size,
                 # the router is the whole cluster, not one shard
                 "shard_id": None,
                 "shard_count": self.n_shards,
-                **self._base_state.execution_shape(self._block_size),
+                **self._base_state.execution_shape(),
             },
             **sections,
             "cluster": {

@@ -44,7 +44,7 @@ rows travel as raw float64 -- so every answer is bit-identical to the
 in-process reference, and a worker never executes attacker-controlled
 bytecode.
 
-Determinism contract: with the same artifact, plan, and block size,
+Determinism contract: with the same artifact and plan,
 ``ProcessTransport`` answers are **bit-identical** to
 ``InprocessTransport`` answers at every worker count -- pinned in
 ``tests/test_transport.py`` at {1, 2, 3} workers for queries,
@@ -596,15 +596,7 @@ _OUTCOME = _record(
     converged=_plain(bool),
     oov_terms=_INT,
 )
-_BOUNDS = _many(_tuple(_INT, _INT), tuple)
-_PLAN = _record(
-    ShardPlan,
-    n_shards=_INT,
-    num_rows=_INT,
-    block_rows=_INT,
-    block_bounds=_BOUNDS,
-    row_bounds=_BOUNDS,
-)
+_PLAN = _record(ShardPlan, n_shards=_INT, num_rows=_INT)
 
 
 def plan_to_wire(plan: ShardPlan) -> dict[str, Any]:

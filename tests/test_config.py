@@ -35,8 +35,6 @@ class TestGenClusConfig:
             {"n_clusters": 4, "newton_tol": -1.0},
             {"n_clusters": 4, "gamma_tol": -1.0},
             {"n_clusters": 4, "variance_floor": -1.0},
-            {"n_clusters": 4, "block_size": 0},
-            {"n_clusters": 4, "block_size": -5},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -57,10 +55,8 @@ class TestGenClusConfig:
         assert config.newton_iterations == 0
 
     def test_blocked_execution_knobs(self):
-        config = GenClusConfig(n_clusters=4)
-        assert config.block_size is None  # cache-sized by default
-        sized = GenClusConfig(n_clusters=4, block_size=4096)
-        assert sized.block_size == 4096
-        # the block size is the only execution knob
-        with pytest.raises(TypeError):
-            GenClusConfig(n_clusters=4, num_workers=2)
+        # blocking is derived from the problem shape: a fit has no
+        # execution knobs at all
+        for knob in ("block_size", "num_workers"):
+            with pytest.raises(TypeError):
+                GenClusConfig(n_clusters=4, **{knob: 2})

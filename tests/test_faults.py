@@ -49,7 +49,6 @@ from repro.serving.supervision import (
 )
 from repro.serving.telemetry import RouterMetrics
 
-BLOCK = 4
 SHARD_COUNTS = (1, 2, 3)
 
 QUERIES = [
@@ -79,17 +78,15 @@ def artifact_path(forum_result, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def reference_rows(forum_result):
-    engine = InferenceEngine.from_result(forum_result, block_size=BLOCK)
+    engine = InferenceEngine.from_result(forum_result)
     return engine.score_many([dict(q) for q in QUERIES])
 
 
 def singleton(forum_result, **kwargs):
-    kwargs.setdefault("block_size", BLOCK)
     return InferenceEngine.from_result(forum_result, **kwargs)
 
 
 def cluster(forum_result, n_shards, **kwargs):
-    kwargs.setdefault("block_size", BLOCK)
     return ShardedEngine.from_result(
         forum_result, n_shards=n_shards, **kwargs
     )

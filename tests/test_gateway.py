@@ -40,7 +40,6 @@ from repro.serving.gateway import (
 )
 from repro.serving.telemetry import GatewayMetrics
 
-BLOCK = 4
 SHARD_COUNTS = (1, 2, 3)
 
 GREEN_QUERY = dict(
@@ -285,9 +284,7 @@ class TestMicroBatcher:
 class TestGatewayEquivalence:
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_http_answers_bit_identical(self, forum_result, n_shards):
-        reference = ShardedEngine.from_result(
-            forum_result, n_shards=n_shards, block_size=BLOCK
-        )
+        reference = ShardedEngine.from_result(forum_result, n_shards=n_shards)
         queries = [
             dict(object_type="user", **GREEN_QUERY),
             dict(object_type="user", **PURPLE_QUERY),
@@ -304,9 +301,7 @@ class TestGatewayEquivalence:
             ["user0_0", "user1_0"], k=5
         )
 
-        engine = ShardedEngine.from_result(
-            forum_result, n_shards=n_shards, block_size=BLOCK
-        )
+        engine = ShardedEngine.from_result(forum_result, n_shards=n_shards)
         with GatewayServer.launch(
             engine, batch_window=0.01, max_batch=16
         ) as server:
@@ -336,9 +331,7 @@ class TestGatewayEquivalence:
         reference.close()
 
     def test_duplicates_dedup_across_merged_batch(self, forum_result):
-        engine = ShardedEngine.from_result(
-            forum_result, n_shards=2, block_size=BLOCK
-        )
+        engine = ShardedEngine.from_result(forum_result, n_shards=2)
         query = dict(object_type="user", **GREEN_QUERY)
         with GatewayServer.launch(
             engine, batch_window=0.05, max_batch=32
@@ -367,9 +360,7 @@ class TestGatewayEquivalence:
 # ----------------------------------------------------------------------
 class TestGatewayOperations:
     def test_overflow_is_429(self, forum_result):
-        engine = ShardedEngine.from_result(
-            forum_result, n_shards=2, block_size=BLOCK
-        )
+        engine = ShardedEngine.from_result(forum_result, n_shards=2)
         query = dict(object_type="user", **GREEN_QUERY)
         with GatewayServer.launch(
             engine,
@@ -390,9 +381,7 @@ class TestGatewayOperations:
         engine.close()
 
     def test_bad_query_is_400_and_does_not_poison(self, forum_result):
-        engine = ShardedEngine.from_result(
-            forum_result, n_shards=2, block_size=BLOCK
-        )
+        engine = ShardedEngine.from_result(forum_result, n_shards=2)
         with GatewayServer.launch(
             engine, batch_window=0.01, max_batch=16
         ) as server:
@@ -432,9 +421,7 @@ class TestGatewayOperations:
         engine.close()
 
     def test_malformed_body_is_400(self, forum_result):
-        engine = ShardedEngine.from_result(
-            forum_result, n_shards=2, block_size=BLOCK
-        )
+        engine = ShardedEngine.from_result(forum_result, n_shards=2)
         with GatewayServer.launch(engine) as server:
             request = urllib.request.Request(
                 server.url + "/score",
@@ -451,9 +438,7 @@ class TestGatewayOperations:
         engine.close()
 
     def test_drain_completes_inflight_work(self, forum_result):
-        engine = ShardedEngine.from_result(
-            forum_result, n_shards=2, block_size=BLOCK
-        )
+        engine = ShardedEngine.from_result(forum_result, n_shards=2)
         query = dict(object_type="user", **GREEN_QUERY)
         want = engine.score_many(
             [
@@ -503,9 +488,7 @@ class TestGatewayOperations:
         engine.close()
 
     def test_probes_and_metrics(self, forum_result):
-        engine = ShardedEngine.from_result(
-            forum_result, n_shards=2, block_size=BLOCK
-        )
+        engine = ShardedEngine.from_result(forum_result, n_shards=2)
         query = dict(object_type="user", **GREEN_QUERY)
         with GatewayServer.launch(
             engine, batch_window=0.01
@@ -539,9 +522,7 @@ class TestGatewayProcessTransport:
             dict(object_type="user", **GREEN_QUERY),
             dict(object_type="user", **PURPLE_QUERY),
         ]
-        reference = InferenceEngine.from_result(
-            forum_result, block_size=BLOCK
-        )
+        reference = InferenceEngine.from_result(forum_result)
         want_rows = reference.score_many(
             [
                 {
@@ -557,7 +538,6 @@ class TestGatewayProcessTransport:
             artifact_path,
             n_shards=2,
             transport="process",
-            block_size=BLOCK,
             supervision=FAST_FAIL,
         )
         try:

@@ -567,7 +567,11 @@ def fancy_gather_categorical_step(model, theta, out, block_rows=None):
     ratio_data = np.empty(pattern.nnz)
     ratio = pattern.ratio_matrix(ratio_data)
     beta_t = np.ascontiguousarray(beta.T)
-    plan = plan_for_observations(n_obs, k, pattern.nnz, block_rows)
+    plan = (
+        plan_for_observations(n_obs, k, pattern.nnz)
+        if block_rows is None
+        else BlockPlan(n_obs, block_rows)
+    )
     for v0, v1 in plan:
         p0, p1 = int(pattern.indptr[v0]), int(pattern.indptr[v1])
         theta_obs[v0:v1] = theta[indices[v0:v1]]
@@ -1035,7 +1039,11 @@ class TestCertifiedLineSearch:
     ):
         rng = np.random.default_rng(seed)
         matrices, theta = strength_case(rng, n, num_relations, k, density)
-        plan = BlockPlan.for_shape(n, k, block_rows)
+        plan = (
+            BlockPlan.for_shape(n, k)
+            if block_rows is None
+            else BlockPlan(n, block_rows)
+        )
         stats = compute_statistics(theta, matrices, plan=plan)
         sigma = 10.0**log_sigma
         gamma = rng.random(num_relations) * 10.0**log_gamma
@@ -1246,7 +1254,7 @@ class TestBlockedParallelEquivalence:
             out, operator.combined(gamma) @ theta
         )
 
-    def test_grown_operator_blocked_propagate(self):
+    def test_grown_operator_blocked_propagate(self, small_blocks):
         """The patched operator's grown plan + blocked propagate must
         equal a fresh rebuild."""
         from repro.hin.views import (
@@ -1262,7 +1270,8 @@ class TestBlockedParallelEquivalence:
         base = RelationMatrices(
             relation_names=names, matrices=tuple(mats), num_nodes=n
         )
-        base.block_plan(k, 5)  # cached plan that grow must patch
+        base_plan = base.block_plan(k)  # cached plan grow must patch
+        assert base_plan.num_blocks > 1
         links = {
             name: [
                 (
@@ -1276,11 +1285,9 @@ class TestBlockedParallelEquivalence:
         }
         patched = append_relation_rows(base, m, links)
         rebuilt = extend_relation_matrices(base, m, links)
-        grown_plan = patched.block_plan(k, 5)
+        grown_plan = patched.block_plan(k)
         assert grown_plan.num_rows == n + m
-        assert grown_plan.bounds[: base.block_plan(k, 5).num_blocks] == (
-            base.block_plan(k, 5).bounds
-        )
+        assert grown_plan.bounds[: base_plan.num_blocks] == base_plan.bounds
         theta = rng.dirichlet(np.ones(k), size=n + m)
         gamma = rng.random(2) * 2
         reference = rebuilt.operator.combined(gamma) @ theta
@@ -1342,28 +1349,25 @@ class TestBlockedParallelEquivalence:
 class TestObservabilityBitIdentity:
     """The repro.obs determinism contract: observability reads clocks
     and never influences execution, so a fit with tracing fully on is
-    **bit-identical** to the uninstrumented fit at every block
-    size."""
+    **bit-identical** to the uninstrumented fit, multi-block fits
+    included."""
 
-    @staticmethod
-    def _fit(block_size, obs=None):
-        from repro.obs import Observability  # noqa: F401 (doc link)
+    CONFIG = dict(outer_iterations=4, seed=1, n_init=2)
 
+    @classmethod
+    def _fit(cls, obs=None):
         net = political_forum_network()
-        config = GenClusConfig(
-            n_clusters=2, outer_iterations=4, seed=1, n_init=2,
-            block_size=block_size,
-        )
+        config = GenClusConfig(n_clusters=2, **cls.CONFIG)
         return GenClus(config).fit(net, attributes=["text"], obs=obs)
 
-    @pytest.mark.parametrize("block_size", [1, 4])
-    def test_fit_bit_identical_tracing_on_off(self, block_size):
+    @pytest.mark.parametrize("small_blocks", [1, 4], indirect=True)
+    def test_fit_bit_identical_tracing_on_off(self, small_blocks):
         from repro.obs import Observability
 
-        plain = self._fit(block_size)
+        plain = small_blocks(**self.CONFIG)
         traced_obs = Observability(trace=True)
-        traced = self._fit(block_size, obs=traced_obs)
-        metrics_only = self._fit(block_size, obs=Observability())
+        traced = small_blocks(obs=traced_obs, **self.CONFIG)
+        metrics_only = small_blocks(obs=Observability(), **self.CONFIG)
         for other in (traced, metrics_only):
             np.testing.assert_array_equal(plain.theta, other.theta)
             np.testing.assert_array_equal(plain.gamma, other.gamma)
@@ -1376,7 +1380,7 @@ class TestObservabilityBitIdentity:
         from repro.obs import Observability, series_value
 
         obs = Observability(trace=True)
-        result = self._fit(9, obs=obs)
+        result = self._fit(obs=obs)
         (root,) = obs.tracer.traces()
         assert root.name == "fit"
         outer_spans = root.children[1:]
@@ -1403,7 +1407,7 @@ class TestObservabilityBitIdentity:
         from repro.obs import Observability, series_value
 
         obs = Observability(trace=True)
-        self._fit(9, obs=obs)
+        self._fit(obs=obs)
         (root,) = obs.tracer.traces()
         newton_spans = [span.children[1] for span in root.children[1:]]
         assert newton_spans
@@ -1421,7 +1425,7 @@ class TestObservabilityBitIdentity:
         from repro.obs import Observability
 
         obs = Observability(trace=True)
-        traced = self._fit(9, obs=obs)
+        traced = self._fit(obs=obs)
         (root,) = obs.tracer.traces()
         for record, outer_span in zip(
             traced.history.records[1:], root.children[1:]
@@ -1430,7 +1434,7 @@ class TestObservabilityBitIdentity:
             assert record.em_seconds == em_span.duration
             assert record.newton_seconds == newton_span.duration
         # the untraced fit still fills the timing fields
-        plain = self._fit(9)
+        plain = self._fit()
         assert all(
             record.em_seconds > 0.0
             for record in plain.history.records[1:]

@@ -1,23 +1,25 @@
 """Tests for the sharded serving cluster (repro.serving.cluster /
 router / driver) and its CLI.
 
-The load-bearing contract mirrors PR 4's worker-count contract:
-sharded serving is **bit-identical** to the single-engine reference at
-every shard count -- memberships, hard labels, scatter-gathered
-batches, eviction verdicts, and the ``g1`` / theta / gamma of a
-(driver-triggered) cluster promote -- provided both sides use the same
-``block_size`` (block grouping changes reduction order inside refits).
+The load-bearing contract: sharded serving is **bit-identical** to the
+single-engine reference at every shard count -- memberships, hard
+labels, scatter-gathered batches, eviction verdicts, and the ``g1`` /
+theta / gamma of a (driver-triggered) cluster promote.  The promote
+identity is also pinned with the ``small_blocks`` fixture, so refits
+and fold-ins on both sides run many blocks.
 """
 
 import json
 import math
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import GenClus, GenClusConfig
-from repro.core.kernels import BlockPlan
 from repro.core.state import ModelState
 from repro.datagen.toy import political_forum_network
 from repro.exceptions import ServingError, StateError
@@ -32,7 +34,6 @@ from repro.serving import (
 )
 from repro.serving.__main__ import main
 
-BLOCK = 4  # 32 forum nodes -> 8 blocks: splittable into 1..8 shards
 SHARD_COUNTS = (1, 2, 3)
 
 GREEN_QUERY = dict(
@@ -62,12 +63,10 @@ def artifact_path(forum_result, tmp_path_factory):
 
 
 def singleton(forum_result, **kwargs):
-    kwargs.setdefault("block_size", BLOCK)
     return InferenceEngine.from_result(forum_result, **kwargs)
 
 
 def cluster(forum_result, n_shards, **kwargs):
-    kwargs.setdefault("block_size", BLOCK)
     return ShardedEngine.from_result(
         forum_result, n_shards=n_shards, **kwargs
     )
@@ -79,29 +78,47 @@ def cluster(forum_result, n_shards, **kwargs):
 class TestShardPlan:
     def test_balanced_contiguous_cover(self, forum_result):
         state = ModelState.from_result(forum_result)
-        plan = ShardPlan.from_state(state, 3, BLOCK)
+        plan = ShardPlan.from_state(state, 3)
         assert plan.n_shards == 3
         assert plan.num_rows == 32
-        # contiguous tiling of the whole row space
-        assert plan.row_bounds[0][0] == 0
-        assert plan.row_bounds[-1][1] == 32
-        for (_, stop), (start, _) in zip(
-            plan.row_bounds, plan.row_bounds[1:]
-        ):
-            assert stop == start
-        # balanced to within one block
-        sizes = [plan.num_rows_of(s) for s in range(3)]
-        assert max(sizes) - min(sizes) <= plan.block_rows
+        assert [plan.rows_of(s) for s in range(3)] == [
+            (0, 10), (10, 21), (21, 32)
+        ]
 
     def test_plan_is_deterministic(self, forum_result):
         state = ModelState.from_result(forum_result)
-        assert ShardPlan.from_state(state, 3, BLOCK) == ShardPlan.from_state(
-            state, 3, BLOCK
+        assert ShardPlan.from_state(state, 3) == ShardPlan.from_state(
+            state, 3
         )
+
+    @given(
+        num_rows=st.integers(1, 1000), n_shards=st.integers(1, 64)
+    )
+    def test_balanced_row_ranges_property(self, num_rows, n_shards):
+        state = SimpleNamespace(num_nodes=num_rows)  # all a plan reads
+        if n_shards > num_rows:
+            with pytest.raises(ServingError, match="cannot split"):
+                ShardPlan.from_state(state, n_shards)
+            return
+        plan = ShardPlan.from_state(state, n_shards)
+        bounds = [plan.rows_of(s) for s in range(n_shards)]
+        # the ranges tile [0, num_rows) in shard order
+        assert bounds[0][0] == 0
+        assert bounds[-1][1] == num_rows
+        for (_, stop), (start, _) in zip(bounds, bounds[1:]):
+            assert stop == start
+        # balanced: sizes differ by at most one row, none is empty
+        sizes = [stop - start for start, stop in bounds]
+        assert min(sizes) >= 1
+        assert max(sizes) - min(sizes) <= 1
+        # shard_of_row inverts rows_of on every row
+        for shard, (start, stop) in enumerate(bounds):
+            for row in range(start, stop):
+                assert plan.shard_of_row(row) == shard
 
     def test_shard_of_row_matches_bounds(self, forum_result):
         state = ModelState.from_result(forum_result)
-        plan = ShardPlan.from_state(state, 3, BLOCK)
+        plan = ShardPlan.from_state(state, 3)
         for row in range(plan.num_rows):
             shard = plan.shard_of_row(row)
             start, stop = plan.rows_of(shard)
@@ -111,24 +128,17 @@ class TestShardPlan:
 
     def test_too_many_shards_is_actionable(self, forum_result):
         state = ModelState.from_result(forum_result)
-        with pytest.raises(ServingError, match="smaller block size"):
-            ShardPlan.from_state(state, 40, BLOCK)
+        with pytest.raises(
+            ServingError, match="^cannot split 32 rows across 40 shards$"
+        ):
+            ShardPlan.from_state(state, 40)
         with pytest.raises(ServingError, match="n_shards"):
-            ShardPlan.from_state(state, 0, BLOCK)
-
-    def test_from_block_plan_partition(self):
-        plan = BlockPlan(100, 10)
-        bounds = plan.partition(4)
-        assert bounds == ((0, 2), (2, 5), (5, 7), (7, 10))
-        assert plan.block_rows_of(2, 5) == (20, 50)
-        sharded = ShardPlan.from_block_plan(plan, 4)
-        assert sharded.row_bounds == (
-            (0, 20), (20, 50), (50, 70), (70, 100)
-        )
+            ShardPlan.from_state(state, 0)
+        assert len(ShardPlan.from_state(state, 32)) == 32
 
     def test_describe_reports_link_load(self, forum_result):
         state = ModelState.from_result(forum_result)
-        plan = ShardPlan.from_state(state, 2, BLOCK)
+        plan = ShardPlan.from_state(state, 2)
         summary = plan.describe(state)
         assert summary["n_shards"] == 2
         totals = [entry["total_links"] for entry in summary["shards"]]
@@ -145,7 +155,7 @@ class TestShardPlan:
 class TestPartition:
     def test_shards_share_frozen_base_theta(self, forum_result):
         state = ModelState.from_result(forum_result)
-        plan = ShardPlan.from_state(state, 3, BLOCK)
+        plan = ShardPlan.from_state(state, 3)
         shards = state.partition(plan)
         assert len(shards) == 3
         for shard in shards:
@@ -155,7 +165,7 @@ class TestPartition:
 
     def test_extension_growth_stays_private(self, forum_result):
         state = ModelState.from_result(forum_result)
-        plan = ShardPlan.from_state(state, 2, BLOCK)
+        plan = ShardPlan.from_state(state, 2)
         first, second = state.partition(plan)
         spec = NewNode(
             "n", "user", links=[("writes", "blog0_0", 1.0)]
@@ -172,7 +182,7 @@ class TestPartition:
 
     def test_partition_requires_pristine_state(self, forum_result):
         state = ModelState.from_result(forum_result)
-        plan = ShardPlan.from_state(state, 2, BLOCK)
+        plan = ShardPlan.from_state(state, 2)
         spec = NewNode("n", "user")
         state.append_extensions((spec,), np.array([[0.5, 0.5]]))
         with pytest.raises(StateError, match="pristine"):
@@ -180,7 +190,7 @@ class TestPartition:
 
     def test_partition_rejects_mismatched_plan(self, forum_result):
         state = ModelState.from_result(forum_result)
-        stale = ShardPlan.from_block_plan(BlockPlan(16, BLOCK), 2)
+        stale = ShardPlan(2, 16)
         with pytest.raises(StateError, match="rows"):
             state.partition(stale)
 
@@ -285,11 +295,10 @@ class TestClusterEquivalence:
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_promote_bit_identical_including_g1(
-        self, forum_result, n_shards
+        self, small_blocks, n_shards
     ):
-        config = GenClusConfig(
-            n_clusters=2, outer_iterations=4, seed=0, block_size=BLOCK
-        )
+        forum_result = small_blocks(outer_iterations=5, seed=0, n_init=3)
+        config = GenClusConfig(n_clusters=2, outer_iterations=4, seed=0)
         reference_engine = singleton(forum_result)
         drive_traffic(reference_engine)
         reference = reference_engine.promote(config)
@@ -348,11 +357,12 @@ class TestClusterEquivalence:
         for node, expected in reference_rows.items():
             np.testing.assert_array_equal(expected, rows[node])
 
-    def test_scatter_with_equal_nested_pool_widths(self, forum_result):
+    def test_scatter_with_equal_nested_pool_widths(
+        self, forum_result, request
+    ):
         """A concurrent scatter whose shard sub-batches each span
-        several fold-in blocks answers exactly like the singleton at
-        the same block size (and block size never changes transient
-        scores)."""
+        several fold-in blocks answers exactly like the singleton (and
+        blocking never changes transient scores)."""
         queries = [
             dict(object_type="user", links=[("writes", f"blog{i % 2}_{i % 4}", 1.0)])
             for i in range(16)
@@ -360,29 +370,22 @@ class TestClusterEquivalence:
         reference = singleton(forum_result, cache_size=0).score_many(
             queries
         )
-        engine = cluster(
-            forum_result,
-            2,
-            cache_size=0,
-            block_size=2,  # 8-query sub-batches span 4 fold-in blocks
+        # from here on 8-query sub-batches span 2 fold-in blocks
+        request.getfixturevalue("small_blocks")
+        engine = cluster(forum_result, 2, cache_size=0)
+        single_blocked = singleton(forum_result, cache_size=0).score_many(
+            queries
         )
-        single_block = singleton(
-            forum_result, cache_size=0, block_size=2
-        ).score_many(queries)
-        for a, b in zip(
-            engine.score_many(queries), single_block
-        ):
+        for a, b in zip(engine.score_many(queries), single_blocked):
             np.testing.assert_array_equal(a, b)
-        # and block size never changes transient scores anyway
-        for a, b in zip(single_block, reference):
+        # and blocking never changes transient scores anyway
+        for a, b in zip(single_blocked, reference):
             np.testing.assert_array_equal(a, b)
 
     def test_loading_artifact_matches_in_memory(
         self, forum_result, artifact_path
     ):
-        engine = ShardedEngine.load(
-            artifact_path, n_shards=2, block_size=BLOCK
-        )
+        engine = ShardedEngine.load(artifact_path, n_shards=2)
         np.testing.assert_array_equal(
             singleton(forum_result).query("user", **GREEN_QUERY),
             engine.query("user", **GREEN_QUERY),
@@ -391,9 +394,7 @@ class TestClusterEquivalence:
         engine.extend(
             [NewNode("z", "user", links=[("writes", "blog0_0", 1.0)])]
         )
-        config = GenClusConfig(
-            n_clusters=2, outer_iterations=2, seed=0, block_size=BLOCK
-        )
+        config = GenClusConfig(n_clusters=2, outer_iterations=2, seed=0)
         promoted = engine.promote(config)
         assert promoted.theta.shape[0] == 33
 
@@ -555,27 +556,12 @@ class TestRouting:
 
     def test_constructor_validation(self, forum_result):
         state = ModelState.from_result(forum_result)
-        with pytest.raises(ServingError, match="exactly one"):
-            ShardedEngine(state)
-        plan = ShardPlan.from_state(state, 2, BLOCK)
-        with pytest.raises(ServingError, match="exactly one"):
-            ShardedEngine(state, n_shards=2, plan=plan)
-        # an explicit (reviewed) plan is accepted as-is
-        engine = ShardedEngine(state, plan=plan, block_size=BLOCK)
-        assert engine.n_shards == 2
-
-    def test_rejects_zero_block_size(self, forum_result):
-        # the same ServingError the singleton engine raises, not a raw
-        # ValueError from the block plan
-        for kwargs in (dict(n_shards=2), dict(n_shards=1)):
-            with pytest.raises(ServingError, match="block_size must be"):
-                ShardedEngine.from_result(
-                    forum_result, block_size=0, **kwargs
-                )
-        state = ModelState.from_result(forum_result)
-        plan = ShardPlan.from_state(state, 2, BLOCK)
-        with pytest.raises(ServingError, match="block_size must be"):
-            ShardedEngine(state, plan=plan, block_size=0)
+        with pytest.raises(ServingError, match="n_shards must be >= 1"):
+            ShardedEngine(state, n_shards=0)
+        with pytest.raises(ServingError, match="32 rows across 40"):
+            ShardedEngine(state, n_shards=40)
+        engine = ShardedEngine(state, n_shards=2)
+        assert engine.plan == ShardPlan.from_state(state, 2)
 
 
 # ----------------------------------------------------------------------
@@ -623,14 +609,13 @@ class TestClusterInfo:
 # observability: tracing never changes results, one schema everywhere
 # ----------------------------------------------------------------------
 class TestClusterObservability:
-    PROMOTE_CONFIG = GenClusConfig(
-        n_clusters=2, outer_iterations=4, seed=0, block_size=BLOCK
-    )
+    PROMOTE_CONFIG = GenClusConfig(n_clusters=2, outer_iterations=4, seed=0)
 
     @pytest.mark.parametrize("n_shards", (1, 3))
     def test_traffic_and_promote_bit_identical_tracing_on_off(
-        self, forum_result, n_shards
+        self, small_blocks, n_shards
     ):
+        forum_result = small_blocks(outer_iterations=5, seed=0, n_init=3)
         plain = cluster(forum_result, n_shards)
         reference = drive_traffic(plain)
         plain_promoted = plain.promote(self.PROMOTE_CONFIG)
@@ -721,9 +706,7 @@ class TestClusterObservability:
 # ----------------------------------------------------------------------
 class TestRetrainDriver:
     def refit_config(self):
-        return GenClusConfig(
-            n_clusters=2, outer_iterations=3, seed=0, block_size=BLOCK
-        )
+        return GenClusConfig(n_clusters=2, outer_iterations=3, seed=0)
 
     def test_policy_validation(self):
         with pytest.raises(ServingError, match="at least one trigger"):
@@ -1020,6 +1003,29 @@ class TestCli:
         ) == 1
         assert "query #1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["score", "metrics", "trace", "chaos"])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            None,  # the file does not exist
+            '[{"object_type": "user"}',  # truncated JSON array
+            '{"object_type": "user"}\n{not json',  # bad JSON line
+        ],
+        ids=["missing", "bad-array", "bad-jsonl"],
+    )
+    def test_unreadable_batch_file_is_an_error(
+        self, artifact_path, tmp_path, capsys, command, payload
+    ):
+        if payload is None:
+            path = tmp_path / "missing.json"
+        else:
+            path = self.write_batch(tmp_path, payload)
+        code = main([command, str(artifact_path), "--batch", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read batch file '{path}'")
+        assert "Traceback" not in err
+
     def test_shard_plan_text(self, artifact_path, capsys):
         code = main(
             [
@@ -1027,8 +1033,6 @@ class TestCli:
                 str(artifact_path),
                 "--shards",
                 "3",
-                "--block-size",
-                "4",
             ]
         )
         assert code == 0
@@ -1044,8 +1048,6 @@ class TestCli:
                 str(artifact_path),
                 "--shards",
                 "2",
-                "--block-size",
-                "4",
                 "--json",
             ]
         )
@@ -1060,31 +1062,28 @@ class TestCli:
 
     def test_shard_plan_too_many_shards(self, artifact_path, capsys):
         assert main(
-            [
-                "shard-plan",
-                str(artifact_path),
-                "--shards",
-                "40",
-                "--block-size",
-                "4",
-            ]
-        ) == 1
-        assert "smaller block size" in capsys.readouterr().err
-
-    def test_shard_plan_rejects_zero_block_size(self, artifact_path, capsys):
-        assert main(
-            [
-                "shard-plan",
-                str(artifact_path),
-                "--shards",
-                "2",
-                "--block-size",
-                "0",
-            ]
+            ["shard-plan", str(artifact_path), "--shards", "40"]
         ) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: block_size must be >= 1")
+        assert captured.err == (
+            "error: cannot split 32 rows across 40 shards\n"
+        )
+
+    def test_similar_too_many_shards(self, artifact_path, capsys):
+        assert main(
+            [
+                "similar",
+                str(artifact_path),
+                "--node",
+                "blog0_1",
+                "--shards",
+                "40",
+            ]
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot split 32 rows across 40 shards\n"
+        )
 
     def metrics_batch(self, tmp_path):
         queries = [

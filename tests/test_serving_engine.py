@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import GenClus, GenClusConfig
+from repro.core.kernels import BlockPlan
 from repro.datagen.toy import political_forum_network
 from repro.exceptions import ServingError
 from repro.serving import InferenceEngine, ModelArtifact, NewNode
@@ -370,27 +371,22 @@ class TestInfo:
             InferenceEngine.load(artifact_path, cache_size=-1)
         with pytest.raises(ServingError, match="max_iterations"):
             InferenceEngine.load(artifact_path, max_iterations=0)
-        with pytest.raises(ServingError, match="block_size"):
-            InferenceEngine.load(artifact_path, block_size=0)
+        # blocking is shape-derived: there is no execution knob
+        with pytest.raises(TypeError):
+            InferenceEngine.load(artifact_path, block_size=4)
 
     def test_execution_telemetry(self, artifact_path):
-        engine = InferenceEngine.load(artifact_path, block_size=10)
-        execution = engine.info()["execution"]
-        assert "num_workers" not in execution
-        assert "pool_width" not in execution
-        assert execution["block_size"] == 10
-        assert execution["block_rows"] == 10
-        assert execution["num_rows"] == 32
-        assert execution["block_count"] == 4  # ceil(32 / 10)
-        # a standalone engine is shard 0 of 1 (same schema the
-        # cluster router's per-shard engines report)
-        assert execution["shard_id"] == 0
-        assert execution["shard_count"] == 1
-        # the automatic block size still covers the index space
-        auto = InferenceEngine.load(artifact_path)
-        execution = auto.info()["execution"]
-        assert execution["block_size"] is None
-        assert execution["block_count"] >= 1
+        execution = InferenceEngine.load(artifact_path).info()["execution"]
+        # the shape-derived plan (32 rows fit one cache-sized block)
+        # plus the engine's cluster position: a standalone engine is
+        # shard 0 of 1, the schema the router's shard engines report
+        assert execution == {
+            "block_rows": BlockPlan.for_shape(32, 2).block_rows,
+            "block_count": 1,
+            "num_rows": 32,
+            "shard_id": 0,
+            "shard_count": 1,
+        }
 
 
 class TestCli:

@@ -5,7 +5,7 @@ The load-bearing contracts:
 
 * **Determinism** -- ties break by (score desc, global node index asc)
   everywhere, so a ranking is bit-identical at every worker count,
-  every shard count, and under any block size; the toy forum model
+  every shard count, and under any row blocking; the toy forum model
   holds exact duplicate theta rows, which makes ties real rather than
   hypothetical.
 * **Accuracy** -- the online blocked partial selection returns exactly
@@ -40,7 +40,6 @@ from repro.experiments.weather_common import WEATHER_ATTRIBUTES
 from repro.serving import InferenceEngine, NewNode, ShardedEngine
 from repro.serving.__main__ import main
 
-BLOCK = 4
 METRICS = ("cosine", "euclidean", "cross_entropy")
 SHARD_COUNTS = (1, 2, 3)
 
@@ -60,7 +59,7 @@ def forum_result(forum_network):
 
 @pytest.fixture(scope="module")
 def forum_engine(forum_result):
-    return InferenceEngine.from_result(forum_result, block_size=BLOCK)
+    return InferenceEngine.from_result(forum_result)
 
 
 @pytest.fixture(scope="module")
@@ -270,9 +269,7 @@ class TestEngineSimilarity:
         assert names == blogs - linked
 
     def test_suggest_links_excludes_extension_links(self, forum_result):
-        engine = InferenceEngine.from_result(
-            forum_result, block_size=BLOCK
-        )
+        engine = InferenceEngine.from_result(forum_result)
         engine.extend([new_user()])
         suggested = engine.suggest_links("newbie", "writes", k=50)
         names = {node for node, _ in suggested}
@@ -285,9 +282,7 @@ class TestEngineSimilarity:
 # ----------------------------------------------------------------------
 class TestPrecomputeLifecycle:
     def fresh(self, forum_result):
-        return InferenceEngine.from_result(
-            forum_result, block_size=BLOCK
-        )
+        return InferenceEngine.from_result(forum_result)
 
     def test_hit_and_miss_counters(self, forum_result):
         engine = self.fresh(forum_result)
@@ -342,7 +337,7 @@ class TestPrecomputeLifecycle:
         assert section["precompute_entries"] == 0
         # a promoted ranking equals a fresh engine's on the promoted
         # result -- no stale precompute survives the rebase
-        fresh = InferenceEngine.from_result(promoted, block_size=BLOCK)
+        fresh = InferenceEngine.from_result(promoted)
         assert engine.similar("user0_0", k=5) == fresh.similar(
             "user0_0", k=5
         )
@@ -360,9 +355,7 @@ class TestClusterSimilarity:
             ["user0_0", "blog1_1"], k=6, metric=metric
         )
         for shards in SHARD_COUNTS:
-            cluster = ShardedEngine.from_result(
-                forum_result, n_shards=shards, block_size=BLOCK
-            )
+            cluster = ShardedEngine.from_result(forum_result, n_shards=shards)
             got = cluster.similar_many(
                 ["user0_0", "blog1_1"], k=6, metric=metric
             )
@@ -373,9 +366,7 @@ class TestClusterSimilarity:
             "user0_0", "writes", k=30
         )
         for shards in SHARD_COUNTS:
-            cluster = ShardedEngine.from_result(
-                forum_result, n_shards=shards, block_size=BLOCK
-            )
+            cluster = ShardedEngine.from_result(forum_result, n_shards=shards)
             assert (
                 cluster.suggest_links("user0_0", "writes", k=30)
                 == reference
@@ -386,9 +377,7 @@ class TestClusterSimilarity:
     ):
         reference = None
         for shards in SHARD_COUNTS:
-            cluster = ShardedEngine.from_result(
-                forum_result, n_shards=shards, block_size=BLOCK
-            )
+            cluster = ShardedEngine.from_result(forum_result, n_shards=shards)
             cluster.extend([new_user(), new_user("fresh")])
             got = cluster.similar_many(
                 ["newbie", "user0_0", "fresh"], k=8
@@ -401,9 +390,7 @@ class TestClusterSimilarity:
                 assert (got, suggested) == reference, shards
 
     def test_router_owns_similarity_telemetry(self, forum_result):
-        cluster = ShardedEngine.from_result(
-            forum_result, n_shards=2, block_size=BLOCK
-        )
+        cluster = ShardedEngine.from_result(forum_result, n_shards=2)
         cluster.similar_many(["user0_0", "blog1_1"], k=3)
         section = cluster.info()["similarity"]
         # two queries counted once at the router, not once per shard

@@ -50,7 +50,6 @@ from repro.serving.transport import (
     send_message,
 )
 
-BLOCK = 4
 WORKER_COUNTS = (1, 2, 3)
 
 GREEN_QUERY = dict(
@@ -86,7 +85,6 @@ def artifact_path(forum_result, tmp_path_factory):
 
 
 def process_cluster(artifact_path, n_shards, **kwargs):
-    kwargs.setdefault("block_size", BLOCK)
     return ShardedEngine.load(
         artifact_path,
         n_shards=n_shards,
@@ -415,12 +413,8 @@ class TestProcessEquivalence:
     def test_traffic_bit_identical(
         self, forum_result, artifact_path, n_shards
     ):
-        reference = InferenceEngine.from_result(
-            forum_result, block_size=BLOCK
-        )
-        inproc = ShardedEngine.from_result(
-            forum_result, n_shards=n_shards, block_size=BLOCK
-        )
+        reference = InferenceEngine.from_result(forum_result)
+        inproc = ShardedEngine.from_result(forum_result, n_shards=n_shards)
         with process_cluster(artifact_path, n_shards) as engine:
             assert (
                 engine.info()["cluster"]["transport"]["backend"]
@@ -489,7 +483,7 @@ class TestProcessEquivalence:
             dict(object_type="user", links=[("likes", book, 2.0)]),
         ]
         with ShardedEngine.from_result(
-            result, n_shards=2, block_size=BLOCK
+            result, n_shards=2
         ) as inproc, process_cluster(path, 2) as engine:
             np.testing.assert_array_equal(
                 engine.membership_of(ids[5]), inproc.membership_of(ids[5])
@@ -503,9 +497,7 @@ class TestProcessEquivalence:
     def test_durable_deltas_bit_identical(
         self, forum_result, artifact_path, n_shards
     ):
-        reference = InferenceEngine.from_result(
-            forum_result, block_size=BLOCK
-        )
+        reference = InferenceEngine.from_result(forum_result)
         with process_cluster(artifact_path, n_shards) as engine:
             specs = [
                 NewNode(
@@ -537,12 +529,8 @@ class TestProcessEquivalence:
     def test_promote_bit_identical_including_g1(
         self, forum_result, artifact_path, n_shards
     ):
-        config = GenClusConfig(
-            n_clusters=2, outer_iterations=4, seed=0, block_size=BLOCK
-        )
-        reference_engine = InferenceEngine.from_result(
-            forum_result, block_size=BLOCK
-        )
+        config = GenClusConfig(n_clusters=2, outer_iterations=4, seed=0)
+        reference_engine = InferenceEngine.from_result(forum_result)
         reference_engine.extend(
             [
                 NewNode(
@@ -591,9 +579,7 @@ class TestWorkerDeath:
     def test_kill_degrade_heal_recover(
         self, forum_result, artifact_path
     ):
-        reference = InferenceEngine.from_result(
-            forum_result, block_size=BLOCK
-        )
+        reference = InferenceEngine.from_result(forum_result)
         batch = [
             dict(object_type="user", **GREEN_QUERY),
             dict(object_type="user", **PURPLE_QUERY),
@@ -661,9 +647,9 @@ class TestWorkerDeath:
                 engine.query("user", **GREEN_QUERY)
             engine.heal()
             np.testing.assert_array_equal(
-                InferenceEngine.from_result(
-                    forum_result, block_size=BLOCK
-                ).query("user", **GREEN_QUERY),
+                InferenceEngine.from_result(forum_result).query(
+                    "user", **GREEN_QUERY
+                ),
                 engine.query("user", **GREEN_QUERY),
             )
 
