@@ -44,10 +44,12 @@ into something that lives through the whole model lifecycle:
   Failures are scripted deterministically with :mod:`repro.faults`.
 * :mod:`repro.serving.transport` / :mod:`repro.serving.worker` -- the
   out-of-process backend: shard engines run in separate worker
-  processes (:class:`ProcessTransport`), each cold-starting from the
-  schema-v3 mmap bundle (the frozen base shared read-only through the
-  OS page cache) and answering the shard surface over a
-  length-prefixed, pickle-free socket protocol.  The in-process
+  processes (:class:`ProcessTransport`) -- forked from the serving
+  process when it is single-threaded, exec'd otherwise -- each
+  cold-starting from the schema-v3 mmap bundle (the frozen base
+  shared read-only through the OS page cache) and answering the
+  shard surface over a length-prefixed, pickle-free socket
+  protocol.  The in-process
   :class:`InprocessTransport` stays the default; both backends are
   bit-identical behind the same router.  A worker that dies is
   respawned and its durable deltas replayed (the supervision layer's

@@ -42,7 +42,11 @@ Subcommands against a saved model artifact:
 * ``serve ARTIFACT --shards N --port P [--mmap] [--batch-window MS]
   [--max-batch Q] [--max-queue Q]`` -- serve the model over HTTP: a
   sharded cluster (one shard worker process per shard) behind the
-  micro-batching asyncio gateway.  Prints
+  micro-batching asyncio gateway.  The workers are forked from
+  ``serve`` before any gateway thread starts, so they skip a second
+  interpreter start and import; being forks, they show ``serve``'s
+  own command line in ``ps`` (find them as ``serve``'s children, not
+  by ``repro.serving.worker``).  Prints
   ``READY http://HOST:PORT`` once the listener is bound; SIGTERM or
   SIGINT triggers a graceful drain (in-flight batches complete, new
   work gets 503) before exit.  Endpoints: ``POST /score``,
@@ -615,7 +619,12 @@ def _run_chaos(args: argparse.Namespace) -> int:
 
 
 def _run_serve(args: argparse.Namespace) -> int:
-    """Serve over HTTP until SIGTERM/SIGINT, then drain gracefully."""
+    """Serve over HTTP until SIGTERM/SIGINT, then drain gracefully.
+
+    The cluster is built before the gateway, while this process is
+    single-threaded, so its workers are forks of this process (and
+    carry its command line in ``ps``).
+    """
     import signal
     import threading
 

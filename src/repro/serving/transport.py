@@ -14,8 +14,16 @@ Two backends:
   :class:`~repro.serving.engine.InferenceEngine` objects over the
   partitioned states of one process -- PR 5's cluster verbatim, and
   the reference implementation every other backend is pinned against.
-* :class:`ProcessTransport`: one **worker process per shard**
-  (``python -m repro.serving.worker``).  Workers cold-start from the
+* :class:`ProcessTransport`: one **worker process per shard**,
+  forked from the calling process while no other Python thread is
+  alive (the child already holds every imported module, so it skips
+  the interpreter start and the numpy/scipy/``repro`` imports) and
+  exec'd as ``python -m repro.serving.worker`` otherwise -- forking a
+  threaded process could clone a lock some other thread holds.  The
+  thread state alone picks the path: ``serve`` builds its fleet
+  before any router or gateway thread exists, so it forks, while a
+  respawn under a live gateway execs.  Either way the worker is a
+  direct child of the caller.  Workers cold-start from the
   schema-v3 artifact bundle on disk (``mmap=True`` shares the frozen
   base read-only through the page cache -- the PR 8 zero-copy path,
   now across *processes*), and a length-prefixed, pickle-free message
@@ -64,6 +72,7 @@ import math
 import numbers
 import os
 import shutil
+import signal
 import socket
 import struct
 import subprocess
@@ -716,6 +725,106 @@ class InprocessTransport:
 # ----------------------------------------------------------------------
 # the multiprocess backend
 # ----------------------------------------------------------------------
+class WorkerProcess:
+    """A shard worker's OS process, however it was started.
+
+    ``spawn`` is ``"fork"`` (a child forked from this process) or
+    ``"exec"`` (a fresh interpreter, driven through its
+    :class:`subprocess.Popen`); both answer ``pid``, ``poll``, ``wait``
+    and ``kill`` with :class:`subprocess.Popen`'s semantics.
+    """
+
+    def __init__(
+        self, pid: int, spawn: str, popen: subprocess.Popen | None = None
+    ) -> None:
+        self.pid = pid
+        self.spawn = spawn
+        self._popen = popen
+        self._returncode: int | None = None
+        self._reap_lock = threading.Lock()
+
+    def poll(self) -> int | None:
+        if self._popen is not None:
+            return self._popen.poll()
+        with self._reap_lock:
+            if self._returncode is None:
+                try:
+                    pid, status = os.waitpid(self.pid, os.WNOHANG)
+                except ChildProcessError:
+                    # reaped elsewhere: gone, as Popen reports it
+                    self._returncode = 0
+                else:
+                    if pid:
+                        self._returncode = os.waitstatus_to_exitcode(
+                            status
+                        )
+            return self._returncode
+
+    def wait(self, timeout: float | None = None) -> int:
+        if self._popen is not None:
+            return self._popen.wait(timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        delay = 0.0005
+        while (code := self.poll()) is None:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise subprocess.TimeoutExpired(
+                    f"shard worker pid {self.pid}", timeout
+                )
+            time.sleep(delay)
+            delay = min(2 * delay, 0.05)
+        return code
+
+    def kill(self) -> None:
+        if self._popen is not None:
+            self._popen.kill()
+            return
+        with self._reap_lock:
+            # unreaped, the pid is still this child's: no reuse race
+            if self._returncode is None:
+                os.kill(self.pid, signal.SIGKILL)
+
+
+def _start_worker(connect: str, shard: int) -> WorkerProcess:
+    """Start the worker for ``shard``, dialing back to ``connect``.
+
+    Forks while this is the only Python thread: the child inherits
+    every imported module, and :func:`repro.serving.worker.run_forked`
+    makes it behave like an exec'd worker and never lets it return
+    here.  With other threads alive a fork could clone a lock one of
+    them holds, so the worker is exec'd instead.  (BLAS pool threads
+    are not Python threads; OpenBLAS parks its pool across a fork.)
+    """
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        from repro.serving import worker
+
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        pid = os.fork()
+        if pid == 0:
+            worker.run_forked(connect, shard)
+        return WorkerProcess(pid, "fork")
+    env = os.environ.copy()
+    src_root = str(Path(__file__).resolve().parents[2])
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (
+        src_root + os.pathsep + existing if existing else src_root
+    )
+    popen = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.serving.worker",
+            "--connect",
+            connect,
+            "--shard",
+            str(shard),
+        ],
+        env=env,
+    )
+    return WorkerProcess(popen.pid, "exec", popen)
+
+
 class ProcessShardHandle:
     """One worker process's client half: the shard surface over RPC.
 
@@ -732,7 +841,7 @@ class ProcessShardHandle:
     def __init__(
         self,
         shard: int,
-        process: subprocess.Popen,
+        process: WorkerProcess,
         sock: socket.socket,
         faults=None,
     ) -> None:
@@ -880,8 +989,6 @@ class ProcessTransport:
         O(pages-touched), not O(model).
     mmap:
         Map the bundle instead of loading it eagerly (workers only).
-    python:
-        Interpreter for workers (default: ``sys.executable``).
     startup_timeout:
         Seconds to wait for each worker to connect and finish loading.
     run_dir:
@@ -895,13 +1002,11 @@ class ProcessTransport:
         self,
         artifact_path: str | Path,
         mmap: bool = True,
-        python: str | None = None,
         startup_timeout: float = 120.0,
         run_dir: str | Path | None = None,
     ) -> None:
         self._bundle = str(artifact_path)
         self._mmap = bool(mmap)
-        self._python = python or sys.executable
         self._startup_timeout = float(startup_timeout)
         self._run_dir = Path(run_dir) if run_dir is not None else None
         self._owns_run_dir = run_dir is None
@@ -1031,6 +1136,7 @@ class ProcessTransport:
                 str(shard): {
                     "pid": handle.pid,
                     "alive": handle.is_alive(),
+                    "spawn": handle._process.spawn,
                 }
                 for shard, handle in sorted(self._handles.items())
             },
@@ -1068,26 +1174,8 @@ class ProcessTransport:
         engine_kwargs: Mapping[str, Any],
         faults=None,
     ) -> ProcessShardHandle:
-        listener = self._ensure_listener()
-        host, port = listener.getsockname()
-        env = os.environ.copy()
-        src_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root + os.pathsep + existing if existing else src_root
-        )
-        process = subprocess.Popen(
-            [
-                self._python,
-                "-m",
-                "repro.serving.worker",
-                "--connect",
-                f"{host}:{port}",
-                "--shard",
-                str(shard),
-            ],
-            env=env,
-        )
+        host, port = self._ensure_listener().getsockname()
+        process = _start_worker(f"{host}:{port}", shard)
         deadline = time.monotonic() + self._startup_timeout
         try:
             sock = self._accept_worker(shard, process, deadline)
@@ -1122,7 +1210,7 @@ class ProcessTransport:
     def _accept_worker(
         self,
         shard: int,
-        process: subprocess.Popen,
+        process: WorkerProcess,
         deadline: float,
     ) -> socket.socket:
         """Accept until the connection announcing ``shard`` arrives.

@@ -1,8 +1,12 @@
 """The shard worker process: one engine behind a socket.
 
-``python -m repro.serving.worker --connect HOST:PORT --shard N`` is
-what :class:`~repro.serving.transport.ProcessTransport` spawns, one
-per shard.  The worker dials back to the transport's listener, opens
+:class:`~repro.serving.transport.ProcessTransport` starts one worker
+per shard.  While the serving process has no other Python thread it
+forks the worker, which enters :func:`run_forked` with every module
+already imported; otherwise it execs ``python -m repro.serving.worker
+--connect HOST:PORT --shard N``, which enters :func:`main`.  Both
+paths then run the same :func:`serve` loop, so they build the same
+engine.  The worker dials back to the transport's listener, opens
 with a ``hello`` naming its shard, and waits for ``init``: the
 artifact bundle path, the serialized
 :class:`~repro.serving.cluster.ShardPlan`, and the engine knobs.  It
@@ -40,9 +44,14 @@ by the transport and the router replays its durable-delta log.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
+import signal
 import socket
+import stat
 import sys
+import traceback
+from typing import NoReturn
 
 import numpy as np
 
@@ -161,10 +170,66 @@ def serve(connect: str, shard: int) -> int:
         send_message(sock, reply, reply_arrays)
 
 
+def run_forked(connect: str, shard: int) -> NoReturn:
+    """Serve as a worker forked from the serving process; never returns.
+
+    The child is made to look like an exec'd worker first: it drops
+    the sockets and pipes it inherited (the transport's listener and
+    the parent's ends of earlier workers' connections, which would
+    otherwise keep a sibling from seeing its router hang up) and
+    restores the default SIGTERM and SIGINT dispositions.  It ends in
+    ``os._exit``, so it never unwinds into the caller's stack (a test
+    runner, ``atexit`` hooks, ``finally`` blocks).
+    """
+    code = 1
+    try:
+        # the parent's objects are never collected here, so no stale
+        # finalizer (a transport's __del__, a socket's close) can run
+        gc.freeze()
+        _drop_inherited_channels()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            signal.signal(signum, signal.SIG_DFL)
+        code = serve(connect, shard)
+    except Exception:  # noqa: BLE001 - report, then exit
+        traceback.print_exc()
+    finally:
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except Exception:  # noqa: BLE001 - exiting anyway
+                pass
+        os._exit(code)
+
+
+def _drop_inherited_channels() -> None:
+    """Point every inherited socket or pipe above stdio at /dev/null.
+
+    Overwriting the descriptor (rather than closing it) releases the
+    channel while keeping its number taken, so a Python object of the
+    parent that still names that number can never close a descriptor
+    this worker opens later, such as its own connection.
+    """
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for name in os.listdir(fd_dir):
+            fd = int(name)
+            if fd <= 2 or fd == null:
+                continue
+            try:
+                mode = os.fstat(fd).st_mode
+            except OSError:  # the directory listing's own descriptor
+                continue
+            if stat.S_ISSOCK(mode) or stat.S_ISFIFO(mode):
+                os.dup2(null, fd, inheritable=False)
+    finally:
+        os.close(null)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serving.worker",
-        description="shard worker process (spawned by ProcessTransport)",
+        description="shard worker process (exec'd by ProcessTransport)",
     )
     parser.add_argument(
         "--connect",

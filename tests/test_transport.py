@@ -9,12 +9,24 @@ across queries, batches, similarity, durable deltas, and promote.  A
 SIGKILL'd worker degrades (typed markers in partial mode), and after
 ``heal()`` respawns it from the bundle plus its replayed durable
 deltas, recovery is bit-identical too.
+
+A worker is forked from the test process when no other thread is
+alive and exec'd otherwise; :func:`spawn_path` arranges either thread
+state, and the contracts are pinned through both paths.
 """
 
+import contextlib
 import dataclasses
 import inspect
+import os
+import selectors
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,6 +103,38 @@ def process_cluster(artifact_path, n_shards, **kwargs):
         transport="process",
         **kwargs,
     )
+
+
+@contextlib.contextmanager
+def spawn_path(spawn):
+    """Hold the thread state that makes the transport ``fork`` (this
+    is the only thread) or ``exec`` (a helper thread is alive)."""
+    if spawn == "fork":
+        assert threading.active_count() == 1, threading.enumerate()
+        yield
+        return
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait, name="spawn-helper")
+    helper.start()
+    try:
+        yield
+    finally:
+        release.set()
+        helper.join(timeout=10)
+        assert not helper.is_alive()
+
+
+def spawn_cluster(artifact_path, n_shards, spawn, **kwargs):
+    """A process cluster whose workers all started through ``spawn``."""
+    with spawn_path(spawn):
+        engine = process_cluster(artifact_path, n_shards, **kwargs)
+    assert spawns_of(engine) == [spawn] * n_shards
+    return engine
+
+
+def spawns_of(engine):
+    workers = engine.info()["cluster"]["transport"]["workers"]
+    return [workers[str(shard)]["spawn"] for shard in range(len(workers))]
 
 
 # ----------------------------------------------------------------------
@@ -411,11 +455,11 @@ class TestShardOpCodecs:
 class TestProcessEquivalence:
     @pytest.mark.parametrize("n_shards", WORKER_COUNTS)
     def test_traffic_bit_identical(
-        self, forum_result, artifact_path, n_shards
+        self, forum_result, artifact_path, n_shards, spawn="fork"
     ):
         reference = InferenceEngine.from_result(forum_result)
         inproc = ShardedEngine.from_result(forum_result, n_shards=n_shards)
-        with process_cluster(artifact_path, n_shards) as engine:
+        with spawn_cluster(artifact_path, n_shards, spawn) as engine:
             assert (
                 engine.info()["cluster"]["transport"]["backend"]
                 == "process"
@@ -447,6 +491,14 @@ class TestProcessEquivalence:
                 "user0_0", "writes", k=3
             ) == reference.suggest_links("user0_0", "writes", k=3)
         inproc.close()
+
+    @pytest.mark.parametrize("n_shards", WORKER_COUNTS)
+    def test_traffic_bit_identical_exec(
+        self, forum_result, artifact_path, n_shards
+    ):
+        self.test_traffic_bit_identical(
+            forum_result, artifact_path, n_shards, spawn="exec"
+        )
 
     def test_numpy_int_ids_bit_identical(self, tmp_path):
         """numpy integer ids are node ids like any int: the process
@@ -527,7 +579,7 @@ class TestProcessEquivalence:
 
     @pytest.mark.parametrize("n_shards", WORKER_COUNTS)
     def test_promote_bit_identical_including_g1(
-        self, forum_result, artifact_path, n_shards
+        self, forum_result, artifact_path, n_shards, spawn="fork"
     ):
         config = GenClusConfig(n_clusters=2, outer_iterations=4, seed=0)
         reference_engine = InferenceEngine.from_result(forum_result)
@@ -542,7 +594,7 @@ class TestProcessEquivalence:
         )
         reference = reference_engine.promote(config)
 
-        with process_cluster(artifact_path, n_shards) as engine:
+        with spawn_cluster(artifact_path, n_shards, spawn) as engine:
             engine.extend(
                 [
                     NewNode(
@@ -571,13 +623,21 @@ class TestProcessEquivalence:
             )
             assert engine.num_extension_nodes == 0
 
+    @pytest.mark.parametrize("n_shards", WORKER_COUNTS)
+    def test_promote_bit_identical_including_g1_exec(
+        self, forum_result, artifact_path, n_shards
+    ):
+        self.test_promote_bit_identical_including_g1(
+            forum_result, artifact_path, n_shards, spawn="exec"
+        )
+
 
 # ----------------------------------------------------------------------
 # process death: degrade, respawn, replay
 # ----------------------------------------------------------------------
 class TestWorkerDeath:
     def test_kill_degrade_heal_recover(
-        self, forum_result, artifact_path
+        self, forum_result, artifact_path, spawn="fork"
     ):
         reference = InferenceEngine.from_result(forum_result)
         batch = [
@@ -585,8 +645,8 @@ class TestWorkerDeath:
             dict(object_type="user", **PURPLE_QUERY),
         ]
         want_rows = reference.score_many(batch)
-        with process_cluster(
-            artifact_path, 2, supervision=FAST_FAIL
+        with spawn_cluster(
+            artifact_path, 2, spawn, supervision=FAST_FAIL
         ) as engine:
             # a durable delta before the crash: replay must restore it
             engine.extend(
@@ -632,6 +692,13 @@ class TestWorkerDeath:
                 entry["alive"] for entry in workers.values()
             )
 
+    def test_kill_degrade_heal_recover_exec(
+        self, forum_result, artifact_path
+    ):
+        self.test_kill_degrade_heal_recover(
+            forum_result, artifact_path, spawn="exec"
+        )
+
     def test_scripted_worker_call_fault_site(
         self, forum_result, artifact_path
     ):
@@ -663,6 +730,82 @@ class TestTransportPlumbing:
             ShardedEngine.from_result(
                 forum_result, n_shards=2, transport="process"
             )
+
+    def test_single_threaded_start_forks(self, artifact_path):
+        assert threading.active_count() == 1, threading.enumerate()
+        with process_cluster(artifact_path, 2) as engine:
+            assert spawns_of(engine) == ["fork", "fork"]
+            if os.path.isdir("/proc/self"):
+                # a fork keeps its parent's command line
+                for handle in engine.shards:
+                    assert _cmdline(handle.pid) == _cmdline(os.getpid())
+
+    def test_start_with_a_live_thread_execs(self, artifact_path):
+        with spawn_path("exec"):
+            engine = process_cluster(artifact_path, 1)
+        with engine:
+            assert spawns_of(engine) == ["exec"]
+            if os.path.isdir("/proc/self"):
+                for handle in engine.shards:
+                    assert "repro.serving.worker" in _cmdline(handle.pid)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc"
+    )
+    def test_forked_worker_holds_only_its_own_socket(self, artifact_path):
+        """No listener, no parent end of a sibling's connection: a
+        worker sees EOF the moment its router's end closes."""
+        with spawn_cluster(artifact_path, 3, "fork") as engine:
+            for handle in engine.shards:
+                fd_dir = Path(f"/proc/{handle.pid}/fd")
+                sockets = [
+                    fd.name
+                    for fd in fd_dir.iterdir()
+                    if int(fd.name) > 2
+                    and os.readlink(fd).startswith("socket:")
+                ]
+                assert len(sockets) == 1, (handle.shard, sockets)
+
+    @pytest.mark.skipif(
+        not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+        reason="needs /proc/<pid>/task/<tid>/children",
+    )
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"]
+    )
+    def test_no_worker_outlives_serve(self, artifact_path, signum):
+        """``serve``'s forked fleet dies with it, drained or killed."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro.serving", "serve",
+             str(artifact_path), "--shards", "3", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            text=True,
+        )
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(serve.stdout, selectors.EVENT_READ)
+                assert selector.select(60), "serve did not print READY"
+            assert serve.stdout.readline().startswith("READY ")
+            workers = _children(serve.pid)
+            assert len(workers) == 3, workers
+            # serve builds its fleet single-threaded: forks, which
+            # carry serve's own command line
+            for pid in workers:
+                assert _cmdline(pid) == _cmdline(serve.pid)
+            serve.send_signal(signum)
+            deadline = time.monotonic() + 10.0
+            while not all(map(_gone, workers)):
+                assert time.monotonic() < deadline, [
+                    pid for pid in workers if not _gone(pid)
+                ]
+                time.sleep(0.05)
+        finally:
+            serve.kill()
+            serve.wait()
+            serve.stdout.close()
 
     def test_shutdown_reaps_workers(self, artifact_path):
         engine = process_cluster(artifact_path, 2)
@@ -696,3 +839,24 @@ class TestTransportPlumbing:
             )
             text = render_prometheus(snapshot)
             assert "repro_queries_total" in text
+
+
+def _cmdline(pid):
+    return Path(f"/proc/{pid}/cmdline").read_bytes().decode()
+
+
+def _children(pid):
+    return [
+        int(child)
+        for task in Path(f"/proc/{pid}/task").iterdir()
+        for child in (task / "children").read_text().split()
+    ]
+
+
+def _gone(pid):
+    """Exited: no process, or a zombie waiting for its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
