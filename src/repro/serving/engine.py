@@ -30,6 +30,15 @@
 
 Base memberships, gamma, and attribute component parameters stay
 frozen under serving; only :meth:`promote` re-learns them.
+
+This module is also the one home of every serving rule the single
+engine and the cluster router (:mod:`repro.serving.router`) share: the
+LRU age book and eviction policy (:class:`QueryAges`), the
+link-delta entry check (:func:`parse_link`), shortlist resolution
+(:func:`resolve_shortlists`), and -- on :class:`ServingFrontEnd`, the
+base class of both -- promote accounting, the similarity frame, and
+the front-end methods derived from ``query`` / ``score_many`` /
+``membership_of`` / ``similar_many``.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict, deque
 from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -50,7 +60,7 @@ from repro.core.state import ModelState
 from repro.exceptions import ServingError
 from repro.faults import resolve_faults
 from repro.obs.observability import Observability
-from repro.serving.artifact import SCHEMA_VERSION, ModelArtifact
+from repro.serving.artifact import ModelArtifact
 from repro.serving.foldin import (
     FoldInOutcome,
     NewNode,
@@ -61,45 +71,165 @@ from repro.serving.foldin import (
     fold_bound,
     fold_in,
 )
-from repro.serving.telemetry import ServingMetrics, info_sections
+from repro.serving.telemetry import ServingMetrics, info_document
 
 
-def select_lru_victims(
-    candidates: Iterable[object],
-    excess: int,
-    order_key,
-    dependants_of,
-    row_of,
-) -> set[object]:
-    """Pick up to ``excess`` eviction victims, oldest first, honouring
-    link-dependency pinning.
+class QueryAges:
+    """The LRU age book of one extension space.
 
-    The worklist selection shared by :meth:`InferenceEngine.evict`
-    (per-engine ages) and the cluster router (cluster-wide ages over
-    all shards' extensions): each node is examined once per resolved
-    blocker -- ``O(nodes + dependency links)`` total, no quadratic
-    multi-pass -- and nodes pinned by a never-chosen survivor stay
-    parked and survive.  ``order_key`` fixes the fully deterministic
-    scan order (query age, then served row), ``dependants_of`` yields
-    the extension nodes holding an out-link to a candidate, and
-    ``row_of`` breaks blocker ties.
+    One operation clock ("query age") ticks once per durable delta,
+    per membership read of an extension node, and per transient query
+    that links to any; each extension node remembers the tick that
+    last touched it.  :class:`InferenceEngine` keeps a book over its
+    own extensions and the cluster router one over every shard's, so
+    both evict the same victims for the same traffic: their tie-breaks
+    (served row, arrival) are both monotone in fold-in order.
+    :meth:`victims` is the one eviction policy both run.
+    ``is_extension`` is asked at call time, so it may read state that
+    a promote swaps out.
     """
-    queue = deque(sorted(candidates, key=order_key))
-    blocked_on: dict[object, list[object]] = {}
-    chosen: set[object] = set()
-    while queue and len(chosen) < excess:
-        node = queue.popleft()
-        # a node pins itself only through *other* survivors: a
-        # self-link dies with the node, so it never blocks
-        pins = dependants_of(node) - chosen - {node}
-        if pins:
-            blocker = min(pins, key=row_of)
-            blocked_on.setdefault(blocker, []).append(node)
-            continue
-        chosen.add(node)
-        for waiter in blocked_on.pop(node, ()):
-            queue.append(waiter)
-    return chosen
+
+    def __init__(self, is_extension) -> None:
+        self._is_extension = is_extension
+        self._clock = 0
+        self._last_used: dict[object, int] = {}
+
+    def stamp(self, nodes: Iterable[object]) -> None:
+        """One tick, shared by every node of ``nodes`` (a delta)."""
+        self._clock += 1
+        for node in nodes:
+            self._last_used[node] = self._clock
+
+    def touch(self, node: object) -> None:
+        """A membership read: one tick if ``node`` is an extension."""
+        if self._is_extension(node):
+            self.stamp((node,))
+
+    def touch_queries(self, batch: QueryBatch) -> None:
+        """One tick per query row that links to any extension node."""
+        for _, touched in batch.targets_by_row(self._is_extension):
+            self.stamp(touched)
+
+    def forget(self, nodes: Iterable[object]) -> None:
+        for node in nodes:
+            self._last_used.pop(node, None)
+
+    def reset(self) -> None:
+        """A promote: every extension node became base."""
+        self._last_used.clear()
+
+    def victims(
+        self, max_nodes: int, candidates, dependants_of, row_of
+    ) -> tuple[object, ...]:
+        """The nodes to evict so at most ``max_nodes`` of
+        ``candidates`` survive, oldest first, honouring link-dependency
+        pinning.
+
+        The scan order is fully deterministic -- query age, then
+        ``row_of`` (never set iteration order: nodes extended in one
+        batch share an age).  ``dependants_of`` yields the extension
+        nodes holding an out-link to a candidate; a candidate pinned
+        by one waits on its lowest-``row_of`` blocker, so each node is
+        examined once per resolved blocker -- ``O(nodes + dependency
+        links)`` total, no quadratic multi-pass -- and nodes pinned by
+        a never-chosen survivor stay parked and survive.
+        """
+        if max_nodes < 0:
+            raise ServingError(
+                f"max_nodes must be >= 0, got {max_nodes}"
+            )
+        candidates = tuple(candidates)
+        excess = len(candidates) - max_nodes
+        if excess <= 0:
+            return ()
+
+        def order_key(node):
+            return (self._last_used.get(node, 0), row_of(node))
+
+        queue = deque(sorted(candidates, key=order_key))
+        blocked_on: dict[object, list[object]] = {}
+        chosen: set[object] = set()
+        while queue and len(chosen) < excess:
+            node = queue.popleft()
+            # a node pins itself only through *other* survivors: a
+            # self-link dies with the node, so it never blocks
+            pins = dependants_of(node) - chosen - {node}
+            if pins:
+                blocker = min(pins, key=row_of)
+                blocked_on.setdefault(blocker, []).append(node)
+                continue
+            chosen.add(node)
+            queue.extend(blocked_on.pop(node, ()))
+        return tuple(sorted(chosen, key=order_key))
+
+
+def parse_link(
+    link, is_extension, network
+) -> tuple[object, str, object, Any]:
+    """``(source, relation, target, weight)`` of one link-delta entry
+    ``(source, relation, target[, weight])`` (weight defaults to 1).
+
+    Sources must be extension nodes (``is_extension``): a base node's
+    membership is frozen, so a new out-link on it could never change
+    a score -- rejecting it loudly beats silently ignoring it.
+    """
+    if len(link) not in (3, 4):
+        raise ServingError(
+            f"link {link!r} must be (source, relation, target[, weight])"
+        )
+    source, relation, target, *weight = link
+    if not is_extension(source):
+        if network.has_node(source):
+            raise ServingError(
+                f"node {source!r} belongs to the frozen base model; "
+                f"its membership cannot change, so the engine rejects "
+                f"new out-links on it"
+            )
+        raise ServingError(
+            f"link source {source!r} is not served by this engine"
+        )
+    return source, relation, target, weight[0] if weight else 1.0
+
+
+def resolve_shortlists(
+    gathered, k: int, network, extensions_of, extension_rank
+) -> list[list[tuple[object, float]]]:
+    """Ranked ``(node, score)`` lists from per-source shortlists.
+
+    ``gathered[source][query]`` is one source's ``(scores, rows)``
+    shortlist for one query (a single engine is one source, a cluster
+    one per shard).  A row below the base size names
+    ``network.node_at(row)``; an extension row names
+    ``extensions_of(source)[row - num_base]`` (fetched at most once
+    per source -- one RPC per shard over a process transport) and
+    ranks by ``extension_rank(node, row)``, which must reproduce the
+    singleton engine's served row.  Several sources merge under the
+    global total order (score desc, then rank asc); one source's
+    shortlist is already in it.
+    """
+    num_base = network.num_nodes
+    fetched: dict[int, tuple[object, ...]] = {}
+
+    def entry(source: int, score, row) -> tuple[float, int, object]:
+        row = int(row)
+        if row < num_base:
+            return float(score), row, network.node_at(row)
+        if source not in fetched:
+            fetched[source] = extensions_of(source)
+        node = fetched[source][row - num_base]
+        return float(score), extension_rank(node, row), node
+
+    results = []
+    for position in range(len(gathered[0])):
+        entries = [
+            entry(source, score, row)
+            for source, partials in enumerate(gathered)
+            for score, row in zip(*partials[position])
+        ]
+        if len(gathered) > 1:
+            entries.sort(key=lambda item: (-item[0], item[1]))
+        results.append([(node, score) for score, _, node in entries[:k]])
+    return results
 
 
 def promote_state(
@@ -208,7 +338,243 @@ def _validate_candidate(theta: np.ndarray, result) -> None:
             )
 
 
-class InferenceEngine:
+class ServingFrontEnd:
+    """What :class:`InferenceEngine` and the cluster router
+    (:class:`~repro.serving.router.ShardedEngine`) share.
+
+    A subclass serves the base model of ``self._state`` and provides
+    ``obs``, ``_metrics``, ``_faults``, ``num_extension_nodes``,
+    ``query``, ``score_many``, ``membership_of``, ``_handle_of`` (the
+    engine holding a node's row) and ``_rank`` (scan and merge one
+    similarity batch); the shape properties, the derived front-end
+    methods, the similarity frame and promote accounting are defined
+    here once.
+    """
+
+    @property
+    def n_clusters(self) -> int:
+        return self._state.n_clusters
+
+    @property
+    def num_base_nodes(self) -> int:
+        return self._state.num_base_nodes
+
+    @property
+    def num_nodes(self) -> int:
+        """Base plus folded-in extension nodes."""
+        return self.num_base_nodes + self.num_extension_nodes
+
+    @property
+    def refit_capable(self) -> bool:
+        """Whether :meth:`promote` can run (training data available)."""
+        return self._state.refit_capable
+
+    def strengths(self) -> dict[str, float]:
+        """Learned per-relation strengths (gamma)."""
+        return {
+            name: float(g)
+            for name, g in zip(self._state.relation_names, self._state.gamma)
+        }
+
+    def hard_label_of(self, node: object) -> int:
+        """Arg-max cluster of any served node."""
+        return int(np.argmax(self.membership_of(node)))
+
+    def assign(
+        self,
+        object_type: str,
+        links: Sequence[tuple] = (),
+        text: Mapping[str, Any] | None = None,
+        numeric: Mapping[str, Sequence[float]] | None = None,
+    ) -> int:
+        """Hard cluster label for a hypothetical node."""
+        return int(
+            np.argmax(self.query(object_type, links, text, numeric))
+        )
+
+    def assign_many(
+        self, queries: Sequence[Mapping[str, Any]]
+    ) -> list[int]:
+        """Hard cluster labels for a batch of transient queries."""
+        return [
+            int(np.argmax(membership))
+            for membership in self.score_many(queries)
+        ]
+
+    def similar(
+        self,
+        node: object,
+        k: int = 10,
+        metric: str = "cosine",
+        object_type: str | None = None,
+    ) -> list[tuple[object, float]]:
+        """The ``k`` served nodes most similar to ``node``.
+
+        Candidates are the nodes of ``node``'s own object type (or
+        ``object_type`` when given), excluding the query itself.
+        Returns ``[(node_id, score), ...]`` in ranking order under the
+        deterministic total order (score desc, then global node index
+        asc) -- bit-identical at every shard count, and equal to the
+        offline :func:`repro.eval.linkpred.reference_ranking`.
+        """
+        return self.similar_many(
+            [node], k=k, metric=metric, object_type=object_type
+        )[0]
+
+    def similar_many(
+        self,
+        nodes: Sequence[object],
+        k: int = 10,
+        metric: str = "cosine",
+        object_type: str | None = None,
+    ) -> list[list[tuple[object, float]]]:
+        """Answer a batch of :meth:`similar` queries as one blocked scan.
+
+        Every served row is scanned exactly once (a cluster's shards
+        each scan their **owned** base rows plus their own extensions):
+        the whole batch is scored against each theta block as a single
+        matmul and each block keeps only its ``k`` best rows
+        (``np.argpartition``, no full sort), so a batch costs one pass
+        over theta regardless of its size -- ``O(n*K + n)`` per batch,
+        never materializing an ``(m, n)`` score matrix.  The
+        shortlists merge under the global total order
+        (:func:`resolve_shortlists`).
+        """
+        metric = _resolve_metric(metric)
+        queries = []
+        for node in nodes:
+            vector, node_type = self._handle_of(node).served_vector(node)
+            name = object_type if object_type is not None else node_type
+            queries.append((vector, name, {node}))
+        return self._similarity("similar_many", queries, k, metric)
+
+    def suggest_links(
+        self,
+        node: object,
+        relation: str,
+        k: int = 10,
+        metric: str = "cosine",
+    ) -> list[tuple[object, float]]:
+        """Suggest ``k`` link targets for ``node`` under ``relation``.
+
+        The link-prediction protocol of Section 5.2.2, served online:
+        candidates are the relation's target-typed nodes, minus the
+        query itself and every target it already links to through the
+        relation.  ``node`` must have the relation's source type.  The
+        relation check runs where the node is served, which also holds
+        an extension node's accumulated links; a base node's links
+        come from the training payload of the served base state (a
+        cluster's shard states are serve-only slices).
+        """
+        metric = _resolve_metric(metric)
+        vector, target_type, linked = self._handle_of(
+            node
+        ).suggest_context(node, relation)
+        if linked is None:
+            linked = self._linked_targets(node, relation)
+        return self._similarity(
+            "suggest_links",
+            [(vector, target_type, {node} | set(linked))],
+            k,
+            metric,
+            relation=relation,
+        )[0]
+
+    def _similarity(
+        self,
+        span_name: str,
+        queries: list[tuple[np.ndarray, str, set]],
+        k: int,
+        metric: str,
+        **span_attributes: Any,
+    ) -> list[list[tuple[object, float]]]:
+        """One traced, timed similarity batch, ranked by ``_rank``.
+
+        Each query travels as ``(theta_vector, candidate_type,
+        excluded_node_ids)`` -- vectors rather than rows because an
+        extension query's row exists only on the shard serving it.
+        """
+        if k < 1:
+            raise ServingError(f"k must be >= 1, got {k}")
+        if not queries:
+            return []
+        matrix = np.array(
+            [vector for vector, _, _ in queries], dtype=np.float64
+        )
+        tick = time.perf_counter()
+        with self.obs.span(
+            span_name,
+            queries=len(queries),
+            **span_attributes,
+            k=int(k),
+            metric=metric,
+        ):
+            ranked = self._rank(
+                matrix,
+                k,
+                metric,
+                [name for _, name, _ in queries],
+                [excluded for _, _, excluded in queries],
+            )
+        self._metrics.similarity_queries.inc(len(queries))
+        self._metrics.similarity_seconds.observe(
+            time.perf_counter() - tick
+        )
+        return ranked
+
+    def _linked_targets(
+        self, node: object, relation: str
+    ) -> set[object]:
+        """Targets ``node`` already links to through ``relation``.
+
+        Extension links live on the node's spec; base links live in
+        the training payload, which artifact-backed states decode
+        lazily (:meth:`~repro.core.state.ModelState.hydrate`, a no-op
+        once decoded).  A serve-only artifact carries no link data at
+        all, so its base nodes have nothing to exclude.
+        """
+        state = self._state
+        if state.is_extension(node):
+            spec = state.extension_spec(node)
+            return {
+                target
+                for rel, target, _ in spec.links
+                if rel == relation
+            }
+        state.hydrate()
+        return {
+            target
+            for target, _, _ in state.network.out_neighbors(
+                node, relation
+            )
+        }
+
+    def _promote(self, state: ModelState, config, commit):
+        """:func:`promote_state` of ``state`` under the promote
+        accounting: one ``promote`` span, the ``promote_seconds``
+        histogram, and a rollback count when the candidate fails (the
+        old model keeps serving).  ``commit(result, promoted)`` swaps a
+        validated candidate in; ``promotions`` then counts it."""
+        with self.obs.span(
+            "promote", extension_nodes=state.num_extension_nodes
+        ):
+            tick = time.perf_counter()
+            try:
+                result, promoted = promote_state(
+                    state, config, obs=self.obs, faults=self._faults
+                )
+            except Exception:
+                self._metrics.promote_rollbacks.inc()
+                raise
+            self._metrics.promote_seconds.observe(
+                time.perf_counter() - tick
+            )
+        commit(result, promoted)
+        self._metrics.promotions.inc()
+        return result
+
+
+class InferenceEngine(ServingFrontEnd):
     """Serves cluster-membership queries from a fitted model.
 
     Parameters
@@ -303,14 +669,15 @@ class InferenceEngine:
         self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._cache_size = cache_size
         # lifecycle telemetry lives in the obs registry; only the LRU
-        # clock stays engine-local (it orders evictions -- policy
+        # age book stays engine-local (it orders evictions -- policy
         # state, not telemetry)
         self.obs = obs if obs is not None else Observability()
         self._faults = resolve_faults(faults)
         self._metrics = ServingMetrics(self.obs.metrics)
         self._metrics.cache_capacity.set(cache_size)
-        self._clock = 0  # monotonic operation counter ("query age")
-        self._last_used: dict[object, int] = {}
+        self._ages = QueryAges(
+            lambda node: self._state.is_extension(node)
+        )
         # version-stamped similarity caches: per-metric candidate
         # precomputes and per-type candidate masks, both invalidated
         # with the query cache on every delta (and promote, which may
@@ -400,52 +767,17 @@ class InferenceEngine:
         return self._state
 
     @property
-    def n_clusters(self) -> int:
-        return self._state.n_clusters
-
-    @property
-    def num_nodes(self) -> int:
-        """Base plus folded-in extension nodes."""
-        return self._state.num_nodes
-
-    @property
-    def num_base_nodes(self) -> int:
-        return self._state.num_base_nodes
-
-    @property
     def num_extension_nodes(self) -> int:
         return self._state.num_extension_nodes
-
-    @property
-    def refit_capable(self) -> bool:
-        """Whether :meth:`promote` can run (training data available)."""
-        return self._state.refit_capable
 
     def has_node(self, node: object) -> bool:
         return node in self._model.node_index
 
     def membership_of(self, node: object) -> np.ndarray:
         """Membership row of any served node, base or folded (a copy)."""
-        index = self._model.node_index.get(node)
-        if index is None:
-            raise ServingError(
-                f"node {node!r} is not served by this engine"
-            )
-        self._touch_usage(node)
-        return self._model.theta[index].copy()
-
-    def hard_label_of(self, node: object) -> int:
-        """Arg-max cluster of any served node."""
-        return int(np.argmax(self.membership_of(node)))
-
-    def strengths(self) -> dict[str, float]:
-        """Learned per-relation strengths (gamma)."""
-        return {
-            name: float(g)
-            for name, g in zip(
-                self._model.relation_names, self._model.gamma
-            )
-        }
+        row = self._served_row(node)
+        self._ages.touch(node)
+        return self._model.theta[row].copy()
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """Plain-data snapshot of the engine's metrics registry, with
@@ -477,63 +809,25 @@ class InferenceEngine:
         """Operational snapshot: model shape, strengths, cache stats,
         extension-space telemetry, and fold-in counters.
 
-        The counter-backed sections (``cache`` / ``queries`` /
-        ``extension`` / ``foldin``) are derived from
-        :meth:`metrics_snapshot` through the shared
-        :func:`~repro.serving.telemetry.info_sections` schema -- the
-        same derivation :class:`~repro.serving.router.ShardedEngine`
-        applies to its aggregated cluster snapshot, stamped with the
-        same ``telemetry_version``.
+        The whole document comes from
+        :func:`~repro.serving.telemetry.info_document`, the one schema
+        :class:`~repro.serving.router.ShardedEngine` also fills (from
+        its aggregated cluster snapshot).
         """
-        state = self._state
-        memory: dict[str, Any] = {
-            "schema_version": SCHEMA_VERSION,
-            "artifact_mapped": bool(
-                self._artifact is not None and self._artifact.mapped
+        artifact = self._artifact
+        return info_document(
+            self,
+            self._state,
+            self.metrics_snapshot(),
+            artifact_mapped=bool(artifact is not None and artifact.mapped),
+            integrity=(
+                artifact.integrity.stats()
+                if artifact is not None and artifact.integrity is not None
+                else None
             ),
-            **state.memory_info(),
-        }
-        integrity = (
-            self._artifact.integrity
-            if self._artifact is not None
-            else None
+            shard_id=self._shard_id,
+            shard_count=self._shard_count,
         )
-        memory.update(
-            integrity.stats()
-            if integrity is not None
-            else {
-                "arrays_deferred": 0,
-                "arrays_verified": 0,
-                "arrays_pending": 0,
-            }
-        )
-        sections = info_sections(self.metrics_snapshot())
-        sections["similarity"]["version"] = state.version
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "memory": memory,
-            "refit_capable": state.refit_capable,
-            "n_clusters": self.n_clusters,
-            "num_base_nodes": self.num_base_nodes,
-            "num_extension_nodes": self.num_extension_nodes,
-            "object_types": list(self._model.object_types),
-            "relations": self.strengths(),
-            "attributes": {
-                name: params["kind"]
-                for name, params in self._model.attribute_params.items()
-            },
-            "execution": {
-                # the served index space's shape-derived block
-                # decomposition, plus the engine's position in a
-                # serving cluster (a standalone engine is shard 0 of
-                # 1), so cluster and singleton telemetry share one
-                # schema
-                "shard_id": self._shard_id,
-                "shard_count": self._shard_count,
-                **state.execution_shape(),
-            },
-            **sections,
-        }
 
     # ------------------------------------------------------------------
     # durable deltas
@@ -557,9 +851,7 @@ class InferenceEngine:
         if nodes:
             self._state.append_extensions(tuple(nodes), outcome.theta)
             self._metrics.extends.inc()
-            self._clock += 1
-            for spec in nodes:
-                self._last_used[spec.node] = self._clock
+            self._ages.stamp(spec.node for spec in nodes)
             self._model = self._state.frozen_view()
             self._invalidate_cache()
         return outcome
@@ -568,11 +860,8 @@ class InferenceEngine:
         self,
         links: Iterable[tuple[object, str, object] | tuple[object, str, object, float]],
     ) -> FoldInOutcome:
-        """Append out-links ``(source, relation, target[, weight])``.
-
-        Sources must be *extension* nodes: base memberships are frozen,
-        so a new out-link on a base node could never change a score --
-        rejecting it loudly beats silently ignoring it.
+        """Append out-links ``(source, relation, target[, weight])``
+        on *extension* sources (checked by :func:`parse_link`).
 
         Only the **touched component** is re-folded: the delta's
         sources plus every extension node that reaches one of them via
@@ -585,39 +874,17 @@ class InferenceEngine:
         state = self._state
         merged: dict[object, list[tuple[str, object, float]]] = {}
         for link in links:
-            if len(link) == 3:
-                source, relation, target = link
-                weight = 1.0
-            elif len(link) == 4:
-                source, relation, target, weight = link
-            else:
-                raise ServingError(
-                    f"link {link!r} must be "
-                    f"(source, relation, target[, weight])"
-                )
-            if not state.is_extension(source):
-                if state.network.has_node(source):
-                    raise ServingError(
-                        f"node {source!r} belongs to the frozen base "
-                        f"model; its membership cannot change, so the "
-                        f"engine rejects new out-links on it"
-                    )
-                raise ServingError(
-                    f"link source {source!r} is not served by this "
-                    f"engine"
-                )
+            source, relation, target, weight = parse_link(
+                link, state.is_extension, state.network
+            )
             merged.setdefault(source, []).append(
                 (relation, target, float(weight))
             )
         updated: dict[object, NewNode] = {}
         for source, new_links in merged.items():
             spec = state.extension_spec(source)
-            updated[source] = NewNode(
-                node=spec.node,
-                object_type=spec.object_type,
-                links=spec.links + tuple(new_links),
-                text=spec.text,
-                numeric=spec.numeric,
+            updated[source] = replace(
+                spec, links=spec.links + tuple(new_links)
             )
         touched = state.touched_component(merged)
         specs = [
@@ -639,9 +906,7 @@ class InferenceEngine:
             state.replace_extension_rows(touched, outcome.theta)
             self._metrics.link_deltas.inc()
             self._metrics.refolded_rows.inc(len(touched))
-            self._clock += 1
-            for source in merged:
-                self._last_used[source] = self._clock
+            self._ages.stamp(merged)
             self._model = self._state.frozen_view()
         self._invalidate_cache()
         return outcome
@@ -664,33 +929,17 @@ class InferenceEngine:
         leave the served index space entirely -- and will not be part
         of a later :meth:`promote`.
         """
-        if max_nodes < 0:
-            raise ServingError(
-                f"max_nodes must be >= 0, got {max_nodes}"
-            )
         state = self._state
-        excess = state.num_extension_nodes - max_nodes
-        if excess <= 0:
-            return ()
-        row = state.node_index
-        # fully deterministic order: query age, then served row --
-        # never set iteration order (nodes extended in one batch share
-        # an age, and pin sets are unordered)
-        def order_key(node):
-            return (self._last_used.get(node, 0), row[node])
-
-        chosen_set = select_lru_victims(
+        # ties break by served row; the report order is captured
+        # before eviction renumbers the rows
+        chosen = self._ages.victims(
+            max_nodes,
             state.extension_nodes(),
-            excess,
-            order_key=order_key,
-            dependants_of=state.extension_dependants,
-            row_of=row.__getitem__,
+            state.extension_dependants,
+            state.node_index.__getitem__,
         )
-        if not chosen_set:
-            return ()
-        # capture the report order before eviction renumbers the rows
-        chosen = tuple(sorted(chosen_set, key=order_key))
-        self.evict_nodes(chosen_set)
+        if chosen:
+            self.evict_nodes(chosen)
         return chosen
 
     def evict_nodes(
@@ -713,8 +962,7 @@ class InferenceEngine:
         row = state.node_index
         chosen = tuple(sorted(chosen_set, key=row.__getitem__))
         state.evict_extensions(chosen_set)
-        for node in chosen:
-            self._last_used.pop(node, None)
+        self._ages.forget(chosen)
         self._metrics.evictions.inc(len(chosen))
         self._model = state.frozen_view()
         self._invalidate_cache()
@@ -763,35 +1011,20 @@ class InferenceEngine:
         # rebase: the promoted fit is the new frozen base; reuse the
         # patched link views (and their operator) for the next cycle.
         # The candidate is built and validated entirely off to the
-        # side (promote_state); engine fields mutate only after it
-        # returns, so a failed refit cannot disturb serving.
-        with self.obs.span(
-            "promote", extension_nodes=self.num_extension_nodes
-        ):
-            tick = time.perf_counter()
-            try:
-                result, promoted = promote_state(
-                    self._state,
-                    config,
-                    obs=self.obs,
-                    faults=self._faults,
-                )
-            except Exception:
-                self._metrics.promote_rollbacks.inc()
-                raise
-            self._metrics.promote_seconds.observe(
-                time.perf_counter() - tick
-            )
-        self._state = promoted
-        # the served artifact is stale now; refreeze lazily on the next
-        # `.artifact` access instead of paying the copies every cycle
-        self._artifact = None
-        self._promoted_result = result
-        self._model = self._state.frozen_view()
-        self._last_used = {}
-        self._metrics.promotions.inc()
-        self._invalidate_cache()
-        return result
+        # side (promote_state); engine fields mutate only in commit,
+        # so a failed refit cannot disturb serving.
+        def commit(result, promoted):
+            self._state = promoted
+            # the served artifact is stale now; refreeze lazily on the
+            # next `.artifact` access instead of paying the copies
+            # every cycle
+            self._artifact = None
+            self._promoted_result = result
+            self._model = promoted.frozen_view()
+            self._ages.reset()
+            self._invalidate_cache()
+
+        return self._promote(self._state, config, commit)
 
     # ------------------------------------------------------------------
     # transient queries
@@ -818,20 +1051,8 @@ class InferenceEngine:
         router compiles once and hands the batch to the owning shard).
         """
         self._metrics.queries.inc()
-        self._touch_query_targets(batch)
+        self._ages.touch_queries(batch)
         return self.score_batch(batch)[0]
-
-    def assign(
-        self,
-        object_type: str,
-        links: Sequence[tuple] = (),
-        text: Mapping[str, Any] | None = None,
-        numeric: Mapping[str, Sequence[float]] | None = None,
-    ) -> int:
-        """Hard cluster label for a hypothetical node."""
-        return int(
-            np.argmax(self.query(object_type, links, text, numeric))
-        )
 
     def score_many(
         self, queries: Sequence[Mapping[str, Any]]
@@ -860,12 +1081,8 @@ class InferenceEngine:
         :class:`~repro.serving.foldin.QueryBatch`.  Returns one ``(K,)``
         posterior membership per query, in input order.
         """
-        batch = (
-            queries
-            if isinstance(queries, QueryBatch)
-            else compile_queries(queries)
-        )
-        self._touch_query_targets(batch)
+        batch = compile_queries(queries)
+        self._ages.touch_queries(batch)
         self._metrics.queries.inc(len(batch))
         with self.obs.span("score_many", queries=len(batch)):
             return self.score_batch(batch)
@@ -918,120 +1135,35 @@ class InferenceEngine:
                     self._cache.popitem(last=False)
         return [results[position] for position in range(len(keys))]
 
-    def assign_many(
-        self, queries: Sequence[Mapping[str, Any]]
-    ) -> list[int]:
-        """Hard cluster labels for a batch of transient queries."""
-        return [
-            int(np.argmax(membership))
-            for membership in self.score_many(queries)
-        ]
-
     # ------------------------------------------------------------------
     # top-k similarity serving
     # ------------------------------------------------------------------
-    def similar(
-        self,
-        node: object,
-        k: int = 10,
-        metric: str = "cosine",
-        object_type: str | None = None,
-    ) -> list[tuple[object, float]]:
-        """The ``k`` served nodes most similar to ``node``.
+    def _handle_of(self, node: object) -> InferenceEngine:
+        """The engine serves every row itself."""
+        return self
 
-        Candidates are the nodes of ``node``'s own object type (or
-        ``object_type`` when given), excluding the query itself.
-        Returns ``[(node_id, score), ...]`` in ranking order under the
-        deterministic total order (score desc, then global node index
-        asc) -- bit-identical at every shard count, and
-        equal to the offline :func:`repro.eval.linkpred.reference_ranking`.
-        """
-        return self.similar_many(
-            [node], k=k, metric=metric, object_type=object_type
-        )[0]
-
-    def similar_many(
-        self,
-        nodes: Sequence[object],
-        k: int = 10,
-        metric: str = "cosine",
-        object_type: str | None = None,
+    def _rank(
+        self, matrix, k, metric, candidate_types, exclude_nodes
     ) -> list[list[tuple[object, float]]]:
-        """Answer a batch of :meth:`similar` queries as one blocked scan.
-
-        The whole batch is scored against each served theta block as a
-        single matmul and each block keeps only its ``k`` best rows
-        (``np.argpartition``, no full sort), so a batch costs one pass
-        over theta regardless of its size -- ``O(n*K + n)`` per batch,
-        never materializing an ``(m, n)`` score matrix.
-        """
-        metric = _resolve_metric(metric)
-        rows = [self._served_row(node) for node in nodes]
-        types = self._model.node_types
-        candidate_types = [
-            object_type if object_type is not None else types[row]
-            for row in rows
-        ]
-        tick = time.perf_counter()
-        with self.obs.span(
-            "similar_many", queries=len(rows), k=int(k), metric=metric
-        ):
-            partials = self.similar_rows_partial(
-                rows,
-                k,
-                metric,
-                candidate_types=candidate_types,
-                exclude_nodes=[{node} for node in nodes],
-            )
-        self._metrics.similarity_queries.inc(len(rows))
-        self._metrics.similarity_seconds.observe(
-            time.perf_counter() - tick
+        state = self._state
+        partials = self.similar_rows_partial(
+            matrix,
+            k,
+            metric,
+            candidate_types=candidate_types,
+            exclude_nodes=exclude_nodes,
         )
-        return [
-            self._resolve_rows(scores, found)
-            for scores, found in partials
-        ]
-
-    def suggest_links(
-        self,
-        node: object,
-        relation: str,
-        k: int = 10,
-        metric: str = "cosine",
-    ) -> list[tuple[object, float]]:
-        """Suggest ``k`` link targets for ``node`` under ``relation``.
-
-        The link-prediction protocol of Section 5.2.2, served online:
-        candidates are the relation's target-typed nodes, minus the
-        query itself and every target it already links to through the
-        relation.  ``node`` must have the relation's source type.
-        """
-        metric = _resolve_metric(metric)
-        row = self._served_row(node)
-        target_type = self._suggest_target_type(node, relation)
-        exclude = {node}
-        exclude.update(self._linked_targets(node, relation))
-        tick = time.perf_counter()
-        with self.obs.span(
-            "suggest_links", relation=relation, k=int(k), metric=metric
-        ):
-            partials = self.similar_rows_partial(
-                [row],
-                k,
-                metric,
-                candidate_types=[target_type],
-                exclude_nodes=[exclude],
-            )
-        self._metrics.similarity_queries.inc()
-        self._metrics.similarity_seconds.observe(
-            time.perf_counter() - tick
+        return resolve_shortlists(
+            [partials],
+            k,
+            state.network,
+            lambda _: state.extension_nodes(),
+            lambda node, row: row,
         )
-        scores, found = partials[0]
-        return self._resolve_rows(scores, found)
 
     def similar_rows_partial(
         self,
-        queries: "Sequence[int] | np.ndarray",
+        queries: np.ndarray,
         k: int,
         metric: str,
         candidate_types: Sequence[str | None] | None = None,
@@ -1046,12 +1178,9 @@ class InferenceEngine:
         across shards: each shard scans its **owned** base rows
         (``base_range``, a half-open row range; the full base by
         default) plus its own extensions, and the router merges the
-        per-shard shortlists.  ``queries`` is either a sequence of
-        local theta row indices (query-side precomputes are gathered
-        from the version-stamped cache) or a ``(m, K)`` matrix of raw
-        membership vectors (the router's form -- an extension query's
-        row exists only on its owner shard, so peers receive the
-        vector; both prepartions are bit-identical).  Scan blocks come
+        per-shard shortlists.  ``queries`` is a ``(m, K)`` matrix of
+        raw membership vectors (an extension query's row exists only
+        on its owner shard, so peers receive the vector).  Scan blocks come
         from the state's canonical
         :meth:`~repro.core.state.ModelState.block_plan` clipped to the
         owned ranges and run in block order.
@@ -1099,15 +1228,8 @@ class InferenceEngine:
                 if hi > lo:
                     bounds.append((lo, hi))
         pre = self._similarity_precompute(metric)
-        if isinstance(queries, np.ndarray) and queries.ndim == 2:
-            num_queries = queries.shape[0]
-            prepared = topk.prepare_queries(metric, queries)
-        else:
-            rows = [int(row) for row in queries]
-            num_queries = len(rows)
-            prepared = topk.prepare_queries(
-                metric, theta[rows], pre, rows
-            )
+        num_queries = len(queries)
+        prepared = topk.prepare_queries(metric, queries)
         if not bounds or not num_queries:
             empty = (
                 np.empty(0, dtype=np.float64),
@@ -1203,25 +1325,6 @@ class InferenceEngine:
         pinning set a cluster-wide LRU eviction must honour)."""
         return frozenset(self._state.extension_dependants(node))
 
-    def _resolve_rows(
-        self, scores: np.ndarray, rows: np.ndarray
-    ) -> list[tuple[object, float]]:
-        """Map local ``(scores, rows)`` partials to ``(node, score)``."""
-        state = self._state
-        num_base = state.num_base_nodes
-        extensions: tuple[object, ...] | None = None
-        resolved = []
-        for score, row in zip(scores, rows):
-            row = int(row)
-            if row < num_base:
-                node = state.network.node_at(row)
-            else:
-                if extensions is None:
-                    extensions = state.extension_nodes()
-                node = extensions[row - num_base]
-            resolved.append((node, float(score)))
-        return resolved
-
     def _suggest_target_type(self, node: object, relation: str) -> str:
         declaration = self._model.relation_types.get(relation)
         if declaration is None:
@@ -1238,33 +1341,6 @@ class InferenceEngine:
                 f"{node_type!r}"
             )
         return target_type
-
-    def _linked_targets(
-        self, node: object, relation: str
-    ) -> set[object]:
-        """Targets ``node`` already links to through ``relation``.
-
-        Extension links live on the node's spec; base links live in
-        the training payload, which artifact-backed states decode
-        lazily (:meth:`~repro.core.state.ModelState.hydrate`, a no-op
-        once decoded).  A serve-only artifact carries no link data at
-        all, so its base nodes have nothing to exclude.
-        """
-        state = self._state
-        if state.is_extension(node):
-            spec = state.extension_spec(node)
-            return {
-                target
-                for rel, target, _ in spec.links
-                if rel == relation
-            }
-        state.hydrate()
-        return {
-            target
-            for target, _, _ in state.network.out_neighbors(
-                node, relation
-            )
-        }
 
     def _type_mask(self, object_type: str) -> np.ndarray:
         """Version-stamped boolean candidate mask for one object type.
@@ -1304,19 +1380,6 @@ class InferenceEngine:
         return pre
 
     # ------------------------------------------------------------------
-    def _touch_usage(self, node: object) -> None:
-        if self._state.is_extension(node):
-            self._clock += 1
-            self._last_used[node] = self._clock
-
-    def _touch_query_targets(self, batch: QueryBatch) -> None:
-        """Refresh the LRU age of extension nodes queries link to (one
-        clock tick per query that links to any)."""
-        for _, touched in batch.targets_by_row(self._state.is_extension):
-            self._clock += 1
-            for target in touched:
-                self._last_used[target] = self._clock
-
     def _invalidate_cache(self) -> None:
         self._cache.clear()
         # similarity precomputes are stamped with the state version,

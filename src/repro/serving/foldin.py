@@ -842,8 +842,11 @@ def compile_queries(
     Each query carries ``object_type`` (required) and optional
     ``links`` / ``text`` / ``numeric``; shape errors name the query's
     position (``query #i``).  ``decode_target`` decodes link targets
-    of JSON-array links (the HTTP gateway's wire form).
+    of JSON-array links (the HTTP gateway's wire form).  An already
+    compiled :class:`QueryBatch` passes through unchanged.
     """
+    if isinstance(queries, QueryBatch):
+        return queries
     builder = _Builder(decode_target)
     for position, query in enumerate(queries):
         if not isinstance(query, Mapping):

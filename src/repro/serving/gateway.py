@@ -62,11 +62,19 @@ from repro.serving.transport import decode_node, encode_node
 
 __all__ = ["Gateway", "GatewayBusy", "GatewayServer", "MicroBatcher"]
 
+# The largest request body the gateway buffers.  A /score query is a
+# few hundred bytes of JSON, so even a full default admission queue
+# (1024 items) fits in well under 1 MiB; 8 MiB leaves ample headroom
+# while a client can no longer make the server buffer whatever size it
+# declares.  A larger Content-Length gets 413 before any body is read.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -429,28 +437,38 @@ class Gateway:
                         "latin-1"
                     ).partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0))
+                declared = headers.get("content-length", "0")
+                length = _body_length(declared)
+                if length is None or length > MAX_BODY_BYTES:
+                    # no body is read, so where this request ends is
+                    # unknown: answer, then close the connection
+                    error = (
+                        f"invalid Content-Length {declared[:32]!r}"
+                        if length is None
+                        else f"request body exceeds the "
+                        f"{MAX_BODY_BYTES}-byte limit"
+                    )
+                    await _respond(
+                        writer,
+                        _json_response(
+                            400 if length is None else 413,
+                            {"error": error},
+                        ),
+                        keep=False,
+                    )
+                    break
                 body = (
                     await reader.readexactly(length) if length else b""
-                )
-                status, ctype, payload = await self._dispatch(
-                    method, target, body
                 )
                 keep = (
                     headers.get("connection", "keep-alive").lower()
                     != "close"
                 )
-                head = (
-                    f"HTTP/1.1 {status} "
-                    f"{_REASONS.get(status, 'OK')}\r\n"
-                    f"Content-Type: {ctype}\r\n"
-                    f"Content-Length: {len(payload)}\r\n"
-                    f"Connection: "
-                    f"{'keep-alive' if keep else 'close'}\r\n"
-                    f"\r\n"
+                await _respond(
+                    writer,
+                    await self._dispatch(method, target, body),
+                    keep,
                 )
-                writer.write(head.encode("latin-1") + payload)
-                await writer.drain()
                 if not keep:
                     break
         except (
@@ -502,18 +520,15 @@ class Gateway:
             return await self._readyz()
         if target == "/metrics":
             return await self._metrics_page()
-        if target == "/score":
+        handler = {"/score": self._score, "/similar": self._similar}.get(
+            target
+        )
+        if handler is not None:
             if method != "POST":
                 return _json_response(
                     405, {"error": "POST required"}
                 )
-            return await self._score(body)
-        if target == "/similar":
-            if method != "POST":
-                return _json_response(
-                    405, {"error": "POST required"}
-                )
-            return await self._similar(body)
+            return await handler(body)
         return _json_response(
             404, {"error": f"unknown path {target!r}"}
         )
@@ -615,9 +630,17 @@ class Gateway:
             raise ServingError(
                 'the /similar body must carry {"nodes": [...]}'
             )
-        k = int(request.get("k", 10))
+        k = request.get("k", 10)
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ServingError(f"k must be a positive integer, got {k!r}")
+        if k < 1:
+            raise ServingError(f"k must be >= 1, got {k}")
         metric = str(request.get("metric", "cosine"))
         object_type = request.get("object_type")
+        if object_type is not None and not isinstance(object_type, str):
+            raise ServingError(
+                f"object_type must be a string, got {object_type!r}"
+            )
         if self._draining:
             return _json_response(
                 503, {"error": "gateway is draining"}
@@ -677,11 +700,39 @@ def _merge_rows(items: list[tuple[QueryBatch, int]]) -> QueryBatch:
 def _parse_json(body: bytes) -> dict:
     try:
         parsed = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ServingError(f"invalid JSON body: {exc}") from None
     if not isinstance(parsed, dict):
         raise ServingError("the request body must be a JSON object")
     return parsed
+
+
+def _body_length(declared: str) -> int | None:
+    """A ``Content-Length`` value as an int, ``None`` when it is not a
+    plain digit string.  Values too long to lie within
+    :data:`MAX_BODY_BYTES` read as one past it (no big-int parse)."""
+    if not (declared.isascii() and declared.isdigit()):
+        return None
+    digits = declared.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)):
+        return MAX_BODY_BYTES + 1
+    return int(digits)
+
+
+async def _respond(
+    writer, response: tuple[int, str, bytes], keep: bool
+) -> None:
+    """Write one HTTP/1.1 response (``keep`` selects keep-alive)."""
+    status, ctype, payload = response
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+        f"Content-Type: {ctype}\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        f"Connection: {'keep-alive' if keep else 'close'}\r\n"
+        f"\r\n"
+    )
+    writer.write(head.encode("latin-1") + payload)
+    await writer.drain()
 
 
 def _json_response(

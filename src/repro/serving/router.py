@@ -73,9 +73,10 @@ from repro.obs.observability import Observability
 from repro.serving.artifact import ModelArtifact
 from repro.serving.cluster import ShardPlan
 from repro.serving.engine import (
-    _resolve_metric,
-    promote_state,
-    select_lru_victims,
+    QueryAges,
+    ServingFrontEnd,
+    parse_link,
+    resolve_shortlists,
 )
 from repro.serving.foldin import (
     FoldInOutcome,
@@ -97,7 +98,7 @@ from repro.serving.supervision import (
 from repro.serving.telemetry import (
     RouterMetrics,
     cluster_aggregate,
-    info_sections,
+    info_document,
 )
 from repro.serving.transport import resolve_transport
 
@@ -112,7 +113,7 @@ class _ExtensionRecord:
         self.arrival = arrival
 
 
-class ShardedEngine:
+class ShardedEngine(ServingFrontEnd):
     """Serves one fitted model from a cluster of shard engines.
 
     Parameters
@@ -182,26 +183,34 @@ class ShardedEngine:
         transport=None,
     ) -> None:
         self._plan = ShardPlan.from_state(state, n_shards)
-        self._base_state = state
+        self._state = state
         self._frozen_view = None  # lazy; invalidated on promote
-        self._cache_size = cache_size
-        self._max_iterations = max_iterations
-        self._tol = tol
-        # faults and the transport must exist before the first
-        # _build_shards: process-backed handles traverse the injector's
+        # the per-shard engine knobs every transport backend applies
+        # identically (what makes backends bit-identical by
+        # construction)
+        self._engine_kwargs = {
+            "cache_size": cache_size,
+            "max_iterations": max_iterations,
+            "tol": tol,
+        }
+        # faults and the transport must exist before the first shards
+        # start: process-backed handles traverse the injector's
         # worker.call site on every RPC
         self._faults = resolve_faults(faults)
         self._transport = resolve_transport(transport)
-        self._build_shards()
-        # cluster-wide extension registry + the global LRU clock; the
-        # router mirrors the singleton engine's age semantics exactly
-        # so cluster eviction picks the same victims the single engine
-        # would (arrival order stands in for the served row: both are
-        # monotone in fold-in order and survive compactions)
+        self._shards = tuple(
+            self._transport.start(
+                state, self._plan, self._engine_kwargs, faults=self._faults
+            )
+        )
+        self._reset_shard_books()
+        # cluster-wide extension registry + the one age book over
+        # every shard's extensions (arrival order stands in for the
+        # served row: both are monotone in fold-in order and survive
+        # compactions)
         self._registry: dict[object, _ExtensionRecord] = {}
         self._arrivals = 0
-        self._clock = 0
-        self._last_used: dict[object, int] = {}
+        self._ages = QueryAges(lambda node: node in self._registry)
         # cluster-scope counters live in the router's registry (the
         # ROUTER_AUTHORITATIVE families); per-shard counters live in
         # each shard engine's own registry and are merged on export
@@ -225,26 +234,6 @@ class ShardedEngine:
                 thread_name_prefix="repro-router-scatter",
             )
         return self._pool
-
-    def _engine_kwargs(self) -> dict[str, Any]:
-        """The per-shard engine knobs every transport backend applies
-        identically (what makes backends bit-identical by construction)."""
-        return {
-            "cache_size": self._cache_size,
-            "max_iterations": self._max_iterations,
-            "tol": self._tol,
-        }
-
-    def _build_shards(self) -> None:
-        self._shards = tuple(
-            self._transport.start(
-                self._base_state,
-                self._plan,
-                self._engine_kwargs(),
-                faults=self._faults,
-            )
-        )
-        self._reset_shard_books()
 
     def _reset_shard_books(self) -> None:
         self._owned_counts = [0] * self._plan.n_shards
@@ -342,38 +331,13 @@ class ShardedEngine:
         return self._supervisor
 
     @property
-    def n_clusters(self) -> int:
-        return self._base_state.n_clusters
-
-    @property
-    def num_base_nodes(self) -> int:
-        return self._base_state.num_base_nodes
-
-    @property
     def num_extension_nodes(self) -> int:
         return len(self._registry)
-
-    @property
-    def num_nodes(self) -> int:
-        """Base plus folded-in extension nodes, cluster-wide."""
-        return self.num_base_nodes + self.num_extension_nodes
-
-    @property
-    def refit_capable(self) -> bool:
-        return self._base_state.refit_capable
-
-    def strengths(self) -> dict[str, float]:
-        return {
-            name: float(g)
-            for name, g in zip(
-                self._base_state.relation_names, self._base_state.gamma
-            )
-        }
 
     def has_node(self, node: object) -> bool:
         return (
             node in self._registry
-            or self._base_state.network.has_node(node)
+            or self._state.network.has_node(node)
         )
 
     def owner_of(self, node: object) -> int:
@@ -381,7 +345,7 @@ class ShardedEngine:
         record = self._registry.get(node)
         if record is not None:
             return record.shard
-        row = self._base_state.network.node_index_view.get(node)
+        row = self._state.network.node_index_view.get(node)
         if row is None:
             raise ServingError(
                 f"node {node!r} is not served by this engine"
@@ -391,11 +355,8 @@ class ShardedEngine:
     def membership_of(self, node: object) -> np.ndarray:
         """Membership row of any served node, from its owner shard."""
         shard = self.owner_of(node)
-        self._touch_usage(node)
+        self._ages.touch(node)
         return self._shards[shard].membership_of(node)
-
-    def hard_label_of(self, node: object) -> int:
-        return int(np.argmax(self.membership_of(node)))
 
     # ------------------------------------------------------------------
     # transient queries
@@ -418,31 +379,9 @@ class ShardedEngine:
         batch = compile_query(object_type, links, text, numeric)
         shard = int(self._route(batch)[0])
         self._metrics.queries.inc()
-        self._touch_query_targets(batch)
-
-        def attempt() -> np.ndarray:
-            row = self._shards[shard].query_batch(batch)
-            if self._faults is not None:
-                row = self._faults.traverse(
-                    "shard.score", payload=row, shard=shard
-                )
-            return row
-
-        if self._supervisor is not None:
-            return self._supervisor.call(
-                shard, "shard.score", attempt, validate=_require_finite
-            )
-        return attempt()
-
-    def assign(
-        self,
-        object_type: str,
-        links: Sequence[tuple] = (),
-        text: Mapping[str, Any] | None = None,
-        numeric: Mapping[str, Sequence[float]] | None = None,
-    ) -> int:
-        return int(
-            np.argmax(self.query(object_type, links, text, numeric))
+        self._ages.touch_queries(batch)
+        return self._call_shard(
+            shard, "shard.score", lambda handle: handle.query_batch(batch)
         )
 
     def validate_queries(
@@ -467,11 +406,7 @@ class ShardedEngine:
         merged ``score_many`` sub-batch would degrade every co-batched
         query routed to the same shard.
         """
-        batch = (
-            queries
-            if isinstance(queries, QueryBatch)
-            else compile_queries(queries)
-        )
+        batch = compile_queries(queries)
         model = self._frozen_base()
         registry = self._registry
         type_codes = model_type_codes(model, batch)
@@ -508,7 +443,7 @@ class ShardedEngine:
     def _frozen_base(self):
         """The base state's frozen view, built once per promotion."""
         if self._frozen_view is None:
-            self._frozen_view = self._base_state.frozen_view()
+            self._frozen_view = self._state.frozen_view()
         return self._frozen_view
 
     def score_many(
@@ -539,12 +474,8 @@ class ShardedEngine:
         healthy shard's rows are returned bit-identical -- a degraded
         batch can be incomplete, but it can never carry wrong numbers.
         """
-        batch = (
-            queries
-            if isinstance(queries, QueryBatch)
-            else compile_queries(queries)
-        )
-        self._touch_query_targets(batch)
+        batch = compile_queries(queries)
+        self._ages.touch_queries(batch)
         self._metrics.queries.inc(len(batch))
         if not len(batch):
             return []
@@ -573,6 +504,7 @@ class ShardedEngine:
             queries=len(batch),
             active_shards=len(active),
         ) as batch_span:
+            futures = {}
             if len(active) > 1:
                 pool = self._scatter_pool()
                 futures = {
@@ -581,39 +513,27 @@ class ShardedEngine:
                     )
                     for shard in active
                 }
-                # gather (and surface errors) in shard order:
-                # determinism over completion order, like every
-                # blocked reduction
-                for position, shard in enumerate(active):
-                    try:
-                        gathered[shard] = futures[shard].result()
-                    except Exception as exc:
-                        if partial:
-                            failures[shard] = ShardFailure(
-                                shard=shard, error=str(exc)
-                            )
-                            continue
-                        _settle_siblings(
-                            exc, futures, active[position + 1 :]
-                        )
-                        raise
-                    except BaseException as exc:
-                        _settle_siblings(
-                            exc, futures, active[position + 1 :]
-                        )
-                        raise
-            else:
-                for shard in active:
-                    try:
-                        gathered[shard] = self._score_shard(
+            # gather (and surface errors) in shard order: determinism
+            # over completion order, like every blocked reduction
+            for position, shard in enumerate(active):
+                try:
+                    gathered[shard] = (
+                        futures[shard].result()
+                        if futures
+                        else self._score_shard(
                             shard, parts[shard], batch_span
                         )
-                    except Exception as exc:
-                        if not partial:
-                            raise
+                    )
+                except BaseException as exc:
+                    if partial and isinstance(exc, Exception):
                         failures[shard] = ShardFailure(
                             shard=shard, error=str(exc)
                         )
+                        continue
+                    _settle_siblings(
+                        exc, futures, active[position + 1 :]
+                    )
+                    raise
         self._metrics.batches.inc()
         self._metrics.batch_size.observe(len(batch))
         self._metrics.batch_seconds.observe(
@@ -635,200 +555,50 @@ class ShardedEngine:
             )
         return results
 
-    def assign_many(
-        self, queries: Sequence[Mapping[str, Any]]
-    ) -> list[int]:
-        return [
-            int(np.argmax(membership))
-            for membership in self.score_many(queries)
-        ]
-
     # ------------------------------------------------------------------
     # top-k similarity serving
     # ------------------------------------------------------------------
-    def similar(
-        self,
-        node: object,
-        k: int = 10,
-        metric: str = "cosine",
-        object_type: str | None = None,
-    ) -> list[tuple[object, float]]:
-        """Cluster-wide :meth:`InferenceEngine.similar`, scatter-gathered.
+    def _handle_of(self, node: object):
+        """The owner shard's handle: it holds the node's row."""
+        return self._shards[self.owner_of(node)]
 
-        Bit-identical to the singleton engine's answer at every shard
-        count: each shard runs the blocked partial selection over its
-        **owned** base rows plus its own extensions (every served node
-        scanned exactly once across the cluster) and the router k-way
-        merges the per-shard shortlists under the global total order
-        (score desc, then global node index asc).
-        """
-        return self.similar_many(
-            [node], k=k, metric=metric, object_type=object_type
-        )[0]
-
-    def similar_many(
-        self,
-        nodes: Sequence[object],
-        k: int = 10,
-        metric: str = "cosine",
-        object_type: str | None = None,
-    ) -> list[list[tuple[object, float]]]:
-        """A batch of :meth:`similar` queries as one cluster scatter."""
-        metric = _resolve_metric(metric)
-        queries = []
-        for node in nodes:
-            vector, node_type = self._shards[
-                self.owner_of(node)
-            ].served_vector(node)
-            name = (
-                object_type if object_type is not None else node_type
-            )
-            queries.append((vector, name, {node}))
-        return self._scatter_similarity(
-            "similar_many", queries, k, metric
-        )
-
-    def suggest_links(
-        self,
-        node: object,
-        relation: str,
-        k: int = 10,
-        metric: str = "cosine",
-    ) -> list[tuple[object, float]]:
-        """Cluster-wide :meth:`InferenceEngine.suggest_links`.
-
-        The relation check and candidate typing run on the node's
-        owner shard; neighbor exclusion for an extension node reads
-        the owner's spec (the shard holding its accumulated links),
-        while base-node links come from the router's base state --
-        shard states are serve-only slices whose node-only network
-        never hydrates.  The scan itself fans out across all shards
-        like :meth:`similar_many`.
-        """
-        metric = _resolve_metric(metric)
-        vector, target_type, linked = self._shards[
-            self.owner_of(node)
-        ].suggest_context(node, relation)
-        if linked is not None:
-            # extension node: its accumulated links live on the owner
-            exclude = {node} | set(linked)
-        else:
-            # base node: out-links live in the router's training
-            # payload (shard states are serve-only slices)
-            self._base_state.hydrate()
-            exclude = {node} | {
-                target
-                for target, _, _ in (
-                    self._base_state.network.out_neighbors(
-                        node, relation
-                    )
-                )
-            }
-        return self._scatter_similarity(
-            "suggest_links",
-            [(vector, target_type, exclude)],
-            k,
-            metric,
-        )[0]
-
-    def _scatter_similarity(
-        self,
-        span_name: str,
-        queries: list[tuple[np.ndarray, str, set]],
-        k: int,
-        metric: str,
+    def _rank(
+        self, matrix, k, metric, candidate_types, exclude_nodes
     ) -> list[list[tuple[object, float]]]:
         """Scatter a similarity batch, gather, and k-way merge.
 
-        Each query travels as ``(theta_vector, candidate_type,
-        excluded_node_ids)`` -- vectors rather than rows because an
-        extension query's row exists only on its owner shard.  Shards
-        run on the router's scatter pool (disjoint from the kernel
-        pools, same deadlock-avoidance as ``score_many``) and are
-        gathered in shard order; the merge key for an extension node
-        is ``num_base + arrival``, which reproduces the singleton
+        Shards run on the router's scatter pool and are gathered in
+        shard order (determinism over completion order, like every
+        blocked reduction); the rank of an extension node is
+        ``num_base + arrival``, which reproduces the singleton
         engine's served-row order exactly (fold-in append order, with
         relative order preserved across evictions).
         """
-        if k < 1:
-            raise ServingError(f"k must be >= 1, got {k}")
-        if not queries:
-            return []
-        matrix = np.array(
-            [vector for vector, _, _ in queries], dtype=np.float64
+
+        def scan(shard: int):
+            return self._shards[shard].similar_rows_partial(
+                matrix,
+                k,
+                metric,
+                candidate_types=candidate_types,
+                exclude_nodes=exclude_nodes,
+                base_range=self._plan.rows_of(shard),
+            )
+
+        shards = range(self.n_shards)
+        gathered = list(
+            self._scatter_pool().map(scan, shards)
+            if self.n_shards > 1
+            else map(scan, shards)
         )
-        candidate_types = [name for _, name, _ in queries]
-        exclude_nodes = [excluded for _, _, excluded in queries]
         num_base = self.num_base_nodes
-        tick = time.perf_counter()
-        with self.obs.span(
-            span_name, queries=len(queries), k=int(k), metric=metric
-        ):
-
-            def scan(shard: int):
-                return self._shards[shard].similar_rows_partial(
-                    matrix,
-                    k,
-                    metric,
-                    candidate_types=candidate_types,
-                    exclude_nodes=exclude_nodes,
-                    base_range=self._plan.rows_of(shard),
-                )
-
-            if self.n_shards > 1:
-                pool = self._scatter_pool()
-                futures = [
-                    pool.submit(scan, shard)
-                    for shard in range(self.n_shards)
-                ]
-                # gather in shard order: determinism over completion
-                # order, like every blocked reduction
-                gathered = [future.result() for future in futures]
-            else:
-                gathered = [
-                    scan(shard) for shard in range(self.n_shards)
-                ]
-            results = []
-            # lazy per-shard extension-node lookup, fetched at most
-            # once per scatter (over a process transport this is one
-            # RPC per shard, not one per hit)
-            shard_extensions: dict[int, tuple[object, ...]] = {}
-            for position in range(len(queries)):
-                entries: list[tuple[float, int, object]] = []
-                for shard, partials in enumerate(gathered):
-                    scores, rows = partials[position]
-                    for score, row in zip(scores, rows):
-                        row = int(row)
-                        if row < num_base:
-                            key = row
-                            found = self._base_state.network.node_at(
-                                row
-                            )
-                        else:
-                            extensions = shard_extensions.get(shard)
-                            if extensions is None:
-                                extensions = self._shards[
-                                    shard
-                                ].extension_nodes()
-                                shard_extensions[shard] = extensions
-                            found = extensions[row - num_base]
-                            key = (
-                                num_base
-                                + self._registry[found].arrival
-                            )
-                        entries.append((float(score), key, found))
-                entries.sort(key=lambda entry: (-entry[0], entry[1]))
-                results.append(
-                    [
-                        (found, score)
-                        for score, _, found in entries[:k]
-                    ]
-                )
-        self._metrics.similarity_queries.inc(len(queries))
-        self._metrics.similarity_seconds.observe(
-            time.perf_counter() - tick
+        return resolve_shortlists(
+            gathered,
+            k,
+            self._state.network,
+            lambda shard: self._shards[shard].extension_nodes(),
+            lambda node, row: num_base + self._registry[node].arrival,
         )
-        return results
 
     def _score_shard(
         self,
@@ -852,15 +622,6 @@ class ShardedEngine:
         """
         inflight = self._metrics.inflight
         hist = self._metrics.shard_batch_seconds(shard)
-
-        def attempt() -> list[np.ndarray]:
-            rows = self._shards[shard].score_batch(batch)
-            if self._faults is not None:
-                rows = self._faults.traverse(
-                    "shard.foldin", payload=rows, shard=shard
-                )
-            return rows
-
         inflight.inc()
         tick = time.perf_counter()
         try:
@@ -869,17 +630,33 @@ class ShardedEngine:
                 parent=parent,
                 queries=len(batch),
             ):
-                if self._supervisor is not None:
-                    return self._supervisor.call(
-                        shard,
-                        "shard.foldin",
-                        attempt,
-                        validate=_require_finite,
-                    )
-                return attempt()
+                return self._call_shard(
+                    shard,
+                    "shard.foldin",
+                    lambda handle: handle.score_batch(batch),
+                )
         finally:
             hist.observe(time.perf_counter() - tick)
             inflight.dec()
+
+    def _call_shard(self, shard: int, site: str, call):
+        """``call(handle)`` on one shard, then the ``site`` fault
+        traverse; under supervision each such attempt runs through
+        :meth:`~repro.serving.supervision.ShardSupervisor.call`."""
+
+        def attempt():
+            result = call(self._shards[shard])
+            if self._faults is not None:
+                result = self._faults.traverse(
+                    site, payload=result, shard=shard
+                )
+            return result
+
+        if self._supervisor is None:
+            return attempt()
+        return self._supervisor.call(
+            shard, site, attempt, validate=_require_finite
+        )
 
     def _route(self, batch: QueryBatch) -> np.ndarray:
         """The shard of each row: the owner of the extension nodes it
@@ -956,13 +733,12 @@ class ShardedEngine:
             )
         outcome = self._shards[shard].extend(specs)
         if specs:
-            self._clock += 1
             for spec in specs:
                 self._registry[spec.node] = _ExtensionRecord(
                     shard, self._arrivals
                 )
                 self._arrivals += 1
-                self._last_used[spec.node] = self._clock
+            self._ages.stamp(spec.node for spec in specs)
             self._owned_counts[shard] += len(specs)
             self._shard_log[shard].append(("extend", tuple(specs)))
         return outcome
@@ -983,28 +759,13 @@ class ShardedEngine:
         source is rejected -- the source's re-folds would need a
         membership row its shard does not hold.
         """
-        state = self._base_state
         per_shard: dict[int, list[tuple]] = {}
         sources: list[object] = []
         for link in links:
-            if len(link) not in (3, 4):
-                raise ServingError(
-                    f"link {link!r} must be "
-                    f"(source, relation, target[, weight])"
-                )
-            source, _, target = link[0], link[1], link[2]
-            record = self._registry.get(source)
-            if record is None:
-                if state.network.has_node(source):
-                    raise ServingError(
-                        f"node {source!r} belongs to the frozen base "
-                        f"model; its membership cannot change, so the "
-                        f"engine rejects new out-links on it"
-                    )
-                raise ServingError(
-                    f"link source {source!r} is not served by this "
-                    f"engine"
-                )
+            source, _, target, _ = parse_link(
+                link, self._registry.__contains__, self._state.network
+            )
+            record = self._registry[source]
             target_record = self._registry.get(target)
             if (
                 target_record is not None
@@ -1027,9 +788,7 @@ class ShardedEngine:
                 ("add_links", tuple(per_shard[shard]))
             )
         if per_shard:
-            self._clock += 1
-            for source in sources:
-                self._last_used[source] = self._clock
+            self._ages.stamp(sources)
         return _merge_outcomes(outcomes, self.n_clusters)
 
     # ------------------------------------------------------------------
@@ -1038,47 +797,27 @@ class ShardedEngine:
     def evict(self, max_nodes: int) -> tuple[object, ...]:
         """Shrink the cluster-wide extension space to ``max_nodes``.
 
-        One LRU policy over all shards: the router's global clock and
-        arrival order reproduce exactly the ages and tie-breaks a
-        single engine tracking the same traffic would use, the shared
-        worklist selection honours per-shard link-dependency pinning,
-        and the verdicts are applied on each owner shard.  Returns the
-        evicted node ids, oldest first.
+        One LRU policy over all shards: the router keeps one
+        :class:`~repro.serving.engine.QueryAges` book over every
+        shard's extensions (arrival order breaks ties where a single
+        engine uses the served row), its victim selection honours
+        per-shard link-dependency pinning, and the verdicts are
+        applied on each owner shard.  Returns the evicted node ids,
+        oldest first.
         """
-        if max_nodes < 0:
-            raise ServingError(
-                f"max_nodes must be >= 0, got {max_nodes}"
-            )
-        excess = len(self._registry) - max_nodes
-        if excess <= 0:
-            return ()
         registry = self._registry
-
-        def order_key(node):
-            return (
-                self._last_used.get(node, 0), registry[node].arrival
-            )
-
-        def dependants_of(node):
-            return self._shards[
+        chosen = self._ages.victims(
+            max_nodes,
+            registry,
+            lambda node: self._shards[
                 registry[node].shard
-            ].extension_dependants(node)
-
-        candidates = sorted(
-            registry, key=lambda node: registry[node].arrival
+            ].extension_dependants(node),
+            lambda node: registry[node].arrival,
         )
-        chosen_set = select_lru_victims(
-            candidates,
-            excess,
-            order_key=order_key,
-            dependants_of=dependants_of,
-            row_of=lambda node: registry[node].arrival,
-        )
-        if not chosen_set:
+        if not chosen:
             return ()
-        chosen = tuple(sorted(chosen_set, key=order_key))
         by_shard: dict[int, list[object]] = {}
-        for node in chosen_set:
+        for node in chosen:
             by_shard.setdefault(registry[node].shard, []).append(node)
         for shard in sorted(by_shard):
             self._shards[shard].evict_nodes(by_shard[shard])
@@ -1088,7 +827,7 @@ class ShardedEngine:
             )
         for node in chosen:
             del self._registry[node]
-            self._last_used.pop(node, None)
+        self._ages.forget(chosen)
         self._metrics.evictions.inc(len(chosen))
         return chosen
 
@@ -1121,7 +860,7 @@ class ShardedEngine:
 
         Returns the refit :class:`~repro.core.result.GenClusResult`.
         """
-        reference = self._base_state.clone_base()
+        reference = self._state.clone_base()
         ordered = sorted(
             self._registry.items(), key=lambda item: item[1].arrival
         )
@@ -1149,48 +888,34 @@ class ShardedEngine:
                 specs.append(spec)
                 rows[position] = row
             reference.append_extensions(tuple(specs), rows)
-        with self.obs.span(
-            "promote", extension_nodes=len(self._registry)
-        ):
-            tick = time.perf_counter()
-            try:
-                result, promoted = promote_state(
-                    reference,
-                    config,
-                    obs=self.obs,
+
+        def commit(result, promoted):
+            self._state = promoted
+            self._frozen_view = None
+            self._plan = ShardPlan.from_state(promoted, self.n_shards)
+            # hot replacement is the transport's job: in-process it is
+            # a plain re-partition; the process transport freezes the
+            # refit into a fresh bundle and two-phase swaps it under
+            # the live workers (old engines keep answering until
+            # commit)
+            self._shards = tuple(
+                self._transport.replace(
+                    promoted,
+                    result,
+                    self._plan,
+                    self._engine_kwargs,
                     faults=self._faults,
                 )
-            except Exception:
-                self._metrics.promote_rollbacks.inc()
-                raise
-            self._metrics.promote_seconds.observe(
-                time.perf_counter() - tick
             )
-        self._base_state = promoted
-        self._frozen_view = None
-        self._plan = ShardPlan.from_state(promoted, self.n_shards)
-        # hot replacement is the transport's job: in-process it is a
-        # plain re-partition; the process transport freezes the refit
-        # into a fresh bundle and two-phase swaps it under the live
-        # workers (old engines keep answering until commit)
-        self._shards = tuple(
-            self._transport.replace(
-                promoted,
-                result,
-                self._plan,
-                self._engine_kwargs(),
-                faults=self._faults,
-            )
-        )
-        self._reset_shard_books()
-        self._registry = {}
-        self._arrivals = 0
-        self._last_used = {}
-        self._metrics.promotions.inc()
-        if self._supervisor is not None:
-            for shard in range(self.n_shards):
-                self._supervisor.reset(shard)
-        return result
+            self._reset_shard_books()
+            self._registry = {}
+            self._arrivals = 0
+            self._ages.reset()
+            if self._supervisor is not None:
+                for shard in range(self.n_shards):
+                    self._supervisor.reset(shard)
+
+        return self._promote(reference, config, commit)
 
     # ------------------------------------------------------------------
     # recovery
@@ -1245,9 +970,9 @@ class ShardedEngine:
         """
         engine = self._transport.rebuild(
             shard,
-            self._base_state,
+            self._state,
             self._plan,
-            self._engine_kwargs(),
+            self._engine_kwargs,
             faults=self._faults,
         )
         for op, payload in self._shard_log[shard]:
@@ -1307,82 +1032,45 @@ class ShardedEngine:
 
     def info(self) -> dict[str, Any]:
         """Cluster telemetry: the singleton :meth:`InferenceEngine.info`
-        schema (its counter-backed sections derived from the
-        :meth:`metrics_snapshot` cluster aggregate through the shared
-        ``info_sections`` schema), plus a ``cluster`` section with the
-        live plan and per-shard snapshots."""
+        document (:func:`~repro.serving.telemetry.info_document`, its
+        counter-backed sections from the :meth:`metrics_snapshot`
+        cluster aggregate), plus ``cluster`` (the live plan and
+        per-shard snapshots) and ``supervision`` sections."""
         shard_infos = [engine.info() for engine in self._shards]
-        first = shard_infos[0]
-        sections = info_sections(self.metrics_snapshot())
-        sections["similarity"]["version"] = self._base_state.version
         # cluster-scope memory: the shared frozen base buffer (the
         # router never sees the artifact object, so "mapped" here
         # means the base the shards share is still a read-only map)
-        base_memory = dict(first["memory"])
-        base_memory.update(self._base_state.memory_info())
-        base_memory["artifact_mapped"] = self._base_state.theta_mapped
-        return {
-            "schema_version": first["schema_version"],
-            "memory": base_memory,
-            "refit_capable": self.refit_capable,
-            "n_clusters": self.n_clusters,
-            "num_base_nodes": self.num_base_nodes,
-            "num_extension_nodes": len(self._registry),
-            "object_types": first["object_types"],
-            "relations": self.strengths(),
-            "attributes": first["attributes"],
-            "execution": {
-                # the router is the whole cluster, not one shard
-                "shard_id": None,
-                "shard_count": self.n_shards,
-                **self._base_state.execution_shape(),
-            },
-            **sections,
-            "cluster": {
-                "n_shards": self.n_shards,
-                "plan": self._plan.describe(self._base_state),
-                "shard_extension_nodes": list(self._owned_counts),
-                "transport": self._transport.describe(),
-                "shards": shard_infos,
-            },
-            "supervision": (
-                {
-                    "enabled": True,
-                    "breakers": self._supervisor.states(),
-                    "policy": {
-                        "max_retries": (
-                            self._supervisor.policy.max_retries
-                        ),
-                        "backoff_schedule": list(
-                            self._supervisor.policy.backoff_schedule()
-                        ),
-                        "call_timeout": (
-                            self._supervisor.policy.call_timeout
-                        ),
-                        "breaker_threshold": (
-                            self._supervisor.policy.breaker_threshold
-                        ),
-                        "breaker_reset_after": (
-                            self._supervisor.policy.breaker_reset_after
-                        ),
-                    },
-                }
-                if self._supervisor is not None
-                else {"enabled": False}
-            ),
+        info = info_document(
+            self,
+            self._state,
+            self.metrics_snapshot(),
+            artifact_mapped=self._state.theta_mapped,
+            integrity=shard_infos[0]["memory"],
+            shard_id=None,  # the router is the whole cluster
+            shard_count=self.n_shards,
+        )
+        info["cluster"] = {
+            "n_shards": self.n_shards,
+            "plan": self._plan.describe(self._state),
+            "shard_extension_nodes": list(self._owned_counts),
+            "transport": self._transport.describe(),
+            "shards": shard_infos,
         }
-
-    # ------------------------------------------------------------------
-    def _touch_usage(self, node: object) -> None:
-        if node in self._registry:
-            self._clock += 1
-            self._last_used[node] = self._clock
-
-    def _touch_query_targets(self, batch: QueryBatch) -> None:
-        for _, touched in batch.targets_by_row(self._registry.__contains__):
-            self._clock += 1
-            for target in touched:
-                self._last_used[target] = self._clock
+        supervisor = self._supervisor
+        info["supervision"] = {"enabled": supervisor is not None}
+        if supervisor is not None:
+            policy = supervisor.policy
+            info["supervision"].update(
+                breakers=supervisor.states(),
+                policy={
+                    "max_retries": policy.max_retries,
+                    "backoff_schedule": list(policy.backoff_schedule()),
+                    "call_timeout": policy.call_timeout,
+                    "breaker_threshold": policy.breaker_threshold,
+                    "breaker_reset_after": policy.breaker_reset_after,
+                },
+            )
+        return info
 
 
 # ----------------------------------------------------------------------

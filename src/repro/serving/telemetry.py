@@ -6,13 +6,13 @@ the cluster router, and the retrain driver all call
 text, and bucket bounds cannot drift between layers (and a cluster
 aggregation of shard registries always finds matching shapes).
 
-:func:`info_sections` is the other half of the unification: both
+:func:`info_document` is the other half of the unification: both
 :meth:`InferenceEngine.info <repro.serving.engine.InferenceEngine.info>`
 and :meth:`ShardedEngine.info <repro.serving.router.ShardedEngine.info>`
-derive their ``cache`` / ``queries`` / ``extension`` / ``foldin``
-sections from a registry snapshot through this one function (the
-router from the *aggregated* cluster snapshot), so the two schemas are
-the same schema, stamped with the same ``telemetry_version``.
+are built by this one function -- its counter-backed sections
+(:func:`info_sections`) from a registry snapshot, the router's from the
+*aggregated* cluster snapshot -- so the two schemas are the same
+schema, stamped with the same ``telemetry_version``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ from repro.obs.metrics import (
     MetricsRegistry,
     series_value,
 )
+from repro.serving.artifact import SCHEMA_VERSION
+
+# the deferred-array integrity counters of the ``memory`` section (all
+# zero for an engine that serves no mapped artifact of its own)
+_INTEGRITY_KEYS = ("arrays_deferred", "arrays_verified", "arrays_pending")
 
 # Families the cluster router is the source of truth for: shard
 # registries also track some of these locally (a shard counts the
@@ -359,6 +364,58 @@ def info_sections(snapshot: dict) -> dict[str, Any]:
                 "repro_similarity_precompute_invalidations_total"
             ),
         },
+    }
+
+
+def info_document(
+    engine,
+    state,
+    snapshot: dict,
+    artifact_mapped: bool,
+    integrity: dict | None,
+    shard_id: int | None,
+    shard_count: int,
+) -> dict[str, Any]:
+    """The unified ``info()`` document of a serving front end.
+
+    ``engine`` is an :class:`~repro.serving.engine.InferenceEngine` or
+    a :class:`~repro.serving.router.ShardedEngine` and ``state`` the
+    lifecycle state whose base it serves; ``snapshot`` is its (cluster)
+    metrics snapshot.  ``integrity`` carries the deferred-array
+    counters (``None`` for none); ``shard_id`` / ``shard_count`` place
+    the engine in a serving cluster (a standalone engine is shard 0
+    of 1, the router the whole cluster, shard ``None``).
+    """
+    sections = info_sections(snapshot)
+    sections["similarity"]["version"] = state.version
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "memory": {
+            "schema_version": SCHEMA_VERSION,
+            "artifact_mapped": artifact_mapped,
+            **state.memory_info(),
+            **{key: (integrity or {}).get(key, 0) for key in _INTEGRITY_KEYS},
+        },
+        "refit_capable": engine.refit_capable,
+        "n_clusters": engine.n_clusters,
+        "num_base_nodes": engine.num_base_nodes,
+        "num_extension_nodes": engine.num_extension_nodes,
+        "object_types": [
+            object_type.name
+            for object_type in state.network.schema.object_types
+        ],
+        "relations": engine.strengths(),
+        "attributes": {
+            name: params["kind"]
+            for name, params in state.attribute_params.items()
+        },
+        # the served index space's shape-derived block decomposition
+        "execution": {
+            "shard_id": shard_id,
+            "shard_count": shard_count,
+            **state.execution_shape(),
+        },
+        **sections,
     }
 
 

@@ -1,11 +1,24 @@
-"""Fixtures shared across test modules."""
+"""Fixtures shared across test modules, and the hypothesis profile.
+
+Under ``CI`` (set by GitHub Actions) every property test runs
+derandomized and without the example database, so a red CI run
+reproduces locally with ``CI=1 python -m pytest ...``.  Example counts
+and deadlines stay whatever each test sets.
+"""
+
+import os
 
 import pytest
+from hypothesis import settings
 
 from repro import GenClus, GenClusConfig
 from repro.core import kernels
 from repro.core.state import ModelState
 from repro.datagen.toy import political_forum_network
+
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ HTTP" is a literal claim: the response body carries the same 64 bits
 
 import asyncio
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -22,6 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import GenClus, GenClusConfig
 from repro.datagen.toy import political_forum_network
@@ -34,6 +37,7 @@ from repro.serving import (
 )
 from repro.serving.foldin import compile_queries
 from repro.serving.gateway import (
+    MAX_BODY_BYTES,
     GatewayBusy,
     GatewayServer,
     MicroBatcher,
@@ -95,6 +99,56 @@ def get(url, path):
             return response.status, response.read()
     except urllib.error.HTTPError as error:
         return error.code, error.read()
+
+
+def raw_exchange(port, data, finish=True, timeout=10.0):
+    """Send raw bytes; return everything the server writes back.
+
+    ``finish`` half-closes the socket after sending (the server then
+    sees EOF wherever the bytes stop); without it the reply must come
+    while the connection stays open.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout) as sock:
+        sock.sendall(data)
+        if finish:
+            sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+            if not finish and b"\r\n\r\n" in b"".join(chunks):
+                break
+        return b"".join(chunks)
+
+
+def parse_responses(raw):
+    """``[(status, headers, body), ...]`` of the well-formed HTTP/1.1
+    replies ``raw`` consists of, in order (a keep-alive connection
+    answers each request it can frame)."""
+    replies = []
+    while raw:
+        head, separator, rest = raw.partition(b"\r\n\r\n")
+        assert separator, raw
+        lines = head.decode("latin-1").split("\r\n")
+        version, status, _ = lines[0].split(" ", 2)
+        assert version == "HTTP/1.1"
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers["content-length"])
+        assert len(rest) >= length, raw
+        replies.append((int(status), headers, rest[:length]))
+        raw = rest[length:]
+    return replies
+
+
+def parse_response(raw):
+    """``(status, headers, body)`` of exactly one well-formed reply."""
+    (reply,) = parse_responses(raw)
+    return reply
 
 
 def trigger_counts(registry_snapshot):
@@ -437,6 +491,93 @@ class TestGatewayOperations:
             assert status == 405
         engine.close()
 
+    @pytest.mark.parametrize("k", ["abc", [1], 2.7, True, None, 0, -3])
+    def test_malformed_similar_k_is_400(self, forum_result, k):
+        engine = ShardedEngine.from_result(forum_result, n_shards=2)
+        with GatewayServer.launch(engine) as server:
+            status, body = post(
+                server.url, "/similar", {"nodes": ["user0_0"], "k": k}
+            )
+            assert status == 400
+            assert body["error"].startswith("k must be")
+            status, body = post(
+                server.url, "/similar", {"nodes": ["user0_0"], "k": 2}
+            )
+            assert status == 200
+            assert len(body["results"][0]) == 2
+        engine.close()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"nodes": ["user0_0"], "object_type": ["user"]},
+            {"nodes": ["user0_0"], "object_type": {"a": 1}},
+            # nesting past the JSON decoder's recursion limit
+            pytest.param("[" * 100_000, id="deep-nesting"),
+        ],
+    )
+    def test_malformed_similar_body_is_400(self, forum_result, body):
+        engine = ShardedEngine.from_result(forum_result, n_shards=2)
+        with GatewayServer.launch(engine) as server:
+            data = body if isinstance(body, str) else json.dumps(body)
+            request = urllib.request.Request(
+                server.url + "/similar", data=data.encode(), method="POST"
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            assert excinfo.value.code == 400
+            assert "error" in json.loads(excinfo.value.read())
+        engine.close()
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1.5", "", "²"])
+    def test_bad_content_length_is_400(self, forum_result, declared):
+        engine = ShardedEngine.from_result(forum_result, n_shards=1)
+        with GatewayServer.launch(engine) as server:
+            raw = raw_exchange(
+                server.port,
+                (
+                    f"POST /score HTTP/1.1\r\n"
+                    f"Content-Length: {declared}\r\n\r\n{{}}"
+                ).encode("latin-1"),
+            )
+            status, headers, body = parse_response(raw)
+            assert status == 400
+            assert headers["connection"] == "close"
+            assert "Content-Length" in json.loads(body)["error"]
+            assert get(server.url, "/healthz")[0] == 200
+        engine.close()
+
+    @pytest.mark.parametrize(
+        "declared",
+        [
+            MAX_BODY_BYTES + 1,
+            10**12,
+            # past the interpreter's int-parsing digit limit
+            pytest.param("9" * 5000, id="5000-digits"),
+        ],
+    )
+    def test_oversized_body_is_413_before_reading(
+        self, forum_result, declared
+    ):
+        engine = ShardedEngine.from_result(forum_result, n_shards=1)
+        with GatewayServer.launch(engine) as server:
+            # the connection stays open and no body follows: the
+            # answer must come without waiting for the declared bytes
+            raw = raw_exchange(
+                server.port,
+                (
+                    f"POST /score HTTP/1.1\r\n"
+                    f"Content-Length: {declared}\r\n\r\n"
+                ).encode("latin-1"),
+                finish=False,
+            )
+            status, headers, body = parse_response(raw)
+            assert status == 413
+            assert headers["connection"] == "close"
+            assert "limit" in json.loads(body)["error"]
+            assert get(server.url, "/healthz")[0] == 200
+        engine.close()
+
     def test_drain_completes_inflight_work(self, forum_result):
         engine = ShardedEngine.from_result(forum_result, n_shards=2)
         query = dict(object_type="user", **GREEN_QUERY)
@@ -578,3 +719,80 @@ class TestGatewayProcessTransport:
                     )
         finally:
             engine.close()
+
+
+# ----------------------------------------------------------------------
+# fuzzing the HTTP parser
+# ----------------------------------------------------------------------
+VALID_SCORE = json.dumps(
+    {"queries": [dict(object_type="user", **GREEN_QUERY)]}
+).encode()
+VALID_SIMILAR = json.dumps({"nodes": ["user0_0"], "k": 3}).encode()
+
+
+@st.composite
+def malformed_requests(draw):
+    """Raw requests that are each broken somewhere: a truncated
+    request line or header block, a body that is not the JSON object
+    the endpoint wants (random text, or a valid body cut short), and a
+    Content-Length that is missing, garbage, negative, huge, or longer
+    than the body actually sent."""
+    method = draw(st.sampled_from(["POST", "GET", "PUT"]))
+    path = draw(st.sampled_from(["/score", "/similar", "/nope", "/score?x=1"]))
+    valid = VALID_SCORE if path.startswith("/score") else VALID_SIMILAR
+    body = draw(
+        st.one_of(
+            st.text(max_size=40).map(lambda text: text.encode("utf-8")),
+            st.binary(max_size=40),
+            st.integers(0, len(valid) - 1).map(lambda cut: valid[:cut]),
+        )
+    )
+    declared = draw(
+        st.one_of(
+            st.just(str(len(body))),
+            st.none(),
+            st.text(
+                st.characters(min_codepoint=33, max_codepoint=255),
+                min_size=1,
+                max_size=6,
+            ),
+            st.integers(-10**6, -1).map(str),
+            st.integers(MAX_BODY_BYTES + 1, 10**15).map(str),
+            st.integers(1, 64).map(lambda extra: str(len(body) + extra)),
+        )
+    )
+    headers = "Content-Type: application/json\r\n"
+    if declared is not None:
+        headers += f"Content-Length: {declared}\r\n"
+    raw = f"{method} {path} HTTP/1.1\r\n{headers}\r\n".encode(
+        "latin-1"
+    ) + body
+    # optionally cut the request anywhere in its line or headers
+    head = len(raw) - len(body)
+    cut = draw(st.none() | st.integers(0, head - 1))
+    return raw if cut is None else raw[:cut]
+
+
+class TestHttpFuzz:
+    @pytest.fixture(scope="class")
+    def server(self, forum_result):
+        engine = ShardedEngine.from_result(forum_result, n_shards=1)
+        with GatewayServer.launch(engine) as server:
+            yield server
+        engine.close()
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(raw=malformed_requests())
+    def test_malformed_requests_get_4xx_or_clean_close(self, server, raw):
+        # bytes past a request's framed end parse as the next request
+        # on the keep-alive connection, so one send may draw several
+        # replies; a clean close sends nothing at all
+        for status, _, body in parse_responses(raw_exchange(server.port, raw)):
+            assert 400 <= status < 500, (status, body)
+            assert "error" in json.loads(body)
+        assert get(server.url, "/healthz")[0] == 200

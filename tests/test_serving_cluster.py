@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import GenClus, GenClusConfig
@@ -699,6 +699,176 @@ class TestClusterObservability:
             assert set(single[section]) == set(clustered[section]), section
         assert "cluster" not in single
         assert clustered["cluster"]["n_shards"] == 2
+
+
+# ----------------------------------------------------------------------
+# random interleavings: one LRU age book behind every engine kind
+# ----------------------------------------------------------------------
+# base targets per relation an extension user may link to
+BASE_TARGETS = {
+    "friend": ("user0_0", "user1_3"),
+    "writes": ("blog0_1", "blog1_2"),
+    "likes": ("book0_0", "book1_1"),
+}
+# a link pick: (relation, pick) -- an even pick names a base target
+# of the relation, an odd one a ``friend`` link to a live extension
+# node (users are the only extension type), wrapped around the list
+LINK_PICKS = st.lists(
+    st.tuples(st.sampled_from(sorted(BASE_TARGETS)), st.integers(0, 7)),
+    max_size=2,
+)
+INTERLEAVED_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("extend"), LINK_PICKS, st.booleans()),
+        st.tuples(st.just("add_links"), st.integers(0, 7), LINK_PICKS),
+        st.tuples(st.just("query"), LINK_PICKS),
+        st.tuples(st.just("score_many"), st.lists(LINK_PICKS, max_size=3)),
+        st.tuples(st.just("membership_of"), st.integers(0, 7)),
+        st.tuples(st.just("evict"), st.integers(0, 4)),
+    ),
+    max_size=10,
+)
+
+
+class TestRandomInterleavings:
+    """Random op sequences answer alike on every engine kind.
+
+    One :class:`InferenceEngine` and in-process clusters at 1, 2 and
+    3 shards run the same sequence of extends, link deltas, queries,
+    batches, membership reads and evictions.  Memberships, eviction
+    verdicts and the ``info()`` extension and query counters must
+    agree exactly -- which pins the shared LRU age book across
+    interleavings no scenario test spells out.  An op whose extension
+    links some cluster would have to split across shards (a routing
+    limit, not an answer) is skipped on every engine.  Every sequence
+    starts from three extension nodes (so touches can reorder ages)
+    and ends in ``evict(0)``, whose oldest-first verdict spells out the
+    whole age order of the surviving extension nodes.
+    """
+
+    @staticmethod
+    def resolve(picks, live, source=None):
+        links = []
+        for relation, pick in picks:
+            if pick % 2 and live:
+                relation, target = "friend", live[(pick // 2) % len(live)]
+            else:
+                targets = BASE_TARGETS[relation]
+                target = targets[pick % len(targets)]
+            links.append((relation, target, 1.0))
+        return links
+
+    @staticmethod
+    def colocated(clusters, groups, live):
+        return all(
+            len({engine.owner_of(node) for node in group if node in live})
+            <= 1
+            for engine in clusters
+            for group in groups
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ops=INTERLEAVED_OPS)
+    def test_engine_kinds_agree(self, forum_result, ops):
+        reference = singleton(forum_result)
+        clusters = [cluster(forum_result, n) for n in SHARD_COUNTS]
+        engines = [reference, *clusters]
+        live: list[str] = []
+        try:
+            seed = [("extend", [], True), ("extend", [("writes", 0)], False)]
+            for step, op in enumerate([*seed, *ops, ("evict", 0)]):
+                kind = op[0]
+                results = None
+                if kind == "extend":
+                    _, picks, chained = op
+                    first = NewNode(
+                        f"x{step}a", "user", links=self.resolve(picks, live)
+                    )
+                    batch = [first]
+                    if chained:  # an in-batch link to the first node
+                        batch.append(
+                            NewNode(
+                                f"x{step}b",
+                                "user",
+                                links=[("friend", first.node, 1.0)],
+                            )
+                        )
+                    targets = [t for spec in batch for _, t, _ in spec.links]
+                    if not self.colocated(clusters, [targets], live):
+                        continue
+                    for engine in engines:
+                        engine.extend(batch)
+                    live.extend(spec.node for spec in batch)
+                elif kind == "add_links":
+                    _, pick, picks = op
+                    if not live:
+                        continue
+                    source = live[pick % len(live)]
+                    links = [
+                        (source, relation, target, weight)
+                        for relation, target, weight in self.resolve(
+                            picks, live
+                        )
+                    ]
+                    groups = [[source, target] for _, _, target, _ in links]
+                    if not self.colocated(clusters, groups, live):
+                        continue
+                    for engine in engines:
+                        engine.add_links(links)
+                elif kind == "query":
+                    links = self.resolve(op[1], live)
+                    groups = [[target for _, target, _ in links]]
+                    if not self.colocated(clusters, groups, live):
+                        continue
+                    results = [
+                        [engine.query("user", links=links)]
+                        for engine in engines
+                    ]
+                elif kind == "score_many":
+                    queries = [
+                        dict(object_type="user", links=self.resolve(p, live))
+                        for p in op[1]
+                    ]
+                    groups = [
+                        [target for _, target, _ in query["links"]]
+                        for query in queries
+                    ]
+                    if not self.colocated(clusters, groups, live):
+                        continue
+                    results = [
+                        engine.score_many(queries) for engine in engines
+                    ]
+                elif kind == "membership_of":
+                    nodes = live or ["user0_0"]
+                    node = nodes[op[1] % len(nodes)]
+                    results = [
+                        [engine.membership_of(node)] for engine in engines
+                    ]
+                else:
+                    verdicts = [engine.evict(op[1]) for engine in engines]
+                    assert all(v == verdicts[0] for v in verdicts), verdicts
+                    live = [node for node in live if node not in verdicts[0]]
+                for rows in results or ():
+                    assert len(rows) == len(results[0])
+                    for row, expected in zip(rows, results[0]):
+                        np.testing.assert_array_equal(row, expected)
+            infos = [engine.info() for engine in engines]
+            for info in infos[1:]:
+                for section, key in (
+                    ("extension", "nodes"),
+                    ("extension", "links"),
+                    ("extension", "evicted_total"),
+                    ("queries", "served"),
+                    ("foldin", "extends"),
+                ):
+                    assert info[section][key] == infos[0][section][key], (
+                        section,
+                        key,
+                    )
+            assert infos[0]["extension"]["nodes"] == len(live)
+        finally:
+            for engine in clusters:
+                engine.close()
 
 
 # ----------------------------------------------------------------------
