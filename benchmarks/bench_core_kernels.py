@@ -5,10 +5,14 @@ Unlike the whole-experiment benches, these time the hot loops properly
 strength-learning call, on the same problem shapes at several network
 scales: Gaussian weather networks, and the DBLP four-area ACP network
 whose titles make the categorical model the larger part of every EM
-update.  ``dblp_acp_bound`` is the DBLP problem at a point where the
-strength solve stalls on the non-negativity bound: theta and gamma of a
-two-outer-iteration fit, whose last strength is 0 and whose Newton step
-pushes it negative, so every line search there backtracks to nothing.
+update.  At the ``dblp_acp`` scale the harness also times the network
+layer around a fit: building the ACP network from its corpus, and
+promote's ``to_problem`` (hydrating a fitted model's training payload
+and compiling it with 50 folded-in papers).  ``dblp_acp_bound`` is the
+DBLP problem at a point where the strength solve stalls on the
+non-negativity bound: theta and gamma of a two-outer-iteration fit,
+whose last strength is 0 and whose Newton step pushes it negative, so
+every line search there backtracks to nothing.
 Two entry points share the measurement code:
 
 * **pytest-benchmark tests** (``pytest benchmarks/bench_core_kernels.py``)
@@ -51,6 +55,7 @@ from repro.datagen.dblp import (
 )
 from repro.datagen.weather import WeatherConfig, generate_weather_network
 from repro.experiments.weather_common import WEATHER_ATTRIBUTES
+from repro.serving import InferenceEngine, NewNode
 
 SCALES = {
     "weather_mid": dict(
@@ -227,6 +232,55 @@ def make_strength_call(problem, theta, gamma, block_size=None):
     return call
 
 
+def dblp_corpus(scale: str = "dblp_acp", held_out: int = 50):
+    """The training corpus of a text scale, and ``held_out`` of the
+    remaining papers as fold-in nodes."""
+    params = dict(TEXT_SCALES[scale])
+    train_papers = params.pop("train_papers")
+    corpus = generate_corpus(FourAreaConfig(**params))
+    held = [
+        NewNode(
+            paper.paper_id,
+            "paper",
+            links=[("written_by", author, 1.0) for author in paper.authors]
+            + [("published_by", paper.venue, 1.0)],
+            text={TITLE_ATTR: list(paper.title_tokens)},
+        )
+        for paper in corpus.papers[train_papers:train_papers + held_out]
+    ]
+    train = dataclasses.replace(corpus, papers=corpus.papers[:train_papers])
+    return train, held
+
+
+def make_promote_state(train, held):
+    """A zero-argument factory of fresh promote inputs: an engine over
+    a short fit of the corpus with ``held`` folded in; its state's
+    ``to_problem`` is what promote compiles (the training payload
+    hydrates on that first call)."""
+    network = build_acp_network(train)
+    result = GenClus(
+        GenClusConfig(n_clusters=4, outer_iterations=2, seed=0)
+    ).fit(network, [TITLE_ATTR])
+
+    def fresh_state():
+        engine = InferenceEngine.from_result(result)
+        engine.extend(held)
+        return engine.state
+
+    return fresh_state
+
+
+def _time_best_fresh(setup, fn, repeats: int) -> float:
+    """Best-of-N wall time of ``fn(setup())``, setup untimed."""
+    best = float("inf")
+    for _ in range(repeats):
+        argument = setup()
+        start = time.perf_counter()
+        fn(argument)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def _time_best(fn, repeats: int, warmup: int = 2) -> float:
     """Best-of-N wall time: robust against scheduler noise."""
     for _ in range(warmup):
@@ -277,6 +331,16 @@ def run_harness(
         }
         if evaluations is not None:
             entry["learn_strengths_evaluations"] = evaluations
+        if scale in TEXT_SCALES:
+            train, held = dblp_corpus(scale)
+            entry["network_build_seconds"] = _time_best(
+                lambda: build_acp_network(train), repeats_strength
+            )
+            entry["to_problem_seconds"] = _time_best_fresh(
+                make_promote_state(train, held),
+                lambda state: state.to_problem(),
+                repeats_strength,
+            )
         if block_size is not None:
             entry["block_size"] = block_size
         report[scale] = entry
@@ -298,7 +362,10 @@ def merge_with_baseline(baseline: dict, current: dict) -> dict:
                 before[f"{kernel}_seconds"] / after[f"{kernel}_seconds"],
                 2,
             )
-            for kernel in ("em_update", "learn_strengths")
+            for kernel in (
+                "em_update", "learn_strengths", "network_build", "to_problem"
+            )
+            if f"{kernel}_seconds" in before and f"{kernel}_seconds" in after
         }
     return {"before": baseline, "after": current, "speedup": speedups}
 
@@ -370,6 +437,27 @@ if pytest is not None:
         outcome = benchmark(make_strength_call(problem, theta, gamma))
         assert outcome.gamma[-1] == 0.0
         assert outcome.stalled
+
+    @pytest.fixture(scope="module")
+    def dblp_inputs():
+        return dblp_corpus("dblp_acp")
+
+    def test_dblp_network_build(benchmark, dblp_inputs):
+        """Build the DBLP ACP network from its corpus."""
+        train, _ = dblp_inputs
+        network = benchmark(build_acp_network, train)
+        assert network.num_edges() == 28106
+
+    def test_promote_to_problem(benchmark, dblp_inputs):
+        """promote's ``to_problem`` on a fresh fitted engine with 50
+        folded-in papers (hydration included)."""
+        fresh_state = make_promote_state(*dblp_inputs)
+        problem = benchmark.pedantic(
+            lambda state: state.to_problem(),
+            setup=lambda: ((fresh_state(),), {}),
+            rounds=10,
+        )
+        assert problem.num_nodes == 8020 + 50
 
     def _snapshot_params(problem):
         params = []

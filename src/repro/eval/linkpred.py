@@ -48,16 +48,16 @@ def relevance_matrix(
     candidate_indices: list[int],
 ) -> np.ndarray:
     """Boolean ``(Q, C)`` matrix: query i truly links to candidate j."""
-    position = {idx: col for col, idx in enumerate(candidate_indices)}
-    rows = {idx: row for row, idx in enumerate(query_indices)}
+    row, col = np.full((2, network.num_nodes), -1)
+    row[query_indices] = np.arange(len(query_indices))
+    col[candidate_indices] = np.arange(len(candidate_indices))
+    sources, targets, weights = network.edge_arrays(relation)
+    sources, targets = row[sources], col[targets]
+    keep = (sources >= 0) & (targets >= 0) & (weights > 0)
     relevance = np.zeros(
         (len(query_indices), len(candidate_indices)), dtype=bool
     )
-    for edge in network.edges(relation):
-        i = network.index_of(edge.source)
-        j = network.index_of(edge.target)
-        if i in rows and j in position and edge.weight > 0:
-            relevance[rows[i], position[j]] = True
+    relevance[sources[keep], targets[keep]] = True
     return relevance
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.exceptions import AttributeSpecError
+from repro.hin.columns import SummedLog
 
 
 class AttributeKind(enum.Enum):
@@ -138,8 +139,10 @@ class TextAttribute:
                         f"duplicate term {term!r} in frozen vocabulary"
                     )
                 self._term_index[term] = len(self._term_index)
-        # node -> {term id: count}, terms in first-seen order
-        self._bags: dict[object, dict[int, float]] = {}
+        # bags as an append-only (node row, term id, count) log; rows
+        # number the nodes in first-seen order
+        self._node_row: dict[object, int] = {}
+        self._log = SummedLog()
 
     # ------------------------------------------------------------------
     @property
@@ -171,21 +174,22 @@ class TextAttribute:
     # ------------------------------------------------------------------
     def add_tokens(self, node: object, tokens: Iterable[str]) -> None:
         """Append a token sequence to the node's bag (counts accumulate)."""
-        bag = self._bags.setdefault(node, {})
-        for token in tokens:
-            index = self._intern(token)
-            bag[index] = bag.get(index, 0) + 1
+        row = self._node_row.setdefault(node, len(self._node_row))
+        terms = [self._intern(token) for token in tokens]
+        self._log.append_row(row, terms, [1.0] * len(terms))
 
     def add_counts(self, node: object, counts: Mapping[str, float]) -> None:
         """Merge explicit ``term -> count`` observations for a node."""
-        bag = self._bags.setdefault(node, {})
+        row = self._node_row.setdefault(node, len(self._node_row))
+        terms, values = [], []
         for term, count in counts.items():
             if count < 0:
                 raise AttributeSpecError(
                     f"negative count for term {term!r} on node {node!r}"
                 )
-            index = self._intern(term)
-            bag[index] = bag.get(index, 0) + count
+            terms.append(self._intern(term))
+            values.append(float(count))
+        self._log.append_row(row, terms, values)
 
     def add_count_rows(self, nodes: Sequence, counts) -> None:
         """Merge row ``i`` of the sparse ``counts`` (columns are this
@@ -199,13 +203,13 @@ class TextAttribute:
                 f"attribute {self.name!r}: counts must be a non-negative "
                 f"({len(nodes)}, {self.vocab_size}) matrix"
             )
-        ptr, cols, vals = (
-            a.tolist() for a in (counts.indptr, counts.indices, counts.data)
+        index = self._node_row
+        rows = [index.setdefault(node, len(index)) for node in nodes]
+        self._log.extend(
+            np.repeat(rows, np.diff(counts.indptr)),
+            counts.indices,
+            counts.data,
         )
-        for node, start, stop in zip(nodes, ptr, ptr[1:]):
-            bag = self._bags.setdefault(node, {})
-            for index, count in zip(cols[start:stop], vals[start:stop]):
-                bag[index] = bag.get(index, 0) + count
 
     def freeze(self) -> None:
         """Fix the vocabulary: an unknown term is rejected from now on."""
@@ -216,40 +220,47 @@ class TextAttribute:
         clone = TextAttribute(self.name)
         clone._term_index = dict(self._term_index)
         clone._frozen = self._frozen
-        clone._bags = {node: dict(bag) for node, bag in self._bags.items()}
+        clone._node_row = dict(self._node_row)
+        clone._log = self._log.copy()
         return clone
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def _bag(self, node: object) -> tuple[list[int], list[float]]:
+        """The node's ``(term ids, counts)`` in first-seen term order."""
+        row = self._node_row.get(node)
+        if row is None:
+            return [], []
+        summed = self._log.summed()
+        at = summed.row_positions(row)
+        return summed.cols[at].tolist(), summed.values[at].tolist()
+
     def has_observations(self, node: object) -> bool:
-        bag = self._bags.get(node)
-        return bag is not None and sum(bag.values()) > 0
+        return self.observation_total(node) > 0
 
     def nodes_with_observations(self) -> tuple[object, ...]:
-        return tuple(
-            node for node, bag in self._bags.items() if sum(bag.values()) > 0
-        )
+        nodes = list(self._node_row)
+        summed = self._log.summed()
+        observed = np.unique(summed.rows[summed.values > 0])
+        return tuple(nodes[row] for row in observed.tolist())
 
     def term_count(self, node: object, term: str) -> float:
-        bag = self._bags.get(node)
-        if bag is None:
-            return 0.0
         index = self._term_index.get(term)
-        if index is None:
-            return 0.0
-        return float(bag.get(index, 0))
+        return next(
+            (cnt for idx, cnt in zip(*self._bag(node)) if idx == index), 0.0
+        )
 
     def bag_of(self, node: object) -> dict[str, float]:
         """Return the node's bag as a ``term -> count`` dict (a copy)."""
-        bag = self._bags.get(node, {})
         terms = self.vocabulary
-        return {terms[idx]: float(cnt) for idx, cnt in bag.items() if cnt > 0}
+        return {
+            terms[idx]: cnt for idx, cnt in zip(*self._bag(node)) if cnt > 0
+        }
 
     def observation_total(self, node: object) -> float:
         """Total number of term observations carried by the node."""
-        bag = self._bags.get(node)
-        return float(sum(bag.values())) if bag else 0.0
+        return float(sum(self._bag(node)[1]))
 
     # ------------------------------------------------------------------
     def compile(self, node_index: Mapping[object, int]) -> CompiledTextAttribute:
@@ -263,33 +274,30 @@ class TextAttribute:
             :class:`AttributeSpecError` (they indicate a network/attribute
             mismatch).
         """
-        lengths: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
+        summed = self._log.summed()
+        # ascending keys are (row, term) order: canonical CSR order
+        values = summed.values[summed.rank]
+        positive = values > 0
+        keys = summed.keys[positive]
+        rows = keys // summed.span
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        nodes = list(self._node_row)
         indices: list[int] = []
-        for node, bag in self._bags.items():
-            total = sum(bag.values())
-            if total <= 0:
-                continue
+        for row in rows[starts].tolist():
+            node = nodes[row]
             if node not in node_index:
                 raise AttributeSpecError(
                     f"attribute {self.name!r} has observations for node "
                     f"{node!r} which is not in the network"
                 )
             indices.append(node_index[node])
-            lengths.append(len(bag))
-            cols.extend(bag)
-            vals.extend(bag.values())
-        rows = np.repeat(np.arange(len(lengths)), lengths)
-        counts = np.asarray(vals, dtype=np.float64)
-        positive = counts > 0
         counts = sparse.csr_matrix(
             (
-                counts[positive],
-                (rows[positive], np.asarray(cols, dtype=np.int64)[positive]),
+                values[positive],
+                keys % summed.span,
+                np.append(starts, keys.size),
             ),
-            shape=(len(lengths), self.vocab_size),
-            dtype=np.float64,
+            shape=(starts.size, self.vocab_size),
         )
         return CompiledTextAttribute(
             node_indices=np.asarray(indices, dtype=np.int64),

@@ -37,9 +37,10 @@ class NetworkBuilder:
 
     def __init__(self) -> None:
         self._schema = NetworkSchema()
-        self._network: HeterogeneousNetwork | None = None
-        self._pending_nodes: list[tuple[object, str]] = []
-        self._pending_edges: list[tuple[object, object, str, float]] = []
+        self._node_ids: list[object] = []
+        self._node_types: list[str] = []
+        # relation -> queued (source ids, target ids, weights) columns
+        self._links: dict[str, tuple[list, list, list]] = {}
         self._pairs: dict[str, str] = {}
         self._attributes: list[TextAttribute | NumericAttribute] = []
 
@@ -89,14 +90,15 @@ class NetworkBuilder:
     # content
     # ------------------------------------------------------------------
     def node(self, node: object, object_type: str) -> NetworkBuilder:
-        self._pending_nodes.append((node, object_type))
+        self._node_ids.append(node)
+        self._node_types.append(object_type)
         return self
 
     def nodes(
         self, nodes: Iterable[object], object_type: str
     ) -> NetworkBuilder:
         for node in nodes:
-            self._pending_nodes.append((node, object_type))
+            self.node(node, object_type)
         return self
 
     def link(
@@ -107,7 +109,10 @@ class NetworkBuilder:
         weight: float = 1.0,
     ) -> NetworkBuilder:
         """Queue a single directed edge."""
-        self._pending_edges.append((source, target, relation, weight))
+        sources, targets, weights = self._queue(relation)
+        sources.append(source)
+        targets.append(target)
+        weights.append(weight)
         return self
 
     def link_paired(
@@ -123,11 +128,21 @@ class NetworkBuilder:
                 f"relation {relation!r} was not declared with "
                 f"add_paired_relation"
             )
-        self._pending_edges.append((source, target, relation, weight))
-        self._pending_edges.append(
-            (target, source, self._pairs[relation], weight)
-        )
+        sources, targets, weights = self._queue(relation)
+        sources.append(source)
+        targets.append(target)
+        weights.append(weight)
+        sources, targets, weights = self._queue(self._pairs[relation])
+        sources.append(target)
+        targets.append(source)
+        weights.append(weight)
         return self
+
+    def _queue(self, relation: str) -> tuple[list, list, list]:
+        queue = self._links.get(relation)
+        if queue is None:
+            queue = self._links[relation] = ([], [], [])
+        return queue
 
     def attribute(
         self, attribute: TextAttribute | NumericAttribute
@@ -138,13 +153,18 @@ class NetworkBuilder:
 
     # ------------------------------------------------------------------
     def build(self) -> HeterogeneousNetwork:
-        """Materialize the network; validates inverse consistency first."""
+        """Materialize the network; validates inverse consistency first.
+
+        Nodes and links go in as columns (see
+        :meth:`~repro.hin.network.HeterogeneousNetwork.add_edge_columns`):
+        a bad node raises what ``add_node`` raises for the first one
+        queued, a bad link what ``add_edge`` raises for the first one
+        of the first relation holding one.
+        """
         self._schema.check_inverse_consistency()
         network = HeterogeneousNetwork(self._schema)
-        for node, object_type in self._pending_nodes:
-            network.add_node(node, object_type)
-        for source, target, relation, weight in self._pending_edges:
-            network.add_edge(source, target, relation, weight)
+        network.add_node_columns(self._node_ids, self._node_types)
+        network.add_edge_columns(self._links)
         for attribute in self._attributes:
             network.add_attribute(attribute)
         return network

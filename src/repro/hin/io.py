@@ -118,17 +118,20 @@ def network_from_dict(payload: dict[str, Any]) -> HeterogeneousNetwork:
                 entry.get("description", ""),
             )
         network = HeterogeneousNetwork(schema)
-        id_by_key: dict[str, object] = {}
-        for entry in payload["nodes"]:
-            network.add_node(entry["id"], entry["type"])
-            id_by_key[_key(entry["id"])] = entry["id"]
+        nodes = [(entry["id"], entry["type"]) for entry in payload["nodes"]]
+        network.add_node_columns(
+            [node for node, _ in nodes], [typ for _, typ in nodes]
+        )
+        id_by_key = {_key(node): node for node, _ in nodes}
+        # per-relation id columns, inserted (and checked) in one batch
+        links: dict[str, tuple[list, list, list]] = {}
         for entry in payload["edges"]:
-            network.add_edge(
-                entry["source"],
-                entry["target"],
-                entry["relation"],
-                entry.get("weight", 1.0),
-            )
+            source, target = entry["source"], entry["target"]
+            queue = links.setdefault(entry["relation"], ([], [], []))
+            queue[0].append(source)
+            queue[1].append(target)
+            queue[2].append(entry.get("weight", 1.0))
+        network.add_edge_columns(links)
         for entry in payload["attributes"]:
             if entry["kind"] == "text":
                 attribute = TextAttribute(

@@ -16,8 +16,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from repro.exceptions import AttributeSpecError, NetworkError
+from repro.exceptions import AttributeSpecError, NetworkError, ReproError
 from repro.hin.attributes import Attribute, NumericAttribute, TextAttribute
+from repro.hin.columns import Summed, SummedLog
 from repro.hin.schema import NetworkSchema, RelationType
 
 
@@ -61,7 +62,12 @@ class HeterogeneousNetwork:
     -----
     Parallel edges within one relation are merged by *summing weights*
     (the DBLP AC network weights links by paper counts, which is exactly
-    this accumulation).
+    this accumulation).  Each relation stores its links as append-only
+    ``(source, target, weight)`` index columns
+    (:class:`~repro.hin.columns.SummedLog`): inserting only appends, and
+    a read sums repeated links once -- distinct links in first-insertion
+    order, weights summed in insertion order -- and caches the result
+    until the next insert.
 
     Examples
     --------
@@ -84,9 +90,8 @@ class HeterogeneousNetwork:
         self._node_ids: list[object] = []
         self._node_index: dict[object, int] = {}
         self._node_types: list[str] = []
-        # relation name -> {(src_idx, dst_idx): weight}
-        self._edges: dict[str, dict[tuple[int, int], float]] = {
-            r.name: {} for r in schema.relations
+        self._links: dict[str, SummedLog] = {
+            r.name: SummedLog() for r in schema.relations
         }
         self._attributes: dict[str, Attribute] = {}
 
@@ -132,10 +137,10 @@ class HeterogeneousNetwork:
 
         Semantically identical to calling :meth:`add_node` per pair,
         but validated with ``O(n)`` set operations instead of per-node
-        dict probes -- the fast path for artifact loads, where the
-        columns are a known-consistent round trip.  Inputs containing
-        duplicates (or ids already present) fall back to the per-node
-        path so re-insertion keeps its exact semantics.
+        dict probes -- the fast path for artifact loads and network
+        builds.  Inputs with an unknown type, duplicates or ids already
+        present take the per-node path, so re-insertion and errors keep
+        their exact semantics.
         """
         ids = list(node_ids)
         types = list(node_types)
@@ -144,16 +149,12 @@ class HeterogeneousNetwork:
                 f"node id/type columns differ in length: "
                 f"{len(ids)} vs {len(types)}"
             )
-        for object_type in set(types):
-            if not self.schema.has_object_type(object_type):
-                raise NetworkError(
-                    f"cannot add nodes: unknown object type "
-                    f"{object_type!r}"
-                )
         start = len(self._node_ids)
         index = dict(zip(ids, range(start, start + len(ids))))
-        if len(index) != len(ids) or (
-            self._node_index.keys() & index.keys()
+        if (
+            len(index) != len(ids)
+            or self._node_index.keys() & index.keys()
+            or not all(map(self.schema.has_object_type, set(types)))
         ):
             for node, object_type in zip(ids, types):
                 self.add_node(node, object_type)
@@ -234,16 +235,17 @@ class HeterogeneousNetwork:
         """Structural copy: nodes, types, and edges (attributes are
         *not* copied -- attach fresh tables to the copy as needed).
 
-        ``O(n + |E|)`` dict/list copies with no per-edge re-validation;
-        the source network already guaranteed consistency.  The schema
+        ``O(n)`` list/dict copies with no per-edge re-validation: the
+        copy shares each relation's link columns (never written once
+        appended) and appends its own links after them.  The schema
         object is shared (schemas are append-only declarations).
         """
         clone = HeterogeneousNetwork(self.schema)
         clone._node_ids = list(self._node_ids)
         clone._node_index = dict(self._node_index)
         clone._node_types = list(self._node_types)
-        clone._edges = {
-            name: dict(bucket) for name, bucket in self._edges.items()
+        clone._links = {
+            name: links.copy() for name, links in self._links.items()
         }
         return clone
 
@@ -283,9 +285,9 @@ class HeterogeneousNetwork:
             )
         if weight == 0:
             return
-        bucket = self._edges[relation]
-        key = (src_idx, dst_idx)
-        bucket[key] = bucket.get(key, 0.0) + float(weight)
+        self._links[relation].append_row(
+            src_idx, (dst_idx,), (float(weight),)
+        )
 
     def add_edge_arrays(
         self, relation: str, sources, targets, weights
@@ -295,12 +297,60 @@ class HeterogeneousNetwork:
         weights skipped, repeated links summed in row order.  The checks
         are vectorized and run first: a rejected batch inserts nothing.
         """
+        columns = self._checked_links(relation, sources, targets, weights)
+        self._links[relation].extend(*columns)
+
+    def add_edge_columns(
+        self, links: Mapping[str, tuple[Sequence, Sequence, Sequence]]
+    ) -> None:
+        """Bulk :meth:`add_edge` by node id: ``links[relation]`` holds
+        the relation's aligned ``(sources, targets, weights)`` columns.
+
+        Ids resolve once and every check runs vectorized before anything
+        is inserted.  A batch holding a bad link inserts nothing and
+        raises what calling :meth:`add_edge` link by link, relation by
+        relation, raises: the error of the first bad link.
+        """
+        get = self._node_index.__getitem__
+        staged: list | None = []
+        try:
+            for relation, (sources, targets, weights) in links.items():
+                src, dst = (
+                    np.fromiter(map(get, ids), np.int64, len(ids))
+                    for ids in (sources, targets)
+                )
+                staged.append((relation, self._checked_links(
+                    relation, src, dst, weights
+                )))
+        except (ReproError, LookupError, TypeError, ValueError):
+            staged = None
+        if staged is None:
+            # replay link by link on a scratch copy: it raises add_edge's
+            # own error, or inserts a batch only the per-link checks
+            # accept (weights numpy holds as objects, say)
+            trial = self.copy()
+            for relation, (sources, targets, weights) in links.items():
+                for source, target, weight in zip(sources, targets, weights):
+                    trial.add_edge(source, target, relation, weight)
+            self._links = trial._links
+            return
+        for relation, columns in staged:
+            self._links[relation].extend(*columns)
+
+    def _checked_links(
+        self, relation: str, sources, targets, weights
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Validated index columns of one relation, zero weights
+        dropped; raises :class:`NetworkError` on any bad link."""
         rel = self.schema.relation(relation)
         src = np.asarray(sources, dtype=np.int64)
         dst = np.asarray(targets, dtype=np.int64)
-        weight = np.asarray(weights, dtype=np.float64)
-        if src.ndim != 1 or not src.shape == dst.shape == weight.shape or (
-            np.any(weight < 0)
+        weight = np.asarray(weights)
+        if (
+            src.ndim != 1
+            or not src.shape == dst.shape == weight.shape
+            or weight.dtype.kind not in "biuf"
+            or np.any(weight < 0)
         ):
             raise NetworkError(
                 f"relation {relation!r}: edge columns must be 1-d, equally "
@@ -311,7 +361,7 @@ class HeterogeneousNetwork:
             ("source", src, rel.source), ("target", dst, rel.target)
         ):
             if index.size and not (
-                0 <= index.min() and index.max() < len(types)
+                0 <= index.min() and index.max() < types.size
                 and np.all(types[index] == expected)
             ):
                 raise NetworkError(
@@ -319,52 +369,45 @@ class HeterogeneousNetwork:
                     f"{expected!r}"
                 )
         keep = weight != 0
-        bucket = self._edges[relation]
-        for key, value in zip(
-            zip(src[keep].tolist(), dst[keep].tolist()), weight[keep].tolist()
-        ):
-            bucket[key] = bucket.get(key, 0.0) + value
+        return src[keep], dst[keep], weight[keep]
+
+    def _summed(self, relation: str) -> Summed:
+        self.schema.relation(relation)
+        return self._links[relation].summed()
 
     def num_edges(self, relation: str | None = None) -> int:
         """Number of distinct links, overall or within one relation."""
         if relation is not None:
-            self.schema.relation(relation)
-            return len(self._edges[relation])
-        return sum(len(bucket) for bucket in self._edges.values())
+            return self._summed(relation).rows.size
+        return sum(len(links) for links in self._links.values())
 
     def edge_weight(
         self, source: object, target: object, relation: str
     ) -> float:
         """Weight of a link, or 0.0 if absent."""
-        self.schema.relation(relation)
-        key = (self.index_of(source), self.index_of(target))
-        return self._edges[relation].get(key, 0.0)
+        summed = self._summed(relation)
+        at = summed.row_positions(self.index_of(source))
+        hit = at[summed.cols[at] == self.index_of(target)]
+        return float(summed.values[hit[0]]) if hit.size else 0.0
 
     def edges(self, relation: str | None = None) -> Iterator[Edge]:
         """Iterate links as :class:`Edge` records (one relation or all)."""
-        names = (
-            [relation] if relation is not None else list(self._edges.keys())
-        )
-        for name in names:
-            self.schema.relation(name)
-            for (src, dst), weight in self._edges[name].items():
-                yield Edge(
-                    self._node_ids[src], self._node_ids[dst], name, weight
-                )
+        ids = self._node_ids
+        for name in [relation] if relation is not None else self._links:
+            summed = self._summed(name)
+            for src, dst, weight in zip(
+                summed.rows.tolist(), summed.cols.tolist(),
+                summed.values.tolist(),
+            ):
+                yield Edge(ids[src], ids[dst], name, weight)
 
     def edge_arrays(
         self, relation: str
-    ) -> tuple[list[int], list[int], list[float]]:
-        """Links of one relation as parallel (src, dst, weight) index lists."""
-        self.schema.relation(relation)
-        sources: list[int] = []
-        targets: list[int] = []
-        weights: list[float] = []
-        for (src, dst), weight in self._edges[relation].items():
-            sources.append(src)
-            targets.append(dst)
-            weights.append(weight)
-        return sources, targets, weights
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Links of one relation as read-only ``(src, dst, weight)``
+        index columns, in first-insertion order with repeats summed."""
+        summed = self._summed(relation)
+        return summed.rows, summed.cols, summed.values
 
     def out_neighbors(
         self, node: object, relation: str | None = None
@@ -372,14 +415,15 @@ class HeterogeneousNetwork:
         """``(target, relation, weight)`` for every out-link of a node."""
         src_idx = self.index_of(node)
         result: list[tuple[object, str, float]] = []
-        names = (
-            [relation] if relation is not None else list(self._edges.keys())
-        )
-        for name in names:
-            self.schema.relation(name)
-            for (src, dst), weight in self._edges[name].items():
-                if src == src_idx:
-                    result.append((self._node_ids[dst], name, weight))
+        for name in [relation] if relation is not None else self._links:
+            summed = self._summed(name)
+            at = summed.row_positions(src_idx)
+            result.extend(
+                (self._node_ids[dst], name, weight)
+                for dst, weight in zip(
+                    summed.cols[at].tolist(), summed.values[at].tolist()
+                )
+            )
         return result
 
     def in_neighbors(
@@ -388,21 +432,20 @@ class HeterogeneousNetwork:
         """``(source, relation, weight)`` for every in-link of a node."""
         dst_idx = self.index_of(node)
         result: list[tuple[object, str, float]] = []
-        names = (
-            [relation] if relation is not None else list(self._edges.keys())
-        )
-        for name in names:
-            self.schema.relation(name)
-            for (src, dst), weight in self._edges[name].items():
-                if dst == dst_idx:
-                    result.append((self._node_ids[src], name, weight))
+        for name in [relation] if relation is not None else self._links:
+            summed = self._summed(name)
+            at = summed.cols == dst_idx
+            result.extend(
+                (self._node_ids[src], name, weight)
+                for src, weight in zip(
+                    summed.rows[at].tolist(), summed.values[at].tolist()
+                )
+            )
         return result
 
     def relation_types_present(self) -> tuple[str, ...]:
         """Names of relations that hold at least one link."""
-        return tuple(
-            name for name, bucket in self._edges.items() if bucket
-        )
+        return tuple(name for name, links in self._links.items() if links)
 
     def relation_declaration(self, relation: str) -> RelationType:
         return self.schema.relation(relation)

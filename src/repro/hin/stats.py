@@ -78,13 +78,11 @@ def network_stats(network: HeterogeneousNetwork) -> NetworkStats:
     relations: list[RelationStats] = []
     for relation in network.schema.relation_names:
         sources, _targets, weights = network.edge_arrays(relation)
-        if not sources:
+        if not sources.size:
             continue
         source_type = network.relation_declaration(relation).source
         num_sources = max(1, nodes_per_type.get(source_type, 0))
-        out_degree = np.bincount(
-            np.asarray(sources), minlength=network.num_nodes
-        )
+        out_degree = np.bincount(sources, minlength=network.num_nodes)
         relations.append(
             RelationStats(
                 name=relation,

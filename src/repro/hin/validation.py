@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.hin.attributes import NumericAttribute, TextAttribute
 from repro.hin.network import HeterogeneousNetwork
 
@@ -63,21 +65,25 @@ def _has_any_observation(network: HeterogeneousNetwork, node: object) -> bool:
     return False
 
 
+def _linked(network: HeterogeneousNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node flags: has an out-link, takes part in any link."""
+    out, touched = np.zeros((2, network.num_nodes), dtype=bool)
+    for relation in network.schema.relation_names:
+        sources, targets, _ = network.edge_arrays(relation)
+        out[sources] = touched[sources] = touched[targets] = True
+    return out, touched
+
+
 def _check_out_links_and_attributes(
     network: HeterogeneousNetwork,
 ) -> list[ValidationIssue]:
-    out_degree = [0] * network.num_nodes
-    for edge in network.edges():
-        out_degree[network.index_of(edge.source)] += 1
+    orphans = np.flatnonzero(~_linked(network)[0]).tolist()
     issues: list[ValidationIssue] = []
-    orphan_count = 0
-    no_info_count = 0
-    for index, degree in enumerate(out_degree):
-        if degree > 0:
-            continue
-        orphan_count += 1
-        if not _has_any_observation(network, network.node_at(index)):
-            no_info_count += 1
+    orphan_count = len(orphans)
+    no_info_count = sum(
+        not _has_any_observation(network, network.node_at(index))
+        for index in orphans
+    )
     if orphan_count:
         issues.append(
             ValidationIssue(
@@ -126,13 +132,12 @@ def _check_missing_inverse_links(
             continue
         if not network.schema.has_relation(relation.inverse):
             continue  # schema-level problem reported by the schema itself
-        missing = 0
-        for edge in network.edges(relation.name):
-            reverse = network.edge_weight(
-                edge.target, edge.source, relation.inverse
-            )
-            if reverse == 0.0:
-                missing += 1
+        n = network.num_nodes
+        sources, targets, _ = network.edge_arrays(relation.name)
+        back_sources, back_targets, _ = network.edge_arrays(relation.inverse)
+        missing = np.count_nonzero(~np.isin(
+            sources * n + targets, back_targets * n + back_sources
+        ))
         if missing:
             issues.append(
                 ValidationIssue(
@@ -148,11 +153,7 @@ def _check_missing_inverse_links(
 def _check_isolated_nodes(
     network: HeterogeneousNetwork,
 ) -> list[ValidationIssue]:
-    touched = [False] * network.num_nodes
-    for edge in network.edges():
-        touched[network.index_of(edge.source)] = True
-        touched[network.index_of(edge.target)] = True
-    isolated = sum(1 for t in touched if not t)
+    isolated = int(np.count_nonzero(~_linked(network)[1]))
     if isolated:
         return [
             ValidationIssue(

@@ -180,17 +180,10 @@ def build_relation_matrices(
     n = network.num_nodes
     for relation in network.schema.relation_names:
         sources, targets, weights = network.edge_arrays(relation)
-        if not sources and not include_empty:
+        if not sources.size and not include_empty:
             continue
         matrix = sparse.csr_matrix(
-            (
-                np.asarray(weights, dtype=np.float64),
-                (
-                    np.asarray(sources, dtype=np.int64),
-                    np.asarray(targets, dtype=np.int64),
-                ),
-            ),
-            shape=(n, n),
+            (weights, (sources, targets)), shape=(n, n)
         )
         names.append(relation)
         mats.append(matrix)

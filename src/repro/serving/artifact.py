@@ -367,14 +367,12 @@ class ModelArtifact:
             network, tuple(result.attribute_params), result.relation_names
         )
         if include_training_data and has_training_data:
-            edges = {}
-            for name in result.relation_names:
-                sources, targets, weights = network.edge_arrays(name)
-                edges[name] = (
-                    np.asarray(sources, dtype=np.int64),
-                    np.asarray(targets, dtype=np.int64),
-                    np.asarray(weights, dtype=np.float64),
+            edges = {
+                name: tuple(
+                    column.copy() for column in network.edge_arrays(name)
                 )
+                for name in result.relation_names
+            }
             node_index = network.node_index
             observations = {}
             for name in result.attribute_params:
@@ -489,31 +487,16 @@ class ModelArtifact:
         return network
 
     def _hydrated_views(self):
-        """The deferred refit payload: full training network plus link
-        views built straight from the stored edge arrays (vectorized
-        CSR construction in the fit's relation order)."""
-        from repro.hin.views import RelationMatrices
+        """The deferred refit payload: full training network plus its
+        link views."""
+        from repro.hin.views import build_relation_matrices
 
         # hydration reads the whole training payload: settle the
         # deferred edge/observation checksums of a mapped bundle first
         if self.integrity is not None:
             self.integrity.verify_prefix("edges/", "obs/")
         network = self._build_network(include_training_data=True)
-        n = self.num_nodes
-        mats = []
-        for name in self.relation_names:
-            sources, targets, weights = self.edges[name]
-            mats.append(
-                sparse.csr_matrix(
-                    (weights, (sources, targets)), shape=(n, n)
-                )
-            )
-        matrices = RelationMatrices(
-            relation_names=self.relation_names,
-            matrices=tuple(mats),
-            num_nodes=n,
-        )
-        return network, matrices
+        return network, build_relation_matrices(network)
 
     def _restore_training_data(
         self, network: HeterogeneousNetwork

@@ -527,11 +527,12 @@ class ServingFrontEnd:
     ) -> set[object]:
         """Targets ``node`` already links to through ``relation``.
 
-        Extension links live on the node's spec; base links live in
-        the training payload, which artifact-backed states decode
-        lazily (:meth:`~repro.core.state.ModelState.hydrate`, a no-op
-        once decoded).  A serve-only artifact carries no link data at
-        all, so its base nodes have nothing to exclude.
+        Extension links live on the node's spec; base links are the
+        node's row of the network's summed link columns (found by
+        binary search, ``O(log E + degree)``), which artifact-backed
+        states decode lazily (:meth:`~repro.core.state.ModelState.hydrate`,
+        a no-op once decoded).  A serve-only artifact carries no link
+        data at all, so its base nodes have nothing to exclude.
         """
         state = self._state
         if state.is_extension(node):

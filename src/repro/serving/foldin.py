@@ -865,14 +865,22 @@ def compile_queries(
             raise ServingError(
                 f"query #{position}: object_type is required"
             )
-        text = query.get("text") or {}
-        numeric = query.get("numeric") or {}
+        fields = []
+        for field in ("text", "numeric"):
+            value = query.get(field)
+            if value is None:
+                value = {}
+            elif not isinstance(value, Mapping):
+                raise ServingError(
+                    f"query #{position}: {field} must be a mapping of "
+                    f"attribute names, got {type(value).__name__}"
+                )
+            fields.append(value if type(value) is dict else dict(value))
         builder.add(
             f"query #{position}",
             query["object_type"],
             query.get("links") or (),
-            text if type(text) is dict else dict(text),
-            numeric if type(numeric) is dict else dict(numeric),
+            *fields,
         )
     count = len(builder.type_codes)
     return builder.build(positions=np.arange(count, dtype=np.int64))

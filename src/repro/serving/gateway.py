@@ -641,16 +641,24 @@ class Gateway:
             raise ServingError(
                 f"object_type must be a string, got {object_type!r}"
             )
+        nodes = [decode_node(node) for node in nodes]
+        # check the nodes up front so an unknown one 400s alone instead
+        # of failing the similar_many group it would share
+        for node in nodes:
+            try:
+                served = self._engine.has_node(node)
+            except TypeError:  # unhashable: served by no engine
+                served = False
+            if not served:
+                raise ServingError(
+                    f"node {node!r} is not served by this engine"
+                )
         if self._draining:
             return _json_response(
                 503, {"error": "gateway is draining"}
             )
         futures = self._batcher.admit(
-            "similar",
-            [
-                (decode_node(node), k, metric, object_type)
-                for node in nodes
-            ],
+            "similar", [(node, k, metric, object_type) for node in nodes]
         )
         ranked = await asyncio.gather(*futures)
         results = [

@@ -127,14 +127,16 @@ class TestTextAttribute:
             attr.add_counts(f"n{i}", counts)  # zero counts, empty bags
         node_index = {f"n{i}": 39 - i for i in range(40)}
         rows, cols, vals, indices = [], [], [], []
-        for node, bag in attr._bags.items():
+        vocabulary = attr.vocabulary
+        for node in attr.nodes_with_observations():
+            bag = attr.bag_of(node)
             if sum(bag.values()) <= 0:
                 continue
             indices.append(node_index[node])
             for term, count in bag.items():
                 if count > 0:
                     rows.append(len(indices) - 1)
-                    cols.append(term)
+                    cols.append(vocabulary.index(term))
                     vals.append(float(count))
         expected = sparse.csr_matrix(
             (vals, (rows, cols)), shape=(len(indices), attr.vocab_size)

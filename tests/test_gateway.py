@@ -474,6 +474,64 @@ class TestGatewayOperations:
             assert body["degraded"] == 0
         engine.close()
 
+    def test_bad_similar_node_is_400_and_does_not_poison(
+        self, forum_result
+    ):
+        # a long window co-batches every request below into one flush:
+        # a bad node admitted with them would fail the whole
+        # similar_many group, the valid request included
+        engine = ShardedEngine.from_result(forum_result, n_shards=2)
+        want = engine.similar("user0_0", k=3)
+        bodies = [
+            {"nodes": ["user0_0"], "k": 3},
+            {"nodes": ["nobody"], "k": 3},
+            {"nodes": [{"a": 1}], "k": 3},
+            {"nodes": ["user0_0", "nobody"], "k": 3},
+        ]
+        with GatewayServer.launch(
+            engine, batch_window=0.5, max_batch=100
+        ) as server:
+            with ThreadPoolExecutor(len(bodies)) as pool:
+                replies = list(pool.map(
+                    lambda body: post(server.url, "/similar", body), bodies
+                ))
+        engine.close()
+        status, body = replies[0]
+        assert status == 200
+        assert body["results"] == [[[found, score] for found, score in want]]
+        named = ["nobody", "'a'", "nobody"]
+        for (status, body), bad in zip(replies[1:], named):
+            assert status == 400
+            assert "not served" in body["error"] and bad in body["error"]
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            {"text": 5},
+            {"text": ["green"]},
+            {"text": []},
+            {"text": 0},
+            {"text": False},
+            {"numeric": "abc"},
+            {"numeric": [1.0]},
+            {"numeric": ""},
+            {"numeric": 0},
+        ],
+    )
+    def test_non_mapping_text_or_numeric_is_400(self, forum_result, query):
+        engine = ShardedEngine.from_result(forum_result, n_shards=1)
+        with GatewayServer.launch(engine) as server:
+            status, body = post(
+                server.url,
+                "/score",
+                {"queries": [GREEN_QUERY | {"object_type": "user"},
+                             {"object_type": "user", **query}]},
+            )
+            assert status == 400
+            assert body["error"].startswith("query #1: ")
+            assert "must be a mapping" in body["error"]
+        engine.close()
+
     def test_malformed_body_is_400(self, forum_result):
         engine = ShardedEngine.from_result(forum_result, n_shards=2)
         with GatewayServer.launch(engine) as server:
@@ -728,13 +786,23 @@ VALID_SCORE = json.dumps(
     {"queries": [dict(object_type="user", **GREEN_QUERY)]}
 ).encode()
 VALID_SIMILAR = json.dumps({"nodes": ["user0_0"], "k": 3}).encode()
+# a JSON value that is neither an object nor null, for a query's
+# text/numeric
+NON_MAPPING = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=8),
+    st.lists(st.integers(), max_size=3),
+)
 
 
 @st.composite
 def malformed_requests(draw):
     """Raw requests that are each broken somewhere: a truncated
     request line or header block, a body that is not the JSON object
-    the endpoint wants (random text, or a valid body cut short), and a
+    the endpoint wants (random text, a valid body cut short, or a
+    query whose ``text``/``numeric`` is not an object), and a
     Content-Length that is missing, garbage, negative, huge, or longer
     than the body actually sent."""
     method = draw(st.sampled_from(["POST", "GET", "PUT"]))
@@ -745,6 +813,13 @@ def malformed_requests(draw):
             st.text(max_size=40).map(lambda text: text.encode("utf-8")),
             st.binary(max_size=40),
             st.integers(0, len(valid) - 1).map(lambda cut: valid[:cut]),
+            st.builds(
+                lambda field, value: json.dumps(
+                    {"queries": [{"object_type": "user", field: value}]}
+                ).encode(),
+                st.sampled_from(["text", "numeric"]),
+                NON_MAPPING,
+            ),
         )
     )
     declared = draw(

@@ -331,9 +331,10 @@ def _assert_same_network(left, right):
         assert list(left.edges(relation)) == list(right.edges(relation))
     text_l, text_r = left.attribute("title"), right.attribute("title")
     assert text_l.vocabulary == text_r.vocabulary
-    assert list(text_l._bags.items()) == list(text_r._bags.items())
-    assert [list(bag) for bag in text_l._bags.values()] == [
-        list(bag) for bag in text_r._bags.values()
+    observed = text_l.nodes_with_observations()
+    assert observed == text_r.nodes_with_observations()
+    assert [list(text_l.bag_of(node).items()) for node in observed] == [
+        list(text_r.bag_of(node).items()) for node in observed
     ]
     rating_l, rating_r = left.attribute("rating"), right.attribute("rating")
     assert list(rating_l._values.items()) == list(rating_r._values.items())
@@ -449,7 +450,11 @@ class TestBulkInserts:
         text.add_tokens("n0", ["x", "y", "x"])
         text.add_counts("n1", {"y": 2.5})
         clone = text.copy()
-        assert list(clone._bags.items()) == list(text._bags.items())
+        observed = text.nodes_with_observations()
+        assert clone.nodes_with_observations() == observed
+        assert [list(clone.bag_of(node).items()) for node in observed] == [
+            list(text.bag_of(node).items()) for node in observed
+        ]
         assert clone.vocabulary == text.vocabulary
         clone.add_tokens("n0", ["z"])
         assert text.bag_of("n0") == {"x": 2.0, "y": 1.0}

@@ -350,6 +350,22 @@ class TestScoreMany:
         with pytest.raises(ServingError, match="unknown arguments"):
             engine.score_many([dict(object_type="user", nope=1)])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("text", 5), ("text", ["green"]), ("text", []), ("text", 0),
+         ("text", False), ("numeric", "abc"), ("numeric", [1.0]),
+         ("numeric", ""), ("numeric", 0)],
+    )
+    def test_non_mapping_text_or_numeric_names_query(
+        self, engine, field, value
+    ):
+        with pytest.raises(
+            ServingError, match=f"query #1: {field} must be a mapping"
+        ):
+            engine.score_many(
+                [{"object_type": "user"}, {"object_type": "user", field: value}]
+            )
+
 
 class TestInfo:
     def test_info_shape(self, engine):

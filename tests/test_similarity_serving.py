@@ -398,6 +398,51 @@ class TestClusterSimilarity:
 
 
 # ----------------------------------------------------------------------
+# suggest_links excludes a base node's training links
+# ----------------------------------------------------------------------
+def _suggest_oracle(engine, network, node, relation, k):
+    """The ranked target-type nodes minus the node's training links,
+    read off the fitted network's own adjacency."""
+    target_type = network.relation_declaration(relation).target
+    linked = {target for target, _, _ in network.out_neighbors(node, relation)}
+    ranked = engine.similar(node, k=network.num_nodes, object_type=target_type)
+    return [pair for pair in ranked if pair[0] not in linked][:k]
+
+
+def _assert_suggestions_pinned(network, engines, k=6):
+    for relation in network.schema.relation_names:
+        source = network.relation_declaration(relation).source
+        for node in network.nodes_of_type(source):
+            for engine in engines:
+                assert engine.suggest_links(node, relation, k=k) == (
+                    _suggest_oracle(engine, network, node, relation, k)
+                ), (node, relation)
+
+
+class TestSuggestLinksPinned:
+    def test_toy_model(self, forum_network, forum_result, artifact_path):
+        _assert_suggestions_pinned(forum_network, [
+            InferenceEngine.from_result(forum_result),
+            InferenceEngine.load(artifact_path),  # hydrated on demand
+        ])
+
+    def test_weather_model(self, tmp_path):
+        network = generate_weather_network(
+            WeatherConfig(
+                n_temperature=24, n_precipitation=12, k_neighbors=3,
+                n_observations=3, seed=5,
+            )
+        ).network
+        result = GenClus(
+            GenClusConfig(n_clusters=3, outer_iterations=2, seed=0, n_init=1)
+        ).fit(network, attributes=WEATHER_ATTRIBUTES)
+        _assert_suggestions_pinned(network, [
+            InferenceEngine.from_result(result),
+            InferenceEngine.load(result.save(tmp_path / "weather")),
+        ])
+
+
+# ----------------------------------------------------------------------
 # mmap: schema-v3 bundles serve similarity off the map
 # ----------------------------------------------------------------------
 class TestMappedSimilarity:
