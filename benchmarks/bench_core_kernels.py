@@ -174,7 +174,7 @@ def make_em_call(problem, theta, gamma, block_size=None, obs=None):
         out = np.empty_like(theta)
         kwargs = {}
         try:  # blocked path; absent on pre-blocked checkouts
-            plan = _node_plan(problem, operator, block_size)
+            plan = _node_plan(problem, block_size)
             for model in problem.attribute_models:
                 model.set_block_rows(block_size)
             kwargs = dict(plan=plan)
@@ -204,23 +204,20 @@ def make_em_call(problem, theta, gamma, block_size=None, obs=None):
     return call
 
 
-def _node_plan(problem, operator, block_size):
+def _node_plan(problem, block_size):
     """The node-space plan the kernels run: the shape-derived one, or
     ``block_size`` rows per block when forced (kernels take any plan)."""
-    if block_size is None:
-        return operator.block_plan(problem.n_clusters)
     from repro.core.kernels import BlockPlan
 
+    if block_size is None:
+        return BlockPlan.for_shape(problem.num_nodes, problem.n_clusters)
     return BlockPlan(problem.num_nodes, block_size)
 
 
 def make_strength_call(problem, theta, gamma, block_size=None):
     kwargs = {}
     try:  # blocked path; absent on pre-blocked checkouts
-        from repro.core.kernels import PropagationOperator
-
-        operator = PropagationOperator.wrap(problem.matrices)
-        kwargs = dict(plan=_node_plan(problem, operator, block_size))
+        kwargs = dict(plan=_node_plan(problem, block_size))
     except (ImportError, AttributeError, TypeError):
         pass
 

@@ -185,8 +185,8 @@ def model_lifecycle(result: GenClusResult) -> None:
        extension space with an LRU policy (see ``engine.info()`` for
        telemetry).
     3. **promote** -- folded-in nodes become first-class training data:
-       ``engine.promote()`` materializes base + extensions (link views
-       patched, not rebuilt) and re-runs Algorithm 1 *warm-started*
+       ``engine.promote()`` materializes base + extensions into one
+       network and re-runs Algorithm 1 *warm-started*
        from the served state -- typically converging in a fraction of a
        cold fit's outer iterations.  The engine then serves the
        promoted model, and the loop repeats.

@@ -19,7 +19,7 @@ and the iterative algorithm of Section 4:
   layer).
 * :mod:`repro.core.state` -- :class:`~repro.core.state.ModelState`, the
   mutable, versioned model container shared by training, serving, and
-  refit (warm starts, extension space, patched link views).
+  refit (warm starts, extension space, materialized refit problems).
 
 The user-facing entry point is :class:`~repro.core.genclus.GenClus`.
 """

@@ -121,8 +121,8 @@ def em_update(
         Optional scratch reused across iterations; allocated on the fly
         when omitted (single-call convenience path).
     plan:
-        The update always runs block-by-block over the operator's
-        cached :class:`BlockPlan` (``plan`` overrides it).  Every
+        The update always runs block-by-block, over
+        ``BlockPlan.for_shape(n, K)`` unless ``plan`` overrides it.  Every
         per-row stage writes disjoint row slices and every cross-block
         reduction is block-ordered, so the result depends only on the
         plan.
@@ -142,7 +142,7 @@ def em_update(
     if workspace is None:
         workspace = EMWorkspace(n, k)
     if plan is None:
-        plan = operator.block_plan(k)
+        plan = BlockPlan.for_shape(n, k)
     update = workspace.update
     operator.propagate(theta, gamma, out=update, plan=plan)
     for model in models:
@@ -205,7 +205,7 @@ def run_em(
     operator = PropagationOperator.wrap(matrices)
     workspace = EMWorkspace(*theta.shape)
     if plan is None:
-        plan = operator.block_plan(theta.shape[1])
+        plan = BlockPlan.for_shape(*theta.shape)
     # Jacobi double buffer: theta holds iteration t-1, spare receives t
     spare = np.empty_like(theta)
     trace: list[float] = []

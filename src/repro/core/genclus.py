@@ -24,7 +24,7 @@ from repro.core.config import GenClusConfig
 from repro.core.diagnostics import IterationRecord, RunHistory
 from repro.core.em import run_em
 from repro.core.initialization import select_initial_theta
-from repro.core.kernels import PropagationOperator
+from repro.core.kernels import BlockPlan, PropagationOperator
 from repro.core.objective import g1
 from repro.core.problem import ClusteringProblem, compile_problem
 from repro.core.result import GenClusResult
@@ -147,10 +147,10 @@ class GenClus:
         # per-outer-iteration gamma change rewrites its combined data
         operator = PropagationOperator.wrap(matrices)
         num_relations = matrices.num_relations
-        # blocked execution: one shape-derived node-space plan (cached
-        # on the operator) drives inner EM and strength learning; the
-        # attribute models block their own observation spaces
-        plan = operator.block_plan(config.n_clusters)
+        # blocked execution: one shape-derived node-space plan drives
+        # inner EM and strength learning; the attribute models block
+        # their own observation spaces
+        plan = BlockPlan.for_shape(problem.num_nodes, config.n_clusters)
 
         # phase timing always runs through spans (a throwaway tracer
         # when the caller is not tracing); span durations feed the

@@ -161,24 +161,17 @@ class BlockPlan:
 
     The plan is a pure function of ``(num_rows, block_rows)``, so the
     block decomposition, and with it every block-ordered reduction, is
-    fixed by the shapes alone.  Kernels get their plan from
-    :meth:`for_shape`, which derives a cache-sized ``block_rows`` from
-    the row width; an explicit plan is a test seam.
-
-    A plan is immutable; :meth:`grown` returns a patched plan for an
-    appended index space (the existing block boundaries are preserved
-    and the new rows land in fresh trailing blocks), mirroring how the
-    :class:`PropagationOperator` union pattern grows.
+    fixed by the shapes alone.  Every kernel, trainer and serving scan
+    gets its node-space plan from :meth:`for_shape`, which derives a
+    cache-sized ``block_rows`` from the row width; an explicit plan is
+    a test seam.  Nothing carries a plan from one problem to the next:
+    the same ``(num_rows, row_width)`` always blocks the same way,
+    whatever grew or shrank the index space before.
     """
 
-    __slots__ = ("num_rows", "block_rows", "_bounds")
+    __slots__ = ("num_rows", "block_rows", "bounds")
 
-    def __init__(
-        self,
-        num_rows: int,
-        block_rows: int,
-        _bounds: tuple[tuple[int, int], ...] | None = None,
-    ) -> None:
+    def __init__(self, num_rows: int, block_rows: int) -> None:
         if num_rows < 0:
             raise ValueError(f"num_rows must be >= 0, got {num_rows}")
         if block_rows < 1:
@@ -187,12 +180,11 @@ class BlockPlan:
             )
         self.num_rows = int(num_rows)
         self.block_rows = int(block_rows)
-        if _bounds is None:
-            _bounds = tuple(
-                (start, min(start + self.block_rows, self.num_rows))
-                for start in range(0, self.num_rows, self.block_rows)
-            )
-        self._bounds = _bounds
+        # ((start, stop), ...) in row order
+        self.bounds: tuple[tuple[int, int], ...] = tuple(
+            (start, min(start + self.block_rows, self.num_rows))
+            for start in range(0, self.num_rows, self.block_rows)
+        )
 
     @classmethod
     def for_shape(cls, num_rows: int, row_width: int) -> "BlockPlan":
@@ -201,41 +193,13 @@ class BlockPlan:
 
     @property
     def num_blocks(self) -> int:
-        return len(self._bounds)
-
-    @property
-    def bounds(self) -> tuple[tuple[int, int], ...]:
-        """``((start, stop), ...)`` in row order."""
-        return self._bounds
+        return len(self.bounds)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._bounds)
+        return iter(self.bounds)
 
     def __len__(self) -> int:
-        return len(self._bounds)
-
-    def grown(self, num_new_rows: int) -> "BlockPlan":
-        """A plan over ``num_rows + m`` preserving this plan's blocks.
-
-        Appended rows form fresh trailing blocks of ``block_rows``;
-        existing boundaries (including a short final block) are kept
-        verbatim, so consumers holding per-block state for the old
-        rows stay aligned.  ``O(new blocks)``.
-        """
-        if num_new_rows < 0:
-            raise ValueError(
-                f"num_new_rows must be >= 0, got {num_new_rows}"
-            )
-        if num_new_rows == 0:
-            return self
-        total = self.num_rows + num_new_rows
-        extra = tuple(
-            (start, min(start + self.block_rows, total))
-            for start in range(self.num_rows, total, self.block_rows)
-        )
-        return BlockPlan(
-            total, self.block_rows, _bounds=self._bounds + extra
-        )
+        return len(self.bounds)
 
 
 def plan_for_observations(
@@ -377,12 +341,7 @@ class PropagationOperator:
         self.matrices: tuple[sparse.csr_matrix, ...] = tuple(canonical)
         self.shape: tuple[int, int] = (int(shape[0]), int(shape[1]))
         self._gamma_key: bytes | None = None
-        self._plans: dict[int, BlockPlan] = {}
-        self._build_union()
-
-    # ------------------------------------------------------------------
-    def _build_union(self) -> None:
-        """Union sparsity pattern + per-relation slot maps (built once)."""
+        # union sparsity pattern + per-relation slot maps, built once
         if not self.matrices:
             self._union_data = np.zeros(0)
             self._combined = sparse.csr_matrix(self.shape, dtype=np.float64)
@@ -413,20 +372,6 @@ class PropagationOperator:
         """Size of the union pattern (combined matrix nonzeros)."""
         return int(self._combined.nnz)
 
-    def block_plan(self, row_width: int) -> BlockPlan:
-        """The cached row-block plan for this operator's index space.
-
-        Cached per ``row_width`` alongside the union pattern, so
-        trainer, objectives, and serving share one decomposition --
-        and :meth:`grown` patches it instead of recomputing.
-        """
-        key = int(row_width)
-        plan = self._plans.get(key)
-        if plan is None or plan.num_rows != self.shape[0]:
-            plan = BlockPlan.for_shape(self.shape[0], key)
-            self._plans[key] = plan
-        return plan
-
     @staticmethod
     def wrap(matrices) -> "PropagationOperator":
         """Adopt an existing operator, or the one cached on a
@@ -440,103 +385,6 @@ class PropagationOperator:
             matrices.matrices,
             shape=(matrices.num_nodes, matrices.num_nodes),
         )
-
-    # ------------------------------------------------------------------
-    def grown(
-        self,
-        row_blocks: Sequence[sparse.spmatrix],
-        num_new_rows: int,
-    ) -> "PropagationOperator":
-        """A larger operator that reuses this one's union pattern.
-
-        Grows the index space from ``(n_rows, n_cols)`` to
-        ``(n_rows + m, n_cols + m)``: every existing row keeps its
-        stored entries verbatim (columns extend for free in CSR), and
-        the ``m`` appended rows come from ``row_blocks`` -- one
-        ``(m, n_cols + m)`` sparse matrix per relation holding the new
-        rows' entries.  Because appended rows land at the *end* of a
-        canonical CSR data array, the old union pattern, slot maps, and
-        per-relation structures are reused by concatenation: the cost is
-        ``O(m + nnz(delta))``, independent of the existing pattern size
-        (no union rebuild).  This operator is left untouched and stays
-        valid.
-
-        This is the state-growth path used when folded-in nodes are
-        promoted into the training views: new links always *originate*
-        at appended nodes, so growth is exactly a row append.
-        """
-        if num_new_rows < 0:
-            raise ValueError(
-                f"num_new_rows must be >= 0, got {num_new_rows}"
-            )
-        if len(row_blocks) != self.num_relations:
-            raise ValueError(
-                f"expected {self.num_relations} row blocks, "
-                f"got {len(row_blocks)}"
-            )
-        n_rows, n_cols = self.shape
-        new_shape = (n_rows + num_new_rows, n_cols + num_new_rows)
-        block_shape = (num_new_rows, new_shape[1])
-        blocks: list[sparse.csr_matrix] = []
-        for block in row_blocks:
-            csr = sparse.csr_matrix(block, dtype=np.float64, copy=False)
-            if csr.shape != block_shape:
-                raise ValueError(
-                    f"row blocks must have shape {block_shape}, "
-                    f"got {csr.shape}"
-                )
-            csr.sum_duplicates()
-            csr.sort_indices()
-            blocks.append(csr)
-
-        grown = object.__new__(PropagationOperator)
-        grown.shape = new_shape
-        grown._gamma_key = None
-        # block plans are patched like the union pattern: existing
-        # boundaries survive, appended rows form trailing blocks
-        grown._plans = {
-            key: plan.grown(num_new_rows)
-            for key, plan in self._plans.items()
-        }
-        matrices: list[sparse.csr_matrix] = []
-        for matrix, block in zip(self.matrices, blocks):
-            indptr = np.concatenate(
-                [matrix.indptr, matrix.nnz + block.indptr[1:]]
-            )
-            matrices.append(
-                sparse.csr_matrix(
-                    (
-                        np.concatenate([matrix.data, block.data]),
-                        np.concatenate([matrix.indices, block.indices]),
-                        indptr,
-                    ),
-                    shape=new_shape,
-                )
-            )
-        grown.matrices = tuple(matrices)
-        if not self.matrices:
-            grown._build_union()
-            return grown
-        old_nnz = self._combined.nnz
-        block_indices, block_indptr, block_slots = _union_pattern(
-            blocks, block_shape
-        )
-        grown._slots = tuple(
-            np.concatenate([slots, old_nnz + extra])
-            for slots, extra in zip(self._slots, block_slots)
-        )
-        union_indices = np.concatenate(
-            [self._combined.indices, block_indices]
-        )
-        union_indptr = np.concatenate(
-            [self._combined.indptr, old_nnz + block_indptr[1:]]
-        )
-        grown._union_data = np.zeros(union_indices.size)
-        grown._combined = sparse.csr_matrix(
-            (grown._union_data, union_indices, union_indptr),
-            shape=new_shape,
-        )
-        return grown
 
     # ------------------------------------------------------------------
     def combined(self, gamma: np.ndarray) -> sparse.csr_matrix:

@@ -9,18 +9,24 @@ read and write instead:
 * **Training** -- ``GenClus.fit_problem(..., warm_start=state)`` starts
   Algorithm 1 from the state's theta/gamma/attribute parameters instead
   of re-initializing, and :meth:`ModelState.from_result` captures a
-  finished fit (including its network and link views, with the cached
-  :class:`~repro.core.kernels.PropagationOperator`).
+  finished fit (including its network and link views).
 * **Serving** -- the engine's durable deltas
   (:meth:`append_extensions`, link deltas, eviction) mutate the state's
   extension space: a doubling-capacity theta buffer plus live node
   index/type maps, so streaming extends stay amortized ``O(delta)``.
-* **Refit** -- :meth:`to_problem` materializes base + extensions into a
-  solver-ready :class:`~repro.core.problem.ClusteringProblem` whose link
-  views are **patched, not rebuilt**
-  (:func:`~repro.hin.views.append_relation_rows` reuses the base
-  operator's union pattern in ``O(m + nnz(delta))``), closing the loop:
+* **Refit** -- :meth:`to_problem` materializes base + extensions into
+  one network and compiles it into a solver-ready
+  :class:`~repro.core.problem.ClusteringProblem` exactly as a fresh fit
+  would (link views from
+  :func:`~repro.hin.views.build_relation_matrices`, one ``O(|E|)``
+  pass, cheaper than a single EM sweep), closing the loop:
   fit -> save -> load -> extend -> promote -> fit.
+
+Nothing derived is carried across growth: the compiled views depend
+only on the materialized network, and every block plan only on the
+row count and ``K`` (:meth:`ModelState.block_plan`), so a model that
+was extended, promoted, saved and reloaded fits, scores and reports
+exactly like one that reached the same network any other way.
 
 Every mutation bumps :attr:`version`; derived structures (the
 materialized problem, the serving view's vocabulary index) are cached
@@ -50,11 +56,7 @@ from repro.core.problem import ClusteringProblem
 from repro.exceptions import StateError
 from repro.hin.attributes import TextAttribute
 from repro.hin.network import HeterogeneousNetwork
-from repro.hin.views import (
-    RelationMatrices,
-    append_relation_rows,
-    build_relation_matrices,
-)
+from repro.hin.views import RelationMatrices, build_relation_matrices
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving)
     from repro.core.result import GenClusResult
@@ -418,24 +420,16 @@ class ModelState:
     def block_plan(self) -> "BlockPlan":
         """The canonical block decomposition of the served row space.
 
-        One derivation shared by every consumer of the blocked shape
-        (``execution_shape`` telemetry, the similarity top-k scan): the
-        plan cached on the base link views' operator when one exists
-        (the plan every training-side kernel shares), grown to cover
-        live extensions, else a fresh shape-only plan.  Pure function
-        of the current shapes.
+        ``BlockPlan.for_shape(num_nodes, K)``, the plan every kernel
+        derives for this shape, shared by the ``execution_shape``
+        telemetry and the similarity top-k scan.  A pure function of
+        the current shape: extends, evictions and promotes that reach
+        the same row count report the same blocks.
         """
         # local import: repro.core.kernels does not import state
         from repro.core.kernels import BlockPlan
 
-        k = self.n_clusters
-        if self.matrices is not None:
-            plan = self.matrices.block_plan(k)
-            if plan.num_rows != self.num_nodes:
-                plan = plan.grown(self.num_nodes - plan.num_rows)
-        else:
-            plan = BlockPlan.for_shape(self.num_nodes, k)
-        return plan
+        return BlockPlan.for_shape(self.num_nodes, self.n_clusters)
 
     def execution_shape(self) -> dict[str, int]:
         """The blocked-execution decomposition of the served index space.
@@ -758,10 +752,11 @@ class ModelState:
     def to_problem(self) -> ClusteringProblem:
         """Compile base + extensions into a solver-ready problem.
 
-        The link views are grown from the base fit's by appending the
-        extension rows (:func:`~repro.hin.views.append_relation_rows`),
-        so the compiled problem's propagation operator reuses the
-        training union pattern instead of rebuilding it.  The result is
+        The problem is compiled from :meth:`materialize_network`'s
+        network like any fresh fit's: its link views come from
+        :func:`~repro.hin.views.build_relation_matrices`, one
+        ``O(|E|)`` pass, and must yield exactly the state's relations
+        (the gamma slots the warm start resumes).  The result is
         cached against :attr:`version` -- repeated calls between
         mutations are free.
         """
@@ -775,10 +770,12 @@ class ModelState:
         if cache is not None and cache[0] == self.version:
             return cache[1], cache[2]
         network = self._copy_network_with_extensions()
-        matrices = self._grow_matrices()
-        if matrices.num_nodes != network.num_nodes:
+        matrices = build_relation_matrices(network)
+        if matrices.relation_names != self.relation_names:
             raise StateError(  # pragma: no cover - defensive
-                "materialized views and network disagree on node count"
+                f"materialized link views yield relations "
+                f"{matrices.relation_names} but the state's gamma "
+                f"covers {self.relation_names}"
             )
         node_index = network.node_index
         models: list[AttributeModel] = []
@@ -847,21 +844,6 @@ class ModelState:
             elif spec.numeric.get(name):
                 copy.add_values(spec.node, spec.numeric[name])
         return copy
-
-    def _grow_matrices(self) -> RelationMatrices:
-        assert self.matrices is not None
-        index = self.node_index
-        links: dict[str, list[tuple[int, int, float]]] = {}
-        for spec in self._extensions.values():
-            source = index[spec.node]
-            for relation, target, weight in spec.links:
-                if weight > 0.0:
-                    links.setdefault(relation, []).append(
-                        (source, index[target], weight)
-                    )
-        return append_relation_rows(
-            self.matrices, self.num_extension_nodes, links
-        )
 
 
 def _is_mapped(array: np.ndarray) -> bool:

@@ -90,30 +90,6 @@ class StrengthOutcome:
     stalled: bool  # the last line search found no ascent and kept gamma
 
 
-def _plan_for(
-    matrices: RelationMatrices | PropagationOperator,
-    num_rows: int,
-    row_width: int,
-) -> BlockPlan:
-    """The shared row-block plan for a problem's node space.
-
-    Reuses the plan cached on the (possibly already-built) propagation
-    operator so EM and strength learning block identically; falls back
-    to a fresh shape-derived plan when no operator exists yet (building
-    one just for its plan would pay the union construction).
-    """
-    operator = None
-    if isinstance(matrices, PropagationOperator):
-        operator = matrices
-    else:
-        cached = matrices.__dict__.get("operator")
-        if isinstance(cached, PropagationOperator):
-            operator = cached
-    if operator is not None:
-        return operator.block_plan(row_width)
-    return BlockPlan.for_shape(num_rows, row_width)
-
-
 def compute_statistics(
     theta: np.ndarray,
     matrices: RelationMatrices | PropagationOperator,
@@ -133,7 +109,7 @@ def compute_statistics(
     propagated = np.empty((num_relations, n, k))
     rowsums = np.empty((n, num_relations))
     if plan is None:
-        plan = _plan_for(matrices, n, k)
+        plan = BlockPlan.for_shape(n, k)
     ce_partials = np.empty((plan.num_blocks, num_relations))
     mats = matrices.matrices
 
@@ -449,7 +425,7 @@ def learn_strengths(
         raise ValueError(f"gamma0 must be finite, got {gamma}")
     gamma = np.clip(gamma, 0.0, None)
     if plan is None:
-        plan = _plan_for(matrices, n, k)
+        plan = BlockPlan.for_shape(n, k)
     stats = compute_statistics(theta, matrices, floor, plan=plan)
     ws = _NewtonWorkspace(n, k, stats.num_relations, plan)
     _alphas_into(stats, gamma, ws.alphas, ws.alpha_sums, ws)

@@ -33,12 +33,7 @@ from repro.hin.network import HeterogeneousNetwork
 from repro.hin.schema import NetworkSchema, ObjectType, RelationType
 from repro.hin.stats import NetworkStats, network_stats
 from repro.hin.validation import ValidationIssue, validate_network
-from repro.hin.views import (
-    RelationMatrices,
-    build_relation_matrices,
-    empty_relation_matrices,
-    extend_relation_matrices,
-)
+from repro.hin.views import RelationMatrices, build_relation_matrices
 
 __all__ = [
     "AttributeKind",
@@ -56,8 +51,6 @@ __all__ = [
     "TextAttribute",
     "ValidationIssue",
     "build_relation_matrices",
-    "empty_relation_matrices",
-    "extend_relation_matrices",
     "network_stats",
     "validate_network",
 ]

@@ -7,11 +7,16 @@ matrices the EM neighbour term of Eq. 10-12 is
 ``sum_r gamma_r * (W_r @ Theta)`` and the strength-learning statistics of
 Eqs. 16-17 are ``S_r = W_r @ Theta`` -- both ``O(K |E|)`` as the paper's
 complexity analysis requires.
+
+Views have one derivation: :func:`build_relation_matrices` over a
+network, an ``O(|E|)`` pass that costs less than one EM sweep.  A model
+whose node space grew (served nodes promoted into training data)
+materializes the grown network and builds its views from that, so the
+views of a network never depend on how the network was assembled.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,18 +79,6 @@ class RelationMatrices:
         return PropagationOperator(
             self.matrices, shape=(self.num_nodes, self.num_nodes)
         )
-
-    def block_plan(self, row_width: int):
-        """The node-space :class:`~repro.core.kernels.BlockPlan` shared
-        by every blocked kernel over these views.
-
-        Delegates to the cached operator so trainer, objectives, and
-        serving block identically -- and so the plan is **patched, not
-        rebuilt**, when the views grow through
-        :func:`append_relation_rows` (the grown operator carries the
-        grown plans).
-        """
-        return self.operator.block_plan(row_width)
 
     def row_slice(
         self, start: int, stop: int
@@ -159,28 +152,21 @@ class RelationMatrices:
         return total.tocsr()
 
 
-def build_relation_matrices(
-    network: HeterogeneousNetwork,
-    include_empty: bool = False,
-) -> RelationMatrices:
+def build_relation_matrices(network: HeterogeneousNetwork) -> RelationMatrices:
     """Freeze a network's links into :class:`RelationMatrices`.
 
-    Parameters
-    ----------
-    network:
-        The source network.
-    include_empty:
-        When true, relations declared in the schema but carrying no links
-        still get a (zero) matrix and a gamma slot.  The default drops
-        them, matching the paper's setting where every modeled relation
-        has links.
+    Relations declared in the schema but carrying no links are dropped,
+    matching the paper's setting where every modeled relation has
+    links (and so a strength slot).  One ``O(|E|)`` pass over the
+    network's link columns: this is the only way views are made, for a
+    fresh fit and for a refit over a grown network alike.
     """
     names: list[str] = []
     mats: list[sparse.csr_matrix] = []
     n = network.num_nodes
     for relation in network.schema.relation_names:
         sources, targets, weights = network.edge_arrays(relation)
-        if not sources.size and not include_empty:
+        if not sources.size:
             continue
         matrix = sparse.csr_matrix(
             (weights, (sources, targets)), shape=(n, n)
@@ -191,173 +177,4 @@ def build_relation_matrices(
         relation_names=tuple(names),
         matrices=tuple(mats),
         num_nodes=n,
-    )
-
-
-def empty_relation_matrices(
-    relation_names: Sequence[str], num_nodes: int
-) -> RelationMatrices:
-    """All-zero matrices for a fixed relation list over ``num_nodes``.
-
-    Starting point for incrementally grown views -- e.g. rebuilding
-    link views for a model reloaded from an artifact (which carries no
-    training edges) before feeding deltas to
-    :func:`extend_relation_matrices`.
-    """
-    return RelationMatrices(
-        relation_names=tuple(relation_names),
-        matrices=tuple(
-            sparse.csr_matrix((num_nodes, num_nodes), dtype=np.float64)
-            for _ in relation_names
-        ),
-        num_nodes=num_nodes,
-    )
-
-
-def append_relation_rows(
-    base: RelationMatrices,
-    num_new_nodes: int,
-    links: Mapping[str, Sequence[tuple[int, int, float]]],
-) -> RelationMatrices:
-    """Grow views to ``(n + m, n + m)`` by *appending rows* -- patched,
-    not rebuilt.
-
-    The restricted (and common) growth case: every delta link
-    originates at one of the ``m`` appended nodes (sources in
-    ``n .. n + m - 1``; targets anywhere in the extended space).  That
-    is exactly how served fold-in state grows -- new nodes bring their
-    out-links, and link deltas only touch extension nodes -- and it
-    means the existing CSR arrays and, crucially, the cached
-    :class:`~repro.core.kernels.PropagationOperator` union pattern are
-    reused verbatim: the returned view carries a **patched** operator
-    built in ``O(m + nnz(delta))`` via
-    :meth:`~repro.core.kernels.PropagationOperator.grown`, instead of
-    paying a full union rebuild over all training links.
-
-    For deltas with base-node sources use the general (rebuilding)
-    :func:`extend_relation_matrices`.
-    """
-    if num_new_nodes < 0:
-        raise ValueError(
-            f"num_new_nodes must be >= 0, got {num_new_nodes}"
-        )
-    n = base.num_nodes
-    total = n + num_new_nodes
-    for relation in links:
-        if relation not in base.relation_names:
-            raise KeyError(
-                f"relation {relation!r} has no matrix (and no gamma "
-                f"slot) in the base views"
-            )
-    blocks: list[sparse.csr_matrix] = []
-    for name in base.relation_names:
-        delta = links.get(name) or ()
-        sources = np.asarray([d[0] for d in delta], dtype=np.int64)
-        targets = np.asarray([d[1] for d in delta], dtype=np.int64)
-        weights = np.asarray([d[2] for d in delta], dtype=np.float64)
-        if sources.size:
-            if sources.min() < n or sources.max() >= total:
-                raise ValueError(
-                    f"relation {name!r}: append_relation_rows requires "
-                    f"link sources in the appended range {n}..{total - 1}"
-                )
-            if targets.min() < 0 or targets.max() >= total:
-                raise IndexError(
-                    f"relation {name!r}: link targets must lie in "
-                    f"0..{total - 1}"
-                )
-        blocks.append(
-            sparse.csr_matrix(
-                (weights, (sources - n, targets)),
-                shape=(num_new_nodes, total),
-            )
-        )
-    operator = base.operator.grown(blocks, num_new_nodes)
-    grown = RelationMatrices(
-        relation_names=base.relation_names,
-        matrices=operator.matrices,
-        num_nodes=total,
-    )
-    # install the patched operator in the cached_property slot so every
-    # consumer of the grown views shares it (no rebuild on first access)
-    grown.__dict__["operator"] = operator
-    return grown
-
-
-def extend_relation_matrices(
-    base: RelationMatrices,
-    num_new_nodes: int,
-    links: Mapping[str, Sequence[tuple[int, int, float]]],
-) -> RelationMatrices:
-    """Grow matrices to ``(n + m, n + m)`` with appended delta links.
-
-    New nodes extend the global index space (rows/columns
-    ``n .. n + m - 1``) and their links are summed in *without
-    recompiling the full problem* -- the existing CSR storage is reused
-    verbatim (columns extend for free; rows extend by padding the index
-    pointer), so the cost is ``O(m + nnz(delta))`` rather than a fresh
-    pass over the whole network.  This is the general-purpose growth
-    path (e.g. warm-starting a refit from served deltas, see ROADMAP);
-    serving fold-in itself compiles only the ``m`` new *rows* of this
-    product directly, since frozen base rows are never multiplied.
-
-    Parameters
-    ----------
-    base:
-        The matrices being extended.
-    num_new_nodes:
-        ``m >= 0``, how many rows/columns to append.
-    links:
-        ``{relation: [(source, target, weight), ...]}`` with endpoints in
-        the *extended* index space ``0 .. n + m - 1``.  Repeated pairs
-        accumulate, matching the network container's semantics.  A
-        relation absent from ``base.relation_names`` is a ``KeyError``:
-        it has no strength slot, so the solvers could not use it.
-    """
-    if num_new_nodes < 0:
-        raise ValueError(
-            f"num_new_nodes must be >= 0, got {num_new_nodes}"
-        )
-    n = base.num_nodes
-    total = n + num_new_nodes
-    for relation in links:
-        if relation not in base.relation_names:
-            raise KeyError(
-                f"relation {relation!r} has no matrix (and no gamma "
-                f"slot) in the base views"
-            )
-    extended: list[sparse.csr_matrix] = []
-    for name, mat in zip(base.relation_names, base.matrices):
-        indptr = np.concatenate(
-            [mat.indptr, np.full(num_new_nodes, mat.indptr[-1])]
-        )
-        resized = sparse.csr_matrix(
-            (mat.data, mat.indices, indptr), shape=(total, total)
-        )
-        delta = links.get(name)
-        if delta:
-            sources = np.asarray([d[0] for d in delta], dtype=np.int64)
-            targets = np.asarray([d[1] for d in delta], dtype=np.int64)
-            weights = np.asarray([d[2] for d in delta], dtype=np.float64)
-            if sources.size and (
-                sources.min() < 0
-                or targets.min() < 0
-                or sources.max() >= total
-                or targets.max() >= total
-            ):
-                raise IndexError(
-                    f"relation {name!r}: link endpoints must lie in "
-                    f"0..{total - 1}"
-                )
-            resized = (
-                resized
-                + sparse.csr_matrix(
-                    (weights, (sources, targets)), shape=(total, total)
-                )
-            ).tocsr()
-        extended.append(resized)
-    return RelationMatrices(
-        relation_names=base.relation_names,
-        matrices=tuple(extended),
-        num_nodes=total,
     )

@@ -20,7 +20,7 @@
 * **Promotion** -- :meth:`InferenceEngine.promote` closes the loop:
   folded-in nodes and their accumulated links become first-class
   training data in a full ``GenClus`` fit *warm-started* from the
-  served theta/gamma (the state's link views are patched, not rebuilt).
+  served theta/gamma over the materialized base + extension network.
   The engine then serves the promoted model with an empty extension
   space.
 * **Bounded extension space** -- :meth:`InferenceEngine.evict` drops
@@ -243,12 +243,12 @@ def promote_state(
     The promotion core shared by :meth:`InferenceEngine.promote` and
     the cluster-wide promote of
     :class:`~repro.serving.router.ShardedEngine`: materialize the
-    state into a solver-ready problem (link views patched from the
-    base operator, not rebuilt) and run Algorithm 1 warm-started from
-    the served theta/gamma/attribute parameters.  Returns
-    ``(result, promoted_state)`` where the promoted state is a fresh
+    state into a solver-ready problem (compiled from the base +
+    extension network, like a fresh fit's) and run Algorithm 1
+    warm-started from the served theta/gamma/attribute parameters.
+    Returns ``(result, promoted_state)`` where the promoted state is a fresh
     refit-capable base with an empty extension space, reusing the
-    materialized problem's network and patched link views.
+    materialized problem's network and link views.
 
     Promotion is **transactional**: the candidate is built entirely off
     to the side and validated -- every learned parameter finite, the
@@ -979,7 +979,7 @@ class InferenceEngine(ServingFrontEnd):
 
         Folded-in nodes, their accumulated links, and their
         observations are materialized into a full clustering problem
-        (link views patched from the base fit's operator, not rebuilt)
+        (compiled from the base + extension network, like a fresh fit)
         and Algorithm 1 runs **warm-started** from the served
         theta/gamma/attribute parameters.  Starting at an
         already-converged interior point, the refit typically needs far
@@ -1009,8 +1009,8 @@ class InferenceEngine(ServingFrontEnd):
             serving its current state verbatim and
             ``repro_promote_rollbacks_total`` is incremented.
         """
-        # rebase: the promoted fit is the new frozen base; reuse the
-        # patched link views (and their operator) for the next cycle.
+        # rebase: the promoted fit is the new frozen base, over the
+        # materialized network and link views.
         # The candidate is built and validated entirely off to the
         # side (promote_state); engine fields mutate only in commit,
         # so a failed refit cannot disturb serving.

@@ -107,7 +107,10 @@ class NewNode:
         object.__setattr__(
             self,
             "links",
-            tuple(_link_triplet(link, label) for link in self.links),
+            tuple(
+                _link_triplet(link, label)
+                for link in _link_entries(self.links, label)
+            ),
         )
         # materialize observation containers: callers may hand in
         # one-pass iterables, and the spec is read more than once
@@ -130,17 +133,30 @@ class NewNode:
         )
 
 
+def _link_entries(links, label: str) -> Iterable:
+    """A node's ``links`` argument, checked to be a collection of
+    link entries (a bare number or string is not)."""
+    if isinstance(links, (str, bytes, Mapping)) or not isinstance(
+        links, Iterable
+    ):
+        raise ServingError(
+            f"{label}: links must be a list of (relation, target[, "
+            f"weight]) entries, got {type(links).__name__}"
+        )
+    return links
+
+
 def _link_triplet(link, label: str) -> tuple[object, object, float]:
     """``(relation, target[, weight])`` as a checked triplet."""
-    if len(link) == 2:
-        relation, target = link
-        weight = 1.0
-    elif len(link) == 3:
-        relation, target, weight = link
-    else:
+    if not isinstance(link, (list, tuple)) or len(link) not in (2, 3):
         raise ServingError(
             f"{label}: link {link!r} must be (relation, target[, weight])"
         )
+    if len(link) == 2:
+        relation, target = link
+        weight = 1.0
+    else:
+        relation, target, weight = link
     try:
         weight = float(weight)
     except (TypeError, ValueError):
@@ -735,25 +751,15 @@ class _Builder:
         numeric: Mapping[Any, Any],
     ) -> None:
         """Append one row; ``label`` names it in shape errors."""
-        decode_target = self.decode_target
         tables = self.tables
         self.type_codes.append(tables["types"].code(object_type))
         relations, targets = tables["relations"], tables["targets"]
         relation_code, target_code = relations.codes.get, targets.codes.get
         link_relation, link_target, link_weight = self.link_columns
-        for link in links:
-            if decode_target is not None and not (
-                type(link) is list and 2 <= len(link) <= 3
-            ):
-                # anything but a well-formed JSON link keeps the shape
-                # (and error text) of its tuple form
-                link = (
-                    (link[0], decode_target(link[1]), *link[2:])
-                    if isinstance(link, list) and len(link) >= 2
-                    else tuple(link)
-                )
+        for link in _link_entries(links, label):
             if (
-                len(link) == 3
+                isinstance(link, (tuple, list))
+                and len(link) == 3
                 and type(link[2]) is float
                 and 0.0 <= link[2] < math.inf
             ):
@@ -876,10 +882,11 @@ def compile_queries(
                     f"attribute names, got {type(value).__name__}"
                 )
             fields.append(value if type(value) is dict else dict(value))
+        links = query.get("links")
         builder.add(
             f"query #{position}",
             query["object_type"],
-            query.get("links") or (),
+            () if links is None else links,
             *fields,
         )
     count = len(builder.type_codes)

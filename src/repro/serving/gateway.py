@@ -588,7 +588,11 @@ class Gateway:
             raise ServingError(
                 'the /score body must carry {"queries": [...]}'
             )
-        batch = _compile_wire_queries(queries)
+        # JSON has no tuples: link entries arrive as [relation,
+        # target(, weight)] arrays whose targets are in the encode_node
+        # codec (so tuple-keyed models survive the JSON hop); the
+        # compiler decodes them and names a malformed query (query #i)
+        batch = compile_queries(queries, decode_target=decode_node)
         # validate up front so one malformed request 400s alone
         # instead of poisoning the micro-batch it would share
         # (model-aware when the engine offers it)
@@ -669,29 +673,6 @@ class Gateway:
             for entry in ranked
         ]
         return _json_response(200, {"results": results})
-
-
-def _compile_wire_queries(queries: list) -> QueryBatch:
-    """Compile a ``/score`` body's queries straight from JSON.
-
-    JSON has no tuples: link entries arrive as ``[relation, target(,
-    weight)]`` arrays with target ids in the
-    :func:`~repro.serving.transport.encode_node` codec (so tuple-keyed
-    models survive the JSON hop); the compiler decodes them in place.
-    """
-    for index, query in enumerate(queries):
-        if not isinstance(query, dict):
-            raise ServingError(
-                f"query #{index}: expected a JSON object, got "
-                f"{type(query).__name__}"
-            )
-        links = query.get("links")
-        if links is not None and not isinstance(links, list):
-            raise ServingError(
-                f"query #{index}: links must be an array of "
-                f"[relation, target(, weight)] entries"
-            )
-    return compile_queries(queries, decode_target=decode_node)
 
 
 def _merge_rows(items: list[tuple[QueryBatch, int]]) -> QueryBatch:

@@ -532,6 +532,31 @@ class TestGatewayOperations:
             assert "must be a mapping" in body["error"]
         engine.close()
 
+    @pytest.mark.parametrize(
+        "links",
+        [[5], [None], ["ab"], [["writes"]], [["writes", "blog0_0", 1, 2]],
+         [{"writes": "blog0_0"}], 5, "ab", {"writes": "blog0_0"}, 0],
+    )
+    def test_malformed_links_are_400(self, forum_result, links):
+        engine = ShardedEngine.from_result(forum_result, n_shards=1)
+        with GatewayServer.launch(engine) as server:
+            status, body = post(
+                server.url,
+                "/score",
+                {"queries": [GREEN_QUERY | {"object_type": "user"},
+                             {"object_type": "user", "links": links}]},
+            )
+            assert status == 400
+            assert body["error"].startswith("query #1: ")
+            assert "must be" in body["error"]
+            status, _ = post(
+                server.url,
+                "/score",
+                {"queries": [GREEN_QUERY | {"object_type": "user"}]},
+            )
+            assert status == 200
+        engine.close()
+
     def test_malformed_body_is_400(self, forum_result):
         engine = ShardedEngine.from_result(forum_result, n_shards=2)
         with GatewayServer.launch(engine) as server:
@@ -795,16 +820,34 @@ NON_MAPPING = st.one_of(
     st.text(max_size=8),
     st.lists(st.integers(), max_size=3),
 )
+# a query's links: not an array, or an array holding at least one
+# entry that is not a [relation, target(, weight)] array
+MALFORMED_LINK = st.one_of(
+    st.none(),
+    st.integers(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.text(max_size=4), max_size=1),
+    st.lists(st.integers(), min_size=4, max_size=5),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+MALFORMED_LINKS = st.one_of(
+    st.integers(),
+    st.text(min_size=1, max_size=8),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+    st.lists(MALFORMED_LINK, min_size=1, max_size=3),
+)
 
 
 @st.composite
 def malformed_requests(draw):
     """Raw requests that are each broken somewhere: a truncated
     request line or header block, a body that is not the JSON object
-    the endpoint wants (random text, a valid body cut short, or a
-    query whose ``text``/``numeric`` is not an object), and a
-    Content-Length that is missing, garbage, negative, huge, or longer
-    than the body actually sent."""
+    the endpoint wants (random text, a valid body cut short, a query
+    whose ``text``/``numeric`` is not an object, or whose ``links``
+    is not an array of link arrays), and a Content-Length that is
+    missing, garbage, negative, huge, or longer than the body actually
+    sent."""
     method = draw(st.sampled_from(["POST", "GET", "PUT"]))
     path = draw(st.sampled_from(["/score", "/similar", "/nope", "/score?x=1"]))
     valid = VALID_SCORE if path.startswith("/score") else VALID_SIMILAR
@@ -819,6 +862,11 @@ def malformed_requests(draw):
                 ).encode(),
                 st.sampled_from(["text", "numeric"]),
                 NON_MAPPING,
+            ),
+            MALFORMED_LINKS.map(
+                lambda links: json.dumps(
+                    {"queries": [{"object_type": "user", "links": links}]}
+                ).encode()
             ),
         )
     )

@@ -246,125 +246,6 @@ class TestPropagationOperator:
         )
 
 
-class TestPatchOnGrow:
-    """Growing the operator by appending rows (``grown`` /
-    ``append_relation_rows``) must be bit-identical to building a fresh
-    operator over the fully rebuilt matrices."""
-
-    @staticmethod
-    def _grow_pair(seed, n=24, m=7, num_relations=3, deltas=9):
-        from repro.hin.views import (
-            RelationMatrices,
-            append_relation_rows,
-            extend_relation_matrices,
-        )
-
-        rng = np.random.default_rng(seed)
-        mats = random_matrices(rng, n, num_relations)
-        names = tuple(f"r{r}" for r in range(num_relations))
-        base = RelationMatrices(
-            relation_names=names, matrices=tuple(mats), num_nodes=n
-        )
-        links = {}
-        for name in names:
-            entries = []
-            for _ in range(deltas):
-                source = int(rng.integers(n, n + m))
-                target = int(rng.integers(0, n + m))
-                entries.append((source, target, float(rng.random()) + 0.1))
-            links[name] = entries
-        patched = append_relation_rows(base, m, links)
-        rebuilt = extend_relation_matrices(base, m, links)
-        return base, patched, rebuilt, rng
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_grown_combined_matches_rebuilt(self, seed):
-        base, patched, rebuilt, rng = self._grow_pair(seed)
-        fresh = PropagationOperator(
-            rebuilt.matrices,
-            shape=(rebuilt.num_nodes, rebuilt.num_nodes),
-        )
-        for _ in range(3):  # several gamma rewrites over the patch
-            gamma = rng.random(base.num_relations) * 2
-            np.testing.assert_array_equal(
-                patched.operator.combined(gamma).toarray(),
-                fresh.combined(gamma).toarray(),
-            )
-
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_grown_propagate_matches_reference(self, seed):
-        base, patched, rebuilt, rng = self._grow_pair(seed)
-        k = 4
-        total = rebuilt.num_nodes
-        theta = rng.dirichlet(np.ones(k), size=total)
-        gamma = rng.random(base.num_relations) * 2
-        reference = np.zeros((total, k))
-        for g, matrix in zip(gamma, rebuilt.matrices):
-            reference += g * (matrix @ theta)
-        np.testing.assert_allclose(
-            patched.operator.propagate(theta, gamma),
-            reference,
-            rtol=RTOL,
-            atol=1e-14,
-        )
-
-    def test_grown_matrices_equal_rebuilt(self):
-        base, patched, rebuilt, _ = self._grow_pair(5)
-        for grown, reference in zip(patched.matrices, rebuilt.matrices):
-            assert (grown != reference).nnz == 0
-
-    def test_base_operator_untouched_by_growth(self):
-        base, patched, _, rng = self._grow_pair(6)
-        gamma = rng.random(base.num_relations)
-        before = base.operator.combined(gamma).toarray().copy()
-        patched.operator.combined(gamma * 2.0)
-        np.testing.assert_array_equal(
-            base.operator.combined(gamma).toarray(), before
-        )
-        assert base.operator.shape == (base.num_nodes, base.num_nodes)
-
-    def test_zero_growth_is_identity(self):
-        from repro.hin.views import RelationMatrices, append_relation_rows
-
-        rng = np.random.default_rng(7)
-        mats = random_matrices(rng, 15, 2)
-        base = RelationMatrices(
-            relation_names=("a", "b"),
-            matrices=tuple(mats),
-            num_nodes=15,
-        )
-        grown = base.operator.grown(
-            [sparse.csr_matrix((0, 15)) for _ in range(2)], 0
-        )
-        gamma = np.array([0.7, 1.3])
-        np.testing.assert_array_equal(
-            grown.combined(gamma).toarray(),
-            base.operator.combined(gamma).toarray(),
-        )
-
-    def test_base_source_links_rejected(self):
-        from repro.hin.views import RelationMatrices, append_relation_rows
-
-        rng = np.random.default_rng(8)
-        mats = random_matrices(rng, 10, 1)
-        base = RelationMatrices(
-            relation_names=("a",), matrices=tuple(mats), num_nodes=10
-        )
-        with pytest.raises(ValueError, match="sources"):
-            append_relation_rows(base, 2, {"a": [(0, 11, 1.0)]})
-
-    def test_unknown_relation_rejected(self):
-        from repro.hin.views import RelationMatrices, append_relation_rows
-
-        rng = np.random.default_rng(9)
-        mats = random_matrices(rng, 10, 1)
-        base = RelationMatrices(
-            relation_names=("a",), matrices=tuple(mats), num_nodes=10
-        )
-        with pytest.raises(KeyError, match="ghost"):
-            append_relation_rows(base, 1, {"ghost": [(10, 0, 1.0)]})
-
-
 class TestSmallHelpers:
     @pytest.mark.parametrize("k", [1, 2, 4, 7, 9, 20])
     def test_row_sum_and_max(self, k):
@@ -763,7 +644,7 @@ def test_em_update_allocates_less_than_one_field():
     operator = PropagationOperator.wrap(problem.matrices)
     workspace = EMWorkspace(problem.num_nodes, problem.n_clusters)
     out = np.empty_like(theta)
-    plan = operator.block_plan(problem.n_clusters)
+    plan = BlockPlan.for_shape(problem.num_nodes, problem.n_clusters)
 
     def sweep():
         em_update(
@@ -1170,15 +1051,6 @@ class TestBlockPlan:
         assert plan.num_blocks == 0
         assert run_blocks(plan, lambda i, a, b: 1) == []
 
-    def test_grown_preserves_existing_bounds(self):
-        plan = BlockPlan(70, 32)  # blocks 0-32, 32-64, 64-70
-        grown = plan.grown(50)
-        assert grown.bounds[: plan.num_blocks] == plan.bounds
-        assert grown.num_rows == 120
-        assert grown.bounds[plan.num_blocks][0] == 70
-        assert grown.bounds[-1][1] == 120
-        assert plan.grown(0) is plan
-
     def test_observation_plan_scales_with_multiplicity(self):
         dense = plan_for_observations(10000, 4, 10000 * 50)
         sparse_plan = plan_for_observations(10000, 4, 10000)
@@ -1253,47 +1125,6 @@ class TestBlockedParallelEquivalence:
         np.testing.assert_array_equal(
             out, operator.combined(gamma) @ theta
         )
-
-    def test_grown_operator_blocked_propagate(self, small_blocks):
-        """The patched operator's grown plan + blocked propagate must
-        equal a fresh rebuild."""
-        from repro.hin.views import (
-            RelationMatrices,
-            append_relation_rows,
-            extend_relation_matrices,
-        )
-
-        rng = np.random.default_rng(3)
-        n, m, k = 24, 7, 3
-        mats = random_matrices(rng, n, 2)
-        names = ("a", "b")
-        base = RelationMatrices(
-            relation_names=names, matrices=tuple(mats), num_nodes=n
-        )
-        base_plan = base.block_plan(k)  # cached plan grow must patch
-        assert base_plan.num_blocks > 1
-        links = {
-            name: [
-                (
-                    int(rng.integers(n, n + m)),
-                    int(rng.integers(0, n + m)),
-                    float(rng.random()) + 0.1,
-                )
-                for _ in range(6)
-            ]
-            for name in names
-        }
-        patched = append_relation_rows(base, m, links)
-        rebuilt = extend_relation_matrices(base, m, links)
-        grown_plan = patched.block_plan(k)
-        assert grown_plan.num_rows == n + m
-        assert grown_plan.bounds[: base_plan.num_blocks] == base_plan.bounds
-        theta = rng.dirichlet(np.ones(k), size=n + m)
-        gamma = rng.random(2) * 2
-        reference = rebuilt.operator.combined(gamma) @ theta
-        out = np.empty((n + m, k))
-        patched.operator.propagate(theta, gamma, out=out, plan=grown_plan)
-        np.testing.assert_array_equal(out, reference)
 
     @pytest.mark.parametrize(
         "seed,kwargs",

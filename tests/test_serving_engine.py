@@ -366,6 +366,28 @@ class TestScoreMany:
                 [{"object_type": "user"}, {"object_type": "user", field: value}]
             )
 
+    @pytest.mark.parametrize(
+        "links, complaint",
+        [([5], "link 5 must be"), ([None], "link None must be"),
+         (["ab"], "link 'ab' must be"), ([["writes"]], "must be"),
+         ([("writes", "blog0_0", 1.0, 2.0)], "must be"),
+         (5, "links must be a list"), ("ab", "links must be a list"),
+         ({"writes": "blog0_0"}, "links must be a list"),
+         (0, "links must be a list")],
+    )
+    def test_malformed_links_name_query(self, engine, links, complaint):
+        with pytest.raises(ServingError, match=f"query #1: .*{complaint}"):
+            engine.score_many(
+                [{"object_type": "user"},
+                 {"object_type": "user", "links": links}]
+            )
+        with pytest.raises(ServingError, match=f"^query: .*{complaint}"):
+            engine.query("user", links=links)
+        with pytest.raises(ServingError, match=f"node 'x': .*{complaint}"):
+            NewNode("x", "user", links=links)
+        # a well-formed query still scores afterwards
+        assert engine.score_many([{"object_type": "user"}])[0].shape == (2,)
+
 
 class TestInfo:
     def test_info_shape(self, engine):

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hin.builder import NetworkBuilder
-from repro.hin.views import (
-    build_relation_matrices,
-    empty_relation_matrices,
-    extend_relation_matrices,
-)
+from repro.hin.views import build_relation_matrices
 
 
 @pytest.fixture
@@ -62,9 +58,6 @@ class TestBuildRelationMatrices:
         net = builder.build()
         mats = build_relation_matrices(net)
         assert "coauthor" not in mats.relation_names
-        mats_full = build_relation_matrices(net, include_empty=True)
-        assert "coauthor" in mats_full.relation_names
-        assert mats_full.matrix("coauthor").nnz == 0
 
     def test_index_of_unknown_relation(self, network):
         mats = build_relation_matrices(network)
@@ -112,79 +105,6 @@ class TestBuildRelationMatrices:
             expected[i] += edge.weight * theta[j] * 1.0  # gamma == 1
         combined = sum(m @ theta for m in mats.matrices)
         np.testing.assert_allclose(combined, expected)
-
-
-class TestExtendRelationMatrices:
-    def test_empty_relation_matrices(self):
-        mats = empty_relation_matrices(("r1", "r2"), 4)
-        assert mats.relation_names == ("r1", "r2")
-        assert mats.num_nodes == 4
-        for mat in mats.matrices:
-            assert mat.shape == (4, 4)
-            assert mat.nnz == 0
-
-    def test_extension_preserves_base_entries(self, network):
-        base = build_relation_matrices(network)
-        extended = extend_relation_matrices(base, 2, {})
-        assert extended.num_nodes == 5
-        assert extended.relation_names == base.relation_names
-        for old, new in zip(base.matrices, extended.matrices):
-            np.testing.assert_allclose(
-                new.toarray()[:3, :3], old.toarray()
-            )
-            assert new.nnz == old.nnz
-
-    def test_extension_appends_delta_links(self, network):
-        base = build_relation_matrices(network)
-        extended = extend_relation_matrices(
-            base,
-            2,
-            {"coauthor": [(3, 0, 2.5), (3, 4, 1.0), (3, 4, 1.0)]},
-        )
-        coauthor = extended.matrix("coauthor").toarray()
-        assert coauthor[3, 0] == 2.5
-        assert coauthor[3, 4] == 2.0  # repeated pairs accumulate
-        # base block unchanged
-        assert coauthor[0, 1] == 2.0
-
-    def test_matches_full_recompile(self, network):
-        """Extending must equal rebuilding from the grown network."""
-        base = build_relation_matrices(network)
-        network.add_node("a3", "author")
-        network.add_node("c2", "conf")
-        network.add_edge("a3", "c2", "publish_in", weight=4.0)
-        network.add_edge("a3", "a1", "coauthor", weight=1.5)
-        recompiled = build_relation_matrices(network)
-        extended = extend_relation_matrices(
-            base,
-            2,
-            {
-                "publish_in": [(3, 4, 4.0)],
-                "coauthor": [(3, 0, 1.5)],
-            },
-        )
-        for name in base.relation_names:
-            np.testing.assert_allclose(
-                extended.matrix(name).toarray(),
-                recompiled.matrix(name).toarray(),
-            )
-
-    def test_unknown_relation_raises(self, network):
-        base = build_relation_matrices(network)
-        with pytest.raises(KeyError, match="no matrix"):
-            extend_relation_matrices(base, 1, {"cites": [(3, 0, 1.0)]})
-
-    def test_out_of_range_endpoint_raises(self, network):
-        base = build_relation_matrices(network)
-        with pytest.raises(IndexError, match="endpoints"):
-            extend_relation_matrices(
-                base, 1, {"coauthor": [(3, 9, 1.0)]}
-            )
-
-    def test_negative_new_node_count_raises(self, network):
-        base = build_relation_matrices(network)
-        with pytest.raises(ValueError, match=">= 0"):
-            extend_relation_matrices(base, -1, {})
 
 
 class TestRowSlicing:
