@@ -15,6 +15,13 @@ subpackages hold the full system:
 * :mod:`repro.serving` -- model artifacts, online fold-in inference,
   and the query engine (``python -m repro.serving``).
 
+The re-exports are lazy (PEP 562 ``__getattr__``): ``import repro``
+loads nothing, and each name imports its defining module on first
+access.  That is what keeps a serving process light -- ``python -m
+repro.serving serve`` and its shard workers import neither scipy nor
+the training stack (:mod:`repro.core.genclus` and the solver modules
+behind it); those load when something first fits or promotes.
+
 Quickstart::
 
     from repro import GenClus, GenClusConfig, NetworkBuilder, TextAttribute
@@ -29,27 +36,36 @@ Quickstart::
     print(result.strengths())
 """
 
-from repro.core.config import GenClusConfig
-from repro.core.genclus import GenClus
-from repro.core.result import GenClusResult
-from repro.core.state import ModelState
-from repro.exceptions import (
-    AttributeSpecError,
-    ConfigError,
-    ConvergenceError,
-    NetworkError,
-    ReproError,
-    SchemaError,
-    SerializationError,
-    ServingError,
-    StateError,
-)
-from repro.hin.attributes import NumericAttribute, TextAttribute
-from repro.hin.builder import NetworkBuilder
-from repro.hin.io import load_network, save_network
-from repro.hin.network import HeterogeneousNetwork
-from repro.hin.schema import NetworkSchema
-from repro.serving import InferenceEngine, ModelArtifact, NewNode
+from repro._lazy import lazy_exports
+
+# name -> defining module, imported on first access
+_EXPORTS = {
+    "GenClusConfig": "repro.core.config",
+    "GenClus": "repro.core.genclus",
+    "GenClusResult": "repro.core.result",
+    "ModelState": "repro.core.state",
+    "AttributeSpecError": "repro.exceptions",
+    "ConfigError": "repro.exceptions",
+    "ConvergenceError": "repro.exceptions",
+    "NetworkError": "repro.exceptions",
+    "ReproError": "repro.exceptions",
+    "SchemaError": "repro.exceptions",
+    "SerializationError": "repro.exceptions",
+    "ServingError": "repro.exceptions",
+    "StateError": "repro.exceptions",
+    "NumericAttribute": "repro.hin.attributes",
+    "TextAttribute": "repro.hin.attributes",
+    "NetworkBuilder": "repro.hin.builder",
+    "load_network": "repro.hin.io",
+    "save_network": "repro.hin.io",
+    "HeterogeneousNetwork": "repro.hin.network",
+    "NetworkSchema": "repro.hin.schema",
+    "InferenceEngine": "repro.serving.engine",
+    "ModelArtifact": "repro.serving.artifact",
+    "NewNode": "repro.serving.foldin",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 

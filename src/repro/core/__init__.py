@@ -24,22 +24,29 @@ and the iterative algorithm of Section 4:
 The user-facing entry point is :class:`~repro.core.genclus.GenClus`.
 """
 
-from repro.core.config import GenClusConfig
-from repro.core.diagnostics import IterationRecord, RunHistory
-from repro.core.feature import (
-    cross_entropy,
-    feature_function,
-    structural_consistency,
+from repro._lazy import lazy_exports
+
+# name -> defining module, imported on first access: importing
+# ``repro.core`` (as every ``repro.core.*`` import does) loads nothing
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "GenClusConfig": "repro.core.config",
+        "IterationRecord": "repro.core.diagnostics",
+        "RunHistory": "repro.core.diagnostics",
+        "cross_entropy": "repro.core.feature",
+        "feature_function": "repro.core.feature",
+        "structural_consistency": "repro.core.feature",
+        "GenClus": "repro.core.genclus",
+        "BlockPlan": "repro.core.kernels",
+        "EMWorkspace": "repro.core.kernels",
+        "PropagationOperator": "repro.core.kernels",
+        "ClusteringProblem": "repro.core.problem",
+        "compile_problem": "repro.core.problem",
+        "GenClusResult": "repro.core.result",
+        "ModelState": "repro.core.state",
+    },
 )
-from repro.core.genclus import GenClus
-from repro.core.kernels import (
-    BlockPlan,
-    EMWorkspace,
-    PropagationOperator,
-)
-from repro.core.problem import ClusteringProblem, compile_problem
-from repro.core.result import GenClusResult
-from repro.core.state import ModelState
 
 __all__ = [
     "BlockPlan",

@@ -24,6 +24,9 @@ number of links" claim):
    field (a test pins this at DBLP size); what remains is ``(K, vocab)``
    parameters, a block's Gaussian owner sums, the indices of all-zero
    rows, and numpy's fixed-size buffer for the broadcast row divide.
+   scipy is imported on first use: serving fold-in multiplies its few
+   batch rows with :func:`csr_rows_product`, the same sums in numpy
+   alone, so a serving process never loads scipy.
 
 Both pieces are exact algebraic rewrites: equivalence to the reference
 per-relation implementations is asserted to ``rtol=1e-10`` (the
@@ -49,18 +52,67 @@ categorical E+M pass: bit for bit) in ``tests/test_kernels_equivalence.py``.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.special import zeta as _zeta
 
-try:  # scipy's C kernel for Y += A @ X (stable private API; guarded)
-    from scipy.sparse import _sparsetools as _st
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
 
-    _CSR_MATVECS = getattr(_st, "csr_matvecs", None)
-    _CSC_MATVECS = getattr(_st, "csc_matvecs", None)
-except ImportError:  # pragma: no cover - scipy always ships it today
-    _CSR_MATVECS = _CSC_MATVECS = None
+
+@cache
+def _matvecs() -> tuple:
+    """scipy's C kernels for ``Y += A @ X`` as ``(csr_matvecs,
+    csc_matvecs)`` (a stable private API; ``None`` where missing).
+    Imported on first use: only training multiplies with them, and a
+    serving process never loads scipy."""
+    try:
+        from scipy.sparse import _sparsetools as st
+    except ImportError:  # pragma: no cover - scipy always ships it today
+        return None, None
+    return (
+        getattr(st, "csr_matvecs", None),
+        getattr(st, "csc_matvecs", None),
+    )
+
+
+def csr_rows_product(
+    indptr: np.ndarray,
+    columns: np.ndarray,
+    data: np.ndarray,
+    dense: np.ndarray,
+    start: int = 0,
+    stop: int | None = None,
+) -> np.ndarray:
+    """``A[start:stop] @ dense`` for a CSR ``A = (indptr, columns,
+    data)``, in numpy alone; returns a fresh ``(stop - start, K)``
+    array.
+
+    Bit-identical to scipy's ``csr_matvecs`` into a zeroed output (what
+    :func:`csr_matmul_rows` runs): every stored entry contributes
+    ``data[j] * dense[columns[j], k]``, and one flat ``bincount`` over
+    the ``row * K + k`` slots adds each slot's contributions to ``0.0``
+    sequentially in entry order -- the C kernel's order.  Duplicate
+    cells stay separate terms and empty rows come out ``0.0``, as
+    there.  Meant for short row ranges (a fold-in batch); a fitted
+    network's products keep the C kernel.
+    """
+    if stop is None:
+        stop = indptr.size - 1
+    k = dense.shape[1]
+    lo, hi = int(indptr[start]), int(indptr[stop])
+    if lo == hi:  # bincount would return integer zeros
+        return np.zeros((stop - start, k))
+    rows = np.repeat(
+        np.arange(stop - start, dtype=np.intp),
+        np.diff(indptr[start : stop + 1]),
+    )
+    terms = data[lo:hi, None] * np.take(dense, columns[lo:hi], axis=0)
+    slots = (rows * k)[:, None] + np.arange(k, dtype=np.intp)
+    return np.bincount(
+        slots.ravel(), weights=terms.ravel(), minlength=(stop - start) * k
+    ).reshape(stop - start, k)
 
 
 def _c_kernel_fits(matrix, dense: np.ndarray, out: np.ndarray) -> bool:
@@ -104,8 +156,9 @@ def csr_matmul_rows(
     sub_out = out[start:stop]
     if not accumulate:
         sub_out[...] = 0.0
-    if _CSR_MATVECS is not None and _c_kernel_fits(matrix, dense, out):
-        _CSR_MATVECS(
+    csr_matvecs = _matvecs()[0]
+    if csr_matvecs is not None and _c_kernel_fits(matrix, dense, out):
+        csr_matvecs(
             stop - start,
             matrix.shape[1],
             dense.shape[1],
@@ -129,10 +182,11 @@ def csr_rmatmul_rows(
     in matrix-row order (across calls too, when ranges come in order),
     the order of scipy's own ``dense.T @ matrix``."""
     dense = dense[start:stop]
-    if _CSC_MATVECS is None or not _c_kernel_fits(matrix, dense, out):
+    csc_matvecs = _matvecs()[1]
+    if csc_matvecs is None or not _c_kernel_fits(matrix, dense, out):
         out += (dense.T @ matrix[start:stop]).T  # pragma: no cover
         return out
-    _CSC_MATVECS(
+    csc_matvecs(
         matrix.shape[1], stop - start, dense.shape[1],
         matrix.indptr[start : stop + 1], matrix.indices, matrix.data,
         dense.ravel(), out.ravel(),
@@ -263,6 +317,8 @@ def _union_pattern(
     position of matrix ``r``'s ``i``-th stored entry inside the union's
     data array (entries in canonical CSR order).
     """
+    from scipy import sparse
+
     n_rows, n_cols = shape
     union: sparse.csr_matrix | None = None
     for matrix in matrices:
@@ -320,6 +376,8 @@ class PropagationOperator:
         matrices: Sequence[sparse.spmatrix],
         shape: tuple[int, int] | None = None,
     ) -> None:
+        from scipy import sparse
+
         canonical: list[sparse.csr_matrix] = []
         for matrix in matrices:
             csr = sparse.csr_matrix(matrix, dtype=np.float64, copy=False)
@@ -476,7 +534,9 @@ def trigamma_ge1(
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size and float(np.min(x)) < 1.0:  # pragma: no cover - guard
-        return _zeta(2.0, x, out=out)
+        from scipy.special import zeta
+
+        return zeta(2.0, x, out=out)
     if out is None:
         out = np.empty_like(x)
     z = x.copy()

@@ -9,7 +9,7 @@ read and write instead:
 * **Training** -- ``GenClus.fit_problem(..., warm_start=state)`` starts
   Algorithm 1 from the state's theta/gamma/attribute parameters instead
   of re-initializing, and :meth:`ModelState.from_result` captures a
-  finished fit (including its network and link views).
+  finished fit (including its network).
 * **Serving** -- the engine's durable deltas
   (:meth:`append_extensions`, link deltas, eviction) mutate the state's
   extension space: a doubling-capacity theta buffer plus live node
@@ -56,7 +56,7 @@ from repro.core.problem import ClusteringProblem
 from repro.exceptions import StateError
 from repro.hin.attributes import TextAttribute
 from repro.hin.network import HeterogeneousNetwork
-from repro.hin.views import RelationMatrices, build_relation_matrices
+from repro.hin.views import build_relation_matrices
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving)
     from repro.core.result import GenClusResult
@@ -93,9 +93,6 @@ class ModelState:
         The base network.  Refit-capable states carry its training
         links and attribute tables; serve-only states have nodes and
         schema only.
-    matrices:
-        The base link views (``None`` for serve-only states).  Their
-        cached propagation operator is shared with every consumer.
     theta:
         ``(n, K)`` base memberships (copied into the growable buffer).
     gamma:
@@ -111,12 +108,12 @@ class ModelState:
         Whether the state holds enough training data to re-run
         Algorithm 1 (links + observations).
     hydrator:
-        Optional zero-argument callable returning ``(network,
-        matrices)`` with the full training data, invoked on first
-        refit-path use.  Lets a refit-capable state defer decoding its
-        training payload (per-edge / per-observation loops) until
-        :meth:`to_problem` actually needs it -- a serving engine that
-        never promotes pays only the ``O(nK)`` array load.
+        Optional zero-argument callable returning the base network
+        with its full training data, invoked on first refit-path use.
+        Lets a refit-capable state defer decoding its training payload
+        (per-edge / per-observation loops) until :meth:`to_problem`
+        actually needs it -- a serving engine that never promotes pays
+        only the ``O(nK)`` array load.
     copy_theta:
         With the default ``True`` the state owns a private copy of
         ``theta``.  ``False`` adopts the passed buffer **as is** --
@@ -138,7 +135,6 @@ class ModelState:
     def __init__(
         self,
         network: HeterogeneousNetwork,
-        matrices: RelationMatrices | None,
         theta: np.ndarray,
         gamma: np.ndarray,
         relation_names: tuple[str, ...],
@@ -161,22 +157,8 @@ class ModelState:
                 f"gamma has shape {gamma.shape} but there are "
                 f"{len(relation_names)} relations"
             )
-        if refit_capable and matrices is None and hydrator is None:
-            raise StateError(
-                "a refit-capable state requires its link views (or a "
-                "hydrator that can supply them)"
-            )
         self._hydrator = hydrator
-        if matrices is not None and (
-            matrices.relation_names != tuple(relation_names)
-            or matrices.num_nodes != network.num_nodes
-        ):
-            raise StateError(
-                "link views disagree with the state's relation list or "
-                "node count"
-            )
         self.network = network
-        self.matrices = matrices
         self.gamma = gamma.copy()
         self.relation_names = tuple(relation_names)
         self.attribute_names = tuple(attribute_names)
@@ -225,18 +207,19 @@ class ModelState:
         refit_capable = training_data_available(
             network, attribute_names, result.relation_names
         )
-        matrices = None
         if refit_capable:
-            matrices = build_relation_matrices(network)
-            if matrices.relation_names != tuple(result.relation_names):
+            linked = tuple(
+                name
+                for name in network.schema.relation_names
+                if network.num_edges(name)
+            )
+            if linked != tuple(result.relation_names):
                 raise StateError(
-                    f"network link views yield relations "
-                    f"{matrices.relation_names} but the fit recorded "
-                    f"{tuple(result.relation_names)}"
+                    f"network links yield relations {linked} but the "
+                    f"fit recorded {tuple(result.relation_names)}"
                 )
         return cls(
             network=network,
-            matrices=matrices,
             theta=result.theta,
             gamma=result.gamma,
             relation_names=tuple(result.relation_names),
@@ -250,10 +233,10 @@ class ModelState:
         dropped.
 
         The clone *shares* the immutable base containers -- network,
-        link views (with their cached operator), attribute parameters,
-        and the deferred hydrator -- and owns a private copy of the
-        base theta rows, so growing the clone (``append_extensions``,
-        ``to_problem``) never disturbs this state.  This is how a
+        attribute parameters, and the deferred hydrator -- and owns a
+        private copy of the base theta rows, so growing the clone
+        (``append_extensions``, ``to_problem``) never disturbs this
+        state.  This is how a
         serving cluster assembles the single-engine reference state for
         a cluster-wide refit without mutating the base it keeps
         serving from.
@@ -261,7 +244,6 @@ class ModelState:
         self._materialize_base()
         clone = ModelState(
             network=self.network,
-            matrices=self.matrices,
             theta=self._theta_buf[: self._num_base],
             gamma=self.gamma,
             relation_names=self.relation_names,
@@ -281,8 +263,7 @@ class ModelState:
         membership reads, eviction, and promotion accounting lives with
         the owner) plus a private, independently growable extension
         space, while **sharing** the frozen base read-only: the network,
-        the link views with their cached operator, gamma, the attribute
-        component parameters, and -- crucially -- the base theta rows,
+        gamma, the attribute component parameters, and -- crucially -- the base theta rows,
         which every shard's fold-in reads as one zero-copy buffer view
         (a transient query may link to *any* base node, so the frozen
         membership rows must stay visible cluster-wide).  The first
@@ -345,7 +326,6 @@ class ModelState:
         # a private buffer
         shard = ModelState(
             network=self.network,
-            matrices=self.matrices,
             theta=self._theta_buf[: self._num_base],
             gamma=self.gamma,
             relation_names=self.relation_names,
@@ -701,40 +681,39 @@ class ModelState:
     def _ensure_hydrated(self) -> None:
         """Decode the deferred training payload on first refit use.
 
-        Swaps in the hydrator's full network + link views.  The node
-        set and order are identical to the serve-time network, so the
-        live extension containers (index/type maps, theta buffer) stay
-        valid untouched.
+        Swaps in the hydrator's full network.  The node set and order
+        are identical to the serve-time network, so the live extension
+        containers (index/type maps, theta buffer) stay valid
+        untouched.
         """
         if self._hydrator is None:
             return
-        network, matrices = self._hydrator()
+        network = self._hydrator()
         self._hydrator = None
         if network.num_nodes != self._num_base:
             raise StateError(  # pragma: no cover - defensive
                 "hydrated network node count disagrees with the state"
             )
-        if matrices is not None and (
-            matrices.relation_names != self.relation_names
-            or matrices.num_nodes != self._num_base
-        ):
-            raise StateError(  # pragma: no cover - defensive
-                "hydrated link views disagree with the state's "
-                "relation list or node count"
-            )
         self.network = network
-        self.matrices = matrices
 
     def hydrate(self) -> None:
         """Decode any deferred training payload now (idempotent).
 
-        Artifact-backed states defer rebuilding their link views until
-        the refit path needs them; callers that want the views earlier
-        -- e.g. the ``shard-plan`` CLI reporting per-shard link load --
-        can force the decode here.  Serve-only states are untouched.
+        Artifact-backed states defer rebuilding their training network
+        until the refit path needs it; callers that want its links
+        earlier -- e.g. the ``shard-plan`` CLI reporting per-shard link
+        load -- can force the decode here.  Serve-only states are
+        untouched.
         """
         if self.refit_capable:
             self._ensure_hydrated()
+
+    @property
+    def hydrated(self) -> bool:
+        """Whether :attr:`network` carries the training links and
+        observations: a refit-capable state whose deferred payload (if
+        any) has been decoded."""
+        return self.refit_capable and self._hydrator is None
 
     def materialize_network(self) -> HeterogeneousNetwork:
         """Base + extensions as one standalone network.

@@ -20,20 +20,32 @@ Public entry points:
   and the JSON file helpers -- serialization.
 """
 
-from repro.hin.attributes import (
-    AttributeKind,
-    AttributeSpec,
-    CompiledNumericAttribute,
-    CompiledTextAttribute,
-    NumericAttribute,
-    TextAttribute,
+from repro._lazy import lazy_exports
+
+# name -> defining module, imported on first access: importing
+# ``repro.hin`` (as every ``repro.hin.*`` import does) loads nothing
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "AttributeKind": "repro.hin.attributes",
+        "AttributeSpec": "repro.hin.attributes",
+        "CompiledNumericAttribute": "repro.hin.attributes",
+        "CompiledTextAttribute": "repro.hin.attributes",
+        "NumericAttribute": "repro.hin.attributes",
+        "TextAttribute": "repro.hin.attributes",
+        "NetworkBuilder": "repro.hin.builder",
+        "HeterogeneousNetwork": "repro.hin.network",
+        "NetworkSchema": "repro.hin.schema",
+        "ObjectType": "repro.hin.schema",
+        "RelationType": "repro.hin.schema",
+        "NetworkStats": "repro.hin.stats",
+        "network_stats": "repro.hin.stats",
+        "ValidationIssue": "repro.hin.validation",
+        "validate_network": "repro.hin.validation",
+        "RelationMatrices": "repro.hin.views",
+        "build_relation_matrices": "repro.hin.views",
+    },
 )
-from repro.hin.builder import NetworkBuilder
-from repro.hin.network import HeterogeneousNetwork
-from repro.hin.schema import NetworkSchema, ObjectType, RelationType
-from repro.hin.stats import NetworkStats, network_stats
-from repro.hin.validation import ValidationIssue, validate_network
-from repro.hin.views import RelationMatrices, build_relation_matrices
 
 __all__ = [
     "AttributeKind",

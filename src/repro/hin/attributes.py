@@ -20,12 +20,15 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.exceptions import AttributeSpecError
 from repro.hin.columns import SummedLog
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
 
 
 class AttributeKind(enum.Enum):
@@ -195,6 +198,8 @@ class TextAttribute:
         """Merge row ``i`` of the sparse ``counts`` (columns are this
         table's term ids) into ``nodes[i]``'s bag as :meth:`add_counts`
         would; a rejected batch merges nothing."""
+        from scipy import sparse
+
         counts = sparse.csr_matrix(counts, dtype=np.float64)
         if counts.shape != (len(nodes), self.vocab_size) or np.any(
             counts.data < 0
@@ -291,6 +296,8 @@ class TextAttribute:
                     f"{node!r} which is not in the network"
                 )
             indices.append(node_index[node])
+        from scipy import sparse
+
         counts = sparse.csr_matrix(
             (
                 values[positive],

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.hin.network import HeterogeneousNetwork
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -80,47 +83,6 @@ class RelationMatrices:
             self.matrices, shape=(self.num_nodes, self.num_nodes)
         )
 
-    def row_slice(
-        self, start: int, stop: int
-    ) -> tuple[sparse.csr_matrix, ...]:
-        """Per-relation ``(stop - start, num_nodes)`` CSR row blocks.
-
-        The shard view of these matrices: row ``i`` of each block is
-        global row ``start + i``, columns stay in the global index
-        space.  Built from index-pointer arithmetic alone -- the
-        ``data`` and ``indices`` arrays are shared with the full
-        matrices, so slicing a shard's rows out of a large network
-        costs ``O(rows)``, not ``O(nnz)``.
-        """
-        if not 0 <= start <= stop <= self.num_nodes:
-            raise ValueError(
-                f"row range [{start}, {stop}) must lie within "
-                f"0..{self.num_nodes}"
-            )
-        blocks = []
-        for mat in self.matrices:
-            indptr = mat.indptr[start : stop + 1] - mat.indptr[start]
-            lo, hi = mat.indptr[start], mat.indptr[stop]
-            blocks.append(
-                sparse.csr_matrix(
-                    (mat.data[lo:hi], mat.indices[lo:hi], indptr),
-                    shape=(stop - start, self.num_nodes),
-                )
-            )
-        return tuple(blocks)
-
-    def row_link_counts(self, start: int, stop: int) -> dict[str, int]:
-        """Stored links originating in rows ``[start, stop)``, per
-        relation -- the out-link load a shard owning those rows
-        carries (reported by ``ShardPlan.describe`` and the
-        ``shard-plan`` CLI)."""
-        return {
-            name: int(block.nnz)
-            for name, block in zip(
-                self.relation_names, self.row_slice(start, stop)
-            )
-        }
-
     def out_weight_totals(self) -> np.ndarray:
         """``(n, R)`` array: total out-link weight per node per relation."""
         totals = np.zeros((self.num_nodes, self.num_relations))
@@ -143,6 +105,8 @@ class RelationMatrices:
                 f"expected {self.num_relations} weights, "
                 f"got shape {weights.shape}"
             )
+        from scipy import sparse
+
         total = sparse.csr_matrix(
             (self.num_nodes, self.num_nodes), dtype=np.float64
         )
@@ -161,6 +125,8 @@ def build_relation_matrices(network: HeterogeneousNetwork) -> RelationMatrices:
     network's link columns: this is the only way views are made, for a
     fresh fit and for a refit over a grown network alike.
     """
+    from scipy import sparse
+
     names: list[str] = []
     mats: list[sparse.csr_matrix] = []
     n = network.num_nodes

@@ -826,8 +826,8 @@ def _run_score(args: argparse.Namespace) -> int:
 
 def _run_shard_plan(args: argparse.Namespace) -> int:
     state = ModelArtifact.load(args.artifact).to_state()
-    # link views make the per-shard load column possible; serve-only
-    # bundles still get the row split
+    # the training links make the per-shard load column possible;
+    # serve-only bundles still get the row split
     state.hydrate()
     plan = ShardPlan.from_state(state, args.shards)
     summary = plan.describe(state)

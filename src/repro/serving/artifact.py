@@ -68,7 +68,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.diagnostics import IterationRecord, RunHistory
 from repro.core.result import GenClusResult
@@ -454,7 +453,6 @@ class ModelArtifact:
         integrity = self.integrity
         return ModelState(
             network=self._build_network(include_training_data=False),
-            matrices=None,
             theta=self.theta if self.mapped else self.theta.copy(),
             gamma=self.gamma.copy(),
             relation_names=self.relation_names,
@@ -462,7 +460,7 @@ class ModelArtifact:
             attribute_params=_copy_params(self.attribute_params),
             refit_capable=self.refit_capable,
             hydrator=(
-                self._hydrated_views if self.refit_capable else None
+                self._hydrated_network if self.refit_capable else None
             ),
             copy_theta=not self.mapped,
             on_materialize=(
@@ -486,17 +484,14 @@ class ModelArtifact:
             self._restore_training_data(network)
         return network
 
-    def _hydrated_views(self):
-        """The deferred refit payload: full training network plus its
-        link views."""
-        from repro.hin.views import build_relation_matrices
-
+    def _hydrated_network(self) -> HeterogeneousNetwork:
+        """The deferred refit payload: the full training network (the
+        refit builds its link views from the materialized network)."""
         # hydration reads the whole training payload: settle the
         # deferred edge/observation checksums of a mapped bundle first
         if self.integrity is not None:
             self.integrity.verify_prefix("edges/", "obs/")
-        network = self._build_network(include_training_data=True)
-        return network, build_relation_matrices(network)
+        return self._build_network(include_training_data=True)
 
     def _restore_training_data(
         self, network: HeterogeneousNetwork
@@ -506,6 +501,8 @@ class ModelArtifact:
         is the rebuilt network's own index order)."""
         for name, (sources, targets, weights) in self.edges.items():
             network.add_edge_arrays(name, sources, targets, weights)
+        from scipy import sparse
+
         ids = self.node_ids
         for name, payload in self.observations.items():
             nodes = [ids[i] for i in payload["node_indices"].tolist()]

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.exceptions import ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -87,13 +89,20 @@ class ShardPlan:
     ) -> dict[str, Any]:
         """A JSON-ready summary of the plan.
 
-        With a ``state`` whose link views are materialized, each
-        shard's entry also reports the out-link load its rows carry
-        (via :meth:`~repro.hin.views.RelationMatrices.row_link_counts`,
-        pure index-pointer arithmetic) -- the imbalance signal an
-        operator reads before committing to a shard count.
+        With a ``state`` whose network carries its training links
+        (:attr:`~repro.core.state.ModelState.hydrated`), each shard's
+        entry also reports the out-link load its rows carry: per
+        relation, the distinct links whose source row the shard owns,
+        counted from the network's edge columns -- the imbalance signal
+        an operator reads before committing to a shard count.
         """
-        matrices = state.matrices if state is not None else None
+        sources = None
+        if state is not None and state.hydrated:
+            network = state.network
+            sources = {
+                name: network.edge_arrays(name)[0]
+                for name in state.relation_names
+            }
         shards = []
         for shard in range(self.n_shards):
             start, end = self.rows_of(shard)
@@ -102,8 +111,13 @@ class ShardPlan:
                 "rows": [start, end],
                 "num_rows": end - start,
             }
-            if matrices is not None:
-                links = matrices.row_link_counts(start, end)
+            if sources is not None:
+                links = {
+                    name: int(
+                        np.count_nonzero((rows >= start) & (rows < end))
+                    )
+                    for name, rows in sources.items()
+                }
                 entry["links"] = links
                 entry["total_links"] = int(sum(links.values()))
             shards.append(entry)

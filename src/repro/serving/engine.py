@@ -54,7 +54,6 @@ import numpy as np
 
 from repro.core import topk
 from repro.core.config import GenClusConfig
-from repro.core.genclus import GenClus
 from repro.core.result import GenClusResult
 from repro.core.state import ModelState
 from repro.exceptions import ServingError
@@ -248,7 +247,7 @@ def promote_state(
     warm-started from the served theta/gamma/attribute parameters.
     Returns ``(result, promoted_state)`` where the promoted state is a fresh
     refit-capable base with an empty extension space, reusing the
-    materialized problem's network and link views.
+    materialized problem's network.
 
     Promotion is **transactional**: the candidate is built entirely off
     to the side and validated -- every learned parameter finite, the
@@ -277,6 +276,10 @@ def promote_state(
             f"promote config has n_clusters={config.n_clusters}, "
             f"but the served model has K={state.n_clusters}"
         )
+    # the training stack (and scipy with it) loads only when a promote
+    # refits: a serving process that never promotes never imports it
+    from repro.core.genclus import GenClus
+
     problem = state.to_problem()
     result = GenClus(config).fit_problem(
         problem, warm_start=state, obs=obs
@@ -287,7 +290,6 @@ def promote_state(
     _validate_candidate(theta, result)
     promoted = ModelState(
         network=problem.network,
-        matrices=problem.matrices,
         theta=theta,
         gamma=result.gamma,
         relation_names=problem.matrices.relation_names,
@@ -344,8 +346,9 @@ class ServingFrontEnd:
 
     A subclass serves the base model of ``self._state`` and provides
     ``obs``, ``_metrics``, ``_faults``, ``num_extension_nodes``,
-    ``query``, ``score_many``, ``membership_of``, ``_handle_of`` (the
-    engine holding a node's row) and ``_rank`` (scan and merge one
+    ``query``, ``score_many``, ``membership_of``, ``_shard_of`` (the
+    shard holding a node's row), ``_shard_handle`` (that shard's
+    engine or handle) and ``_rank`` (scan and merge one
     similarity batch); the shape properties, the derived front-end
     methods, the similarity frame and promote accounting are defined
     here once.
@@ -438,14 +441,29 @@ class ServingFrontEnd:
         over theta regardless of its size -- ``O(n*K + n)`` per batch,
         never materializing an ``(m, n)`` score matrix.  The
         shortlists merge under the global total order
-        (:func:`resolve_shortlists`).
+        (:func:`resolve_shortlists`).  The query vectors come from one
+        :meth:`~InferenceEngine.served_vectors` call per owner shard,
+        in shard order.
         """
         metric = _resolve_metric(metric)
-        queries = []
-        for node in nodes:
-            vector, node_type = self._handle_of(node).served_vector(node)
-            name = object_type if object_type is not None else node_type
-            queries.append((vector, name, {node}))
+        nodes = list(nodes)
+        positions: dict[int, list[int]] = {}
+        for position, node in enumerate(nodes):
+            positions.setdefault(self._shard_of(node), []).append(position)
+        vectors = np.empty((len(nodes), self.n_clusters))
+        node_types: list[str] = [""] * len(nodes)
+        for shard in sorted(positions):
+            owned = positions[shard]
+            rows, names = self._shard_handle(shard).served_vectors(
+                [nodes[position] for position in owned]
+            )
+            vectors[owned] = rows
+            for position, name in zip(owned, names):
+                node_types[position] = name
+        queries = [
+            (vector, object_type if object_type is not None else name, {node})
+            for vector, name, node in zip(vectors, node_types, nodes)
+        ]
         return self._similarity("similar_many", queries, k, metric)
 
     def suggest_links(
@@ -467,8 +485,8 @@ class ServingFrontEnd:
         cluster's shard states are serve-only slices).
         """
         metric = _resolve_metric(metric)
-        vector, target_type, linked = self._handle_of(
-            node
+        vector, target_type, linked = self._shard_handle(
+            self._shard_of(node)
         ).suggest_context(node, relation)
         if linked is None:
             linked = self._linked_targets(node, relation)
@@ -1010,7 +1028,7 @@ class InferenceEngine(ServingFrontEnd):
             ``repro_promote_rollbacks_total`` is incremented.
         """
         # rebase: the promoted fit is the new frozen base, over the
-        # materialized network and link views.
+        # materialized network.
         # The candidate is built and validated entirely off to the
         # side (promote_state); engine fields mutate only in commit,
         # so a failed refit cannot disturb serving.
@@ -1139,8 +1157,11 @@ class InferenceEngine(ServingFrontEnd):
     # ------------------------------------------------------------------
     # top-k similarity serving
     # ------------------------------------------------------------------
-    def _handle_of(self, node: object) -> InferenceEngine:
-        """The engine serves every row itself."""
+    def _shard_of(self, node: object) -> int:
+        """The engine serves every row itself: one shard, 0."""
+        return 0
+
+    def _shard_handle(self, shard: int) -> InferenceEngine:
         return self
 
     def _rank(
@@ -1268,16 +1289,18 @@ class InferenceEngine(ServingFrontEnd):
     # :class:`~repro.serving.transport.ProcessShardHandle` answers the
     # same calls over the wire, bit-identically.
     # ------------------------------------------------------------------
-    def served_vector(
-        self, node: object
-    ) -> tuple[np.ndarray, str]:
-        """``(theta_row_copy, node_type)`` of a served node -- the
-        payload a router needs to scatter a similarity query whose row
-        exists only on this shard."""
-        row = self._served_row(node)
+    def served_vectors(
+        self, nodes: Sequence[object]
+    ) -> tuple[np.ndarray, list[str]]:
+        """``(theta_rows_copy, node_types)`` of served nodes, in
+        ``nodes`` order -- the payload a router needs to scatter
+        similarity queries whose rows exist only on this shard.  The
+        first node not served here raises."""
+        rows = [self._served_row(node) for node in nodes]
+        types = self._model.node_types
         return (
-            np.array(self._model.theta[row], dtype=np.float64),
-            self._model.node_types[row],
+            np.array(self._model.theta[rows], dtype=np.float64),
+            [types[row] for row in rows],
         )
 
     def suggest_context(

@@ -31,16 +31,24 @@ of its sorted record slices.
 ``m`` new rows of the delta-extended index space are the only ones
 ever multiplied (frozen base rows never re-read their neighbours), so
 the link operator is built straight from the bound triplets
-(:func:`fused_link_operator`): one stable lexsort by (row, column,
-relation), sequential per-cell duplicate sums, ``gamma_r * w`` added
-into each cell in relation order -- bit-identical to assembling one
-canonical CSR per relation and accumulating them into their union
-pattern, without building a single per-relation sparse object.  Base
-columns give a constant term computed once; in-batch columns give the
-per-sweep operator.  Each fixed-point sweep is one sparse product plus
-one frozen-parameter responsibility pass per attribute --
-``O(K (|E_new| + |obs_new|))`` per iteration regardless of the fitted
-network's size.
+(:func:`fused_link_operator`) as plain ``(indptr, columns, data)``
+arrays: one stable lexsort by (row, column, relation), sequential
+per-cell duplicate sums, ``gamma_r * w`` added into each cell in
+relation order -- bit-identical to assembling one canonical CSR per
+relation and accumulating them into their union pattern, without
+building a single sparse matrix object.  Base columns give a constant
+term computed once; in-batch columns give the per-sweep operator.
+
+**One numpy row product.**  Every product of a fixed-point sweep -- the
+link operator times theta and the categorical ``ratio @ beta.T`` of
+:func:`~repro.core.attribute_models.categorical_theta_term` -- runs
+through :func:`~repro.core.kernels.csr_rows_product`: a flat
+``bincount`` over ``row * K + k`` slots that sums each slot in scipy's
+``csr_matvecs`` order, so memberships match the sparse product bit for
+bit while fold-in (and the serving processes around it) never imports
+scipy.  A sweep is that product plus one frozen-parameter
+responsibility pass per attribute -- ``O(K (|E_new| + |obs_new|))``
+per iteration regardless of the fitted network's size.
 """
 
 from __future__ import annotations
@@ -56,7 +64,6 @@ from functools import cached_property
 from typing import Any
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.attribute_models import (
     CountsPattern,
@@ -66,7 +73,7 @@ from repro.core.attribute_models import (
 from repro.core.kernels import (
     BlockPlan,
     EMWorkspace,
-    csr_matmul_rows,
+    csr_rows_product,
     normalize_update_block,
     row_max,
     run_blocks,
@@ -1243,10 +1250,11 @@ def fused_link_operator(
     columns: np.ndarray,
     weights: np.ndarray,
     gamma: np.ndarray,
-    shape: tuple[int, int],
-) -> sparse.csr_matrix:
-    """``sum_r gamma_r W_r`` as one canonical CSR, straight from
-    ``(row, relation, column, weight)`` link triplets.
+    num_rows: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sum_r gamma_r W_r`` over ``num_rows`` rows as one canonical
+    CSR's ``(indptr, columns, data)`` arrays, straight from ``(row,
+    relation, column, weight)`` link triplets.
 
     Bit-identical to building one canonical CSR per relation and
     accumulating ``gamma_r * data_r`` into their union pattern in
@@ -1259,14 +1267,11 @@ def fused_link_operator(
     contributions per cell, again sequentially.  (scipy sums a row's
     duplicates in input order only while the row holds at most 16
     entries -- its row sort is unstable beyond that; here the order is
-    always the input order.)
+    always the input order.)  The column count is implicit: the
+    product reads columns as rows of the dense operand.
     """
-    index = np.int32 if max(shape) < 2**31 else np.int64
     if not rows.size:
-        return sparse.csr_matrix(
-            (np.zeros(0), np.zeros(0, index), np.zeros(shape[0] + 1, index)),
-            shape=shape,
-        )
+        return np.zeros(num_rows + 1, np.int64), columns[:0], np.zeros(0)
     order = np.lexsort((relations, columns, rows))
     rows, columns = rows[order], columns[order]
     relations = relations[order]
@@ -1287,10 +1292,7 @@ def fused_link_operator(
     cells[1:] = (rows[1:] != rows[:-1]) | (columns[1:] != columns[:-1])
     data = np.bincount(np.cumsum(cells) - 1, weights=contribution)
     rows, columns = rows[cells], columns[cells]
-    indptr = _indptr(np.bincount(rows, minlength=shape[0]))
-    return sparse.csr_matrix(
-        (data, columns.astype(index), indptr.astype(index)), shape=shape
-    )
+    return _indptr(np.bincount(rows, minlength=num_rows)), columns, data
 
 
 # ----------------------------------------------------------------------
@@ -1430,7 +1432,7 @@ def fold_bound(
             column[external],
             weight[external],
             model.gamma,
-            (m, n),
+            m,
         )
         batch_sources = sources[internal]
         batch_targets = column[internal] - n
@@ -1440,18 +1442,20 @@ def fold_bound(
             batch_targets,
             weight[internal],
             model.gamma,
-            (m, m),
+            m,
         )
     else:
         base = fused_link_operator(
-            sources, relation, column, weight, model.gamma, (m, n)
+            sources, relation, column, weight, model.gamma, m
         )
         combined = None
     plan = BlockPlan.for_shape(m, k)
     constant = np.empty((m, k))
 
     def base_block(_index: int, start: int, stop: int) -> None:
-        csr_matmul_rows(base, model.theta, constant, start, stop)
+        constant[start:stop] = csr_rows_product(
+            *base, model.theta, start, stop
+        )
 
     run_blocks(plan, base_block)
 
@@ -1499,7 +1503,9 @@ def fold_bound(
                 # from +0.0 never holds -0.0
                 update[start:stop] = constant[start:stop]
                 return
-            csr_matmul_rows(combined, theta, update, start, stop)
+            update[start:stop] = csr_rows_product(
+                *combined, theta, start, stop
+            )
             update[start:stop] += constant[start:stop]
 
         run_blocks(plan, propagate_block)

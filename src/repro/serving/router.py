@@ -558,9 +558,12 @@ class ShardedEngine(ServingFrontEnd):
     # ------------------------------------------------------------------
     # top-k similarity serving
     # ------------------------------------------------------------------
-    def _handle_of(self, node: object):
-        """The owner shard's handle: it holds the node's row."""
-        return self._shards[self.owner_of(node)]
+    def _shard_of(self, node: object) -> int:
+        """The owner shard: it holds the node's row."""
+        return self.owner_of(node)
+
+    def _shard_handle(self, shard: int):
+        return self._shards[shard]
 
     def _rank(
         self, matrix, k, metric, candidate_types, exclude_nodes

@@ -638,7 +638,9 @@ SHARD_OPS: dict[str, ShardOp] = {
         ),
         _many(_tuple(_ARRAY, _ARRAY), list),
     ),
-    "served_vector": ShardOp(_args(node=_NODE), _tuple(_ARRAY, _JSON)),
+    "served_vectors": ShardOp(
+        _args(nodes=_many(_NODE, list)), _tuple(_ARRAY, _many(_JSON, list))
+    ),
     "suggest_context": ShardOp(
         _args(node=_NODE, relation=_JSON),
         _tuple(_ARRAY, _JSON, _optional(_many(_NODE, frozenset))),

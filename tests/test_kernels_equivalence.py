@@ -35,6 +35,7 @@ from repro.core.kernels import (
     PropagationOperator,
     csr_matmul,
     csr_matmul_rows,
+    csr_rows_product,
     floor_normalize_inplace,
     normalize_update_block,
     ordered_block_sum,
@@ -46,7 +47,7 @@ from repro.core.kernels import (
 )
 from repro.core.objective import dirichlet_alphas, g1
 from repro.core.problem import compile_problem
-from repro.core import strength
+from repro.core import kernels, strength
 from repro.core.strength import (
     _alphas_into,
     _gradient_into,
@@ -1304,3 +1305,115 @@ class TestFullFitEquivalence:
         r2 = model.fit(net, attributes=["text"])
         np.testing.assert_array_equal(r1.theta, r2.theta)
         np.testing.assert_array_equal(r1.gamma, r2.gamma)
+
+
+# ----------------------------------------------------------------------
+# the numpy row product behind fold-in, pinned to scipy bit for bit
+# ----------------------------------------------------------------------
+# order-sensitive magnitudes: (1e16 + 1) + 1 != 1e16 + (1 + 1)
+PRODUCT_VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, 1.0, 0.5, 3.0, -2.25, 0.1, 1e16, -1e16, 1e-300, 7.0]
+)
+
+
+@st.composite
+def row_product_cases(draw):
+    """A CSR in entry order (rows grouped, a row's entries in draw
+    order) with duplicate cells, zero weights and empty rows, a dense
+    operand, and a row range."""
+    m = draw(st.integers(1, 7))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 5))
+    entries = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, m - 1), st.integers(0, n - 1), PRODUCT_VALUES
+            ),
+            max_size=40,
+        )
+    )
+    entries.sort(key=lambda entry: entry[0])  # stable within a row
+    rows = np.asarray([e[0] for e in entries], dtype=np.int64)
+    columns = np.asarray([e[1] for e in entries], dtype=np.int64)
+    data = np.asarray([e[2] for e in entries], dtype=np.float64)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    dense = np.asarray(
+        draw(st.lists(PRODUCT_VALUES, min_size=n * k, max_size=n * k)),
+        dtype=np.float64,
+    ).reshape(n, k)
+    start = draw(st.integers(0, m))
+    stop = draw(st.integers(start, m))
+    return indptr, columns, data, dense, start, stop
+
+
+def same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestNumpyRowProduct:
+    """``csr_rows_product`` (numpy only) against scipy's C kernel
+    ``csr_matvecs`` over the same, non-canonical CSR."""
+
+    def test_scipy_c_kernel_is_the_oracle(self):
+        assert kernels._matvecs()[0] is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_product_cases())
+    def test_matches_csr_matvecs(self, case):
+        indptr, columns, data, dense, start, stop = case
+        matrix = sparse.csr_matrix(
+            (data, columns, indptr), shape=(indptr.size - 1, dense.shape[0])
+        )
+        assert matrix.nnz == data.size  # duplicates kept, as stored
+        want = np.full((indptr.size - 1, dense.shape[1]), np.nan)
+        csr_matmul_rows(matrix, dense, want, start, stop)
+        got = csr_rows_product(indptr, columns, data, dense, start, stop)
+        assert same_bits(got, want[start:stop])
+
+    def test_empty_range_and_empty_rows(self):
+        indptr = np.asarray([0, 0, 2, 2])
+        got = csr_rows_product(
+            indptr, np.asarray([1, 1]), np.asarray([2.0, 3.0]),
+            np.asarray([[1.0, 2.0], [4.0, 8.0]]),
+        )
+        assert same_bits(got, np.asarray([[0.0, 0.0], [20.0, 40.0], [0.0, 0.0]]))
+        assert csr_rows_product(indptr, indptr[:0], np.zeros(0),
+                                np.ones((2, 2)), 1, 1).shape == (0, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_product_cases(), st.data())
+    def test_categorical_theta_term_matches_scipy_ratio_product(
+        self, case, data
+    ):
+        indptr, columns, counts, beta_t, _, _ = case
+        m, k = indptr.size - 1, beta_t.shape[1]
+        counts = np.abs(counts)
+        beta = np.ascontiguousarray(np.abs(beta_t).T) + 0.25
+        theta = np.asarray(
+            data.draw(
+                st.lists(
+                    st.floats(0.01, 1.0), min_size=m * k, max_size=m * k
+                )
+            )
+        ).reshape(m, k)
+        pattern = CountsPattern(
+            rows=np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr)),
+            cols=columns,
+            vals=counts,
+            indptr=indptr,
+            shape=(m, beta.shape[1]),
+        )
+        got = categorical_theta_term(theta, None, beta, pattern=pattern)
+        # the scipy formulation fold-in ran before the numpy product
+        if pattern.nnz:
+            denom = np.einsum(
+                "nk,nk->n", theta[pattern.rows], beta.T[pattern.cols]
+            )
+            np.maximum(denom, 1e-300, out=denom)
+            ratio = pattern.ratio_matrix(pattern.vals / denom)
+            want = theta * (ratio @ beta.T)
+        else:
+            want = np.zeros((m, k))
+        assert same_bits(got, want)

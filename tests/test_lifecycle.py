@@ -372,13 +372,14 @@ class TestModelState:
         engine = InferenceEngine.load(forum_artifact_path)
         state = engine.state
         assert state.refit_capable
-        assert state.matrices is None  # payload not decoded yet
+        assert not state.hydrated  # payload not decoded yet
         assert state.network.num_edges() == 0
         engine.extend(FORUM_EXTENSION)
         engine.query("user", links=[("friend", "user-new-0", 1.0)])
-        assert state.matrices is None  # still lazy after serving work
+        assert not state.hydrated  # still lazy after serving work
+        assert state.network.num_edges() == 0
         problem = state.to_problem()
-        assert state.matrices is not None  # refit path hydrated it
+        assert state.hydrated  # refit path hydrated it
         assert state.network.num_edges() == 160
         assert problem.matrices.relation_names == state.relation_names
 

@@ -1230,6 +1230,70 @@ class TestCli:
         ]
         assert sum(e["total_links"] for e in payload["shards"]) > 0
 
+    def test_shard_plan_link_counts_pinned(self, artifact_path, capsys):
+        """Per-shard out-link counts, per relation, as the CLI printed
+        them when they were read off the link views' index pointers."""
+        assert main(
+            ["shard-plan", str(artifact_path), "--shards", "3", "--json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [
+            (entry["rows"], entry["links"], entry["total_links"])
+            for entry in payload["shards"]
+        ] == [
+            (
+                [0, 10],
+                {"friend": 32, "writes": 8, "written_by": 2,
+                 "likes": 16, "liked_by": 4},
+                62,
+            ),
+            (
+                [10, 21],
+                {"friend": 20, "writes": 5, "written_by": 6,
+                 "likes": 10, "liked_by": 12},
+                53,
+            ),
+            (
+                [21, 32],
+                {"friend": 12, "writes": 3, "written_by": 8,
+                 "likes": 6, "liked_by": 16},
+                45,
+            ),
+        ]
+        assert main(["shard-plan", str(artifact_path), "--shards", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "shard plan: 3 shard(s) over 32 rows\n"
+            "  shard 0: rows [0, 10)  10 rows  62 out-links\n"
+            "  shard 1: rows [10, 21)  11 rows  53 out-links\n"
+            "  shard 2: rows [21, 32)  11 rows  45 out-links\n"
+        )
+
+    def test_cluster_plan_reports_links_once_hydrated(
+        self, artifact_path, forum_result
+    ):
+        """A fresh fit's and a promoted model's network carry their
+        links; a loaded bundle reports them only once hydrated."""
+        links = {"friend": 32, "writes": 8, "written_by": 8,
+                 "likes": 16, "liked_by": 16}
+        halves = [
+            {"shard": shard, "rows": rows, "num_rows": 16,
+             "links": links, "total_links": 80}
+            for shard, rows in ((0, [0, 16]), (1, [16, 32]))
+        ]
+        fitted = ShardedEngine.from_result(forum_result, n_shards=2)
+        loaded = ShardedEngine.load(artifact_path, n_shards=2)
+        try:
+            assert fitted.info()["cluster"]["plan"]["shards"] == halves
+            assert [
+                sorted(entry)
+                for entry in loaded.info()["cluster"]["plan"]["shards"]
+            ] == [["num_rows", "rows", "shard"]] * 2
+            loaded.promote()
+            assert loaded.info()["cluster"]["plan"]["shards"] == halves
+        finally:
+            fitted.close()
+            loaded.close()
+
     def test_shard_plan_too_many_shards(self, artifact_path, capsys):
         assert main(
             ["shard-plan", str(artifact_path), "--shards", "40"]

@@ -389,6 +389,43 @@ class TestClusterSimilarity:
             else:
                 assert (got, suggested) == reference, shards
 
+    def test_query_vectors_come_once_per_owner_shard(
+        self, forum_result, forum_engine
+    ):
+        """One ``served_vectors`` call per owner shard, in shard order,
+        carrying that shard's nodes in request order."""
+        ids = forum_result.network.node_ids
+        nodes = [ids[30], ids[2], ids[15], ids[11], ids[25], ids[2]]
+        cluster = ShardedEngine.from_result(forum_result, n_shards=3)
+        calls = []
+        for shard, handle in enumerate(cluster.shards):
+            def recorded(nodes, shard=shard, fetch=handle.served_vectors):
+                calls.append((shard, list(nodes)))
+                return fetch(nodes)
+
+            handle.served_vectors = recorded
+        got = cluster.similar_many(nodes, k=5)
+        assert got == forum_engine.similar_many(nodes, k=5)
+        assert calls == [
+            (0, [ids[2], ids[2]]),
+            (1, [ids[15], ids[11]]),
+            (2, [ids[30], ids[25]]),
+        ]
+
+    def test_first_unknown_node_names_the_error(
+        self, forum_result, forum_engine
+    ):
+        nodes = ["blog1_1", "nobody", "user0_0", "nobody-else"]
+        for engine in (
+            forum_engine,
+            ShardedEngine.from_result(forum_result, n_shards=3),
+        ):
+            with pytest.raises(
+                ServingError,
+                match="^node 'nobody' is not served by this engine$",
+            ):
+                engine.similar_many(nodes, k=3)
+
     def test_router_owns_similarity_telemetry(self, forum_result):
         cluster = ShardedEngine.from_result(forum_result, n_shards=2)
         cluster.similar_many(["user0_0", "blog1_1"], k=3)

@@ -358,7 +358,10 @@ OP_VALUES = {
         ),
         PARTIALS,
     ),
-    "served_vector": (call(node=NODES), st.tuples(VECTOR, NAMES)),
+    "served_vectors": (
+        call(nodes=st.lists(NODES, max_size=4)),
+        st.tuples(MATRIX, st.lists(NAMES, max_size=4)),
+    ),
     "suggest_context": (
         call(node=NODES, relation=NAMES),
         st.tuples(VECTOR, NAMES, st.none() | NODE_SETS.map(frozenset)),

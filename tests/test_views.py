@@ -105,55 +105,3 @@ class TestBuildRelationMatrices:
             expected[i] += edge.weight * theta[j] * 1.0  # gamma == 1
         combined = sum(m @ theta for m in mats.matrices)
         np.testing.assert_allclose(combined, expected)
-
-
-class TestRowSlicing:
-    """Per-shard view slicing: zero-copy row blocks over the global
-    column space (the shard-row materialization primitive)."""
-
-    def test_row_slice_matches_dense_rows(self, network):
-        views = build_relation_matrices(network)
-        for start, stop in ((0, 2), (1, 3), (0, views.num_nodes)):
-            blocks = views.row_slice(start, stop)
-            for name, block in zip(views.relation_names, blocks):
-                assert block.shape == (
-                    stop - start, views.num_nodes
-                )
-                np.testing.assert_array_equal(
-                    block.toarray(),
-                    views.matrix(name).toarray()[start:stop],
-                )
-
-    def test_row_slice_shares_storage(self, network):
-        views = build_relation_matrices(network)
-        blocks = views.row_slice(1, views.num_nodes)
-        for name, block in zip(views.relation_names, blocks):
-            full = views.matrix(name)
-            if block.nnz:
-                assert np.shares_memory(block.data, full.data)
-                assert np.shares_memory(block.indices, full.indices)
-
-    def test_empty_and_full_ranges(self, network):
-        views = build_relation_matrices(network)
-        empty = views.row_slice(2, 2)
-        assert all(block.nnz == 0 for block in empty)
-        counts = views.row_link_counts(0, views.num_nodes)
-        for name, count in counts.items():
-            assert count == views.matrix(name).nnz
-
-    def test_row_link_counts_tile_across_shards(self, network):
-        views = build_relation_matrices(network)
-        split = views.num_nodes // 2
-        front = views.row_link_counts(0, split)
-        back = views.row_link_counts(split, views.num_nodes)
-        for name in views.relation_names:
-            assert front[name] + back[name] == views.matrix(name).nnz
-
-    def test_bad_range_rejected(self, network):
-        views = build_relation_matrices(network)
-        with pytest.raises(ValueError, match="row range"):
-            views.row_slice(-1, 2)
-        with pytest.raises(ValueError, match="row range"):
-            views.row_slice(2, views.num_nodes + 1)
-        with pytest.raises(ValueError, match="row range"):
-            views.row_link_counts(3, 2)
