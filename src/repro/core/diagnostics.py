@@ -74,11 +74,6 @@ class RunHistory:
         """``(n_records, R)`` array of gamma over iterations (Fig. 10b)."""
         return np.stack([record.gamma for record in self.records])
 
-    def gamma_series(self, relation: str) -> np.ndarray:
-        """One relation's strength over iterations."""
-        r = self.relation_names.index(relation)
-        return self.gamma_trajectory()[:, r]
-
     def g1_series(self) -> np.ndarray:
         return np.asarray([record.g1_value for record in self.records])
 
@@ -86,28 +81,3 @@ class RunHistory:
         """Inner ``g1`` traces per outer iteration (empty when the fit
         ran without ``track_em_objective``)."""
         return tuple(record.em_objective_trace for record in self.records)
-
-    def total_em_seconds(self) -> float:
-        return float(sum(record.em_seconds for record in self.records))
-
-    def mean_em_seconds_per_inner_iteration(self) -> float:
-        """Average wall-clock per *inner* EM iteration (Fig. 11 metric)."""
-        total_iters = sum(record.em_iterations for record in self.records)
-        if total_iters == 0:
-            return 0.0
-        return self.total_em_seconds() / total_iters
-
-    def describe(self) -> str:
-        """Readable per-iteration table (gamma, objectives, costs)."""
-        header = (
-            f"{'iter':>4} {'g1':>14} {'g2prime':>14} "
-            + " ".join(f"{name:>12}" for name in self.relation_names)
-        )
-        lines = [header]
-        for record in self.records:
-            gammas = " ".join(f"{g:>12.4f}" for g in record.gamma)
-            lines.append(
-                f"{record.outer_iteration:>4} {record.g1_value:>14.2f} "
-                f"{record.g2_value:>14.2f} {gammas}"
-            )
-        return "\n".join(lines)

@@ -13,8 +13,7 @@ attribute models.  Updates are Jacobi-style: every quantity on the right
 is evaluated at iteration ``t - 1``, matching the paper's update rules.
 
 An object with no out-links and no observations has an all-zero update;
-such rows keep their previous membership (they are reported by
-``repro.hin.validation`` beforehand).
+such rows keep their previous membership.
 
 Hot-path layout: because gamma is fixed for the whole inner loop, the
 neighbour term collapses into one combined sparse matmul through the

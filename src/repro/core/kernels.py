@@ -420,16 +420,6 @@ class PropagationOperator:
     def num_relations(self) -> int:
         return len(self.matrices)
 
-    @property
-    def num_nodes(self) -> int:
-        """Row count (node count for the square training operator)."""
-        return self.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        """Size of the union pattern (combined matrix nonzeros)."""
-        return int(self._combined.nnz)
-
     @staticmethod
     def wrap(matrices) -> "PropagationOperator":
         """Adopt an existing operator, or the one cached on a

@@ -50,16 +50,6 @@ class GenClusResult:
         """Soft membership vector of one node (a copy)."""
         return self.theta[self.network.index_of(node)].copy()
 
-    def strength_of(self, relation: str) -> float:
-        """Learned strength of one relation type."""
-        try:
-            r = self.relation_names.index(relation)
-        except ValueError:
-            raise KeyError(
-                f"relation {relation!r} carried no links in the fit"
-            ) from None
-        return float(self.gamma[r])
-
     def strengths(self) -> dict[str, float]:
         """All learned strengths as ``{relation: gamma}``."""
         return {
@@ -72,77 +62,7 @@ class GenClusResult:
         """Arg-max cluster label per node (``(n,)`` int array)."""
         return np.argmax(self.theta, axis=1)
 
-    def hard_labels_for(
-        self, object_type: str
-    ) -> tuple[list[object], np.ndarray]:
-        """Node ids of one type plus their hard labels, aligned."""
-        indices = self.network.indices_of_type(object_type)
-        ids = [self.network.node_at(i) for i in indices]
-        return ids, np.argmax(self.theta[indices], axis=1)
-
-    def theta_for(self, object_type: str) -> tuple[list[object], np.ndarray]:
-        """Node ids of one type plus their soft memberships, aligned."""
-        indices = self.network.indices_of_type(object_type)
-        ids = [self.network.node_at(i) for i in indices]
-        return ids, self.theta[indices].copy()
-
-    def top_members(
-        self,
-        cluster: int,
-        object_type: str | None = None,
-        limit: int = 10,
-    ) -> list[tuple[object, float]]:
-        """Nodes with the highest membership in one cluster.
-
-        Parameters
-        ----------
-        cluster:
-            Cluster index in ``0..K-1``.
-        object_type:
-            Restrict to one object type (all types when ``None``).
-        limit:
-            Maximum number of ``(node, probability)`` pairs returned.
-        """
-        if not 0 <= cluster < self.n_clusters:
-            raise IndexError(
-                f"cluster {cluster} out of range 0..{self.n_clusters - 1}"
-            )
-        if object_type is None:
-            indices = range(self.network.num_nodes)
-        else:
-            indices = self.network.indices_of_type(object_type)
-        scored = sorted(
-            ((self.network.node_at(i), float(self.theta[i, cluster]))
-             for i in indices),
-            key=lambda pair: pair[1],
-            reverse=True,
-        )
-        return scored[:limit]
-
-    def top_terms(
-        self, attribute: str, cluster: int, limit: int = 10
-    ) -> list[tuple[str, float]]:
-        """Highest-probability vocabulary terms of one text attribute's
-        cluster component (useful for naming clusters, Table 1 style)."""
-        params = self.attribute_params.get(attribute)
-        if params is None:
-            raise KeyError(f"attribute {attribute!r} was not fit")
-        if params["kind"] != "categorical":
-            raise KeyError(f"attribute {attribute!r} is not text")
-        beta = params["beta"]
-        vocabulary = params["vocabulary"]
-        order = np.argsort(beta[cluster])[::-1][:limit]
-        return [(vocabulary[i], float(beta[cluster, i])) for i in order]
-
     # ------------------------------------------------------------------
-    def to_state(self):
-        """Capture this fit as a mutable lifecycle
-        :class:`~repro.core.state.ModelState` (refit-capable when the
-        network still carries its links and attribute tables)."""
-        from repro.core.state import ModelState
-
-        return ModelState.from_result(self)
-
     def save(self, path: str | Path) -> Path:
         """Persist the fit as a serving artifact bundle.
 

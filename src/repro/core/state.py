@@ -186,9 +186,7 @@ class ModelState:
         # edges that decide which rows a link delta can move)
         self._ext_rev: dict[object, set[object]] = {}
         self._vocab_index: dict[str, dict[str, int]] | None = None
-        self._problem_cache: tuple[
-            int, HeterogeneousNetwork, ClusteringProblem
-        ] | None = None
+        self._problem_cache: tuple[int, ClusteringProblem] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -715,24 +713,19 @@ class ModelState:
         any) has been decoded."""
         return self.refit_capable and self._hydrator is None
 
-    def materialize_network(self) -> HeterogeneousNetwork:
-        """Base + extensions as one standalone network.
+    def to_problem(self) -> ClusteringProblem:
+        """Compile base + extensions into a solver-ready problem.
 
+        Its ``network`` is base + extensions as one standalone network.
         The base network is left untouched: a fresh container re-adds
         its nodes, links, and attribute tables, then the extension
         nodes with their accumulated links and observations.  Extension
         text observations are filtered to the *training* vocabulary
         (warm-started component parameters fix the columns), matching
         what fold-in scored.
-        """
-        self._require_refit_capable()
-        return self._materialized()[0]
 
-    def to_problem(self) -> ClusteringProblem:
-        """Compile base + extensions into a solver-ready problem.
-
-        The problem is compiled from :meth:`materialize_network`'s
-        network like any fresh fit's: its link views come from
+        The problem is compiled from that network like any fresh
+        fit's: its link views come from
         :func:`~repro.hin.views.build_relation_matrices`, one
         ``O(|E|)`` pass, and must yield exactly the state's relations
         (the gamma slots the warm start resumes).  The result is
@@ -740,14 +733,9 @@ class ModelState:
         mutations are free.
         """
         self._require_refit_capable()
-        return self._materialized()[1]
-
-    def _materialized(
-        self,
-    ) -> tuple[HeterogeneousNetwork, ClusteringProblem]:
         cache = self._problem_cache
         if cache is not None and cache[0] == self.version:
-            return cache[1], cache[2]
+            return cache[1]
         network = self._copy_network_with_extensions()
         matrices = build_relation_matrices(network)
         if matrices.relation_names != self.relation_names:
@@ -783,8 +771,8 @@ class ModelState:
             attribute_names=self.attribute_names,
             n_clusters=self.n_clusters,
         )
-        self._problem_cache = (self.version, network, problem)
-        return network, problem
+        self._problem_cache = (self.version, problem)
+        return problem
 
     def _copy_network_with_extensions(self) -> HeterogeneousNetwork:
         base = self.network

@@ -195,12 +195,6 @@ class DblpCorpus:
     def conferences(self) -> tuple[str, ...]:
         return tuple(self.conference_area)
 
-    def paper_area(self, paper_id: str) -> int:
-        for paper in self.papers:
-            if paper.paper_id == paper_id:
-                return paper.area
-        raise KeyError(f"unknown paper {paper_id!r}")
-
 
 def generate_corpus(config: FourAreaConfig) -> DblpCorpus:
     """Generate the synthetic four-area corpus (see module docstring)."""

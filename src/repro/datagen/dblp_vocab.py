@@ -49,12 +49,3 @@ COMMON_TERMS = (
 
 AREA_TERM_LISTS = (DB_TERMS, DM_TERMS, IR_TERMS, ML_TERMS)
 """Per-area characteristic vocabularies, indexed by area id."""
-
-
-def full_vocabulary() -> tuple[str, ...]:
-    """Every distinct term across areas and the common pool."""
-    seen: dict[str, None] = {}
-    for terms in (*AREA_TERM_LISTS, COMMON_TERMS):
-        for term in terms:
-            seen.setdefault(term, None)
-    return tuple(seen)

@@ -1,12 +1,12 @@
 """Evaluation measures used in Section 5 of the paper.
 
-* :mod:`repro.eval.nmi` -- Normalized Mutual Information [21] plus purity
-  and adjusted Rand index extras (Figs. 5-8 metric).
+* :mod:`repro.eval.nmi` -- Normalized Mutual Information [21] (Figs.
+  5-8 metric).
 * :mod:`repro.eval.similarity` -- the three membership-similarity
   functions of Section 5.2.2: cosine, negative Euclidean distance, and
   negative cross entropy ``-H(theta_j, theta_i)``.
-* :mod:`repro.eval.ranking` -- Mean Average Precision [27] and related
-  ranking measures (Tables 2-4 metric).
+* :mod:`repro.eval.ranking` -- Mean Average Precision [27] (Tables 2-4
+  metric).
 * :mod:`repro.eval.linkpred` -- the link-prediction harness: rank
   candidate targets per query object by membership similarity and score
   against observed links.
@@ -20,7 +20,7 @@ from repro.eval.linkpred import (
     link_prediction_map,
     reference_ranking,
 )
-from repro.eval.nmi import adjusted_rand_index, nmi, purity
+from repro.eval.nmi import nmi
 from repro.eval.ranking import average_precision, mean_average_precision
 from repro.eval.similarity import (
     SIMILARITY_FUNCTIONS,
@@ -32,7 +32,6 @@ from repro.eval.similarity import (
 __all__ = [
     "SIMILARITY_FUNCTIONS",
     "LinkPredictionResult",
-    "adjusted_rand_index",
     "align_clusters",
     "average_precision",
     "confusion_matrix",
@@ -42,6 +41,5 @@ __all__ = [
     "negative_cross_entropy",
     "negative_euclidean",
     "nmi",
-    "purity",
     "reference_ranking",
 ]

@@ -62,20 +62,3 @@ def align_clusters(
         if cluster not in mapping:
             mapping[cluster] = int(np.argmax(table[:, cluster]))
     return mapping
-
-
-def relabel(
-    labels_pred: np.ndarray, mapping: dict[int, int]
-) -> np.ndarray:
-    """Apply a cluster -> class mapping to a prediction array."""
-    labels_pred = np.asarray(labels_pred, dtype=np.int64)
-    out = np.empty_like(labels_pred)
-    for cluster, klass in mapping.items():
-        out[labels_pred == cluster] = klass
-    unknown = set(np.unique(labels_pred)) - set(mapping)
-    if unknown:
-        raise KeyError(
-            f"prediction contains clusters missing from mapping: "
-            f"{sorted(unknown)}"
-        )
-    return out

@@ -28,18 +28,6 @@ class LinkPredictionResult:
     relation: str
     map_by_similarity: dict[str, float]
 
-    def best_similarity(self) -> str:
-        """Name of the similarity with the highest MAP."""
-        return max(
-            self.map_by_similarity, key=self.map_by_similarity.get
-        )
-
-    def describe(self) -> str:
-        lines = [f"link prediction for relation {self.relation!r}:"]
-        for name, value in self.map_by_similarity.items():
-            lines.append(f"  {name:<18} MAP = {value:.4f}")
-        return "\n".join(lines)
-
 
 def relevance_matrix(
     network: HeterogeneousNetwork,

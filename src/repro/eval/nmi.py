@@ -2,9 +2,7 @@
 
 The paper evaluates with Normalized Mutual Information [21] (Strehl &
 Ghosh 2003): ``NMI(A, B) = I(A; B) / sqrt(H(A) H(B))``, computed over the
-contingency table of two hard partitions.  Purity and the adjusted Rand
-index are provided as supplementary measures (not in the paper, useful
-for diagnostics).
+contingency table of two hard partitions.
 """
 
 from __future__ import annotations
@@ -64,31 +62,6 @@ def nmi(labels_true: np.ndarray, labels_pred: np.ndarray) -> float:
     value = mutual / np.sqrt(h_row * h_col)
     # numeric guard: clamp tiny excursions outside [0, 1]
     return float(min(max(value, 0.0), 1.0))
-
-
-def purity(labels_true: np.ndarray, labels_pred: np.ndarray) -> float:
-    """Fraction of objects in their cluster's majority true class."""
-    table = _contingency(labels_pred, labels_true)
-    return float(table.max(axis=1).sum() / table.sum())
-
-
-def adjusted_rand_index(
-    labels_true: np.ndarray, labels_pred: np.ndarray
-) -> float:
-    """Adjusted Rand index (Hubert & Arabie 1985)."""
-    table = _contingency(labels_true, labels_pred)
-    n = table.sum()
-    sum_comb_cells = float((table * (table - 1) / 2).sum())
-    row = table.sum(axis=1)
-    col = table.sum(axis=0)
-    sum_comb_row = float((row * (row - 1) / 2).sum())
-    sum_comb_col = float((col * (col - 1) / 2).sum())
-    total_pairs = n * (n - 1) / 2
-    expected = sum_comb_row * sum_comb_col / total_pairs
-    max_index = 0.5 * (sum_comb_row + sum_comb_col)
-    if max_index == expected:
-        return 1.0
-    return float((sum_comb_cells - expected) / (max_index - expected))
 
 
 def _entropy(distribution: np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 Mean Average Precision [27] scores the ranked candidate list of each
 query against the set of truly linked candidates; Tables 2-4 of the
-paper report MAP.  Precision@k and MRR are provided for diagnostics.
+paper report MAP.
 """
 
 from __future__ import annotations
@@ -71,36 +71,6 @@ def mean_average_precision(
         for scores, relevant in zip(score_matrix, relevance_matrix)
         if relevant.any()
     ]
-    if not values:
-        raise ValueError("no query has any relevant candidate")
-    return float(np.mean(values))
-
-
-def precision_at_k(
-    scores: np.ndarray, relevant: np.ndarray, k: int
-) -> float:
-    """Fraction of the top-k candidates that are relevant."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    scores = np.asarray(scores, dtype=np.float64)
-    relevant = np.asarray(relevant, dtype=bool)
-    order = np.argsort(-scores, kind="stable")[:k]
-    return float(relevant[order].mean())
-
-
-def mean_reciprocal_rank(
-    score_matrix: np.ndarray, relevance_matrix: np.ndarray
-) -> float:
-    """Mean of ``1 / rank(first relevant)`` over queries with relevants."""
-    score_matrix = np.asarray(score_matrix, dtype=np.float64)
-    relevance_matrix = np.asarray(relevance_matrix, dtype=bool)
-    values = []
-    for scores, relevant in zip(score_matrix, relevance_matrix):
-        if not relevant.any():
-            continue
-        order = np.argsort(-scores, kind="stable")
-        first = int(np.nonzero(relevant[order])[0][0]) + 1
-        values.append(1.0 / first)
     if not values:
         raise ValueError("no query has any relevant candidate")
     return float(np.mean(values))

@@ -129,7 +129,3 @@ def observation_grid(scale: str) -> tuple[int, ...]:
     if scale == "smoke":
         return (1, 5)
     return OBSERVATION_COUNTS
-
-
-def mean_over_seeds(values: list[float]) -> float:
-    return float(np.mean(values))

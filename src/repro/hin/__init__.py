@@ -17,7 +17,11 @@ Public entry points:
   :class:`~repro.hin.attributes.NumericAttribute` -- incomplete attribute
   observation tables.
 * :func:`~repro.hin.io.network_to_dict` / :func:`~repro.hin.io.network_from_dict`
-  and the JSON file helpers -- serialization.
+  and the JSON file helpers :func:`~repro.hin.io.save_network` /
+  :func:`~repro.hin.io.load_network` -- serialization.
+* :class:`~repro.hin.views.RelationMatrices` /
+  :func:`~repro.hin.views.build_relation_matrices` -- per-relation
+  sparse link views for the solvers.
 """
 
 from repro._lazy import lazy_exports
@@ -38,10 +42,6 @@ __getattr__, __dir__ = lazy_exports(
         "NetworkSchema": "repro.hin.schema",
         "ObjectType": "repro.hin.schema",
         "RelationType": "repro.hin.schema",
-        "NetworkStats": "repro.hin.stats",
-        "network_stats": "repro.hin.stats",
-        "ValidationIssue": "repro.hin.validation",
-        "validate_network": "repro.hin.validation",
         "RelationMatrices": "repro.hin.views",
         "build_relation_matrices": "repro.hin.views",
     },
@@ -55,14 +55,10 @@ __all__ = [
     "HeterogeneousNetwork",
     "NetworkBuilder",
     "NetworkSchema",
-    "NetworkStats",
     "NumericAttribute",
     "ObjectType",
     "RelationMatrices",
     "RelationType",
     "TextAttribute",
-    "ValidationIssue",
     "build_relation_matrices",
-    "network_stats",
-    "validate_network",
 ]

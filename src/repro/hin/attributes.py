@@ -78,11 +78,6 @@ class CompiledTextAttribute:
     def vocab_size(self) -> int:
         return len(self.vocabulary)
 
-    @property
-    def total_observations(self) -> float:
-        """Total term count over all objects (``sum of c_{v,l}``)."""
-        return float(self.counts.sum())
-
 
 @dataclass(frozen=True, slots=True)
 class CompiledNumericAttribute:
@@ -105,10 +100,6 @@ class CompiledNumericAttribute:
     values: np.ndarray
     owners: np.ndarray
 
-    @property
-    def total_observations(self) -> int:
-        return int(self.values.shape[0])
-
 
 class TextAttribute:
     """A bag-of-terms attribute table with an explicit vocabulary.
@@ -121,7 +112,7 @@ class TextAttribute:
     --------
     >>> attr = TextAttribute("title")
     >>> attr.add_tokens("paper-1", ["query", "optimization", "query"])
-    >>> attr.term_count("paper-1", "query")
+    >>> attr.bag_of("paper-1")["query"]
     2.0
     >>> attr.has_observations("paper-2")
     False
@@ -250,12 +241,6 @@ class TextAttribute:
         observed = np.unique(summed.rows[summed.values > 0])
         return tuple(nodes[row] for row in observed.tolist())
 
-    def term_count(self, node: object, term: str) -> float:
-        index = self._term_index.get(term)
-        return next(
-            (cnt for idx, cnt in zip(*self._bag(node)) if idx == index), 0.0
-        )
-
     def bag_of(self, node: object) -> dict[str, float]:
         """Return the node's bag as a ``term -> count`` dict (a copy)."""
         terms = self.vocabulary
@@ -376,17 +361,11 @@ class NumericAttribute:
         return clone
 
     # ------------------------------------------------------------------
-    def has_observations(self, node: object) -> bool:
-        return bool(self._values.get(node))
-
     def nodes_with_observations(self) -> tuple[object, ...]:
         return tuple(node for node, vals in self._values.items() if vals)
 
     def values_of(self, node: object) -> tuple[float, ...]:
         return tuple(self._values.get(node, ()))
-
-    def observation_total(self, node: object) -> int:
-        return len(self._values.get(node, ()))
 
     # ------------------------------------------------------------------
     def compile(

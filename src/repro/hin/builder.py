@@ -31,8 +31,8 @@ class NetworkBuilder:
     >>> _ = builder.node("alice", "author").node("p1", "paper")
     >>> _ = builder.link_paired("alice", "p1", "write")
     >>> net = builder.build()
-    >>> net.edge_weight("p1", "alice", "written_by")
-    1.0
+    >>> net.out_neighbors("p1")
+    [('alice', 'written_by', 1.0)]
     """
 
     def __init__(self) -> None:

@@ -81,8 +81,8 @@ class HeterogeneousNetwork:
     >>> net.add_node("SIGMOD", "conf")
     1
     >>> net.add_edge("alice", "SIGMOD", "publish_in", weight=3.0)
-    >>> net.edge_weight("alice", "SIGMOD", "publish_in")
-    3.0
+    >>> net.out_neighbors("alice")
+    [('SIGMOD', 'publish_in', 3.0)]
     """
 
     def __init__(self, schema: NetworkSchema) -> None:
@@ -122,11 +122,6 @@ class HeterogeneousNetwork:
         self._node_index[node] = index
         self._node_types.append(object_type)
         return index
-
-    def add_nodes(self, nodes: Iterable[object], object_type: str) -> None:
-        """Insert many nodes of one type."""
-        for node in nodes:
-            self.add_node(node, object_type)
 
     def add_node_columns(
         self,
@@ -192,9 +187,6 @@ class HeterogeneousNetwork:
     def type_of(self, node: object) -> str:
         """Object type name of a node (the paper's ``tau(v)``)."""
         return self._node_types[self.index_of(node)]
-
-    def type_at(self, index: int) -> str:
-        return self._node_types[index]
 
     @property
     def node_index(self) -> dict[object, int]:
@@ -381,15 +373,6 @@ class HeterogeneousNetwork:
             return self._summed(relation).rows.size
         return sum(len(links) for links in self._links.values())
 
-    def edge_weight(
-        self, source: object, target: object, relation: str
-    ) -> float:
-        """Weight of a link, or 0.0 if absent."""
-        summed = self._summed(relation)
-        at = summed.row_positions(self.index_of(source))
-        hit = at[summed.cols[at] == self.index_of(target)]
-        return float(summed.values[hit[0]]) if hit.size else 0.0
-
     def edges(self, relation: str | None = None) -> Iterator[Edge]:
         """Iterate links as :class:`Edge` records (one relation or all)."""
         ids = self._node_ids
@@ -425,27 +408,6 @@ class HeterogeneousNetwork:
                 )
             )
         return result
-
-    def in_neighbors(
-        self, node: object, relation: str | None = None
-    ) -> list[tuple[object, str, float]]:
-        """``(source, relation, weight)`` for every in-link of a node."""
-        dst_idx = self.index_of(node)
-        result: list[tuple[object, str, float]] = []
-        for name in [relation] if relation is not None else self._links:
-            summed = self._summed(name)
-            at = summed.cols == dst_idx
-            result.extend(
-                (self._node_ids[src], name, weight)
-                for src, weight in zip(
-                    summed.rows[at].tolist(), summed.values[at].tolist()
-                )
-            )
-        return result
-
-    def relation_types_present(self) -> tuple[str, ...]:
-        """Names of relations that hold at least one link."""
-        return tuple(name for name, links in self._links.items() if links)
 
     def relation_declaration(self, relation: str) -> RelationType:
         return self.schema.relation(relation)

@@ -86,7 +86,7 @@ class NetworkSchema:
     >>> schema.add_object_type("paper")
     >>> schema.add_relation("write", "author", "paper", inverse="written_by")
     >>> schema.add_relation("written_by", "paper", "author", inverse="write")
-    >>> schema.inverse_of("write")
+    >>> schema.relation("write").inverse
     'written_by'
     """
 
@@ -139,18 +139,11 @@ class NetworkSchema:
         return tuple(self._relations.values())
 
     @property
-    def object_type_names(self) -> tuple[str, ...]:
-        return tuple(self._object_types)
-
-    @property
     def relation_names(self) -> tuple[str, ...]:
         return tuple(self._relations)
 
     def has_object_type(self, name: str) -> bool:
         return name in self._object_types
-
-    def has_relation(self, name: str) -> bool:
-        return name in self._relations
 
     def object_type(self, name: str) -> ObjectType:
         try:
@@ -163,10 +156,6 @@ class NetworkSchema:
             return self._relations[name]
         except KeyError:
             raise SchemaError(f"unknown relation {name!r}") from None
-
-    def inverse_of(self, name: str) -> str | None:
-        """Return the declared inverse relation name, or ``None``."""
-        return self.relation(name).inverse
 
     # ------------------------------------------------------------------
     # consistency
@@ -204,17 +193,3 @@ class NetworkSchema:
                     f"those of {relation.name!r} "
                     f"({relation.source!r} -> {relation.target!r})"
                 )
-
-    def relations_from(self, object_type: str) -> tuple[RelationType, ...]:
-        """All relations whose source is ``object_type``."""
-        self.object_type(object_type)
-        return tuple(
-            r for r in self._relations.values() if r.source == object_type
-        )
-
-    def relations_to(self, object_type: str) -> tuple[RelationType, ...]:
-        """All relations whose target is ``object_type``."""
-        self.object_type(object_type)
-        return tuple(
-            r for r in self._relations.values() if r.target == object_type
-        )

@@ -54,18 +54,6 @@ class RelationMatrices:
     def num_relations(self) -> int:
         return len(self.relation_names)
 
-    def index_of(self, relation: str) -> int:
-        """Position of a relation in ``relation_names`` (gamma index)."""
-        try:
-            return self.relation_names.index(relation)
-        except ValueError:
-            raise KeyError(
-                f"relation {relation!r} has no links in this network"
-            ) from None
-
-    def matrix(self, relation: str) -> sparse.csr_matrix:
-        return self.matrices[self.index_of(relation)]
-
     @cached_property
     def operator(self):
         """The fused propagation operator over these matrices.
@@ -82,13 +70,6 @@ class RelationMatrices:
         return PropagationOperator(
             self.matrices, shape=(self.num_nodes, self.num_nodes)
         )
-
-    def out_weight_totals(self) -> np.ndarray:
-        """``(n, R)`` array: total out-link weight per node per relation."""
-        totals = np.zeros((self.num_nodes, self.num_relations))
-        for r, mat in enumerate(self.matrices):
-            totals[:, r] = np.asarray(mat.sum(axis=1)).ravel()
-        return totals
 
     def combined(self, weights: np.ndarray | None = None) -> sparse.csr_matrix:
         """Weighted sum ``sum_r weights[r] * W_r`` (all-ones by default).

@@ -200,10 +200,6 @@ class ArtifactIntegrity:
         self._verified: set[str] = set()
         self._lock = threading.Lock()
 
-    @property
-    def path(self) -> Path:
-        return self._path
-
     def verify(self, *names: str) -> None:
         """Verify the named arrays now (no-op for already-verified or
         unknown names)."""

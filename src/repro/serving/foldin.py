@@ -305,9 +305,6 @@ class FrozenModel:
             attribute_params=artifact.attribute_params,
         )
 
-    def type_of(self, node: object) -> str:
-        return self.node_types[self.node_index[node]]
-
 
 class _MaskedIndex(Mapping):
     """A live node-index mapping with a set of ids hidden.
@@ -1099,19 +1096,9 @@ def bind_batch(model: FrozenModel, batch: QueryBatch) -> BoundBatch:
         ],
         dtype=np.int64,
     )
+    check_observations(model, batch)
     text_attribute, text_term, text_count = batch.text.columns
-    _check_attributes(
-        model, batch, batch.text, text_attribute, "categorical", None
-    )
-    numeric_attribute, numeric_value = batch.numeric.columns
-    _check_attributes(
-        model,
-        batch,
-        batch.numeric,
-        numeric_attribute,
-        "gaussian",
-        numeric_value,
-    )
+    numeric_attribute = batch.numeric.columns[0]
     vocabulary_columns = np.full(text_term.size, -1, dtype=np.int64)
     for code in np.unique(text_attribute[text_attribute >= 0]).tolist():
         vocabulary = model.vocabulary_index[batch.attributes[code]]
@@ -1200,10 +1187,31 @@ def link_error(
     )
 
 
+def check_observations(model: FrozenModel, batch: QueryBatch) -> None:
+    """Raise the first error among ``batch``'s text observations, then
+    among its numeric ones (see :func:`_check_attributes`)."""
+    _check_attributes(
+        model, batch, batch.text, batch.text.columns[0], "categorical", None
+    )
+    attribute, values = batch.numeric.columns
+    _check_attributes(
+        model, batch, batch.numeric, attribute, "gaussian", values
+    )
+
+
 def _check_attributes(
     model, batch, groups, attribute, kind, values
 ) -> None:
-    """First attribute (or non-finite value) error in entry order."""
+    """First attribute or value error in entry order.
+
+    A numeric value is rejected when it is non-finite, or when it lies
+    so far out that every fitted component gives it zero density (a
+    log density of ``-inf`` everywhere, which fold-in would turn into
+    NaN memberships).  A component's log density is ``-inf`` exactly
+    when the squared standardized distance ``(x - mean)**2 / variance``
+    overflows, so a value is kept when that distance is finite for some
+    component.
+    """
     if not attribute.size:
         return
     named = np.where(attribute >= 0, attribute, -1 - attribute)
@@ -1218,6 +1226,15 @@ def _check_attributes(
     valid = status[named]
     if values is not None:
         valid &= np.isfinite(values) | (attribute < 0)
+        for code in np.flatnonzero(status).tolist():
+            params = model.attribute_params[batch.attributes[code]]
+            rows = valid & (attribute == code)
+            with np.errstate(over="ignore"):
+                distance = (
+                    (values[rows, None] - params["means"]) ** 2
+                    / params["variances"]
+                )
+            valid[rows] = np.isfinite(distance.min(axis=1))
     if valid.all():
         return
     entry = int(np.argmax(~valid))
@@ -1235,9 +1252,14 @@ def _check_attributes(
             f"observations were given as "
             f"{'text' if kind == 'categorical' else 'numeric'}"
         )
+    value = float(values[entry])
+    if math.isfinite(value):
+        raise ServingError(
+            f"{label}: observation {value!r} for attribute {name!r} has "
+            f"zero density under every fitted component"
+        )
     raise ServingError(
-        f"{label}: non-finite observation {float(values[entry])!r} "
-        f"for attribute {name!r}"
+        f"{label}: non-finite observation {value!r} for attribute {name!r}"
     )
 
 

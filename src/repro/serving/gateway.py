@@ -352,10 +352,6 @@ class Gateway:
     def url(self) -> str:
         return f"http://{self._host}:{self.port}"
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
     async def start(self) -> "Gateway":
         self._loop = asyncio.get_running_loop()
         # ONE engine thread: concurrent HTTP load becomes batching,
@@ -538,8 +534,11 @@ class Gateway:
     # ------------------------------------------------------------------
     async def _readyz(self) -> tuple[int, str, bytes]:
         """Ready only when every shard answers ``info()`` -- over a
-        process transport this is one RPC per worker, so a dead or
-        wedged worker flips readiness off."""
+        process transport this is one RPC per worker, so a dead worker
+        flips readiness off (503).  A wedged one does not: the probe
+        runs on the engine executor behind any stuck flush and its RPC
+        has no deadline, so ``/readyz`` waits with the data plane and
+        the client times out instead of reading a 503."""
 
         def probe() -> int:
             count = 0

@@ -82,6 +82,7 @@ from repro.serving.foldin import (
     FoldInOutcome,
     NewNode,
     QueryBatch,
+    check_observations,
     check_type,
     compile_queries,
     compile_query,
@@ -397,8 +398,11 @@ class ShardedEngine(ServingFrontEnd):
         matching source type, and a link target that is either a
         fitted node or a registered extension node (fitted targets are
         also type-checked; an extension target's type was validated
-        when it was extended).  Raises :class:`ServingError` naming the
-        first offending query's position; returns the batch size.
+        when it was extended), then every text and numeric observation
+        (a fitted attribute of the right kind, and a value some fitted
+        component gives nonzero density).  Raises
+        :class:`ServingError` naming the first offending query's
+        position; returns the batch size.
 
         The HTTP gateway runs this per request *before* admission, so
         one caller's malformed query is rejected alone (400) instead
@@ -438,6 +442,7 @@ class ShardedEngine(ServingFrontEnd):
                 "query",
                 "a served extension node",
             )
+        check_observations(model, batch)
         return len(batch)
 
     def _frozen_base(self):

@@ -32,8 +32,7 @@ class TestTextAttribute:
         attr = TextAttribute("title")
         attr.add_tokens("p1", ["query", "optimization", "query"])
         attr.add_tokens("p1", ["query"])
-        assert attr.term_count("p1", "query") == 3.0
-        assert attr.term_count("p1", "optimization") == 1.0
+        assert attr.bag_of("p1") == {"query": 3.0, "optimization": 1.0}
         assert attr.observation_total("p1") == 4.0
 
     def test_vocabulary_grows_in_first_seen_order(self):
@@ -46,7 +45,6 @@ class TestTextAttribute:
     def test_add_counts(self):
         attr = TextAttribute("title")
         attr.add_counts("p1", {"query": 2.0, "join": 1.0})
-        assert attr.term_count("p1", "query") == 2.0
         assert attr.bag_of("p1") == {"query": 2.0, "join": 1.0}
 
     def test_negative_count_rejected(self):
@@ -70,8 +68,8 @@ class TestTextAttribute:
     def test_missing_term_or_node_counts_zero(self):
         attr = TextAttribute("title")
         attr.add_tokens("p1", ["query"])
-        assert attr.term_count("p1", "join") == 0.0
-        assert attr.term_count("p9", "query") == 0.0
+        assert "join" not in attr.bag_of("p1")
+        assert attr.bag_of("p9") == {}
 
     def test_frozen_vocabulary_rejects_new_terms(self):
         attr = TextAttribute("title", frozen_vocabulary=["query", "join"])
@@ -96,7 +94,7 @@ class TestTextAttribute:
         assert dense[0, vocab.index("query")] == 2.0
         assert dense[0, vocab.index("join")] == 1.0
         assert dense[1, vocab.index("sort")] == 1.0
-        assert compiled.total_observations == 4.0
+        assert compiled.counts.sum() == 4.0
         assert compiled.vocab_size == 3
 
     def test_compile_unknown_node_raises(self):
@@ -155,7 +153,6 @@ class TestNumericAttribute:
         attr.add_value("s1", 21.5)
         attr.add_values("s1", [20.9, 22.0])
         assert attr.values_of("s1") == (21.5, 20.9, 22.0)
-        assert attr.observation_total("s1") == 3
 
     def test_non_finite_rejected(self):
         attr = NumericAttribute("temp")
@@ -167,9 +164,8 @@ class TestNumericAttribute:
     def test_incompleteness_queries(self):
         attr = NumericAttribute("temp")
         attr.add_value("s1", 1.0)
-        assert attr.has_observations("s1")
-        assert not attr.has_observations("s2")
         assert attr.nodes_with_observations() == ("s1",)
+        assert attr.values_of("s2") == ()
         assert attr.values_of("missing") == ()
 
     def test_compile(self):
@@ -184,7 +180,7 @@ class TestNumericAttribute:
         np.testing.assert_array_equal(
             compiled.node_indices[compiled.owners], [0, 0, 2]
         )
-        assert compiled.total_observations == 3
+        assert compiled.values.size == 3
 
     def test_compile_unknown_node_raises(self):
         attr = NumericAttribute("temp")
@@ -196,4 +192,3 @@ class TestNumericAttribute:
         attr = NumericAttribute("temp")
         compiled = attr.compile({"s1": 0})
         assert compiled.values.shape == (0,)
-        assert compiled.total_observations == 0

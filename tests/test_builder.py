@@ -19,15 +19,15 @@ class TestNetworkBuilder:
             .build()
         )
         assert net.num_nodes == 2
-        assert net.edge_weight("u1", "u2", "friend") == 1.0
+        assert ("u2", "friend", 1.0) in net.out_neighbors("u1")
 
     def test_paired_relation_declares_both_directions(self):
         builder = NetworkBuilder()
         builder.object_type("a").object_type("p")
         builder.add_paired_relation("write", "a", "p", inverse="written_by")
         net = builder.node("x", "a").node("y", "p").build()
-        assert net.schema.inverse_of("write") == "written_by"
-        assert net.schema.inverse_of("written_by") == "write"
+        assert net.schema.relation("write").inverse == "written_by"
+        assert net.schema.relation("written_by").inverse == "write"
         rel = net.schema.relation("written_by")
         assert (rel.source, rel.target) == ("p", "a")
 
@@ -38,8 +38,8 @@ class TestNetworkBuilder:
         builder.node("x", "a").node("y", "p")
         builder.link_paired("x", "y", "write", weight=2.5)
         net = builder.build()
-        assert net.edge_weight("x", "y", "write") == 2.5
-        assert net.edge_weight("y", "x", "written_by") == 2.5
+        assert ("y", "write", 2.5) in net.out_neighbors("x")
+        assert ("x", "written_by", 2.5) in net.out_neighbors("y")
 
     def test_link_paired_on_unpaired_relation_raises(self):
         builder = NetworkBuilder()

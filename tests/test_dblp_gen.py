@@ -128,19 +128,19 @@ class TestACNetwork:
             for p in corpus.papers
             if author in p.authors and p.venue == paper.venue
         )
-        assert net.edge_weight(author, paper.venue, "publish_in") == (
-            float(expected)
+        assert (paper.venue, "publish_in", float(expected)) in (
+            net.out_neighbors(author)
         )
-        assert net.edge_weight(paper.venue, author, "published_by") == (
-            float(expected)
+        assert (author, "published_by", float(expected)) in (
+            net.out_neighbors(paper.venue)
         )
 
     def test_coauthor_links_symmetric(self, corpus):
         net = build_ac_network(corpus)
         for edge in list(net.edges("coauthor"))[:100]:
-            assert net.edge_weight(
-                edge.target, edge.source, "coauthor"
-            ) == edge.weight
+            assert (edge.source, "coauthor", edge.weight) in (
+                net.out_neighbors(edge.target, "coauthor")
+            )
 
     def test_text_on_both_types(self, corpus):
         net = build_ac_network(corpus)
@@ -153,6 +153,22 @@ class TestACNetwork:
         venues_used = {p.venue for p in corpus.papers}
         for conference in list(venues_used)[:10]:
             assert text.has_observations(conference)
+
+    def test_every_node_linked_with_mutual_inverses(self, corpus):
+        """Every node has an out-link, every paired relation's links
+        appear reversed under its inverse, and titles are observed."""
+        net = build_ac_network(corpus)
+        out_linked = np.zeros(net.num_nodes, dtype=bool)
+        for relation in net.schema.relations:
+            sources, targets, weights = net.edge_arrays(relation.name)
+            out_linked[sources] = True
+            if relation.inverse is not None:
+                back = net.edge_arrays(relation.inverse)
+                assert sorted(zip(*(a.tolist() for a in back))) == sorted(
+                    zip(targets.tolist(), sources.tolist(), weights.tolist())
+                )
+        assert out_linked.all()
+        assert net.text_attribute("title").nodes_with_observations()
 
     def test_ground_truth_covers_all_nodes(self, corpus):
         net = build_ac_network(corpus)

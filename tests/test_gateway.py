@@ -28,10 +28,12 @@ from hypothesis import strategies as st
 
 from repro import GenClus, GenClusConfig
 from repro.datagen.toy import political_forum_network
+from repro.exceptions import ServingError
 from repro.obs import series_value
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import (
     InferenceEngine,
+    NewNode,
     ShardedEngine,
     SupervisionPolicy,
 )
@@ -738,6 +740,80 @@ class TestGatewayOperations:
 # ----------------------------------------------------------------------
 # live gateway over the process transport: degrade + recover
 # ----------------------------------------------------------------------
+class TestZeroDensityObservation:
+    """A finite numeric value so far out that every fitted component
+    gives it zero density is rejected like a non-finite one, instead of
+    being served (and stored) as NaN memberships."""
+
+    @pytest.fixture(scope="class")
+    def weather_result(self):
+        from repro.datagen.weather import (
+            WeatherConfig,
+            generate_weather_network,
+        )
+        from repro.experiments.weather_common import WEATHER_ATTRIBUTES
+
+        generated = generate_weather_network(
+            WeatherConfig(
+                n_temperature=60,
+                n_precipitation=30,
+                k_neighbors=3,
+                n_observations=5,
+                seed=0,
+            )
+        )
+        config = GenClusConfig(
+            n_clusters=4, outer_iterations=3, seed=0, n_init=2
+        )
+        return GenClus(config).fit(
+            generated.network, attributes=WEATHER_ATTRIBUTES
+        )
+
+    @staticmethod
+    def sensor(value):
+        return {
+            "object_type": "temperature_sensor",
+            "numeric": {"temperature": [value]},
+        }
+
+    def test_rejected_in_process(self, weather_result):
+        engine = InferenceEngine.from_result(weather_result)
+        version = engine.state.version
+        with pytest.raises(ServingError, match="query #1: observation 1e"):
+            engine.score_many([self.sensor(2.0), self.sensor(1e308)])
+        with pytest.raises(ServingError, match="zero density"):
+            engine.extend(
+                [
+                    NewNode(
+                        "huge",
+                        "temperature_sensor",
+                        numeric={"temperature": [1e308]},
+                    )
+                ]
+            )
+        assert engine.state.version == version
+        assert not engine.has_node("huge")
+        # far out but representable: every component's density is
+        # tiny, none is zero, and the memberships stay finite
+        (far,) = engine.score_many([self.sensor(1e150)])
+        assert np.isfinite(far).all()
+
+    def test_http_score_is_400(self, weather_result):
+        engine = ShardedEngine.from_result(weather_result, n_shards=2)
+        with GatewayServer.launch(engine, batch_window=0.01) as server:
+            status, body = post(
+                server.url, "/score", {"queries": [self.sensor(1e308)]}
+            )
+            assert status == 400
+            assert "zero density" in body["error"]
+            status, body = post(
+                server.url, "/score", {"queries": [self.sensor(2.0)]}
+            )
+            assert status == 200
+            assert np.isfinite(body["results"][0]).all()
+        engine.close()
+
+
 class TestGatewayProcessTransport:
     def test_degraded_markers_and_recovery_over_http(
         self, forum_result, artifact_path

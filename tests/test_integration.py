@@ -19,8 +19,6 @@ from repro.datagen.dblp import (
 from repro.datagen.weather import WeatherConfig, generate_weather_network
 from repro.eval.linkpred import link_prediction_map
 from repro.eval.nmi import nmi
-from repro.hin.stats import network_stats
-from repro.hin.validation import validate_network
 
 
 class TestSaveFitLoadRoundTrip:
@@ -99,15 +97,6 @@ class TestEndToEndBibliographic:
             # 20 conferences, ~5 in-area: random MAP ~ 0.18
             assert value > 0.3
 
-    def test_network_diagnostics_are_clean(self, corpus):
-        network = build_ac_network(corpus)
-        issues = validate_network(network)
-        warnings = [i for i in issues if i.severity == "warning"]
-        assert warnings == []
-
-    def test_stats_describe_runs(self, corpus):
-        text = network_stats(build_acp_network(corpus)).describe()
-        assert "paper" in text
 
 
 class TestEndToEndWeather:

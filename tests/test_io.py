@@ -38,11 +38,11 @@ class TestRoundTrip:
         assert restored.num_nodes == original.num_nodes
         assert restored.node_ids == original.node_ids
         assert restored.type_of("a1") == "author"
-        assert restored.edge_weight("a1", "p1", "write") == 2.0
-        assert restored.edge_weight("p1", "a1", "written_by") == 2.0
-        assert restored.schema.inverse_of("write") == "written_by"
+        assert ("p1", "write", 2.0) in restored.out_neighbors("a1")
+        assert ("a1", "written_by", 2.0) in restored.out_neighbors("p1")
+        assert restored.schema.relation("write").inverse == "written_by"
         title = restored.text_attribute("title")
-        assert title.term_count("p1", "query") == 2.0
+        assert title.bag_of("p1")["query"] == 2.0
         assert title.vocabulary == original.text_attribute("title").vocabulary
         temp = restored.numeric_attribute("temp")
         assert temp.values_of("a1") == (20.5, 21.0)
@@ -53,7 +53,7 @@ class TestRoundTrip:
         save_network(original, path)
         restored = load_network(path)
         assert restored.num_nodes == original.num_nodes
-        assert restored.edge_weight("a1", "p1", "write") == 2.0
+        assert ("p1", "write", 2.0) in restored.out_neighbors("a1")
 
     def test_payload_is_json_serializable(self):
         payload = network_to_dict(make_network())

@@ -80,7 +80,7 @@ class TestWarmStart:
     ):
         """A warm-started refit of the same network converges at once
         and never falls below the original optimum."""
-        state = forum_result.to_state()
+        state = ModelState.from_result(forum_result)
         refit = GenClus(FORUM_CONFIG).fit_problem(
             state.to_problem(), warm_start=state
         )
@@ -104,7 +104,7 @@ class TestWarmStart:
         np.testing.assert_array_equal(first.gamma, second.gamma)
 
     def test_warm_start_shape_mismatch_rejected(self, forum_result):
-        state = forum_result.to_state()
+        state = ModelState.from_result(forum_result)
         other = political_forum_network()
         with pytest.raises(StateError, match="shape"):
             GenClus(
@@ -114,7 +114,7 @@ class TestWarmStart:
     def test_warm_start_excludes_initial_theta(self, forum_result):
         from repro.exceptions import ConfigError
 
-        state = forum_result.to_state()
+        state = ModelState.from_result(forum_result)
         problem = state.to_problem()
         with pytest.raises(ConfigError, match="mutually exclusive"):
             GenClus(FORUM_CONFIG).fit_problem(
@@ -133,7 +133,7 @@ class TestPromoteToy:
         of the same extended network, in strictly fewer outer
         iterations."""
         engine = extended_forum_engine(forum_artifact_path)
-        extended = engine.state.materialize_network()
+        extended = engine.state.to_problem().network
 
         promoted = engine.promote(FORUM_CONFIG)
         cold = GenClus(FORUM_CONFIG).fit(extended, attributes=["text"])
@@ -254,7 +254,7 @@ class TestPromoteWeather:
                 )
             )
         engine.extend(batch)
-        extended = engine.state.materialize_network()
+        extended = engine.state.to_problem().network
 
         promoted = engine.promote(config)
         cold = GenClus(config).fit(
@@ -359,7 +359,7 @@ class TestAttributesOnlyLifecycle:
             n_clusters=2, outer_iterations=2, seed=0, n_init=2
         )
         result = GenClus(config).fit(network, attributes=["words"])
-        state = result.to_state()
+        state = ModelState.from_result(result)
         assert state.refit_capable
         refit = GenClus(config).fit_state(state)
         assert refit.theta.shape == result.theta.shape
@@ -423,7 +423,7 @@ class TestModelState:
     ):
         engine = extended_forum_engine(forum_artifact_path)
         state = engine.state
-        network = state.materialize_network()
+        network = state.to_problem().network
         assert network.num_nodes == state.num_nodes
         # row order: base nodes first (insertion order), then extensions
         for node in ("user-new-0", "user-new-1", "user-new-2"):
@@ -432,9 +432,9 @@ class TestModelState:
                 state.theta[idx], engine.membership_of(node)
             )
         # extension links (including the later delta) became edges
-        assert network.edge_weight(
-            "user-new-1", "book1_3", "likes"
-        ) == 2.0
+        assert ("book1_3", "likes", 2.0) in network.out_neighbors(
+            "user-new-1"
+        )
         # extension text observations survived into the attribute table
         assert network.attribute("text").bag_of("user-new-0") == {
             "climate": 1.0,
@@ -446,9 +446,10 @@ class TestModelState:
     ):
         """An in-memory engine's fit network has an open vocabulary; the
         materialized table is frozen to the training terms all the same."""
-        engine = InferenceEngine.from_state(forum_result.to_state())
+        state = ModelState.from_result(forum_result)
+        engine = InferenceEngine.from_state(state)
         engine.extend(FORUM_EXTENSION)
-        text = engine.state.materialize_network().attribute("text")
+        text = engine.state.to_problem().network.attribute("text")
         assert text.vocabulary == forum_result.network.attribute(
             "text"
         ).vocabulary
@@ -472,7 +473,7 @@ class TestModelState:
                 )
             ]
         )
-        network = engine.state.materialize_network()
+        network = engine.state.to_problem().network
         assert network.attribute("text").bag_of("oov-user") == {
             "climate": 1.0
         }

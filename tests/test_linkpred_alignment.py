@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.alignment import align_clusters, confusion_matrix, relabel
+from repro.eval.alignment import align_clusters, confusion_matrix
 from repro.eval.linkpred import link_prediction_map, relevance_matrix
 from repro.hin.builder import NetworkBuilder
 
@@ -98,14 +98,6 @@ class TestLinkPredictionMap:
         with pytest.raises(ValueError, match="rows"):
             link_prediction_map(network, np.ones((3, 2)), "publish_in")
 
-    def test_best_similarity_and_describe(self):
-        network = make_ac_network()
-        result = link_prediction_map(
-            network, aligned_theta(network), "publish_in"
-        )
-        assert result.best_similarity() in result.map_by_similarity
-        assert "publish_in" in result.describe()
-
 
 class TestAlignment:
     def test_confusion_matrix(self):
@@ -119,7 +111,9 @@ class TestAlignment:
         pred = np.array([2, 2, 0, 0, 1, 1])
         mapping = align_clusters(truth, pred)
         assert mapping == {2: 0, 0: 1, 1: 2}
-        np.testing.assert_array_equal(relabel(pred, mapping), truth)
+        np.testing.assert_array_equal(
+            [mapping[cluster] for cluster in pred.tolist()], truth
+        )
 
     def test_align_with_noise(self):
         truth = np.array([0, 0, 0, 1, 1, 1])
@@ -135,10 +129,6 @@ class TestAlignment:
         mapping = align_clusters(truth, pred)
         assert set(mapping) == {0, 1, 2}
         assert mapping[2] == 1  # majority class of cluster 2
-
-    def test_relabel_unknown_cluster_raises(self):
-        with pytest.raises(KeyError, match="missing from mapping"):
-            relabel(np.array([0, 1, 5]), {0: 0, 1: 1})
 
     def test_negative_labels_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

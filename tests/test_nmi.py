@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.eval.nmi import adjusted_rand_index, nmi, purity
+from repro.eval.nmi import nmi
 
 
 class TestNMI:
@@ -97,38 +97,3 @@ class TestNMI:
         permutation = rng.permutation(5)
         relabeled = permutation[truth]
         assert nmi(truth, relabeled) == pytest.approx(1.0)
-
-
-class TestPurity:
-    def test_perfect(self):
-        labels = np.array([0, 0, 1, 1])
-        assert purity(labels, labels) == 1.0
-
-    def test_known_value(self):
-        truth = np.array([0, 0, 1, 1, 1])
-        pred = np.array([0, 0, 0, 1, 1])
-        # cluster 0 majority: class 0 (2 of 3); cluster 1: class 1 (2 of 2)
-        assert purity(truth, pred) == pytest.approx(4 / 5)
-
-    def test_lower_bounded_by_largest_class(self):
-        truth = np.array([0, 0, 0, 1])
-        pred = np.zeros(4, dtype=int)
-        assert purity(truth, pred) == pytest.approx(0.75)
-
-
-class TestAdjustedRandIndex:
-    def test_perfect(self):
-        labels = np.array([0, 1, 0, 1, 2])
-        assert adjusted_rand_index(labels, labels) == pytest.approx(1.0)
-
-    def test_independent_near_zero(self):
-        rng = np.random.default_rng(3)
-        truth = np.repeat([0, 1, 2], 300)
-        pred = rng.integers(0, 3, size=900)
-        assert abs(adjusted_rand_index(truth, pred)) < 0.05
-
-    def test_can_be_negative(self):
-        # systematically anti-correlated partitions can dip below 0
-        truth = np.array([0, 0, 1, 1])
-        pred = np.array([0, 1, 0, 1])
-        assert adjusted_rand_index(truth, pred) <= 0.0

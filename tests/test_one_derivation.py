@@ -187,7 +187,7 @@ def test_refit_problem_is_derived_from_network_and_shape(
     state = engine.state
     problem = state.to_problem()
     assert_views_identical(
-        problem.matrices, build_relation_matrices(state.materialize_network())
+        problem.matrices, build_relation_matrices(problem.network)
     )
     assert problem.matrices.relation_names == state.relation_names
     assert problem.num_nodes == state.num_nodes

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from repro.eval.ranking import (
     average_precision,
     mean_average_precision,
-    mean_reciprocal_rank,
-    precision_at_k,
 )
 
 
@@ -108,31 +106,3 @@ class TestMeanAveragePrecision:
         assert mean_average_precision(
             good_scores, relevance
         ) > mean_average_precision(bad_scores, relevance)
-
-
-class TestPrecisionAtK:
-    def test_known_value(self):
-        scores = np.array([3.0, 2.0, 1.0])
-        relevant = np.array([True, False, True])
-        assert precision_at_k(scores, relevant, 2) == pytest.approx(0.5)
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError, match="k must be"):
-            precision_at_k(np.ones(3), np.ones(3, dtype=bool), 0)
-
-
-class TestMRR:
-    def test_known_value(self):
-        scores = np.array([[3.0, 2.0, 1.0], [3.0, 2.0, 1.0]])
-        relevance = np.array(
-            [[False, True, False], [False, False, True]]
-        )
-        assert mean_reciprocal_rank(scores, relevance) == pytest.approx(
-            (1 / 2 + 1 / 3) / 2
-        )
-
-    def test_all_empty_rejected(self):
-        with pytest.raises(ValueError, match="no query"):
-            mean_reciprocal_rank(
-                np.ones((1, 2)), np.zeros((1, 2), dtype=bool)
-            )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.diagnostics import IterationRecord, RunHistory
 from repro.core.result import GenClusResult
-from repro.exceptions import NetworkError, SchemaError
+from repro.exceptions import NetworkError
 from repro.hin.builder import NetworkBuilder
 
 
@@ -65,58 +65,13 @@ class TestGenClusResult:
 
     def test_strengths(self):
         result = make_result()
-        assert result.strength_of("publish_in") == 2.5
         assert result.strengths() == {"publish_in": 2.5}
-
-    def test_unknown_relation_raises(self):
-        result = make_result()
-        with pytest.raises(KeyError, match="carried no links"):
-            result.strength_of("coauthor")
 
     def test_hard_labels(self):
         result = make_result()
         np.testing.assert_array_equal(
             result.hard_labels(), [0, 1, 0, 0]
         )
-
-    def test_hard_labels_for_type(self):
-        result = make_result()
-        ids, labels = result.hard_labels_for("author")
-        assert ids == ["a1", "a2", "a3"]
-        np.testing.assert_array_equal(labels, [0, 1, 0])
-
-    def test_theta_for_type(self):
-        result = make_result()
-        ids, theta = result.theta_for("conf")
-        assert ids == ["c1"]
-        np.testing.assert_allclose(theta, [[0.5, 0.5]])
-
-    def test_top_members(self):
-        result = make_result()
-        top = result.top_members(0, limit=2)
-        assert top[0] == ("a1", 0.9)
-        assert top[1] == ("a3", 0.6)
-
-    def test_top_members_filtered_by_type(self):
-        result = make_result()
-        top = result.top_members(1, object_type="author", limit=1)
-        assert top == [("a2", 0.8)]
-
-    def test_top_members_bad_cluster(self):
-        result = make_result()
-        with pytest.raises(IndexError, match="out of range"):
-            result.top_members(7)
-
-    def test_top_terms(self):
-        result = make_result()
-        terms = result.top_terms("title", 0, limit=2)
-        assert terms[0] == ("query", 0.7)
-        assert terms[1] == ("data", 0.2)
-
-    def test_top_terms_unknown_attribute(self):
-        result = make_result()
-        with pytest.raises(KeyError, match="was not fit"):
-            result.top_terms("abstract", 0)
 
     def test_summary_mentions_strengths(self):
         text = make_result().summary()
@@ -128,28 +83,6 @@ class TestGenClusResult:
         result = make_result()
         with pytest.raises(NetworkError, match="unknown node"):
             result.membership_of("nobody")
-
-    def test_hard_labels_for_unknown_type_raises(self):
-        result = make_result()
-        with pytest.raises(SchemaError):
-            result.hard_labels_for("venue")
-
-    def test_hard_labels_for_type_with_no_nodes(self):
-        builder = NetworkBuilder()
-        builder.object_type("author").object_type("conf")
-        builder.nodes(["a1"], "author")
-        network = builder.build()
-        result = GenClusResult(
-            theta=np.array([[1.0]]),
-            gamma=np.zeros(0),
-            relation_names=(),
-            attribute_params={},
-            history=RunHistory(relation_names=()),
-            network=network,
-        )
-        ids, labels = result.hard_labels_for("conf")
-        assert ids == []
-        assert labels.shape == (0,)
 
     def test_single_cluster_fit(self):
         """K=1: every membership is the point mass, every label 0."""
@@ -168,9 +101,6 @@ class TestGenClusResult:
         assert result.n_clusters == 1
         np.testing.assert_array_equal(result.membership_of("a1"), [1.0])
         np.testing.assert_array_equal(result.hard_labels(), [0, 0])
-        ids, labels = result.hard_labels_for("author")
-        assert ids == ["a1", "a2"]
-        np.testing.assert_array_equal(labels, [0, 0])
 
     def test_save_load_score_roundtrip(self, tmp_path):
         """Satellite acceptance: save -> load -> identical scores."""
@@ -185,7 +115,11 @@ class TestGenClusResult:
             loaded.hard_labels(), result.hard_labels()
         )
         assert loaded.strengths() == result.strengths()
-        assert loaded.top_terms("title", 0) == result.top_terms("title", 0)
+        for key in ("beta", "vocabulary"):
+            np.testing.assert_array_equal(
+                loaded.attribute_params["title"][key],
+                result.attribute_params["title"][key],
+            )
 
 
 class TestRunHistory:
@@ -195,24 +129,6 @@ class TestRunHistory:
         assert trajectory.shape == (2, 1)
         np.testing.assert_allclose(trajectory[:, 0], [1.0, 2.5])
 
-    def test_gamma_series_by_name(self):
-        history = make_result().history
-        np.testing.assert_allclose(
-            history.gamma_series("publish_in"), [1.0, 2.5]
-        )
-
     def test_g1_series(self):
         history = make_result().history
         np.testing.assert_allclose(history.g1_series(), [-10.0, -8.0])
-
-    def test_em_timing_accessors(self):
-        history = make_result().history
-        assert history.total_em_seconds() == pytest.approx(0.2)
-        assert history.mean_em_seconds_per_inner_iteration() == (
-            pytest.approx(0.05)
-        )
-
-    def test_describe_renders_table(self):
-        text = make_result().history.describe()
-        assert "publish_in" in text
-        assert "iter" in text

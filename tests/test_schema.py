@@ -56,7 +56,11 @@ class TestRelationType:
 class TestNetworkSchema:
     def test_declaration_order_preserved(self):
         schema = make_bibliographic_schema()
-        assert schema.object_type_names == ("author", "paper", "venue")
+        assert tuple(t.name for t in schema.object_types) == (
+            "author",
+            "paper",
+            "venue",
+        )
         assert schema.relation_names == (
             "write",
             "written_by",
@@ -90,27 +94,13 @@ class TestNetworkSchema:
 
     def test_inverse_of(self):
         schema = make_bibliographic_schema()
-        assert schema.inverse_of("write") == "written_by"
-        assert schema.inverse_of("written_by") == "write"
+        assert schema.relation("write").inverse == "written_by"
+        assert schema.relation("written_by").inverse == "write"
 
     def test_has_helpers(self):
         schema = make_bibliographic_schema()
         assert schema.has_object_type("author")
         assert not schema.has_object_type("blog")
-        assert schema.has_relation("publish")
-        assert not schema.has_relation("cite")
-
-    def test_relations_from_and_to(self):
-        schema = make_bibliographic_schema()
-        from_paper = {r.name for r in schema.relations_from("paper")}
-        assert from_paper == {"written_by", "published_by"}
-        to_paper = {r.name for r in schema.relations_to("paper")}
-        assert to_paper == {"write", "publish"}
-
-    def test_relations_from_unknown_type_raises(self):
-        schema = make_bibliographic_schema()
-        with pytest.raises(SchemaError):
-            schema.relations_from("blog")
 
 
 class TestInverseConsistency:

@@ -113,13 +113,7 @@ class TestArtifactRoundtrip:
         loaded = GenClusResult.load(path)
         source = forum_result.network
         assert loaded.network.num_edges() == source.num_edges()
-        for edge in source.edges():
-            assert (
-                loaded.network.edge_weight(
-                    edge.source, edge.target, edge.relation
-                )
-                == edge.weight
-            )
+        assert set(loaded.network.edges()) == set(source.edges())
         assert set(loaded.network.schema.relation_names) == set(
             source.schema.relation_names
         )
@@ -157,14 +151,16 @@ class TestArtifactRoundtrip:
     def test_result_api_works_after_reload(self, forum_result, tmp_path):
         path = forum_result.save(tmp_path / "model.npz")
         loaded = GenClusResult.load(path)
-        ids, labels = loaded.hard_labels_for("user")
-        source_ids, source_labels = forum_result.hard_labels_for("user")
-        assert ids == source_ids
-        np.testing.assert_array_equal(labels, source_labels)
-        assert loaded.strengths() == forum_result.strengths()
-        assert loaded.top_terms("text", 0, limit=3) == (
-            forum_result.top_terms("text", 0, limit=3)
+        assert loaded.network.node_ids == forum_result.network.node_ids
+        np.testing.assert_array_equal(
+            loaded.hard_labels(), forum_result.hard_labels()
         )
+        assert loaded.strengths() == forum_result.strengths()
+        for key in ("beta", "vocabulary"):
+            np.testing.assert_array_equal(
+                loaded.attribute_params["text"][key],
+                forum_result.attribute_params["text"][key],
+            )
 
     def test_summary_mentions_shape(self, forum_result, tmp_path):
         artifact = ModelArtifact.from_result(forum_result)

@@ -10,7 +10,7 @@ from repro.core.kernels import BlockPlan
 from repro.datagen.toy import political_forum_network
 from repro.exceptions import ServingError
 from repro.serving import InferenceEngine, ModelArtifact, NewNode
-from repro.serving.__main__ import main
+from repro.serving.__main__ import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +428,10 @@ class TestInfo:
 
 
 class TestCli:
+    def test_serve_defaults_to_one_shard(self):
+        args = build_parser().parse_args(["serve", "model.bundle"])
+        assert args.shards == 1
+
     def test_info_text(self, artifact_path, capsys):
         assert main(["info", str(artifact_path)]) == 0
         out = capsys.readouterr().out

@@ -5,7 +5,7 @@ import pytest
 
 from repro import GenClus, GenClusConfig
 from repro.datagen.toy import political_forum_network
-from repro.eval.alignment import align_clusters, relabel
+from repro.eval.alignment import align_clusters
 from repro.exceptions import ServingError
 from repro.hin.io import network_from_dict, network_to_dict
 from repro.serving.artifact import ModelArtifact
@@ -98,7 +98,9 @@ class TestFoldInAccuracy:
 
         outcome = fold_in(model, held_out_batch(full_network))
         assert outcome.converged
-        folded = relabel(outcome.hard_labels(), mapping)
+        folded = np.array(
+            [mapping[cluster] for cluster in outcome.hard_labels().tolist()]
+        )
         refit = np.array(
             [
                 full_result.hard_labels()[full_network.index_of(node)]

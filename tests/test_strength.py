@@ -168,9 +168,10 @@ class TestDerivatives:
 class TestStatistics:
     def test_rowsums_equal_out_weights(self, stats_and_matrices):
         stats, matrices, _ = stats_and_matrices
-        np.testing.assert_allclose(
-            stats.rowsums, matrices.out_weight_totals(), rtol=1e-12
+        out_weights = np.column_stack(
+            [np.asarray(m.sum(axis=1)).ravel() for m in matrices.matrices]
         )
+        np.testing.assert_allclose(stats.rowsums, out_weights, rtol=1e-12)
 
     def test_ce_totals_non_positive(self, stats_and_matrices):
         stats, _, _ = stats_and_matrices
@@ -205,8 +206,8 @@ class TestLearnStrengths:
         outcome = learn_strengths(
             theta, matrices, np.ones(2), sigma=1.0, max_iterations=100
         )
-        good = outcome.gamma[matrices.index_of("good")]
-        noisy = outcome.gamma[matrices.index_of("noisy")]
+        good = outcome.gamma[matrices.relation_names.index("good")]
+        noisy = outcome.gamma[matrices.relation_names.index("noisy")]
         assert good > noisy
 
     def test_converges(self, stats_and_matrices):

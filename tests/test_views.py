@@ -36,12 +36,14 @@ class TestBuildRelationMatrices:
 
     def test_matrix_entries(self, network):
         mats = build_relation_matrices(network)
-        publish = mats.matrix("publish_in").toarray()
+        publish, published = (
+            mats.matrices[mats.relation_names.index(name)].toarray()
+            for name in ("publish_in", "published_by")
+        )
         # a1 -> c1 weight 3, a2 -> c1 weight 1
         assert publish[0, 2] == 3.0
         assert publish[1, 2] == 1.0
         assert publish.sum() == 4.0
-        published = mats.matrix("published_by").toarray()
         assert published[2, 0] == 3.0
         assert published[2, 1] == 1.0
 
@@ -59,19 +61,6 @@ class TestBuildRelationMatrices:
         mats = build_relation_matrices(net)
         assert "coauthor" not in mats.relation_names
 
-    def test_index_of_unknown_relation(self, network):
-        mats = build_relation_matrices(network)
-        with pytest.raises(KeyError):
-            mats.index_of("cites")
-
-    def test_out_weight_totals(self, network):
-        mats = build_relation_matrices(network)
-        totals = mats.out_weight_totals()
-        r = mats.index_of("publish_in")
-        np.testing.assert_allclose(totals[:, r], [3.0, 1.0, 0.0])
-        r = mats.index_of("coauthor")
-        np.testing.assert_allclose(totals[:, r], [2.0, 2.0, 0.0])
-
     def test_combined_default_flattens_all(self, network):
         mats = build_relation_matrices(network)
         combined = mats.combined().toarray()
@@ -82,7 +71,7 @@ class TestBuildRelationMatrices:
     def test_combined_with_weights(self, network):
         mats = build_relation_matrices(network)
         weights = np.zeros(mats.num_relations)
-        weights[mats.index_of("coauthor")] = 2.0
+        weights[mats.relation_names.index("coauthor")] = 2.0
         combined = mats.combined(weights).toarray()
         assert combined[0, 1] == 4.0
         assert combined[0, 2] == 0.0

@@ -119,11 +119,11 @@ class TestObservations:
         temp = net.numeric_attribute(TEMPERATURE_ATTR)
         precip = net.numeric_attribute(PRECIPITATION_ATTR)
         for node in net.nodes_of_type(TEMPERATURE_TYPE):
-            assert temp.observation_total(node) == 5
-            assert not precip.has_observations(node)
+            assert len(temp.values_of(node)) == 5
+            assert precip.values_of(node) == ()
         for node in net.nodes_of_type(PRECIPITATION_TYPE):
-            assert precip.observation_total(node) == 5
-            assert not temp.has_observations(node)
+            assert len(precip.values_of(node)) == 5
+            assert temp.values_of(node) == ()
 
     def test_observations_near_owned_pattern_means(self, small_weather):
         """Sensor observations should track their ring's pattern mean."""
