@@ -131,11 +131,7 @@ def run_harness(worker_counts, batch_size, clients, repeats):
                 cache_size=0,
             )
             try:
-                with GatewayServer.launch(
-                    engine,
-                    batch_window=0.002,
-                    max_batch=REQUEST_SIZE * clients,
-                ) as server:
+                with GatewayServer.launch(engine) as server:
                     # correctness gate before any timing
                     body = _post_score(server.url, chunks[0])
                     for got, want in zip(body["results"], reference):

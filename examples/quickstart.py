@@ -502,10 +502,11 @@ def http_serving(result: GenClusResult) -> None:
     memory maps and speaks a length-prefixed, pickle-free socket
     protocol), and :class:`~repro.serving.gateway.GatewayServer` puts
     an asyncio HTTP front end on top.  Concurrent ``POST /score`` and
-    ``POST /similar`` requests are **micro-batched** — accumulated for
-    a time window (or flushed early when a size trigger fills a batch)
-    and fed to the cluster's blocked ``score_many``/``similar_many``
-    paths — so under load, concurrency becomes a batching problem, not
+    ``POST /similar`` requests are **micro-batched** — a request that
+    finds the engine idle runs at once, and the requests that arrive
+    while a batch runs are fed together, as the next batch, to the
+    cluster's blocked ``score_many``/``similar_many`` paths — so under
+    load, concurrency becomes a batching problem, not
     a locking problem.  Admission control bounds the queue (HTTP 429
     over capacity), ``/healthz`` / ``/readyz`` / ``/metrics`` serve
     probes and the aggregated cross-process Prometheus page, drain is
@@ -544,9 +545,7 @@ def http_serving(result: GenClusResult) -> None:
         result.save(path)
         engine = ShardedEngine.load(path, n_shards=2, transport="process")
         try:
-            with GatewayServer.launch(
-                engine, batch_window=0.005, max_batch=32
-            ) as server:
+            with GatewayServer.launch(engine) as server:
                 workers = engine.transport.describe()["workers"]
                 print(
                     f"  gateway up at {server.url} -> "

@@ -4,9 +4,7 @@ All baselines see the heterogeneous network through a *homogenized* lens
 -- every link type flattened with strength 1 -- because "none of these
 baselines is capable of leveraging different link types" (Section 5.2.1).
 
-* :mod:`repro.baselines.plsa` -- vanilla PLSA [11], the text substrate of
-  the two network-topic baselines.
-* :mod:`repro.baselines.netplsa` -- NetPLSA [18]: PLSA with graph-
+* :mod:`repro.baselines.netplsa` -- NetPLSA [18]: PLSA [11] with graph-
   Laplacian smoothing of topic proportions.
 * :mod:`repro.baselines.itopicmodel` -- iTopicModel [22]: topic model
   with a neighbour-averaged prior on topic proportions.
@@ -22,15 +20,12 @@ from repro.baselines.interpolation import interpolate_numeric_attributes
 from repro.baselines.itopicmodel import ITopicModel
 from repro.baselines.kmeans import KMeansResult, kmeans
 from repro.baselines.netplsa import NetPLSA
-from repro.baselines.plsa import PLSA, PLSAResult
 from repro.baselines.spectral import SpectralCombine
 
 __all__ = [
     "ITopicModel",
     "KMeansResult",
     "NetPLSA",
-    "PLSA",
-    "PLSAResult",
     "SpectralCombine",
     "interpolate_numeric_attributes",
     "kmeans",

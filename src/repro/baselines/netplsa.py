@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.baselines.plsa import _em_iteration
 from repro.exceptions import ConfigError
 from repro.hin.network import HeterogeneousNetwork
 from repro.hin.views import build_relation_matrices
@@ -100,8 +99,8 @@ class NetPLSA:
         has_text[compiled.node_indices] = True
 
         for _ in range(self.max_iterations):
-            theta_plsa, beta, _ = _em_iteration(
-                theta, beta, counts, coo.row, coo.col, coo.data, 1e-10
+            theta_plsa, beta = _plsa_step(
+                theta, beta, counts, coo.row, coo.col, coo.data
             )
             # nodes without text have no PLSA evidence: keep current theta
             theta_plsa[~has_text] = theta[~has_text]
@@ -114,6 +113,34 @@ class NetPLSA:
             row_sums = smoothed.sum(axis=1, keepdims=True)
             theta = smoothed / np.maximum(row_sums, 1e-300)
         return theta
+
+
+def _plsa_step(
+    theta: np.ndarray,
+    beta: np.ndarray,
+    counts: sparse.csr_matrix,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One PLSA (Hofmann 1999, [11]) EM sweep via the sparse ratio
+    ``c_dl / sum_k theta_dk beta_kl``:
+
+        theta_dk  propto  theta_dk sum_l ratio_dl beta_kl
+        beta_kl   propto  beta_kl  sum_d theta_dk ratio_dl
+
+    An additive ``1e-10`` in both updates keeps every probability
+    positive."""
+    denom = np.einsum("nk,nk->n", theta[rows], beta[:, cols].T)
+    denom = np.maximum(denom, 1e-300)
+    ratio = sparse.csr_matrix(
+        (vals / denom, (rows, cols)), shape=counts.shape
+    )
+    theta_new = theta * (ratio @ beta.T) + 1e-10
+    theta_new /= theta_new.sum(axis=1, keepdims=True)
+    beta_new = beta * (theta.T @ ratio) + 1e-10
+    beta_new /= beta_new.sum(axis=1, keepdims=True)
+    return theta_new, beta_new
 
 
 def _random_walk_matrix(

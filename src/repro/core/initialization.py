@@ -24,6 +24,7 @@ from repro.core.attribute_models import (
 from repro.core.em import run_em
 from repro.core.kernels import PropagationOperator
 from repro.core.problem import ClusteringProblem
+from repro.exceptions import ConvergenceError
 
 
 def random_theta(
@@ -97,6 +98,11 @@ def select_initial_theta(
             best_objective = outcome.objective
             best_theta = outcome.theta
             best_params = _snapshot_params(problem.attribute_models)
-    assert best_theta is not None and best_params is not None
+    if best_theta is None:
+        raise ConvergenceError(
+            f"none of the {n_init} initial starts had a finite "
+            "objective; check the numeric observations for values so "
+            "large (e.g. 1e308) that the Gaussian likelihood overflows"
+        )
     _restore_params(problem.attribute_models, best_params)
     return best_theta

@@ -57,9 +57,10 @@ into something that lives through the whole model lifecycle:
 * :mod:`repro.serving.gateway` -- the HTTP front end:
   :class:`Gateway` is an asyncio server (stdlib-only) whose
   :class:`MicroBatcher` coalesces concurrent requests into blocked
-  ``score_many`` / ``similar_many`` calls (size- or time-triggered
-  flushes), with admission control (bounded queue, 429 on overflow)
-  and graceful drain; :class:`GatewayServer` runs it on a background
+  ``score_many`` / ``similar_many`` calls (an idle engine flushes at
+  once; requests arriving during a flush leave as the next batch),
+  with admission control (bounded queue, 429 on overflow) and
+  graceful drain; :class:`GatewayServer` runs it on a background
   thread for synchronous callers.
 
 The fitted membership matrix is also a similarity surface:

@@ -39,14 +39,15 @@ Subcommands against a saved model artifact:
   a batch with tracing enabled and print the recorded span trees
   (``score_many > shard[i].foldin`` under a cluster); ``--jsonl``
   additionally exports the traces as JSON lines.
-* ``serve ARTIFACT --shards N --port P [--mmap] [--batch-window MS]
-  [--max-batch Q] [--max-queue Q]`` -- serve the model over HTTP: a
-  sharded cluster (one shard worker process per shard) behind the
-  micro-batching asyncio gateway.  The workers are forked from
-  ``serve`` before any gateway thread starts, so they skip a second
-  interpreter start and import; being forks, they show ``serve``'s
-  own command line in ``ps`` (find them as ``serve``'s children, not
-  by ``repro.serving.worker``).  Prints
+* ``serve ARTIFACT --shards N --port P [--mmap] [--max-queue Q]`` --
+  serve the model over HTTP: a sharded cluster (one shard worker
+  process per shard) behind the micro-batching asyncio gateway (a
+  request that finds the engine idle runs at once; requests that
+  arrive while a batch runs leave together as the next batch).  The
+  workers are forked from ``serve`` before any gateway thread starts,
+  so they skip a second interpreter start and import; being forks,
+  they show ``serve``'s own command line in ``ps`` (find them as
+  ``serve``'s children, not by ``repro.serving.worker``).  Prints
   ``READY http://HOST:PORT`` once the listener is bound; SIGTERM or
   SIGINT triggers a graceful drain (in-flight batches complete, new
   work gets 503) before exit.  Endpoints: ``POST /score``,
@@ -344,6 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve the model over HTTP through the micro-batching "
         "gateway",
+        description="Serve the model over HTTP.  The gateway batches "
+        "without a timer: a request that finds the engine idle runs at "
+        "once, and the requests that arrive while a batch runs leave "
+        "together as the next batch.",
     )
     serve.add_argument("artifact", help="path to the artifact bundle")
     serve.add_argument(
@@ -372,25 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(the frozen base is shared through the OS page cache)",
     )
     serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="micro-batch window in milliseconds (default: 5)",
-    )
-    serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="size trigger: flush a batch at this many items "
-        "(default: 64)",
-    )
-    serve.add_argument(
         "--max-queue",
         type=int,
         default=1024,
-        help="admission bound on items pending + in flight; overflow "
-        "is rejected with 429 (default: 1024)",
+        help="admission bound on items pending + in flight (so also "
+        "the largest batch); overflow is rejected with 429 "
+        "(default: 1024)",
     )
 
     chaos = commands.add_parser(
@@ -646,8 +638,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             engine,
             host=args.host,
             port=args.port,
-            batch_window=args.batch_window / 1000.0,
-            max_batch=args.max_batch,
             max_queue=args.max_queue,
         )
         try:

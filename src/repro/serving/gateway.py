@@ -4,12 +4,15 @@ Serving a HIN model to many concurrent callers is a traffic-shaping
 problem: the engine's cheapest unit of work is a *batch* (one blocked
 ``score_many`` fold-in, one blocked ``similar_many`` scan), so the
 gateway's whole job is turning request concurrency into batch size.
-Incoming items accumulate in a :class:`MicroBatcher` until either the
-**size trigger** (``max_batch`` items -- flush immediately) or the
-**time trigger** (``batch_window`` seconds after the first item of a
-batch) fires; the flush groups the batch -- all score items into one
-cluster ``score_many``, similarity items by ``(k, metric, type)`` into
-``similar_many`` calls -- and resolves each request's futures.
+One rule makes the batches: an item admitted while the engine is idle
+flushes at once, and items admitted while a flush runs accumulate in
+the :class:`MicroBatcher` until that flush finishes, which sends
+everything pending as the next batch.  So a lone request pays no wait,
+and under load the batch grows with the time one batch takes to
+run -- no timer and no size knob.  A flush groups its batch -- all
+score items into one cluster ``score_many``, similarity items by
+``(k, metric, type)`` into ``similar_many`` calls -- and resolves each
+request's futures.
 
 Determinism: every engine call the gateway makes runs on a
 **single-thread executor**, so concurrent HTTP load can never
@@ -23,12 +26,12 @@ in-process reference returns -- pinned in ``tests/test_gateway.py``.
 Admission control: a bounded queue (``max_queue`` items pending or in
 flight).  A request that would overflow it is rejected with **429**
 before any work is queued; during a drain new work gets **503** while
-everything already admitted completes (``drain()`` flushes the open
-batch and awaits in-flight executions).  Shard failures under a
-process transport degrade, not fail: ``score_many`` runs in partial
-mode, so queries owned by a dead worker come back as typed degraded
-markers (HTTP 200 with per-item ``{"degraded": ...}`` objects) while
-every healthy shard's rows are returned bit-identical.
+everything already admitted completes (``drain()`` awaits the flush
+in flight, which carries everything pending with it).  Shard failures
+under a process transport degrade, not fail: ``score_many`` runs in
+partial mode, so queries owned by a dead worker come back as typed
+degraded markers (HTTP 200 with per-item ``{"degraded": ...}``
+objects) while every healthy shard's rows are returned bit-identical.
 
 Endpoints::
 
@@ -100,15 +103,13 @@ class _Item:
 class MicroBatcher:
     """Accumulates admitted items and flushes them as engine batches.
 
-    Flush triggers:
-
-    * **size** -- the pending list reaches ``max_batch``: flush
-      immediately (and cancel the armed timer).
-    * **time** -- ``batch_window`` seconds after the *first* item of
-      the current batch (``loop.call_later``); a timer that fires
-      after a size flush already emptied the list is a no-op (the
-      "empty window flush").
-    * **drain** -- :meth:`flush_now` on shutdown.
+    At most one flush is in flight.  :meth:`admit` flushes at once
+    when none is; otherwise the items wait in the pending list, and
+    the flush in flight, when it finishes, sends everything pending as
+    the next batch.  Nothing is ever pending without a flush in
+    flight, so a drain only has to refuse new work and
+    :meth:`quiesce`.  ``max_queue`` bounds items pending plus in
+    flight, and so every batch.
 
     Execution always happens on the gateway's single-thread executor;
     one flush issues at most one ``score_many`` plus one
@@ -123,19 +124,9 @@ class MicroBatcher:
         engine,
         loop: asyncio.AbstractEventLoop,
         executor: ThreadPoolExecutor,
-        batch_window: float,
-        max_batch: int,
         max_queue: int,
         metrics: GatewayMetrics,
     ) -> None:
-        if batch_window < 0:
-            raise ServingError(
-                f"batch_window must be >= 0, got {batch_window}"
-            )
-        if max_batch < 1:
-            raise ServingError(
-                f"max_batch must be >= 1, got {max_batch}"
-            )
         if max_queue < 1:
             raise ServingError(
                 f"max_queue must be >= 1, got {max_queue}"
@@ -143,14 +134,11 @@ class MicroBatcher:
         self._engine = engine
         self._loop = loop
         self._executor = executor
-        self._window = batch_window
-        self._max_batch = max_batch
         self._max_queue = max_queue
         self._metrics = metrics
         self._pending: list[_Item] = []
         self._inflight = 0
-        self._timer: asyncio.TimerHandle | None = None
-        self._tasks: set[asyncio.Task] = set()
+        self._flight: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -176,48 +164,30 @@ class MicroBatcher:
             future = self._loop.create_future()
             self._pending.append(_Item(kind, payload, future, now))
             futures.append(future)
+        if self._flight is None:
+            self._flush()
         self._metrics.queue_depth.set(self.load)
-        if len(self._pending) >= self._max_batch:
-            self._flush("size")
-        elif self._timer is None and self._pending:
-            self._timer = self._loop.call_later(
-                self._window, self._flush, "time"
-            )
         return futures
 
-    def flush_now(self) -> None:
-        """Drain trigger: flush whatever is pending immediately."""
-        self._flush("drain")
-
     async def quiesce(self) -> None:
-        """Await every in-flight batch execution (drain's second half)."""
-        while self._tasks:
-            await asyncio.gather(
-                *list(self._tasks), return_exceptions=True
-            )
+        """Await the flush in flight and every flush it chains to."""
+        while self._flight is not None:
+            await asyncio.wait([self._flight])
 
     # ------------------------------------------------------------------
-    def _flush(self, trigger: str) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+    def _flush(self) -> None:
+        """Send everything pending as one batch (none in flight)."""
         if not self._pending:
-            # a timer racing a size flush, or a drain with an empty
-            # window: nothing to do
             return
         batch = self._pending
         self._pending = []
         self._metrics.batch_flushes.inc()
-        self._metrics.flush_trigger(trigger).inc()
         self._metrics.batch_size.observe(len(batch))
         self._metrics.batch_wait_seconds.observe(
             time.monotonic() - batch[0].admitted
         )
         self._inflight += len(batch)
-        self._metrics.queue_depth.set(self.load)
-        task = self._loop.create_task(self._run(batch))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        self._flight = self._loop.create_task(self._run(batch))
 
     async def _run(self, batch: list[_Item]) -> None:
         try:
@@ -241,6 +211,9 @@ class MicroBatcher:
                         item.future.set_result(result)
         finally:
             self._inflight -= len(batch)
+            self._flight = None
+            # what accumulated behind this flush leaves as the next one
+            self._flush()
             self._metrics.queue_depth.set(self.load)
 
     def _execute(self, batch: list[_Item]) -> list:
@@ -305,12 +278,6 @@ class Gateway:
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`
         after :meth:`start`).
-    batch_window:
-        Seconds the first item of a micro-batch waits for company
-        before the time trigger flushes.
-    max_batch:
-        Size trigger: a batch reaching this many items flushes
-        immediately.
     max_queue:
         Admission bound on items pending + in flight; overflow is
         rejected with 429.
@@ -321,15 +288,11 @@ class Gateway:
         engine,
         host: str = "127.0.0.1",
         port: int = 0,
-        batch_window: float = 0.005,
-        max_batch: int = 64,
         max_queue: int = 1024,
     ) -> None:
         self._engine = engine
         self._host = host
         self._port = port
-        self._batch_window = batch_window
-        self._max_batch = max_batch
         self._max_queue = max_queue
         self.registry = MetricsRegistry()
         self._metrics = GatewayMetrics(self.registry)
@@ -363,8 +326,6 @@ class Gateway:
             self._engine,
             self._loop,
             self._executor,
-            self._batch_window,
-            self._max_batch,
             self._max_queue,
             self._metrics,
         )
@@ -375,9 +336,9 @@ class Gateway:
         return self
 
     async def drain(self) -> None:
-        """Graceful shutdown: refuse new work (503), flush the open
-        micro-batch, await everything in flight, then close the
-        listener.  Idempotent."""
+        """Graceful shutdown: refuse new work (503), close the listener,
+        await the flush in flight (and what it chains to), then close
+        the connections.  Idempotent."""
         if self._draining:
             return
         self._draining = True
@@ -386,7 +347,6 @@ class Gateway:
             self._server.close()
             await self._server.wait_closed()
         if self._batcher is not None:
-            self._batcher.flush_now()
             await self._batcher.quiesce()
         # give in-flight handlers a few loop cycles to write their
         # (now-resolved) responses, then cancel idle keep-alives

@@ -1003,14 +1003,16 @@ class ShardedEngine(ServingFrontEnd):
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release cluster resources: the scatter pool and the
-        transport (which shuts worker processes down cleanly).  A
-        closed in-process cluster keeps answering -- its shards are
-        plain objects -- but a closed process-backed cluster does not.
-        Idempotent."""
+        """Release cluster resources: the scatter pool, the
+        supervisor's ``call_timeout`` pool and the transport (which
+        shuts worker processes down cleanly).  A closed in-process
+        cluster keeps answering -- its shards are plain objects -- but
+        a closed process-backed cluster does not.  Idempotent."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        if self._supervisor is not None:
+            self._supervisor.shutdown()
         self._transport.shutdown()
 
     def __enter__(self) -> "ShardedEngine":

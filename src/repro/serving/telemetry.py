@@ -259,10 +259,13 @@ class GatewayMetrics:
 
     Distinct ``repro_gateway_*`` names keep the merge a plain
     :func:`~repro.obs.metrics.aggregate_snapshots` -- nothing here
-    collides with an engine or router family."""
+    collides with an engine or router family.  Flushes carry no
+    trigger label: every flush follows the one rule (flush at once
+    when idle, else send what accumulated when the flush in flight
+    finishes), so ``batch_size`` and ``batch_wait_seconds`` say how
+    much load queued behind the engine."""
 
     def __init__(self, registry: MetricsRegistry) -> None:
-        self.registry = registry
         self.requests = registry.counter(
             "repro_gateway_requests_total", "HTTP requests accepted"
         )
@@ -279,7 +282,7 @@ class GatewayMetrics:
         )
         self.batch_flushes = registry.counter(
             "repro_gateway_batch_flushes_total",
-            "Micro-batch flushes (all triggers)",
+            "Micro-batch flushes (one in flight at a time)",
         )
         self.batch_size = registry.histogram(
             "repro_gateway_batch_size",
@@ -289,7 +292,7 @@ class GatewayMetrics:
         self.batch_wait_seconds = registry.histogram(
             "repro_gateway_batch_wait_seconds",
             "Seconds the oldest item of a batch waited before its "
-            "flush",
+            "flush (behind the flush in flight; ~0 when idle)",
             buckets=LATENCY_BUCKETS,
         )
         self.queue_depth = registry.gauge(
@@ -299,15 +302,6 @@ class GatewayMetrics:
         self.draining = registry.gauge(
             "repro_gateway_draining",
             "1 while the gateway drains (new work refused)",
-        )
-
-    def flush_trigger(self, trigger: str):
-        """Per-trigger flush counter (``size`` / ``time`` /
-        ``drain``)."""
-        return self.registry.counter(
-            "repro_gateway_flush_triggers_total",
-            "Micro-batch flushes by trigger",
-            trigger=trigger,
         )
 
 

@@ -1,28 +1,13 @@
-"""Tests for PLSA, NetPLSA and iTopicModel baselines."""
+"""Tests for the NetPLSA and iTopicModel baselines."""
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.baselines.itopicmodel import ITopicModel
 from repro.baselines.netplsa import NetPLSA
-from repro.baselines.plsa import PLSA
 from repro.exceptions import ConfigError
 from repro.hin.attributes import TextAttribute
 from repro.hin.builder import NetworkBuilder
-
-
-def make_count_matrix(n_docs_per_topic=10, seed=0):
-    """Two clean topics over a 6-term vocabulary."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for topic in range(2):
-        for _ in range(n_docs_per_topic):
-            counts = np.zeros(6)
-            active = slice(0, 3) if topic == 0 else slice(3, 6)
-            counts[active] = rng.integers(2, 8, size=3)
-            rows.append(counts)
-    return sparse.csr_matrix(np.vstack(rows))
 
 
 def make_text_network(seed=0):
@@ -67,45 +52,6 @@ def label_agreement(theta, network, truth):
         direct += label == community
         swapped += label == 1 - community
     return max(direct, swapped) / len(truth)
-
-
-class TestPLSA:
-    def test_separates_clean_topics(self):
-        counts = make_count_matrix()
-        result = PLSA(2, seed=0).fit(counts)
-        labels = np.argmax(result.theta, axis=1)
-        assert len(set(labels[:10].tolist())) == 1
-        assert len(set(labels[10:].tolist())) == 1
-        assert labels[0] != labels[10]
-
-    def test_shapes_and_normalization(self):
-        counts = make_count_matrix()
-        result = PLSA(3, seed=1).fit(counts)
-        assert result.theta.shape == (20, 3)
-        assert result.beta.shape == (3, 6)
-        np.testing.assert_allclose(result.theta.sum(axis=1), 1.0)
-        np.testing.assert_allclose(result.beta.sum(axis=1), 1.0)
-
-    def test_loglik_finite_and_improving(self):
-        counts = make_count_matrix()
-        short = PLSA(2, max_iterations=1, seed=2).fit(counts)
-        long = PLSA(2, max_iterations=50, seed=2).fit(counts)
-        assert np.isfinite(short.log_likelihood)
-        assert long.log_likelihood >= short.log_likelihood
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ConfigError):
-            PLSA(0)
-        with pytest.raises(ConfigError):
-            PLSA(2, max_iterations=0)
-        with pytest.raises(ConfigError, match="non-empty"):
-            PLSA(2).fit(sparse.csr_matrix((0, 5)))
-
-    def test_seeded_reproducibility(self):
-        counts = make_count_matrix()
-        r1 = PLSA(2, seed=9).fit(counts)
-        r2 = PLSA(2, seed=9).fit(counts)
-        np.testing.assert_array_equal(r1.theta, r2.theta)
 
 
 class TestNetPLSA:

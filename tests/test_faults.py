@@ -332,6 +332,30 @@ class TestShardSupervisor:
         release.set()
         supervisor.shutdown()
 
+    def test_cluster_close_stops_the_timeout_pool(
+        self, forum_result, reference_rows
+    ):
+        def supervisor_threads():
+            return [
+                thread
+                for thread in threading.enumerate()
+                if thread.name.startswith("repro-shard-supervisor")
+            ]
+
+        before = set(supervisor_threads())
+        engine = cluster(
+            forum_result, 2, supervision=fast_policy(call_timeout=5.0)
+        )
+        rows = engine.score_many([dict(q) for q in QUERIES])
+        for got, want in zip(rows, reference_rows):
+            np.testing.assert_array_equal(got, want)
+        started = [t for t in supervisor_threads() if t not in before]
+        assert started  # call_timeout runs shard calls on the pool
+        engine.close()
+        for thread in started:
+            thread.join(timeout=5.0)
+        assert not [t for t in supervisor_threads() if t in started]
+
     def test_breaker_open_fails_fast_and_recovers_on_reset(self):
         supervisor, metrics = self.make(
             fast_policy(max_retries=0, breaker_threshold=1)

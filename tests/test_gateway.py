@@ -1,8 +1,9 @@
 """Tests for the micro-batching HTTP gateway (repro.serving.gateway).
 
 Two layers: :class:`MicroBatcher` unit tests against a fake engine
-(trigger selection, empty-window flush, drain), and live-socket tests
-through :class:`GatewayServer` (bit-identity over HTTP vs the
+whose gate holds a flush in flight (an idle admit flushes at once,
+items admitted during a flush leave together, drain), and live-socket
+tests through :class:`GatewayServer` (bit-identity over HTTP vs the
 in-process cluster at every shard count, dedup across a merged batch,
 admission control, graceful drain, degraded markers over a process
 transport).
@@ -153,17 +154,6 @@ def parse_response(raw):
     return reply
 
 
-def trigger_counts(registry_snapshot):
-    """Per-trigger firing counts of the labelled flush counter."""
-    family = registry_snapshot["metrics"].get(
-        "repro_gateway_flush_triggers_total", {}
-    )
-    return {
-        entry["labels"]["trigger"]: entry["value"]
-        for entry in family.get("series", [])
-    }
-
-
 # ----------------------------------------------------------------------
 # MicroBatcher unit tests (fake engine, explicit event loop)
 # ----------------------------------------------------------------------
@@ -185,6 +175,33 @@ class FakeEngine:
         return [[(node, 1.0)] for node in nodes]
 
 
+class GatedEngine:
+    """Wraps an engine (fake or real): ``score_many`` /
+    ``similar_many`` set :attr:`entered`, then wait for :attr:`gate`,
+    so a test that closes the gate holds a flush in flight on the
+    engine executor.  The gate starts open."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+        self.gate.set()
+
+    def _held(self, method, *args, **kwargs):
+        self.entered.set()
+        assert self.gate.wait(10), "the gate was never opened"
+        return method(*args, **kwargs)
+
+    def score_many(self, *args, **kwargs):
+        return self._held(self._engine.score_many, *args, **kwargs)
+
+    def similar_many(self, *args, **kwargs):
+        return self._held(self._engine.similar_many, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+
 def score_items(*object_types):
     """One ``/score`` request's admission items, as the gateway makes
     them: ``(compiled request batch, row)`` pairs."""
@@ -194,107 +211,140 @@ def score_items(*object_types):
     return [(batch, row) for row in range(len(batch))]
 
 
-def make_batcher(engine, loop, executor, **kwargs):
-    kwargs.setdefault("batch_window", 0.02)
-    kwargs.setdefault("max_batch", 3)
-    kwargs.setdefault("max_queue", 100)
+def make_batcher(engine, loop, executor, max_queue=100):
     registry = MetricsRegistry()
     batcher = MicroBatcher(
         engine,
         loop,
         executor,
+        max_queue=max_queue,
         metrics=GatewayMetrics(registry),
-        **kwargs,
     )
     return batcher, registry
 
 
+def flushes(registry):
+    return series_value(
+        registry.snapshot(), "repro_gateway_batch_flushes_total"
+    )
+
+
+async def hold_flush(engine, batcher, *object_types):
+    """Admit one request and wait until its flush is blocked inside the
+    engine (the gate closed); returns the request's futures."""
+    engine.gate.clear()
+    engine.entered.clear()
+    futures = batcher.admit("score", score_items(*object_types))
+    assert await asyncio.to_thread(engine.entered.wait, 10)
+    return futures
+
+
 def run_async(coroutine):
-    return asyncio.run(coroutine)
+    # bounded: a batch the batcher never sends fails the test, not
+    # the run
+    return asyncio.run(asyncio.wait_for(coroutine, 10))
 
 
 class TestMicroBatcher:
-    def test_size_trigger_flushes_immediately(self):
+    def test_idle_admit_flushes_at_once(self):
+        # no timer: an item admitted while nothing is in flight is
+        # flushed by admit() itself, before the loop runs again
         async def scenario():
             loop = asyncio.get_running_loop()
-            engine = FakeEngine()
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                batcher, registry = make_batcher(engine, loop, pool)
-                futures = batcher.admit(
-                    "score", score_items("a", "b", "c")
-                )
-                # size trigger: flushed synchronously on admit, the
-                # window timer cancelled before it could fire
-                assert batcher._timer is None
-                await asyncio.gather(*futures)
-                await batcher.quiesce()
-            assert engine.score_calls == [["a", "b", "c"]]
-            counts = trigger_counts(registry.snapshot())
-            assert counts.get("size") == 1
-            assert "time" not in counts
-
-        run_async(scenario())
-
-    def test_time_trigger_flushes_partial_batch(self):
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            engine = FakeEngine()
+            engine = GatedEngine(FakeEngine())
             with ThreadPoolExecutor(max_workers=1) as pool:
                 batcher, registry = make_batcher(engine, loop, pool)
                 futures = batcher.admit("score", score_items("a", "b"))
-                assert batcher._timer is not None
+                assert flushes(registry) == 1
                 await asyncio.gather(*futures)
                 await batcher.quiesce()
             assert engine.score_calls == [["a", "b"]]
-            counts = trigger_counts(registry.snapshot())
-            assert counts.get("time") == 1
-            assert "size" not in counts
+            assert batcher.load == 0
+            snapshot = registry.snapshot()
+            # the per-trigger family is gone with the triggers
+            assert (
+                "repro_gateway_flush_triggers_total"
+                not in snapshot["metrics"]
+            )
 
         run_async(scenario())
 
-    def test_size_vs_time_race_flushes_once(self):
-        # the race: a size flush empties the list while the window
-        # timer is armed -- a later timer or drain firing into the
-        # empty window must be a no-op, not a second (empty) batch
+    def test_admitted_during_flush_leave_together_as_next_batch(self):
         async def scenario():
             loop = asyncio.get_running_loop()
-            engine = FakeEngine()
+            engine = GatedEngine(FakeEngine())
             with ThreadPoolExecutor(max_workers=1) as pool:
                 batcher, registry = make_batcher(engine, loop, pool)
-                first = batcher.admit("score", score_items("a", "b"))
-                # size trigger
-                second = batcher.admit("score", score_items("c"))
-                batcher._flush("time")  # the lost race, forced
-                batcher.flush_now()  # drain on an empty window
-                await asyncio.gather(*first, *second)
+                first = await hold_flush(engine, batcher, "a")
+                second = batcher.admit("score", score_items("b", "c"))
+                third = batcher.admit("score", score_items("d"))
+                # they wait behind the flush in flight: no new flush
+                assert flushes(registry) == 1
+                assert batcher.load == 4
+                engine.gate.set()
+                rows = await asyncio.gather(*first, *second, *third)
                 await batcher.quiesce()
-            assert engine.score_calls == [["a", "b", "c"]]
-            snapshot = registry.snapshot()
-            assert (
-                series_value(
-                    snapshot, "repro_gateway_batch_flushes_total"
+            # two whole requests merged, in admission order, into the
+            # one batch the finishing flush sent
+            assert engine.score_calls == [["a"], ["b", "c", "d"]]
+            assert [row[0] for row in rows] == [1.0, 3.0, 3.0, 3.0]
+            assert flushes(registry) == 2
+            assert batcher.load == 0
+
+        run_async(scenario())
+
+    def test_finished_flush_with_nothing_pending_goes_idle(self):
+        # a flush that finishes with nothing pending sends no (empty)
+        # batch, and the next admit flushes at once again
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            engine = GatedEngine(FakeEngine())
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                batcher, registry = make_batcher(engine, loop, pool)
+                await asyncio.gather(
+                    *batcher.admit("score", score_items("a"))
                 )
-                == 1
-            )
-            counts = trigger_counts(snapshot)
-            assert counts == {"size": 1}
+                await batcher.quiesce()
+                assert flushes(registry) == 1
+                futures = batcher.admit("score", score_items("b"))
+                assert flushes(registry) == 2
+                await asyncio.gather(*futures)
+                await batcher.quiesce()
+            assert engine.score_calls == [["a"], ["b"]]
+
+        run_async(scenario())
+
+    def test_quiesce_completes_inflight_and_accumulated_work(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            engine = GatedEngine(FakeEngine())
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                batcher, _ = make_batcher(engine, loop, pool)
+                first = await hold_flush(engine, batcher, "a")
+                second = batcher.admit("score", score_items("b"))
+                drain = asyncio.create_task(batcher.quiesce())
+                await asyncio.sleep(0.05)
+                assert not drain.done()  # held by the gated flush
+                engine.gate.set()
+                await asyncio.wait_for(drain, 10)
+                # the drain waited for the chained flush too
+                assert all(f.done() for f in [*first, *second])
+            assert engine.score_calls == [["a"], ["b"]]
+            assert batcher.load == 0
 
         run_async(scenario())
 
     def test_admission_overflow_rejects_whole_request(self):
         async def scenario():
             loop = asyncio.get_running_loop()
-            engine = FakeEngine()
+            engine = GatedEngine(FakeEngine())
             with ThreadPoolExecutor(max_workers=1) as pool:
-                batcher, _ = make_batcher(
-                    engine, loop, pool, max_queue=2, max_batch=100
-                )
+                batcher, _ = make_batcher(engine, loop, pool, max_queue=2)
                 batcher.admit("score", score_items("a"))
                 with pytest.raises(GatewayBusy, match="full"):
                     batcher.admit("score", score_items("b", "c"))
                 # all-or-nothing: the rejected request queued nothing
                 assert batcher.load == 1
-                batcher.flush_now()
                 await batcher.quiesce()
             assert engine.score_calls == [["a"]]
 
@@ -303,11 +353,10 @@ class TestMicroBatcher:
     def test_mixed_batch_groups_similar_by_shape(self):
         async def scenario():
             loop = asyncio.get_running_loop()
-            engine = FakeEngine()
+            engine = GatedEngine(FakeEngine())
             with ThreadPoolExecutor(max_workers=1) as pool:
-                batcher, _ = make_batcher(
-                    engine, loop, pool, max_batch=10
-                )
+                batcher, _ = make_batcher(engine, loop, pool)
+                held = await hold_flush(engine, batcher, "q0")
                 score = batcher.admit("score", score_items("q1"))
                 similar = batcher.admit(
                     "similar",
@@ -317,11 +366,11 @@ class TestMicroBatcher:
                         ("n3", 5, "cosine", None),
                     ],
                 )
-                batcher.flush_now()
-                await asyncio.gather(*score, *similar)
+                engine.gate.set()
+                await asyncio.gather(*held, *score, *similar)
                 await batcher.quiesce()
             # one score_many, one similar_many per (k, metric, type)
-            assert engine.score_calls == [["q1"]]
+            assert engine.score_calls == [["q0"], ["q1"]]
             assert sorted(
                 call[1:] for call in engine.similar_calls
             ) == [(3, "cosine", None), (5, "cosine", None)]
@@ -332,6 +381,13 @@ class TestMicroBatcher:
             assert grouped[3] == ["n2"]
 
         run_async(scenario())
+
+
+def wait_for(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert condition()
 
 
 # ----------------------------------------------------------------------
@@ -358,9 +414,7 @@ class TestGatewayEquivalence:
         )
 
         engine = ShardedEngine.from_result(forum_result, n_shards=n_shards)
-        with GatewayServer.launch(
-            engine, batch_window=0.01, max_batch=16
-        ) as server:
+        with GatewayServer.launch(engine) as server:
             status, body = post(
                 server.url, "/score", {"queries": queries}
             )
@@ -389,9 +443,7 @@ class TestGatewayEquivalence:
     def test_duplicates_dedup_across_merged_batch(self, forum_result):
         engine = ShardedEngine.from_result(forum_result, n_shards=2)
         query = dict(object_type="user", **GREEN_QUERY)
-        with GatewayServer.launch(
-            engine, batch_window=0.05, max_batch=32
-        ) as server:
+        with GatewayServer.launch(engine) as server:
             status, body = post(
                 server.url, "/score", {"queries": [query] * 6}
             )
@@ -418,12 +470,7 @@ class TestGatewayOperations:
     def test_overflow_is_429(self, forum_result):
         engine = ShardedEngine.from_result(forum_result, n_shards=2)
         query = dict(object_type="user", **GREEN_QUERY)
-        with GatewayServer.launch(
-            engine,
-            batch_window=0.01,
-            max_batch=16,
-            max_queue=2,
-        ) as server:
+        with GatewayServer.launch(engine, max_queue=2) as server:
             status, body = post(
                 server.url, "/score", {"queries": [query] * 3}
             )
@@ -438,9 +485,7 @@ class TestGatewayOperations:
 
     def test_bad_query_is_400_and_does_not_poison(self, forum_result):
         engine = ShardedEngine.from_result(forum_result, n_shards=2)
-        with GatewayServer.launch(
-            engine, batch_window=0.01, max_batch=16
-        ) as server:
+        with GatewayServer.launch(engine) as server:
             status, body = post(
                 server.url,
                 "/score",
@@ -479,24 +524,36 @@ class TestGatewayOperations:
     def test_bad_similar_node_is_400_and_does_not_poison(
         self, forum_result
     ):
-        # a long window co-batches every request below into one flush:
-        # a bad node admitted with them would fail the whole
-        # similar_many group, the valid request included
+        # a held flush makes every request below queue behind it, so
+        # they would leave as one batch: a bad node admitted with them
+        # would fail the whole similar_many group, the valid one too
         engine = ShardedEngine.from_result(forum_result, n_shards=2)
         want = engine.similar("user0_0", k=3)
+        gated = GatedEngine(engine)
+        gated.gate.clear()
         bodies = [
             {"nodes": ["user0_0"], "k": 3},
             {"nodes": ["nobody"], "k": 3},
             {"nodes": [{"a": 1}], "k": 3},
             {"nodes": ["user0_0", "nobody"], "k": 3},
         ]
-        with GatewayServer.launch(
-            engine, batch_window=0.5, max_batch=100
-        ) as server:
-            with ThreadPoolExecutor(len(bodies)) as pool:
-                replies = list(pool.map(
-                    lambda body: post(server.url, "/similar", body), bodies
-                ))
+        with GatewayServer.launch(gated) as server:
+            batcher = server.gateway._batcher
+            with ThreadPoolExecutor(len(bodies) + 1) as pool:
+                held = pool.submit(
+                    post, server.url, "/similar", {"nodes": ["user1_0"]}
+                )
+                assert gated.entered.wait(10)
+                futures = [
+                    pool.submit(post, server.url, "/similar", body)
+                    for body in bodies
+                ]
+                for future in futures[1:]:
+                    future.result(timeout=10)
+                wait_for(lambda: batcher.load == 2)
+                gated.gate.set()
+                replies = [future.result(timeout=10) for future in futures]
+                assert held.result(timeout=10)[0] == 200
         engine.close()
         status, body = replies[0]
         assert status == 200
@@ -664,48 +721,48 @@ class TestGatewayOperations:
         engine.close()
 
     def test_drain_completes_inflight_work(self, forum_result):
+        # a /score flush is held in the engine while a /similar request
+        # queues behind it (its node check runs on the event loop, a
+        # /score's validation would wait on the engine thread); drain
+        # must finish both, then refuse new work
         engine = ShardedEngine.from_result(forum_result, n_shards=2)
         query = dict(object_type="user", **GREEN_QUERY)
-        want = engine.score_many(
-            [
-                {
-                    **query,
-                    "links": [
-                        tuple(link) for link in query["links"]
-                    ],
-                }
-            ]
+        want_row = engine.score_many(
+            [{**query, "links": [tuple(link) for link in query["links"]]}]
         )[0]
-        server = GatewayServer.launch(
-            engine, batch_window=5.0, max_batch=100
-        )
-        outcome = {}
-
-        def slow_request():
-            outcome["response"] = post(
-                server.url, "/score", {"queries": [query]}
+        want_similar = engine.similar("user0_0", k=3)
+        gated = GatedEngine(engine)
+        gated.gate.clear()
+        server = GatewayServer.launch(gated)
+        batcher = server.gateway._batcher
+        with ThreadPoolExecutor(2) as pool:
+            inflight = pool.submit(
+                post, server.url, "/score", {"queries": [query]}
             )
-
-        worker = threading.Thread(target=slow_request)
-        worker.start()
-        # wait until the item is admitted (pending behind the long
-        # window), then drain: the flush must run it to completion
-        deadline = time.monotonic() + 10
-        while (
-            server.gateway._batcher.load == 0
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.01)
-        assert server.gateway._batcher.load == 1
-        start = time.monotonic()
-        server.drain()
-        assert time.monotonic() - start < 5.0  # not the full window
-        worker.join(timeout=10)
-        status, body = outcome["response"]
-        assert status == 200
+            assert gated.entered.wait(10)
+            queued = pool.submit(
+                post, server.url, "/similar", {"nodes": ["user0_0"], "k": 3}
+            )
+            wait_for(lambda: batcher.load == 2)
+            drainer = threading.Thread(target=server.drain)
+            drainer.start()
+            time.sleep(0.05)
+            assert drainer.is_alive()  # held by the in-flight flush
+            gated.gate.set()
+            drainer.join(timeout=10)
+            assert not drainer.is_alive()
+            (score_status, score_body), (similar_status, similar_body) = (
+                inflight.result(10),
+                queued.result(10),
+            )
+        assert score_status == similar_status == 200
         np.testing.assert_array_equal(
-            np.asarray(body["results"][0]), want
+            np.asarray(score_body["results"][0]), want_row
         )
+        assert similar_body["results"] == [
+            [[found, score] for found, score in want_similar]
+        ]
+        assert batcher.load == 0
         # the listener is closed: new work is refused outright
         with pytest.raises(
             (urllib.error.URLError, ConnectionError, OSError)
@@ -716,9 +773,7 @@ class TestGatewayOperations:
     def test_probes_and_metrics(self, forum_result):
         engine = ShardedEngine.from_result(forum_result, n_shards=2)
         query = dict(object_type="user", **GREEN_QUERY)
-        with GatewayServer.launch(
-            engine, batch_window=0.01
-        ) as server:
+        with GatewayServer.launch(engine) as server:
             status, body = get(server.url, "/healthz")
             assert status == 200
             assert json.loads(body)["status"] == "ok"
@@ -734,6 +789,7 @@ class TestGatewayOperations:
             assert "repro_queries_total" in text
             assert "repro_gateway_requests_total" in text
             assert "repro_gateway_batch_flushes_total" in text
+            assert "repro_gateway_flush_triggers_total" not in text
         engine.close()
 
 
@@ -800,7 +856,7 @@ class TestZeroDensityObservation:
 
     def test_http_score_is_400(self, weather_result):
         engine = ShardedEngine.from_result(weather_result, n_shards=2)
-        with GatewayServer.launch(engine, batch_window=0.01) as server:
+        with GatewayServer.launch(engine) as server:
             status, body = post(
                 server.url, "/score", {"queries": [self.sensor(1e308)]}
             )
@@ -841,9 +897,7 @@ class TestGatewayProcessTransport:
             supervision=FAST_FAIL,
         )
         try:
-            with GatewayServer.launch(
-                engine, batch_window=0.01, max_batch=16
-            ) as server:
+            with GatewayServer.launch(engine) as server:
                 status, body = post(
                     server.url, "/score", {"queries": queries}
                 )

@@ -1,10 +1,15 @@
 """Tests for repro.core.initialization."""
 
 import numpy as np
+import pytest
 
+from repro import GenClus, GenClusConfig
 from repro.core.initialization import random_theta, select_initial_theta
 from repro.core.objective import g1
 from repro.core.problem import compile_problem
+from repro.datagen.weather import WeatherConfig, generate_weather_network
+from repro.exceptions import ConvergenceError
+from repro.experiments.weather_common import WEATHER_ATTRIBUTES
 from repro.hin.attributes import TextAttribute
 from repro.hin.builder import NetworkBuilder
 
@@ -81,3 +86,24 @@ class TestSelectInitialTheta:
             theta, np.ones(1), problem.matrices, problem.attribute_models
         )
         assert np.isfinite(value)
+
+    def test_no_finite_start_is_a_named_error(self):
+        """One overflowing observation makes every start's objective
+        NaN: the fit names the cause instead of failing an assert."""
+        network = generate_weather_network(
+            WeatherConfig(
+                n_temperature=60,
+                n_precipitation=30,
+                k_neighbors=3,
+                n_observations=5,
+                seed=0,
+            )
+        ).network
+        network.attribute("temperature").add_value("T0", 1e308)
+        config = GenClusConfig(
+            n_clusters=4, outer_iterations=3, seed=0, n_init=2
+        )
+        with np.errstate(all="ignore"), pytest.raises(
+            ConvergenceError, match="finite objective"
+        ):
+            GenClus(config).fit(network, attributes=WEATHER_ATTRIBUTES)
