@@ -1,4 +1,5 @@
-"""List the ``src/`` functions that no entry point of the project calls.
+"""List the ``src/`` functions that no entry point of the project calls,
+and the options that every entry point leaves at one value.
 
 Copies ``src/``, ``examples/``, ``perfbench/`` and ``BENCHMARK.json``
 into a temporary directory and drops a ``sitecustomize.py`` into the
@@ -10,7 +11,11 @@ Python call it makes (``sys.setprofile`` and ``threading.setprofile``)
 and writes them out at exit: on ``atexit``, and from a wrapped
 ``os._exit``, which is how forked workers leave.  The recorder starts
 no thread: one would make ``serve`` exec its workers instead of
-forking them.
+forking them.  For each defaulted parameter of a ``src/`` function
+(listed in ``defaults.json`` beside the copy's ``src/``) it also
+records the values the calls bound: the ``repr`` of a scalar (None,
+bool, int, float or str), the type name of anything else, and at most
+two distinct values per parameter.
 
 The entry points run:
 
@@ -25,12 +30,22 @@ A recorded call is matched to a function of the source by its first
 line: a decorated function's code object starts at its first
 decorator.  Only module-level functions and methods (of classes at any
 depth) are listed; a nested function or lambda belongs to the function
-that defines it.  Run from anywhere, it takes a few minutes::
+that defines it.
+
+A second section lists the *single-valued options*: each defaulted
+parameter of a reached function that every recorded call bound to one
+and the same scalar, marked ``default`` when that scalar is its
+default (no caller set it to anything else).  A parameter that saw a
+second value or a non-scalar one is an option in use and is not
+listed.  The recorder runs no ``benchmarks/*.py`` script and no CI
+step's inline Python, and a dataclass's generated ``__init__`` has no
+source to match: grep those for a listed parameter before retiring
+it.  Run from anywhere, it takes about a minute on 2 CPUs::
 
     python benchmarks/reachability.py > unreached.txt
 
 A failing entry point exits 1 after printing its output, since the
-list would then be incomplete.
+lists would then be incomplete.
 """
 
 from __future__ import annotations
@@ -52,13 +67,39 @@ ROOT = Path(__file__).resolve().parent.parent
 SITECUSTOMIZE = '''\
 """Call recorder loaded into every process of a reachability run."""
 import atexit
+import json
 import os
 import sys
 import threading
 
 _SRC = os.path.dirname(os.path.abspath(__file__))
+_PREFIX = _SRC + os.sep
 _CALLS = os.path.join(os.path.dirname(_SRC), "calls")
+_SCALARS = (bool, int, float, str)
+_UNSET = object()
 _seen = {}
+# id(code) -> {parameter: (values, last value)} still recorded; a
+# parameter leaves once it has bound two values or a non-scalar one
+_open = {}
+_values = []  # (code, {parameter: values}) of every watched code
+try:
+    with open(os.path.join(os.path.dirname(_SRC), "defaults.json")) as fh:
+        _DEFAULTED = json.load(fh)
+except OSError:
+    _DEFAULTED = {}
+
+
+def _watch(code):
+    """The defaulted parameters of ``code`` to record, or None."""
+    if not code.co_filename.startswith(_PREFIX):
+        return None
+    relative = code.co_filename[len(_PREFIX):]
+    names = _DEFAULTED.get(f"{relative}:{code.co_firstlineno}")
+    if not names:
+        return None
+    values = {name: set() for name in names}
+    _values.append((code, values))
+    return {name: (seen, _UNSET) for name, seen in values.items()}
 
 
 def _profile(frame, event, arg):
@@ -66,14 +107,37 @@ def _profile(frame, event, arg):
         code = frame.f_code
         if id(code) not in _seen:
             _seen[id(code)] = code
+            _open[id(code)] = _watch(code)
+        watching = _open[id(code)]
+        if watching:
+            bound = frame.f_locals
+            for name, (seen, last) in list(watching.items()):
+                # the same object again (or a parameter a resumed
+                # generator deleted): nothing new to record
+                value = bound.get(name, last)
+                if value is last:
+                    continue
+                if value is None or isinstance(value, _SCALARS):
+                    seen.add(repr(value)[:80])
+                    if len(seen) < 2:
+                        watching[name] = (seen, value)
+                        continue
+                else:
+                    seen.add(f"<{type(value).__name__}>")
+                watching.pop(name, None)
 
 
 def _dump():
-    prefix = _SRC + os.sep
     rows = sorted({
         f"{code.co_filename}\\t{code.co_firstlineno}\\n"
         for code in list(_seen.values())
-        if code.co_filename.startswith(prefix)
+        if code.co_filename.startswith(_PREFIX)
+    })
+    rows += sorted({
+        f"{code.co_filename}\\t{code.co_firstlineno}\\t{name}\\t{value}\\n"
+        for code, values in list(_values)
+        for name, seen in list(values.items())
+        for value in list(seen)
     })
     name = f"{os.getpid()}-{len(os.listdir(_CALLS))}.tsv"
     with open(os.path.join(_CALLS, name), "w") as fh:
@@ -135,11 +199,14 @@ SERVING = [
 @dataclass(frozen=True)
 class Function:
     """A module-level function or a method, spanning ``first..last``
-    (``first`` is its first decorator's line when decorated)."""
+    (``first`` is its first decorator's line when decorated), with its
+    defaulted parameters as ``(name, default)`` pairs (the default as
+    the ``repr`` the recorder would write for it)."""
 
     name: str
     first: int
     last: int
+    defaults: tuple[tuple[str, str], ...] = ()
 
     @property
     def lines(self) -> int:
@@ -162,7 +229,12 @@ def functions(source: str) -> list[Function]:
                     + [d.lineno for d in node.decorator_list]
                 )
                 found.append(
-                    Function(prefix + node.name, first, node.end_lineno)
+                    Function(
+                        prefix + node.name,
+                        first,
+                        node.end_lineno,
+                        _defaults(node.args),
+                    )
                 )
             elif isinstance(node, ast.ClassDef):
                 visit(node.body, f"{prefix}{node.name}.")
@@ -174,10 +246,61 @@ def functions(source: str) -> list[Function]:
     return found
 
 
+def _defaults(args: ast.arguments) -> tuple[tuple[str, str], ...]:
+    """``(name, default)`` of each parameter that has a default."""
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[::-1], args.defaults[::-1]))[::-1]
+    pairs += [
+        (arg, default)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    found = []
+    for arg, default in pairs:
+        try:
+            text = repr(ast.literal_eval(default))[:80]
+        except ValueError:  # not a literal: no recorded value equals it
+            text = ast.unparse(default)
+        found.append((arg.arg, text))
+    return tuple(found)
+
+
 def unreached(source: str, called_lines: set[int]) -> list[Function]:
     """The functions of ``source`` whose first line no recorded call
     started at."""
     return [f for f in functions(source) if f.first not in called_lines]
+
+
+def single_valued(
+    function: Function, values: dict[str, set[str]]
+) -> list[tuple[str, str, bool]]:
+    """``(parameter, value, is_default)`` for each defaulted parameter
+    of ``function`` that every recorded call bound to one scalar.
+
+    ``values`` maps a parameter to the values recorded for it; a
+    non-scalar is recorded as ``<TypeName>`` and never counts.
+    """
+    found = []
+    for name, default in function.defaults:
+        seen = values.get(name, set())
+        if len(seen) == 1:
+            (value,) = seen
+            if not value.startswith("<"):
+                found.append((name, value, value == default))
+    return found
+
+
+def write_defaults(src: Path, target: Path) -> None:
+    """Write ``target/defaults.json``: the defaulted parameter names of
+    every function under ``src``, keyed ``"<path in src>:<first>"``
+    as the recorder looks them up."""
+    table = {}
+    for path in sorted(src.rglob("*.py")):
+        for f in functions(path.read_text()):
+            if f.defaults:
+                key = f"{path.relative_to(src)}:{f.first}"
+                table[key] = [name for name, _ in f.defaults]
+    (target / "defaults.json").write_text(json.dumps(table))
 
 
 def _copy_tree(tree: Path) -> None:
@@ -187,6 +310,7 @@ def _copy_tree(tree: Path) -> None:
     for name in ("src", "examples", "perfbench"):
         shutil.copytree(ROOT / name, tree / name, ignore=ignore)
     shutil.copy2(ROOT / "BENCHMARK.json", tree / "BENCHMARK.json")
+    write_defaults(tree / "src", tree)
     (tree / "src" / "sitecustomize.py").write_text(SITECUSTOMIZE)
     (tree / "calls").mkdir()
     (tree / "work").mkdir()
@@ -236,9 +360,9 @@ def _serve(env: dict, cwd: Path) -> None:
             raise SystemExit(f"serve exited with {serve.returncode}")
 
 
-def record(tree: Path) -> dict[Path, set[int]]:
-    """Run every entry point in ``tree``; return the first lines
-    called, per source file."""
+def record(tree: Path) -> None:
+    """Run every entry point in ``tree``; the recorder's dumps land in
+    ``tree/calls``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     work = tree / "work"
     python = sys.executable
@@ -255,7 +379,6 @@ def record(tree: Path) -> dict[Path, set[int]]:
             _run([python, str(tree / "perfbench" / "run.py"),
                   "--workload", workload, "--seconds", "2",
                   "--trace", trace], env, work)
-    return read_calls(tree / "calls")
 
 
 def read_calls(calls: Path) -> dict[Path, set[int]]:
@@ -263,12 +386,33 @@ def read_calls(calls: Path) -> dict[Path, set[int]]:
     called: dict[Path, set[int]] = {}
     for dump in calls.iterdir():
         for row in dump.read_text().splitlines():
-            filename, line = row.split("\t")
-            called.setdefault(Path(filename), set()).add(int(line))
+            fields = row.split("\t")
+            if len(fields) == 2:
+                called.setdefault(Path(fields[0]), set()).add(int(fields[1]))
     return called
 
 
-def report(src: Path, called: dict[Path, set[int]]) -> None:
+def read_values(
+    calls: Path,
+) -> dict[tuple[Path, int], dict[str, set[str]]]:
+    """Merge the recorder's dumps: the values bound to each defaulted
+    parameter, per ``(file, first line)`` of the function."""
+    values: dict[tuple[Path, int], dict[str, set[str]]] = {}
+    for dump in calls.iterdir():
+        for row in dump.read_text().splitlines():
+            fields = row.split("\t")
+            if len(fields) == 4:
+                filename, line, name, value = fields
+                key = (Path(filename), int(line))
+                values.setdefault(key, {}).setdefault(name, set()).add(value)
+    return values
+
+
+def report(
+    src: Path,
+    called: dict[Path, set[int]],
+    values: dict[tuple[Path, int], dict[str, set[str]]],
+) -> None:
     total_functions = total_lines = missed_functions = missed_lines = 0
     for path in sorted(src.rglob("*.py")):
         if path.name == "sitecustomize.py":
@@ -288,14 +432,46 @@ def report(src: Path, called: dict[Path, set[int]]) -> None:
         f"unreached: {missed_functions} of {total_functions} functions, "
         f"{missed_lines} of {total_lines} lines"
     )
+    print()
+    print("single-valued options (defaulted parameters of reached")
+    print("functions that every recorded call bound to one scalar):")
+    total_parameters = single = 0
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "sitecustomize.py":
+            continue
+        lines = called.get(path, set())
+        listed = []
+        for f in functions(path.read_text()):
+            if f.first not in lines:
+                continue
+            total_parameters += len(f.defaults)
+            for name, value, is_default in single_valued(
+                f, values.get((path, f.first), {})
+            ):
+                mark = "default" if is_default else "set"
+                listed.append(
+                    f"  {f.first:>5}  {f.name}({name}={value})  {mark}"
+                )
+        single += len(listed)
+        if listed:
+            print(path.relative_to(src.parent))
+            print("\n".join(listed))
+    print(
+        f"single-valued: {single} of {total_parameters} defaulted "
+        f"parameters of reached functions"
+    )
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="reachability-") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
-        called = record(tree)
-        report(tree / "src", called)
+        record(tree)
+        report(
+            tree / "src",
+            read_calls(tree / "calls"),
+            read_values(tree / "calls"),
+        )
     return 0
 
 

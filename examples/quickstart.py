@@ -126,6 +126,7 @@ def persist_and_serve(result: GenClusResult) -> None:
 
         engine = InferenceEngine.load(path)
         # a transient query: an unseen paper with text but no links
+        # (query() is a one-row score_many)
         membership = engine.query(
             "paper", text={"title": ["mining", "cluster", "pattern"]}
         )
@@ -251,8 +252,9 @@ def sharded_serving(result: GenClusResult) -> None:
     throughput decision, never an accuracy one.
 
     The :class:`RetrainDriver` closes the lifecycle autonomically: it
-    watches per-shard extension pressure and query staleness, triggers
-    a cluster-wide warm-started ``promote()`` when policy trips, backs
+    watches per-shard extension pressure and query staleness, and on
+    each ``tick()`` whose policy trips it runs a cluster-wide
+    warm-started ``promote()`` inline, on the caller's thread; it backs
     its thresholds off when a refit stops paying (``min_g1_gain``),
     and rebalances the shard plan after the base grows.
     """

@@ -71,6 +71,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from scipy import sparse
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# additive smoothing of the beta M-step: no term probability hits
+# exactly zero, so log-likelihoods stay finite for terms that drift out
+# of a cluster
+BETA_SMOOTHING = 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -252,10 +256,6 @@ class CategoricalModel:
         ``K``.
     num_nodes:
         Global node count ``n`` (for scattering theta contributions).
-    smoothing:
-        Additive smoothing applied in the ``beta`` M-step so no term
-        probability hits exactly zero (keeps log-likelihoods finite for
-        terms that drift out of a cluster).
     """
 
     def __init__(
@@ -263,14 +263,12 @@ class CategoricalModel:
         compiled: CompiledTextAttribute,
         n_clusters: int,
         num_nodes: int,
-        smoothing: float = 1e-10,
     ) -> None:
         if n_clusters < 1:
             raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
         self.compiled = compiled
         self.n_clusters = n_clusters
         self.num_nodes = num_nodes
-        self.smoothing = smoothing
         self.beta: np.ndarray | None = None
         # frozen sparse structure + per-call buffers, allocated once
         self._pattern = pattern = CountsPattern.from_counts(compiled.counts)
@@ -416,7 +414,7 @@ class CategoricalModel:
         run_blocks(plan, block)
         # beta M-step: beta_kl propto sum_v c_vl p(z=k) = beta_kl * [theta^T (C/d)]_kl
         beta_new = beta * m_step.T
-        beta_new += self.smoothing
+        beta_new += BETA_SMOOTHING
         self.beta = beta_new / beta_new.sum(axis=1, keepdims=True)
 
     def em_step(self, theta: np.ndarray) -> np.ndarray:

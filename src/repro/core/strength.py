@@ -55,6 +55,7 @@ from repro.core.kernels import (
 from repro.hin.views import RelationMatrices
 
 _UNIT = np.finfo(np.float64).eps / 2  # unit roundoff of float64
+_MAX_HALVINGS = 30  # step halvings the line search tries before giving up
 
 
 @dataclass(frozen=True)
@@ -512,7 +513,6 @@ def _line_search(
     ws: _NewtonWorkspace,
     grad: np.ndarray,
     magnitude: float,
-    max_halvings: int = 30,
 ) -> tuple[np.ndarray, float, bool, bool]:
     """Projected backtracking: halve the step until g2' improves.
 
@@ -538,7 +538,7 @@ def _line_search(
     n, k = ws.alphas.shape
     weights = None
     scale = 1.0
-    for attempt in range(max_halvings):
+    for attempt in range(_MAX_HALVINGS):
         candidate = np.clip(gamma + scale * step, 0.0, None)
         d = candidate - gamma
         if grad @ d < -1e-12:  # else no slack can rule the candidate out

@@ -28,7 +28,7 @@ ranking ``np.argsort(-scores, kind="stable")``.
 Three metrics, named as in the paper's tables (``cosine`` /
 ``neg_euclidean`` / ``neg_cross_entropy``), each split into a
 candidate-side *precompute* (cacheable against a model version: row L2
-norms, squared norms, ``log theta``) and a per-block *score* kernel.
+norms, squared norms) and a per-block *score* kernel.
 """
 
 from __future__ import annotations
@@ -72,11 +72,10 @@ def resolve_metric(name: str) -> str:
 def precompute(metric: str, theta: np.ndarray) -> dict[str, np.ndarray]:
     """Candidate-side arrays a serving cache keeps per model version.
 
-    ``cosine`` needs the row L2 norms, ``neg_euclidean`` the squared
-    row norms, ``neg_cross_entropy`` the ``log theta`` table (reused to
-    prepare node queries without re-evaluating the log).  All are
-    derived *from* the (possibly memory-mapped) theta without mutating
-    or copying it.
+    ``cosine`` needs the row L2 norms and ``neg_euclidean`` the
+    squared row norms, both derived *from* the (possibly
+    memory-mapped) theta without mutating or copying it;
+    ``neg_cross_entropy`` needs nothing (the log is query-side).
     """
     theta = np.asarray(theta)
     if metric == "cosine":
@@ -84,7 +83,7 @@ def precompute(metric: str, theta: np.ndarray) -> dict[str, np.ndarray]:
     if metric == "neg_euclidean":
         return {"sq": np.sum(theta**2, axis=1)}
     if metric == "neg_cross_entropy":
-        return {"log": np.log(np.maximum(theta, EPS))}
+        return {}
     raise ValueError(f"unknown similarity metric {metric!r}")
 
 
@@ -93,36 +92,18 @@ def precompute_nbytes(pre: dict[str, np.ndarray]) -> int:
     return int(sum(array.nbytes for array in pre.values()))
 
 
-def prepare_queries(
-    metric: str,
-    rows: np.ndarray,
-    pre: dict[str, np.ndarray] | None = None,
-    row_indices: Sequence[int] | None = None,
-):
+def prepare_queries(metric: str, rows: np.ndarray):
     """Query-side transform for a ``(m, K)`` batch of membership rows.
 
-    With a cached :func:`precompute` and the queries' own row indices,
-    the transform gathers from the cache instead of recomputing --
-    bit-identical either way (same elementwise ops on the same rows).
     Returns whatever :func:`score_block` expects for the metric.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    cached = pre is not None and row_indices is not None
     if metric == "cosine":
-        if cached:
-            norms = pre["norms"][row_indices][:, None]
-        else:
-            norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
         return rows / np.maximum(norms, EPS)
     if metric == "neg_euclidean":
-        if cached:
-            sq = pre["sq"][row_indices]
-        else:
-            sq = np.sum(rows**2, axis=1)
-        return rows, sq
+        return rows, np.sum(rows**2, axis=1)
     if metric == "neg_cross_entropy":
-        if cached:
-            return pre["log"][row_indices]
         return np.log(np.maximum(rows, EPS))
     raise ValueError(f"unknown similarity metric {metric!r}")
 

@@ -14,8 +14,6 @@ injector handle and pay a single ``is None`` check on the null path.
 Canonical site names (free-form strings; these are the ones wired into
 the serving layer):
 
-``shard.score``
-    A single-query fold-in dispatched by the router to one shard.
 ``shard.foldin``
     A scatter sub-batch scored by one shard during ``score_many``.
 ``promote.refit``

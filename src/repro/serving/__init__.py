@@ -22,7 +22,8 @@ into something that lives through the whole model lifecycle:
 * :mod:`repro.serving.engine` -- :class:`InferenceEngine`: drives a
   shared :class:`~repro.core.state.ModelState` through serving --
   incremental deltas (``extend`` / ``add_links``, re-folding only the
-  touched component), LRU-memoized transient queries, extension-space
+  touched component), LRU-memoized transient queries (``score_many``;
+  ``query`` is its one-row form), extension-space
   telemetry and eviction (``evict``), and ``promote()``: a warm-started
   full refit that turns folded-in nodes into first-class training data
   and rebases the engine onto the result.
@@ -32,8 +33,9 @@ into something that lives through the whole model lifecycle:
   :class:`ShardedEngine` scatter-gathers the engine API across
   per-shard engines (bit-identical to a single engine at every shard
   count), and :class:`RetrainDriver` runs the autonomic policy loop
-  (:class:`RetrainPolicy`) that promotes on extension pressure or
-  query staleness and rebalances the plan afterwards.
+  (:class:`RetrainPolicy`) that promotes inline, on the caller's
+  thread, on extension pressure or query staleness and rebalances the
+  plan afterwards.
 * :mod:`repro.serving.supervision` -- fault tolerance for the cluster:
   :class:`SupervisionPolicy` / :class:`ShardSupervisor` wrap every
   router -> shard call with bounded deterministic retries, per-call

@@ -24,27 +24,23 @@ models and smart about signals:
   stationary workload stops burning refits (the "autonomic" half:
   the driver tunes its own sensitivity from observed outcomes).
 
-The driver talks to any engine exposing ``info()`` and ``promote()``
--- a singleton :class:`~repro.serving.engine.InferenceEngine` or a
+The driver talks to any engine exposing ``obs``, ``info()`` and
+``promote()`` -- a singleton
+:class:`~repro.serving.engine.InferenceEngine` or a
 :class:`~repro.serving.router.ShardedEngine` (whose promote refits the
 whole cluster and rebalances the shard plan).  ``tick()`` runs the
-check-and-maybe-retrain step; with ``background=True`` the refit runs
-on a driver-owned thread (refits serialize) and ``join()`` collects
-it and stops the thread.  Background mode assumes the caller pauses
-writes while a refit is in flight -- engines are not internally
-locked; the driver refuses to start a second refit before the first
-is joined.
+check-and-maybe-retrain step inline, on the caller's thread: engines
+are not internally locked, so a refit never overlaps the caller's
+writes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core.config import GenClusConfig
 from repro.exceptions import ServingError
-from repro.obs.observability import Observability
 from repro.serving.telemetry import ServingMetrics
 
 
@@ -68,25 +64,12 @@ class RetrainPolicy:
     backoff_factor:
         Multiplier applied to the effective thresholds after an
         unprofitable refit (>= 1; 1 disables the cooldown).
-    max_consecutive_failures:
-        How many refits may fail back-to-back before the exception
-        surfaces to the caller.  The default (1) keeps the historical
-        contract: the first failure both records its round and
-        raises.  A larger bound turns failures into deterministic,
-        jitter-free retries: each failed promote is recorded
-        (``RetrainRound.error`` set, ``repro_retrain_failures_total``
-        incremented) and swallowed, the trigger stays tripped, and the
-        next :meth:`~RetrainDriver.tick` simply tries again -- until
-        the bound is hit, which re-raises (and resets the streak so a
-        later tick gets a fresh budget).  A successful refit also
-        resets the streak.
     """
 
     max_extension_nodes: int | None = None
     max_staleness_queries: int | None = None
     min_g1_gain: float = 0.0
     backoff_factor: float = 2.0
-    max_consecutive_failures: int = 1
 
     def __post_init__(self) -> None:
         if (
@@ -122,11 +105,6 @@ class RetrainPolicy:
                 f"backoff_factor must be >= 1, got "
                 f"{self.backoff_factor}"
             )
-        if self.max_consecutive_failures < 1:
-            raise ServingError(
-                f"max_consecutive_failures must be >= 1, got "
-                f"{self.max_consecutive_failures}"
-            )
 
 
 @dataclass(frozen=True)
@@ -134,10 +112,8 @@ class RetrainRound:
     """Telemetry for one driver-triggered refit.
 
     A failed refit is recorded too (``error`` set, the ``g1`` fields
-    NaN): background promotes used to vanish from ``rounds`` when they
-    raised, leaving the history claiming nothing was ever attempted.
-    The exception itself still propagates (from :meth:`~RetrainDriver.tick`
-    inline, from :meth:`~RetrainDriver.join` in background mode).
+    NaN), so the history shows every attempt; the exception itself
+    still propagates from :meth:`~RetrainDriver.tick`.
     """
 
     trigger: str  # "extension_pressure" | "staleness"
@@ -165,10 +141,6 @@ class RetrainDriver:
     config:
         Optional refit :class:`~repro.core.config.GenClusConfig`
         passed through to ``promote()``.
-    background:
-        Run refits on a driver-owned thread instead of inline;
-        ``tick()`` then returns a future and :meth:`join` collects the
-        finished :class:`RetrainRound`.
     """
 
     def __init__(
@@ -176,25 +148,16 @@ class RetrainDriver:
         engine,
         policy: RetrainPolicy,
         config: GenClusConfig | None = None,
-        background: bool = False,
     ) -> None:
         self._engine = engine
         self._policy = policy
         self._config = config
-        self._background = bool(background)
         self._scale = 1.0  # cooldown multiplier on both thresholds
         # record into the engine's registry so retrain telemetry rides
         # the same export (cluster-scope on a router: the retrain
-        # families are ROUTER_AUTHORITATIVE); a duck-typed engine
-        # without .obs gets a private registry nobody exports
-        obs = getattr(engine, "obs", None)
-        if obs is None:
-            obs = Observability()
-        self._metrics = ServingMetrics(obs.metrics)
+        # families are ROUTER_AUTHORITATIVE)
+        self._metrics = ServingMetrics(engine.obs.metrics)
         self._queries_at_promote = self._queries_served(engine.info())
-        self._pending = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._consecutive_failures = 0
         self.rounds: list[RetrainRound] = []
 
     # ------------------------------------------------------------------
@@ -240,38 +203,17 @@ class RetrainDriver:
                 return ("staleness", None)
         return None
 
-    def tick(self):
+    def tick(self) -> RetrainRound | None:
         """Check, and retrain when the policy trips.
 
-        Inline mode returns the finished :class:`RetrainRound` (or
-        ``None`` when nothing tripped).  Background mode submits the
-        refit to the driver's own thread and returns its future;
-        further ticks are no-ops until :meth:`join`.
+        Returns the finished :class:`RetrainRound`, or ``None`` when
+        nothing tripped.  A failed refit is recorded and counted, then
+        its exception propagates.
         """
-        if self._pending is not None:
-            return None  # a refit is already in flight
         trigger = self.check()
         if trigger is None:
             return None
-        if self._background:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-retrain"
-            )
-            self._pending = self._executor.submit(self._retrain, trigger)
-            return self._pending
         return self._retrain(trigger)
-
-    def join(self) -> RetrainRound | None:
-        """Wait for a background refit, stop its thread, and return
-        its round."""
-        if self._pending is None:
-            return None
-        try:
-            return self._pending.result()
-        finally:
-            self._pending = None
-            self._executor.shutdown(wait=True)
-            self._executor = None
 
     # ------------------------------------------------------------------
     def _retrain(self, trigger: tuple[str, int | None]) -> RetrainRound:
@@ -282,38 +224,26 @@ class RetrainDriver:
         try:
             result = engine.promote(self._config)
         except Exception as exc:
-            # the round must not vanish: record the failed attempt
-            # (background futures used to swallow it until join, and
-            # the rounds history never learned a refit was tried) and
-            # count it.  Within the policy's consecutive-failure
-            # budget the exception is absorbed -- the trigger stays
-            # tripped, so the next tick() retries deterministically
-            # (no jitter: the engine rolled back, the telemetry that
-            # tripped the trigger is unchanged).  At the bound, the
-            # exception surfaces and the streak resets.
+            # the round must not vanish: record the failed attempt and
+            # count it before the exception surfaces (the engine rolled
+            # back, so the trigger stays tripped and the next tick()
+            # retries)
             self._metrics.retrain_failures.inc()
-            failed = RetrainRound(
-                trigger=reason,
-                shard_id=shard_id,
-                extension_nodes=promoted_nodes,
-                g1_first=float("nan"),
-                g1_final=float("nan"),
-                g1_gain=float("nan"),
-                outer_iterations=0,
-                rebalanced=False,
-                backed_off=False,
-                error=f"{type(exc).__name__}: {exc}",
+            self.rounds.append(
+                RetrainRound(
+                    trigger=reason,
+                    shard_id=shard_id,
+                    extension_nodes=promoted_nodes,
+                    g1_first=float("nan"),
+                    g1_final=float("nan"),
+                    g1_gain=float("nan"),
+                    outer_iterations=0,
+                    rebalanced=False,
+                    backed_off=False,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
             )
-            self.rounds.append(failed)
-            self._consecutive_failures += 1
-            if (
-                self._consecutive_failures
-                >= self._policy.max_consecutive_failures
-            ):
-                self._consecutive_failures = 0
-                raise
-            return failed
-        self._consecutive_failures = 0
+            raise
         plan_after = getattr(engine, "plan", None)
         g1 = result.history.g1_series()
         g1_first = float(g1[0])

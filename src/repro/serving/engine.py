@@ -13,10 +13,11 @@
   extension-to-extension links (every other row is provably at its
   fixed point already), so a delta costs ``O(component)`` rather than
   ``O(total extension)``.
-* **Transient queries** -- :meth:`InferenceEngine.query` scores a
-  hypothetical node (links + observations) without mutating any state.
-  Results are memoized in an LRU cache keyed on the canonicalized
-  query; any delta invalidates the cache.
+* **Transient queries** -- :meth:`InferenceEngine.score_many` scores
+  hypothetical nodes (links + observations) without mutating any state,
+  and :meth:`ServingFrontEnd.query` is its one-row form.  Results are
+  memoized in an LRU cache keyed on the canonicalized query; any delta
+  invalidates the cache.
 * **Promotion** -- :meth:`InferenceEngine.promote` closes the loop:
   folded-in nodes and their accumulated links become first-class
   training data in a full ``GenClus`` fit *warm-started* from the
@@ -37,7 +38,7 @@ LRU age book and eviction policy (:class:`QueryAges`), the
 link-delta entry check (:func:`parse_link`), shortlist resolution
 (:func:`resolve_shortlists`), and -- on :class:`ServingFrontEnd`, the
 base class of both -- promote accounting, the similarity frame, and
-the front-end methods derived from ``query`` / ``score_many`` /
+the front-end methods derived from ``score_many`` /
 ``membership_of`` / ``similar_many``.
 """
 
@@ -346,7 +347,7 @@ class ServingFrontEnd:
 
     A subclass serves the base model of ``self._state`` and provides
     ``obs``, ``_metrics``, ``_faults``, ``num_extension_nodes``,
-    ``query``, ``score_many``, ``membership_of``, ``_shard_of`` (the
+    ``score_many``, ``membership_of``, ``_shard_of`` (the
     shard holding a node's row), ``_shard_handle`` (that shard's
     engine or handle) and ``_rank`` (scan and merge one
     similarity batch); the shape properties, the derived front-end
@@ -382,6 +383,23 @@ class ServingFrontEnd:
     def hard_label_of(self, node: object) -> int:
         """Arg-max cluster of any served node."""
         return int(np.argmax(self.membership_of(node)))
+
+    def query(
+        self,
+        object_type: str,
+        links: Sequence[tuple] = (),
+        text: Mapping[str, Any] | None = None,
+        numeric: Mapping[str, Sequence[float]] | None = None,
+    ) -> np.ndarray:
+        """Score a hypothetical node without mutating the engine: a
+        one-row :meth:`score_many`.
+
+        Returns the ``(K,)`` posterior membership.  Identical queries
+        are answered from the LRU cache until the next delta.
+        """
+        return self.score_many(
+            compile_query(object_type, links, text, numeric)
+        )[0]
 
     def assign(
         self,
@@ -605,8 +623,6 @@ class InferenceEngine(ServingFrontEnd):
         deltas but cannot refit.
     cache_size:
         Maximum memoized transient queries (0 disables the cache).
-    max_iterations, tol:
-        Fold-in fixed-point controls, applied to every scoring path.
     shard_id, shard_count:
         The engine's position in a serving cluster (reported through
         :meth:`info`; a standalone engine is shard ``0`` of ``1``).
@@ -629,8 +645,6 @@ class InferenceEngine(ServingFrontEnd):
         self,
         artifact: ModelArtifact,
         cache_size: int = 1024,
-        max_iterations: int = 100,
-        tol: float = 1e-6,
         shard_id: int = 0,
         shard_count: int = 1,
         obs: Observability | None = None,
@@ -640,8 +654,6 @@ class InferenceEngine(ServingFrontEnd):
             state=artifact.to_state(),
             artifact=artifact,
             cache_size=cache_size,
-            max_iterations=max_iterations,
-            tol=tol,
             shard_id=shard_id,
             shard_count=shard_count,
             obs=obs,
@@ -653,8 +665,6 @@ class InferenceEngine(ServingFrontEnd):
         state: ModelState,
         artifact: ModelArtifact | None,
         cache_size: int,
-        max_iterations: int,
-        tol: float,
         shard_id: int,
         shard_count: int,
         obs: Observability | None = None,
@@ -663,10 +673,6 @@ class InferenceEngine(ServingFrontEnd):
         if cache_size < 0:
             raise ServingError(
                 f"cache_size must be >= 0, got {cache_size}"
-            )
-        if max_iterations < 1:
-            raise ServingError(
-                f"max_iterations must be >= 1, got {max_iterations}"
             )
         if shard_count < 1:
             raise ServingError(
@@ -683,8 +689,6 @@ class InferenceEngine(ServingFrontEnd):
         self._promoted_result = None
         self._state = state
         self._model = self._state.frozen_view()
-        self._max_iterations = max_iterations
-        self._tol = tol
         self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._cache_size = cache_size
         # lifecycle telemetry lives in the obs registry; only the LRU
@@ -730,8 +734,6 @@ class InferenceEngine(ServingFrontEnd):
         cls,
         state: ModelState,
         cache_size: int = 1024,
-        max_iterations: int = 100,
-        tol: float = 1e-6,
         shard_id: int = 0,
         shard_count: int = 1,
         obs: Observability | None = None,
@@ -751,8 +753,6 @@ class InferenceEngine(ServingFrontEnd):
             state=state,
             artifact=None,
             cache_size=cache_size,
-            max_iterations=max_iterations,
-            tol=tol,
             shard_id=shard_id,
             shard_count=shard_count,
             obs=obs,
@@ -862,8 +862,6 @@ class InferenceEngine(ServingFrontEnd):
         outcome = fold_in(
             self._model,
             nodes,
-            max_iterations=self._max_iterations,
-            tol=self._tol,
             obs=self.obs,
         )
         self._metrics.foldin_sweeps.inc(outcome.iterations)
@@ -915,8 +913,6 @@ class InferenceEngine(ServingFrontEnd):
         outcome = fold_in(
             self._model.without(touched),
             specs,
-            max_iterations=self._max_iterations,
-            tol=self._tol,
             obs=self.obs,
         )
         self._metrics.foldin_sweeps.inc(outcome.iterations)
@@ -1048,39 +1044,15 @@ class InferenceEngine(ServingFrontEnd):
     # ------------------------------------------------------------------
     # transient queries
     # ------------------------------------------------------------------
-    def query(
-        self,
-        object_type: str,
-        links: Sequence[tuple] = (),
-        text: Mapping[str, Any] | None = None,
-        numeric: Mapping[str, Sequence[float]] | None = None,
-    ) -> np.ndarray:
-        """Score a hypothetical node without mutating the engine.
-
-        Returns the ``(K,)`` posterior membership.  Identical queries
-        are answered from the LRU cache until the next delta.
-        """
-        return self.query_batch(
-            compile_query(object_type, links, text, numeric)
-        )
-
-    def query_batch(self, batch: QueryBatch) -> np.ndarray:
-        """:meth:`query` for a one-row batch from
-        :func:`~repro.serving.foldin.compile_query` (the cluster
-        router compiles once and hands the batch to the owning shard).
-        """
-        self._metrics.queries.inc()
-        self._ages.touch_queries(batch)
-        return self.score_batch(batch)[0]
-
     def score_many(
         self, queries: Sequence[Mapping[str, Any]]
     ) -> list[np.ndarray]:
         """Score many transient queries as **one** fold-in batch.
 
-        Each query is a mapping carrying :meth:`query`'s keyword
-        arguments (``object_type`` required; ``links`` / ``text`` /
-        ``numeric`` optional).  Transient queries are independent --
+        Each query is a mapping carrying
+        :meth:`~ServingFrontEnd.query`'s keyword arguments
+        (``object_type`` required; ``links`` / ``text`` / ``numeric``
+        optional).  Transient queries are independent --
         they cannot link to each other -- so coalescing them into a
         single batch converges to the same per-query fixed points
         while paying one blocked sweep per iteration instead of one
@@ -1138,8 +1110,6 @@ class InferenceEngine(ServingFrontEnd):
                 self._model,
                 bound if len(rows) == len(keys) else bound.take(rows),
                 tuple(rows),
-                max_iterations=self._max_iterations,
-                tol=self._tol,
                 obs=self.obs,
             )
             self._metrics.foldin_sweeps.inc(outcome.iterations)
@@ -1281,7 +1251,7 @@ class InferenceEngine(ServingFrontEnd):
     # shard-handle surface (the transport seam)
     #
     # A cluster router never reaches into a shard's state directly --
-    # it speaks the methods below (plus query_batch / score_batch / extend /
+    # it speaks the methods below (plus score_batch / extend /
     # add_links / evict_nodes / membership_of / similar_rows_partial /
     # info / metrics_snapshot), which is exactly the surface
     # :mod:`repro.serving.transport` carries over a process boundary.

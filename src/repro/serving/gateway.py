@@ -14,14 +14,21 @@ score items into one cluster ``score_many``, similarity items by
 ``(k, metric, type)`` into ``similar_many`` calls -- and resolves each
 request's futures.
 
-Determinism: every engine call the gateway makes runs on a
+Determinism: every engine call that reaches the shards (scoring,
+similarity scans, the ``/readyz`` and ``/metrics`` probes) runs on a
 **single-thread executor**, so concurrent HTTP load can never
 interleave two engine operations (parallelism lives *inside* a batch,
-in the router's per-shard scatter and the workers' kernels).  Batched
-answers are bit-identical to unbatched ones by the engine's per-row
-convergence contract, and JSON round-trips Python floats exactly
-(shortest-repr), so a response body carries the same 64 bits the
-in-process reference returns -- pinned in ``tests/test_gateway.py``.
+in the router's per-shard scatter and the workers' kernels).  The
+per-request admission checks -- ``validate_queries`` for ``/score``,
+``has_node`` for ``/similar`` -- run on the event loop instead: they
+read only the router's frozen base and extension registry and touch no
+shard, and over HTTP the gateway issues no writes, so a request
+arriving during a flush is checked and admitted at once and leaves
+with the next batch.  Batched answers are bit-identical to unbatched
+ones by the engine's per-row convergence contract, and JSON
+round-trips Python floats exactly (shortest-repr), so a response body
+carries the same 64 bits the in-process reference returns -- pinned in
+``tests/test_gateway.py``.
 
 Admission control: a bounded queue (``max_queue`` items pending or in
 flight).  A request that would overflow it is rejected with **429**
@@ -273,8 +280,8 @@ class Gateway:
     ----------
     engine:
         A :class:`~repro.serving.router.ShardedEngine` (any transport
-        backend).  The gateway serializes every call to it on one
-        executor thread.
+        backend).  The gateway serializes every call that reaches its
+        shards on one executor thread.
     host, port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`
         after :meth:`start`).
@@ -554,12 +561,13 @@ class Gateway:
         batch = compile_queries(queries, decode_target=decode_node)
         # validate up front so one malformed request 400s alone
         # instead of poisoning the micro-batch it would share
-        # (model-aware when the engine offers it)
+        # (model-aware when the engine offers it).  It runs on the
+        # event loop, like /similar's node check: it touches no shard,
+        # so a request arriving during a flush joins the next batch
+        # instead of queueing behind the flush on the engine thread
         validate = getattr(self._engine, "validate_queries", None)
         if validate is not None:
-            await self._loop.run_in_executor(
-                self._executor, validate, batch
-            )
+            validate(batch)
         if self._draining:
             return _json_response(
                 503, {"error": "gateway is draining"}

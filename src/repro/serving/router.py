@@ -8,11 +8,11 @@ ranges of the served index space onto shards;
 state per shard (frozen base shared read-only, extension space owned
 per shard); and the router fans the engine API out:
 
-* ``query`` / ``assign`` route to one shard -- the owner of any
-  extension node the query links to, else a deterministic
-  cache-affinity shard -- and ``score_many`` / ``assign_many``
-  scatter-gather: the batch is deduplicated cluster-wide, split into
-  per-shard blocked fold-in sub-batches (run concurrently on the
+* ``score_many`` (and ``query`` / ``assign`` / ``assign_many``, which
+  derive from it) scatter-gathers: each query routes to the owner of
+  any extension node it links to, else to a deterministic
+  cache-affinity shard; the batch is deduplicated cluster-wide, split
+  into per-shard blocked fold-in sub-batches (run concurrently on the
   router's scatter pool when more than one shard is active), and
   gathered back in input order.
 * ``extend`` routes a whole batch to one owning shard (linked
@@ -85,7 +85,6 @@ from repro.serving.foldin import (
     check_observations,
     check_type,
     compile_queries,
-    compile_query,
     link_error,
     model_type_codes,
     resolve_links,
@@ -128,8 +127,8 @@ class ShardedEngine(ServingFrontEnd):
         Cluster width: shard ``i`` owns the balanced row range
         :meth:`ShardPlan.rows_of` gives it (``shard-plan`` prints the
         split).
-    cache_size, max_iterations, tol:
-        Per-shard engine controls, as on :class:`InferenceEngine`.
+    cache_size:
+        Per-shard query cache size, as on :class:`InferenceEngine`.
     obs:
         Optional :class:`~repro.obs.Observability` for the **router's**
         registry and tracer (cluster-scope counters, scatter-gather
@@ -152,13 +151,12 @@ class ShardedEngine(ServingFrontEnd):
     faults:
         Optional :class:`~repro.faults.FaultInjector` (or bare
         :class:`~repro.faults.FaultPlan`) traversed at the router's
-        named sites (``shard.score``, ``shard.foldin``,
-        ``promote.refit``, and -- under the process transport --
-        ``worker.call``) -- the deterministic chaos hook.  ``None``
-        is the null path.
+        named sites (``shard.foldin``, ``promote.refit``, and -- under
+        the process transport -- ``worker.call``) -- the deterministic
+        chaos hook.  ``None`` is the null path.
     transport:
-        Where shards run: ``None`` / ``"inproc"`` (the default --
-        engines in this process, PR 5's cluster verbatim) or a
+        Where shards run: ``None`` (the default -- engines in this
+        process, PR 5's cluster verbatim) or a
         :class:`~repro.serving.transport.ProcessTransport` instance
         (one worker process per shard; :meth:`load` builds one from
         ``transport="process"``).  Answers are bit-identical across
@@ -176,8 +174,6 @@ class ShardedEngine(ServingFrontEnd):
         state: ModelState,
         n_shards: int,
         cache_size: int = 1024,
-        max_iterations: int = 100,
-        tol: float = 1e-6,
         obs: Observability | None = None,
         supervision: SupervisionPolicy | None = None,
         faults=None,
@@ -189,11 +185,7 @@ class ShardedEngine(ServingFrontEnd):
         # the per-shard engine knobs every transport backend applies
         # identically (what makes backends bit-identical by
         # construction)
-        self._engine_kwargs = {
-            "cache_size": cache_size,
-            "max_iterations": max_iterations,
-            "tol": tol,
-        }
+        self._engine_kwargs = {"cache_size": cache_size}
         # faults and the transport must exist before the first shards
         # start: process-backed handles traverse the injector's
         # worker.call site on every RPC
@@ -362,29 +354,6 @@ class ShardedEngine(ServingFrontEnd):
     # ------------------------------------------------------------------
     # transient queries
     # ------------------------------------------------------------------
-    def query(
-        self,
-        object_type: str,
-        links: Sequence[tuple] = (),
-        text: Mapping[str, Any] | None = None,
-        numeric: Mapping[str, Sequence[float]] | None = None,
-    ) -> np.ndarray:
-        """Score a hypothetical node on its owning shard.
-
-        A query linking to folded-in nodes goes to their owner (it
-        needs their membership rows); any other query goes to a
-        deterministic cache-affinity shard.  Every shard shares the
-        frozen base bit-for-bit, so the answer is identical no matter
-        where it runs.
-        """
-        batch = compile_query(object_type, links, text, numeric)
-        shard = int(self._route(batch)[0])
-        self._metrics.queries.inc()
-        self._ages.touch_queries(batch)
-        return self._call_shard(
-            shard, "shard.score", lambda handle: handle.query_batch(batch)
-        )
-
     def validate_queries(
         self, queries: Sequence[Mapping[str, Any]] | QueryBatch
     ) -> int:
@@ -458,12 +427,17 @@ class ShardedEngine(ServingFrontEnd):
     ) -> "list[np.ndarray | ShardFailure]":
         """Scatter-gather a batch of transient queries.
 
-        The batch is validated in global order (error positions match
-        the single engine's numbering), deduplicated cluster-wide
-        (duplicates fold once, on one shard), routed -- owner shard
-        for extension-linked queries, cache-affinity shard otherwise
-        -- and the per-shard sub-batches run as blocked fold-in
-        batches, concurrently when several shards are active.  Per-row
+        The batch is routed -- owner shard for extension-linked
+        queries, cache-affinity shard otherwise -- and deduplicated
+        cluster-wide (duplicates route alike and fold once, on one
+        shard); the per-shard sub-batches run as blocked fold-in
+        batches, concurrently when several shards are active.  Each
+        shard validates its own sub-batch with the caller's global
+        positions, so an error names the offending query's
+        single-engine number, but with several invalid queries the
+        one reported may differ from the single engine's first (see
+        the module docstring; :meth:`validate_queries` checks a whole
+        batch in global order without scoring it).  Per-row
         convergence makes the gathered scores bit-identical to the
         single-engine batch (and to one-at-a-time queries).
 
@@ -628,6 +602,15 @@ class ShardedEngine(ServingFrontEnd):
         the fault-free supervised path executes the identical scoring
         code inline.
         """
+
+        def attempt():
+            result = self._shards[shard].score_batch(batch)
+            if self._faults is not None:
+                result = self._faults.traverse(
+                    "shard.foldin", payload=result, shard=shard
+                )
+            return result
+
         inflight = self._metrics.inflight
         hist = self._metrics.shard_batch_seconds(shard)
         inflight.inc()
@@ -638,33 +621,14 @@ class ShardedEngine(ServingFrontEnd):
                 parent=parent,
                 queries=len(batch),
             ):
-                return self._call_shard(
-                    shard,
-                    "shard.foldin",
-                    lambda handle: handle.score_batch(batch),
+                if self._supervisor is None:
+                    return attempt()
+                return self._supervisor.call(
+                    shard, "shard.foldin", attempt, validate=_require_finite
                 )
         finally:
             hist.observe(time.perf_counter() - tick)
             inflight.dec()
-
-    def _call_shard(self, shard: int, site: str, call):
-        """``call(handle)`` on one shard, then the ``site`` fault
-        traverse; under supervision each such attempt runs through
-        :meth:`~repro.serving.supervision.ShardSupervisor.call`."""
-
-        def attempt():
-            result = call(self._shards[shard])
-            if self._faults is not None:
-                result = self._faults.traverse(
-                    site, payload=result, shard=shard
-                )
-            return result
-
-        if self._supervisor is None:
-            return attempt()
-        return self._supervisor.call(
-            shard, site, attempt, validate=_require_finite
-        )
 
     def _route(self, batch: QueryBatch) -> np.ndarray:
         """The shard of each row: the owner of the extension nodes it
@@ -1091,8 +1055,7 @@ def _require_finite(result) -> None:
     (an injected NaN, a torn buffer) counts as a retryable failure --
     a degraded batch may be incomplete, never numerically wrong.
     """
-    rows = result if isinstance(result, (list, tuple)) else [result]
-    for row in rows:
+    for row in result:
         if not np.isfinite(row).all():
             raise ServingError(
                 "shard returned non-finite membership scores"

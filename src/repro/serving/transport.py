@@ -110,6 +110,8 @@ _MAX_FRAME = 1 << 31
 # the array dtypes the protocol sends (little-endian on every platform
 # this runs on); a header naming anything else is malformed
 _WIRE_DTYPES = frozenset({"<f8", "<i8", "<i4"})
+# seconds a spawned worker has to connect and finish loading its bundle
+STARTUP_TIMEOUT = 120.0
 
 
 class TransportError(ServingError):
@@ -617,7 +619,6 @@ def plan_from_wire(wire: Mapping[str, Any]) -> ShardPlan:
 
 
 SHARD_OPS: dict[str, ShardOp] = {
-    "query_batch": ShardOp(_BATCH, _ARRAY),
     "score_batch": ShardOp(_BATCH, _ROWS),
     "extend": ShardOp(_args(nodes=_many(_SPEC, list)), _OUTCOME),
     "add_links": ShardOp(_args(links=_many(_LINK, list)), _OUTCOME),
@@ -991,11 +992,10 @@ class ProcessTransport:
         O(pages-touched), not O(model).
     mmap:
         Map the bundle instead of loading it eagerly (workers only).
-    startup_timeout:
-        Seconds to wait for each worker to connect and finish loading.
-    run_dir:
-        Where promote bundles land (default: a private temp dir,
-        removed on shutdown).
+
+    Each worker gets :data:`STARTUP_TIMEOUT` seconds to connect and
+    finish loading.  Promote bundles land in a private temp dir,
+    removed on shutdown.
     """
 
     name = "process"
@@ -1004,14 +1004,10 @@ class ProcessTransport:
         self,
         artifact_path: str | Path,
         mmap: bool = True,
-        startup_timeout: float = 120.0,
-        run_dir: str | Path | None = None,
     ) -> None:
         self._bundle = str(artifact_path)
         self._mmap = bool(mmap)
-        self._startup_timeout = float(startup_timeout)
-        self._run_dir = Path(run_dir) if run_dir is not None else None
-        self._owns_run_dir = run_dir is None
+        self._run_dir: Path | None = None
         self._listener: socket.socket | None = None
         self._handles: dict[int, ProcessShardHandle] = {}
         self._promotes = 0
@@ -1121,11 +1117,7 @@ class ProcessTransport:
             except OSError:  # pragma: no cover - defensive
                 pass
             self._listener = None
-        if (
-            self._owns_run_dir
-            and self._run_dir is not None
-            and self._run_dir.exists()
-        ):
+        if self._run_dir is not None:
             shutil.rmtree(self._run_dir, ignore_errors=True)
             self._run_dir = None
 
@@ -1156,7 +1148,7 @@ class ProcessTransport:
             listener = socket.create_server(
                 ("127.0.0.1", 0), backlog=16
             )
-            listener.settimeout(self._startup_timeout)
+            listener.settimeout(STARTUP_TIMEOUT)
             self._listener = listener
         return self._listener
 
@@ -1165,8 +1157,6 @@ class ProcessTransport:
             self._run_dir = Path(
                 tempfile.mkdtemp(prefix="repro-serving-run-")
             )
-        else:
-            self._run_dir.mkdir(parents=True, exist_ok=True)
         return self._run_dir
 
     def _spawn(
@@ -1178,7 +1168,7 @@ class ProcessTransport:
     ) -> ProcessShardHandle:
         host, port = self._ensure_listener().getsockname()
         process = _start_worker(f"{host}:{port}", shard)
-        deadline = time.monotonic() + self._startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         try:
             sock = self._accept_worker(shard, process, deadline)
             sock.setsockopt(
@@ -1228,7 +1218,7 @@ class ProcessTransport:
             if remaining <= 0 or process.poll() is not None:
                 raise TransportError(
                     f"shard {shard} worker did not come up within "
-                    f"{self._startup_timeout}s "
+                    f"{STARTUP_TIMEOUT}s "
                     f"(exit code {process.poll()})"
                 )
             listener.settimeout(min(remaining, 1.0))
@@ -1253,8 +1243,8 @@ class ProcessTransport:
 
 
 def resolve_transport(transport) -> InprocessTransport | ProcessTransport:
-    """Accept ``None`` / ``"inproc"`` / a transport instance."""
-    if transport is None or transport == "inproc":
+    """Accept ``None`` (in-process shards) or a transport instance."""
+    if transport is None:
         return InprocessTransport()
     if transport == "process":
         raise ServingError(
@@ -1266,6 +1256,6 @@ def resolve_transport(transport) -> InprocessTransport | ProcessTransport:
     if hasattr(transport, "start") and hasattr(transport, "rebuild"):
         return transport
     raise ServingError(
-        f"transport must be None, 'inproc', or a transport instance, "
+        f"transport must be None or a transport instance, "
         f"got {transport!r}"
     )

@@ -93,7 +93,8 @@ def post(url, path, payload):
         with urllib.request.urlopen(request, timeout=30) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        with error:
+            return error.code, json.loads(error.read())
 
 
 def get(url, path):
@@ -101,7 +102,8 @@ def get(url, path):
         with urllib.request.urlopen(url + path, timeout=30) as response:
             return response.status, response.read()
     except urllib.error.HTTPError as error:
-        return error.code, error.read()
+        with error:
+            return error.code, error.read()
 
 
 def raw_exchange(port, data, finish=True, timeout=10.0):
@@ -563,6 +565,58 @@ class TestGatewayOperations:
             assert status == 400
             assert "not served" in body["error"] and bad in body["error"]
 
+    def test_score_requests_admitted_during_a_flush_leave_together(
+        self, forum_result
+    ):
+        # /score validation runs on the event loop, not behind the
+        # held flush on the engine thread: both requests are admitted
+        # while it runs and leave together as the next batch
+        engine = ShardedEngine.from_result(forum_result, n_shards=2)
+        reference = InferenceEngine.from_result(forum_result)
+        queries = [
+            dict(object_type="user", **GREEN_QUERY),
+            dict(object_type="user", **PURPLE_QUERY),
+        ]
+        want = reference.score_many(
+            [
+                {**query, "links": [tuple(link) for link in query["links"]]}
+                for query in queries
+            ]
+        )
+        gated = GatedEngine(engine)
+        gated.gate.clear()
+        with GatewayServer.launch(gated) as server:
+            batcher = server.gateway._batcher
+            with ThreadPoolExecutor(len(queries) + 1) as pool:
+                held = pool.submit(
+                    post,
+                    server.url,
+                    "/score",
+                    {"queries": [{"object_type": "user"}]},
+                )
+                assert gated.entered.wait(10)
+                futures = [
+                    pool.submit(
+                        post, server.url, "/score", {"queries": [query]}
+                    )
+                    for query in queries
+                ]
+                wait_for(lambda: batcher.load == 1 + len(queries))
+                gated.gate.set()
+                replies = [future.result(timeout=10) for future in futures]
+                assert held.result(timeout=10)[0] == 200
+            snapshot = server.gateway.registry.snapshot()
+        engine.close()
+        # the held flush, then one flush carrying both requests
+        assert series_value(
+            snapshot, "repro_gateway_batch_flushes_total"
+        ) == 2
+        for (status, body), row in zip(replies, want):
+            assert status == 200
+            np.testing.assert_array_equal(
+                np.asarray(body["results"][0]), row
+            )
+
     @pytest.mark.parametrize(
         "query",
         [
@@ -626,7 +680,8 @@ class TestGatewayOperations:
             )
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=30)
-            assert excinfo.value.code == 400
+            with excinfo.value as error:
+                assert error.code == 400
             status, _ = post(server.url, "/nowhere", {})
             assert status == 404
             status, _ = get(server.url, "/score")
@@ -667,8 +722,9 @@ class TestGatewayOperations:
             )
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=30)
-            assert excinfo.value.code == 400
-            assert "error" in json.loads(excinfo.value.read())
+            with excinfo.value as error:
+                assert error.code == 400
+                assert "error" in json.loads(error.read())
         engine.close()
 
     @pytest.mark.parametrize("declared", ["abc", "-5", "1.5", "", "²"])
@@ -722,9 +778,8 @@ class TestGatewayOperations:
 
     def test_drain_completes_inflight_work(self, forum_result):
         # a /score flush is held in the engine while a /similar request
-        # queues behind it (its node check runs on the event loop, a
-        # /score's validation would wait on the engine thread); drain
-        # must finish both, then refuse new work
+        # queues behind it (its node check runs on the event loop);
+        # drain must finish both, then refuse new work
         engine = ShardedEngine.from_result(forum_result, n_shards=2)
         query = dict(object_type="user", **GREEN_QUERY)
         want_row = engine.score_many(

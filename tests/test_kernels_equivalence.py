@@ -19,6 +19,7 @@ from scipy import sparse
 from scipy.special import polygamma, zeta
 
 from repro.core.attribute_models import (
+    BETA_SMOOTHING,
     CategoricalModel,
     CountsPattern,
     categorical_theta_term,
@@ -472,7 +473,7 @@ def fancy_gather_categorical_step(model, theta, out, block_rows=None):
         term[v0:v1] *= theta_obs[v0:v1]
         out[indices[v0:v1]] += term[v0:v1]
     beta_new = beta * (theta_obs.T @ ratio)
-    beta_new += model.smoothing
+    beta_new += BETA_SMOOTHING
     return beta_new / beta_new.sum(axis=1, keepdims=True)
 
 

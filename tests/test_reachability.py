@@ -7,7 +7,15 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-from reachability import SITECUSTOMIZE, functions, read_calls, unreached
+from reachability import (
+    SITECUSTOMIZE,
+    functions,
+    read_calls,
+    read_values,
+    single_valued,
+    unreached,
+    write_defaults,
+)
 
 FIXTURE = '''\
 import functools
@@ -123,3 +131,57 @@ def test_recorded_calls_match_the_functions_they_reach(tmp_path):
         "Thing.unused_method",
         "outer_unused",
     ]
+
+
+OPTIONS = """\
+def knobs(rows, flag=False, size=3, *, mode="x", obj=None, fixed=7):
+    return rows
+
+
+def unused(value=1):
+    return value
+"""
+
+# flag is always set to one value, mode and fixed are never passed,
+# size takes two values and obj a non-scalar: only the first three
+# are single-valued options
+OPTIONS_DRIVER = """\
+import options
+
+options.knobs(1, flag=True, obj=[1])
+options.knobs(2, True, 4, obj=None)
+"""
+
+
+def test_recorder_reports_single_valued_options(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (tmp_path / "calls").mkdir()
+    (src / "options.py").write_text(OPTIONS)
+    write_defaults(src, tmp_path)
+    (src / "sitecustomize.py").write_text(SITECUSTOMIZE)
+    subprocess.run(
+        [sys.executable, "-c", OPTIONS_DRIVER],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        cwd=tmp_path,
+        check=True,
+    )
+    knobs, unused = functions(OPTIONS)
+    assert knobs.defaults == (
+        ("flag", "False"),
+        ("size", "3"),
+        ("mode", "'x'"),
+        ("obj", "None"),
+        ("fixed", "7"),
+    )
+    path = src / "options.py"
+    assert read_calls(tmp_path / "calls")[path] == {knobs.first}
+    values = read_values(tmp_path / "calls")
+    assert values[(path, knobs.first)]["size"] == {"3", "4"}
+    assert values[(path, knobs.first)]["obj"] == {"<list>"}
+    assert single_valued(knobs, values[(path, knobs.first)]) == [
+        ("flag", "True", False),
+        ("mode", "'x'", True),
+        ("fixed", "7", True),
+    ]
+    assert (path, unused.first) not in values

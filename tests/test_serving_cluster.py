@@ -11,7 +11,6 @@ and fold-ins on both sides run many blocks.
 
 import json
 import math
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -685,9 +684,10 @@ class TestClusterObservability:
         # fold-in work happened on the shards and survives aggregation
         assert series_value(snapshot, "repro_foldin_sweeps_total") > 0
         assert series_value(snapshot, "repro_foldin_seconds") > 0
-        # router-only families ride the same snapshot (score_many and
-        # assign_many each scattered one batch)
-        assert series_value(snapshot, "repro_router_batches_total") == 2
+        # router-only families ride the same snapshot (query, a
+        # one-row score_many, score_many and assign_many each
+        # scattered one batch)
+        assert series_value(snapshot, "repro_router_batches_total") == 3
         assert "repro_router_shard_batch_seconds" in snapshot["metrics"]
 
     def test_info_schema_unified_across_engine_kinds(self, forum_result):
@@ -1001,31 +1001,7 @@ class TestRetrainDriver:
             assert round_.g1_first == reference.g1_first
             assert round_.outer_iterations == reference.outer_iterations
 
-    def test_background_refit_on_shared_pool(self, forum_result):
-        engine = cluster(forum_result, 2)
-        driver = RetrainDriver(
-            engine,
-            RetrainPolicy(max_extension_nodes=1),
-            config=self.refit_config(),
-            background=True,
-        )
-        engine.extend([NewNode("a", "user")])
-        future = driver.tick()
-        assert future is not None
-        assert driver.tick() is None  # refit already in flight
-        round_ = driver.join()
-        assert round_.trigger == "extension_pressure"
-        assert engine.num_extension_nodes == 0
-        assert len(driver.rounds) == 1
-        assert driver.join() is None
-        # join() stops the driver's own refit thread
-        assert not [
-            thread
-            for thread in threading.enumerate()
-            if thread.name.startswith("repro-retrain")
-        ]
-
-    def test_background_failure_is_recorded_and_surfaced(
+    def test_failure_is_recorded_and_surfaced(
         self, forum_result, monkeypatch
     ):
         engine = cluster(forum_result, 2)
@@ -1033,7 +1009,6 @@ class TestRetrainDriver:
             engine,
             RetrainPolicy(max_extension_nodes=1),
             config=self.refit_config(),
-            background=True,
         )
         engine.extend([NewNode("a", "user")])
 
@@ -1041,11 +1016,10 @@ class TestRetrainDriver:
             raise ServingError("refit exploded")
 
         monkeypatch.setattr(engine, "promote", exploding_promote)
-        assert driver.tick() is not None
-        # the exception surfaces from join() instead of vanishing into
-        # the future, and the attempt is still on the books
+        # the exception surfaces from tick(), and the attempt is still
+        # on the books
         with pytest.raises(ServingError, match="refit exploded"):
-            driver.join()
+            driver.tick()
         assert len(driver.rounds) == 1
         round_ = driver.rounds[0]
         assert round_.trigger == "extension_pressure"
@@ -1061,11 +1035,9 @@ class TestRetrainDriver:
             )
             == 1.0
         )
-        # the in-flight slot was released: the driver can retry
-        assert driver.join() is None
-        assert driver.tick() is not None
+        # the trigger is still tripped: the next tick retries
         with pytest.raises(ServingError, match="refit exploded"):
-            driver.join()
+            driver.tick()
         assert len(driver.rounds) == 2
 
 

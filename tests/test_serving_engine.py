@@ -407,11 +407,11 @@ class TestInfo:
     def test_invalid_construction(self, artifact_path):
         with pytest.raises(ServingError, match="cache_size"):
             InferenceEngine.load(artifact_path, cache_size=-1)
-        with pytest.raises(ServingError, match="max_iterations"):
-            InferenceEngine.load(artifact_path, max_iterations=0)
-        # blocking is shape-derived: there is no execution knob
-        with pytest.raises(TypeError):
-            InferenceEngine.load(artifact_path, block_size=4)
+        # blocking is shape-derived and fold-in runs fold_in's own
+        # budget: there is no execution knob
+        for knob in ("block_size", "max_iterations", "tol"):
+            with pytest.raises(TypeError):
+                InferenceEngine.load(artifact_path, **{knob: 4})
 
     def test_execution_telemetry(self, artifact_path):
         execution = InferenceEngine.load(artifact_path).info()["execution"]

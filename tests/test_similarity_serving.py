@@ -162,22 +162,6 @@ class TestKernels:
                 assert rows.tolist() == order.tolist()
                 assert values.tolist() == row_scores[order].tolist()
 
-    def test_precompute_gather_is_bit_identical_to_fresh(self):
-        rng = np.random.default_rng(2)
-        theta = rng.dirichlet(np.ones(4), size=20)
-        rows = np.array([3, 11, 19])
-        for metric in ("cosine", "neg_euclidean", "neg_cross_entropy"):
-            pre = topk.precompute(metric, theta)
-            cached = topk.prepare_queries(
-                metric, theta[rows], pre, rows
-            )
-            fresh = topk.prepare_queries(metric, theta[rows])
-            if isinstance(cached, tuple):
-                for have, want in zip(cached, fresh):
-                    assert have.tobytes() == want.tobytes()
-            else:
-                assert cached.tobytes() == fresh.tobytes()
-
 
 # ----------------------------------------------------------------------
 # engine: accuracy + determinism

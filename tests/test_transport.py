@@ -333,7 +333,6 @@ def call(**parameters):
 
 # (arguments, reply) strategies for every op of the shard surface
 OP_VALUES = {
-    "query_batch": (call(batch=BATCHES), MATRIX),
     "score_batch": (
         call(batch=BATCHES),
         st.integers(0, 4).flatmap(
@@ -708,7 +707,7 @@ class TestWorkerDeath:
         from repro.faults import FaultPlan
 
         plan = FaultPlan().fail(
-            "worker.call", op="query_batch", message="drill"
+            "worker.call", op="score_batch", message="drill"
         )
         with process_cluster(
             artifact_path, 2, supervision=FAST_FAIL, faults=plan
